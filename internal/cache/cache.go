@@ -10,11 +10,17 @@
 //     issues the ready instruction whose operands are already cached
 //     (Section 5.2: this raises the hit rate from ~20% to ~85%).
 //
-// Replacement is least-recently-used, as in the paper.
+// Replacement is least-recently-used, as in the paper. The LRU is dense:
+// circuit.Append keeps every operand below NumQubits, so recency is an
+// intrusive list over qubit indices and residency a bitmap. The optimized
+// fetch never rescans the ready set: circuit.DAG serializes every pair of
+// instructions sharing a qubit, so at most one ready instruction touches
+// any qubit, and an eviction changes the cached-operand count of at most
+// one ready instruction — one heap update. A replay of N instructions
+// costs O(N log N).
 package cache
 
 import (
-	"container/list"
 	"fmt"
 
 	"repro/internal/circuit"
@@ -73,37 +79,85 @@ func (r Result) HitRate() float64 {
 // Misses returns operand accesses that went to level-2 memory.
 func (r Result) Misses() int { return r.Accesses - r.Hits }
 
-// lru is a fixed-capacity least-recently-used set of logical qubits.
-type lru struct {
-	capacity int
-	order    *list.List // front = most recent
-	index    map[int]*list.Element
+// count records one issued instruction's operand accesses and hits.
+func (r *Result) count(accesses, hits int) {
+	r.Accesses += accesses
+	r.Hits += hits
+	if hits == accesses {
+		r.FullHits++
+	}
 }
 
-func newLRU(capacity int) *lru {
-	return &lru{capacity: capacity, order: list.New(), index: make(map[int]*list.Element)}
+// lru is a fixed-capacity least-recently-used set of the qubits
+// 0..numQubits-1: an intrusive doubly-linked list over qubit indices, head
+// most recent, with a bitmap recording residency.
+type lru struct {
+	capacity, size int
+	head, tail     int32 // -1 when empty
+	prev, next     []int32
+	resident       []uint64
+}
+
+func newLRU(numQubits, capacity int) *lru {
+	return &lru{
+		capacity: capacity,
+		head:     -1,
+		tail:     -1,
+		prev:     make([]int32, numQubits),
+		next:     make([]int32, numQubits),
+		resident: make([]uint64, (numQubits+63)/64),
+	}
 }
 
 // contains reports residency without changing recency.
-func (l *lru) contains(q int) bool {
-	_, ok := l.index[q]
-	return ok
-}
+func (l *lru) contains(q int) bool { return l.resident[q>>6]&(1<<(q&63)) != 0 }
 
 // touch makes q resident and most recent, evicting the LRU entry if needed.
-// It reports whether q was already resident.
-func (l *lru) touch(q int) bool {
-	if e, ok := l.index[q]; ok {
-		l.order.MoveToFront(e)
-		return true
+// It reports whether q was already resident and the qubit evicted to make
+// room for it, or -1.
+func (l *lru) touch(q int) (hit bool, evicted int) {
+	if l.contains(q) {
+		if l.head != int32(q) {
+			l.unlink(int32(q))
+			l.pushFront(int32(q))
+		}
+		return true, -1
 	}
-	if l.order.Len() >= l.capacity {
-		back := l.order.Back()
-		delete(l.index, back.Value.(int))
-		l.order.Remove(back)
+	evicted = -1
+	if l.size >= l.capacity {
+		evicted = int(l.tail)
+		l.unlink(l.tail)
+		l.resident[evicted>>6] &^= 1 << (evicted & 63)
+		l.size--
 	}
-	l.index[q] = l.order.PushFront(q)
-	return false
+	l.pushFront(int32(q))
+	l.resident[q>>6] |= 1 << (q & 63)
+	l.size++
+	return false, evicted
+}
+
+func (l *lru) unlink(q int32) {
+	p, n := l.prev[q], l.next[q]
+	if p >= 0 {
+		l.next[p] = n
+	} else {
+		l.head = n
+	}
+	if n >= 0 {
+		l.prev[n] = p
+	} else {
+		l.tail = p
+	}
+}
+
+func (l *lru) pushFront(q int32) {
+	l.prev[q], l.next[q] = -1, l.head
+	if l.head >= 0 {
+		l.prev[l.head] = q
+	} else {
+		l.tail = q
+	}
+	l.head = q
 }
 
 // Simulate replays the circuit against the cache and returns the measured
@@ -114,7 +168,7 @@ func Simulate(c *circuit.Circuit, cfg Config) Result {
 	}
 	switch cfg.Policy {
 	case Naive:
-		return simulateOrder(c, cfg, programOrder(c))
+		return simulateNaive(c, cfg)
 	case Optimized:
 		return simulateOptimized(c, cfg)
 	default:
@@ -122,98 +176,169 @@ func Simulate(c *circuit.Circuit, cfg Config) Result {
 	}
 }
 
-func programOrder(c *circuit.Circuit) []int {
-	order := make([]int, c.Len())
-	for i := range order {
-		order[i] = i
-	}
-	return order
-}
-
-func simulateOrder(c *circuit.Circuit, cfg Config, order []int) Result {
-	res := Result{Config: cfg, Instructions: len(order)}
-	l := newLRU(cfg.CacheQubits)
-	for _, i := range order {
-		in := c.Instr(i)
-		full := true
-		for _, q := range in.Operands() {
-			res.Accesses++
-			if l.touch(q) {
-				res.Hits++
-			} else {
-				full = false
+func simulateNaive(c *circuit.Circuit, cfg Config) Result {
+	res := Result{Config: cfg, Instructions: c.Len()}
+	l := newLRU(c.NumQubits(), cfg.CacheQubits)
+	for _, in := range c.Instrs() {
+		ops := in.Operands()
+		hits := 0
+		for _, q := range ops {
+			if hit, _ := l.touch(q); hit {
+				hits++
 			}
 		}
-		if full {
-			res.FullHits++
-		}
+		res.count(len(ops), hits)
 	}
 	return res
 }
 
 // simulateOptimized issues instructions with the dependency-aware fetch:
-// among ready instructions it picks the one with the most cached operands
-// (then fewest uncached operands, then program order). Scanning the whole
-// ready set per issue is acceptable at the circuit sizes the study uses.
+// among ready instructions it picks the one with the most cached operands,
+// then fewest uncached operands, then program order. The ready set is a
+// min-heap keyed ((3-cached)*4 + missing) << 32 | index, which orders
+// exactly that way, and readyOn maps each qubit to the one ready
+// instruction touching it. Issuing an instruction clears its operands'
+// readyOn entries before touching them, so the qubits it brings in belong
+// to no ready instruction; each qubit it evicts costs its ready
+// instruction, if any, one cached operand and one heap fix.
 func simulateOptimized(c *circuit.Circuit, cfg Config) Result {
 	d := circuit.BuildDAG(c)
-	res := Result{Config: cfg, Instructions: c.Len()}
-	l := newLRU(cfg.CacheQubits)
-
-	remaining := make([]int, c.Len())
-	var ready []int
-	for i := 0; i < c.Len(); i++ {
-		remaining[i] = len(d.Deps(i))
+	n := c.Len()
+	res := Result{Config: cfg, Instructions: n}
+	f := fetcher{
+		c:       c,
+		lru:     newLRU(c.NumQubits(), cfg.CacheQubits),
+		readyOn: make([]int32, c.NumQubits()),
+		cached:  make([]uint8, n),
+		pos:     make([]int32, n),
+	}
+	for q := range f.readyOn {
+		f.readyOn[q] = -1
+	}
+	remaining := make([]int32, n)
+	for i := 0; i < n; i++ {
+		remaining[i] = int32(len(d.Deps(i)))
 		if remaining[i] == 0 {
-			ready = append(ready, i)
+			f.push(i)
 		}
 	}
 
-	for len(ready) > 0 {
-		bestIdx := 0
-		bestCached, bestMissing := -1, 1<<30
-		for idx, i := range ready {
-			cached := 0
-			ops := c.Instr(i).Operands()
-			for _, q := range ops {
-				if l.contains(q) {
-					cached++
-				}
-			}
-			missing := len(ops) - cached
-			if cached > bestCached || (cached == bestCached && missing < bestMissing) ||
-				(cached == bestCached && missing == bestMissing && i < ready[bestIdx]) {
-				bestIdx, bestCached, bestMissing = idx, cached, missing
-			}
+	issued := 0
+	for len(f.heap) > 0 {
+		i := f.pop()
+		issued++
+		ops := c.Instr(i).Operands()
+		for _, q := range ops {
+			f.readyOn[q] = -1
 		}
-		i := ready[bestIdx]
-		ready[bestIdx] = ready[len(ready)-1]
-		ready = ready[:len(ready)-1]
-
-		in := c.Instr(i)
-		full := true
-		for _, q := range in.Operands() {
-			res.Accesses++
-			if l.touch(q) {
-				res.Hits++
-			} else {
-				full = false
+		hits := 0
+		for _, q := range ops {
+			hit, ev := f.lru.touch(q)
+			if hit {
+				hits++
+			} else if ev >= 0 && f.readyOn[ev] >= 0 {
+				f.uncache(int(f.readyOn[ev]))
 			}
 		}
-		if full {
-			res.FullHits++
-		}
+		res.count(len(ops), hits)
 		for _, s := range d.Succs(i) {
 			remaining[s]--
 			if remaining[s] == 0 {
-				ready = append(ready, s)
+				f.push(s)
 			}
 		}
 	}
-	if res.Instructions != c.Len() {
+	if issued != n {
 		panic("cache: optimized fetch lost instructions")
 	}
 	return res
+}
+
+// fetcher is the optimized fetch's ready set: an indexed min-heap of
+// instruction keys (fetchKey) plus the per-qubit ready owner.
+type fetcher struct {
+	c       *circuit.Circuit
+	lru     *lru
+	readyOn []int32  // the ready instruction touching each qubit, or -1
+	cached  []uint8  // resident operand count of each ready instruction
+	heap    []uint64 // fetchKey of every ready instruction
+	pos     []int32  // heap slot of each ready instruction
+}
+
+// fetchKey orders ready instructions most cached first, then fewest
+// missing (uncached) operands, then program order. Arity is at most 3, so
+// missing fits below the factor 4.
+func fetchKey(cached, arity, i int) uint64 {
+	return uint64((3-cached)*4+arity-cached)<<32 | uint64(i)
+}
+
+// push makes instruction i ready, counting its cached operands once.
+func (f *fetcher) push(i int) {
+	ops := f.c.Instr(i).Operands()
+	cached := 0
+	for _, q := range ops {
+		f.readyOn[q] = int32(i)
+		if f.lru.contains(q) {
+			cached++
+		}
+	}
+	f.cached[i] = uint8(cached)
+	f.pos[i] = int32(len(f.heap))
+	f.heap = append(f.heap, fetchKey(cached, len(ops), i))
+	f.up(len(f.heap) - 1)
+}
+
+// pop removes and returns the ready instruction with the smallest key.
+func (f *fetcher) pop() int {
+	i := int(uint32(f.heap[0]))
+	last := len(f.heap) - 1
+	f.swap(0, last)
+	f.heap = f.heap[:last]
+	f.down(0)
+	return i
+}
+
+// uncache records that one of ready instruction i's operands was evicted.
+// Its key only grows, so it can only sink.
+func (f *fetcher) uncache(i int) {
+	f.cached[i]--
+	f.heap[f.pos[i]] = fetchKey(int(f.cached[i]), len(f.c.Instr(i).Operands()), i)
+	f.down(int(f.pos[i]))
+}
+
+func (f *fetcher) swap(a, b int) {
+	f.heap[a], f.heap[b] = f.heap[b], f.heap[a]
+	f.pos[uint32(f.heap[a])] = int32(a)
+	f.pos[uint32(f.heap[b])] = int32(b)
+}
+
+func (f *fetcher) up(j int) {
+	for j > 0 {
+		p := (j - 1) / 2
+		if f.heap[p] <= f.heap[j] {
+			return
+		}
+		f.swap(p, j)
+		j = p
+	}
+}
+
+func (f *fetcher) down(j int) {
+	n := len(f.heap)
+	for {
+		m := 2*j + 1
+		if m >= n {
+			return
+		}
+		if r := m + 1; r < n && f.heap[r] < f.heap[m] {
+			m = r
+		}
+		if f.heap[j] <= f.heap[m] {
+			return
+		}
+		f.swap(j, m)
+		j = m
+	}
 }
 
 // Sweep runs the cache experiment over several capacities and both

@@ -1,6 +1,9 @@
 package cache
 
 import (
+	"container/list"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/circuit"
@@ -8,15 +11,17 @@ import (
 )
 
 func TestLRUBasics(t *testing.T) {
-	l := newLRU(2)
-	if l.touch(1) {
-		t.Error("first touch should miss")
+	l := newLRU(5, 2)
+	if hit, ev := l.touch(1); hit || ev != -1 {
+		t.Errorf("first touch = (%v, %d), want a miss evicting nothing", hit, ev)
 	}
-	if !l.touch(1) {
-		t.Error("second touch should hit")
+	if hit, ev := l.touch(1); !hit || ev != -1 {
+		t.Errorf("second touch = (%v, %d), want a hit", hit, ev)
 	}
 	l.touch(2)
-	l.touch(3) // evicts 1 (LRU)
+	if _, ev := l.touch(3); ev != 1 {
+		t.Errorf("touch(3) evicted %d, want 1 (LRU)", ev)
+	}
 	if l.contains(1) {
 		t.Error("1 should have been evicted")
 	}
@@ -24,10 +29,19 @@ func TestLRUBasics(t *testing.T) {
 		t.Error("2 and 3 should be resident")
 	}
 	// Touching 2 makes 3 the LRU.
-	l.touch(2)
-	l.touch(4)
+	if hit, ev := l.touch(2); !hit || ev != -1 {
+		t.Errorf("refreshing 2 = (%v, %d), want a hit", hit, ev)
+	}
+	if _, ev := l.touch(4); ev != 3 {
+		t.Errorf("touch(4) evicted %d, want 3", ev)
+	}
 	if l.contains(3) {
 		t.Error("3 should have been evicted after 2 was refreshed")
+	}
+	// Touching the most recent qubit keeps the order: 2 is still the LRU.
+	l.touch(4)
+	if _, ev := l.touch(0); ev != 2 {
+		t.Errorf("touch(0) evicted %d, want 2", ev)
 	}
 }
 
@@ -174,11 +188,206 @@ func TestSimulatePanicsOnBadConfig(t *testing.T) {
 	}
 }
 
+// TestFetchMatchesReference pins the dense LRU and the incremental fetch to
+// the original scan-based simulator below, field for field, on the Figure 7
+// grid and on random circuits at every capacity from 1 to nq+2.
+func TestFetchMatchesReference(t *testing.T) {
+	check := func(name string, c *circuit.Circuit, capQ int) {
+		t.Helper()
+		for _, pol := range []Policy{Naive, Optimized} {
+			cfg := Config{CacheQubits: capQ, Policy: pol}
+			if got, want := Simulate(c, cfg), refSimulate(c, cfg); got != want {
+				t.Fatalf("%s cap=%d %v: got %+v, want %+v", name, capQ, pol, got, want)
+			}
+		}
+	}
+	// Figure 7: adder size -> compute blocks (cqla.PaperBlockCounts, lo
+	// budget), at {1, 1.5, 2} x 9 data qubits per block.
+	fig7 := [][2]int{{64, 9}, {128, 16}, {256, 36}, {512, 64}, {1024, 100}}
+	for _, nb := range fig7 {
+		ad := gen.CarryLookahead(nb[0])
+		for _, mult := range []float64{1, 1.5, 2} {
+			check(fmt.Sprintf("%d-bit adder", nb[0]), ad.Circuit, int(mult*float64(9*nb[1])))
+		}
+	}
+
+	rng := rand.New(rand.NewSource(7))
+	kinds := []circuit.Kind{circuit.H, circuit.CNOT, circuit.Toffoli}
+	for trial := 0; trial < 1200; trial++ {
+		nq := 1 + rng.Intn(12)
+		c := circuit.New(nq)
+		for g := rng.Intn(60); g > 0; g-- {
+			k := kinds[rng.Intn(min(nq, len(kinds)))]
+			c.Append(circuit.NewInstr(k, rng.Perm(nq)[:k.Arity()]...))
+		}
+		for capQ := 1; capQ <= nq+2; capQ++ {
+			check(fmt.Sprintf("random circuit %d", trial), c, capQ)
+		}
+	}
+}
+
 func BenchmarkOptimizedFetch256(b *testing.B) {
 	ad := gen.CarryLookahead(256)
 	cfg := Config{CacheQubits: 648, Policy: Optimized}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	b.ReportAllocs()
+	for b.Loop() {
 		Simulate(ad.Circuit, cfg)
 	}
+}
+
+// The 1024-bit adder at its Figure 7 1xPE capacity (100 blocks x 9).
+func BenchmarkOptimizedFetch1024(b *testing.B) {
+	ad := gen.CarryLookahead(1024)
+	cfg := Config{CacheQubits: 900, Policy: Optimized}
+	b.ReportAllocs()
+	for b.Loop() {
+		Simulate(ad.Circuit, cfg)
+	}
+}
+
+func BenchmarkNaiveFetch1024(b *testing.B) {
+	ad := gen.CarryLookahead(1024)
+	cfg := Config{CacheQubits: 900, Policy: Naive}
+	b.ReportAllocs()
+	for b.Loop() {
+		Simulate(ad.Circuit, cfg)
+	}
+}
+
+// refSimulate is the simulator as it stood before the dense LRU and the
+// incremental ready-set heap: a map-indexed container/list LRU and a full
+// scan of the ready set per issue. It is the oracle for
+// TestFetchMatchesReference and is kept verbatim.
+func refSimulate(c *circuit.Circuit, cfg Config) Result {
+	if cfg.Policy == Naive {
+		return refSimulateOrder(c, cfg, refProgramOrder(c))
+	}
+	return refSimulateOptimized(c, cfg)
+}
+
+// refLRU is a fixed-capacity least-recently-used set of logical qubits.
+type refLRU struct {
+	capacity int
+	order    *list.List // front = most recent
+	index    map[int]*list.Element
+}
+
+func newRefLRU(capacity int) *refLRU {
+	return &refLRU{capacity: capacity, order: list.New(), index: make(map[int]*list.Element)}
+}
+
+// contains reports residency without changing recency.
+func (l *refLRU) contains(q int) bool {
+	_, ok := l.index[q]
+	return ok
+}
+
+// touch makes q resident and most recent, evicting the LRU entry if needed.
+// It reports whether q was already resident.
+func (l *refLRU) touch(q int) bool {
+	if e, ok := l.index[q]; ok {
+		l.order.MoveToFront(e)
+		return true
+	}
+	if l.order.Len() >= l.capacity {
+		back := l.order.Back()
+		delete(l.index, back.Value.(int))
+		l.order.Remove(back)
+	}
+	l.index[q] = l.order.PushFront(q)
+	return false
+}
+
+func refProgramOrder(c *circuit.Circuit) []int {
+	order := make([]int, c.Len())
+	for i := range order {
+		order[i] = i
+	}
+	return order
+}
+
+func refSimulateOrder(c *circuit.Circuit, cfg Config, order []int) Result {
+	res := Result{Config: cfg, Instructions: len(order)}
+	l := newRefLRU(cfg.CacheQubits)
+	for _, i := range order {
+		in := c.Instr(i)
+		full := true
+		for _, q := range in.Operands() {
+			res.Accesses++
+			if l.touch(q) {
+				res.Hits++
+			} else {
+				full = false
+			}
+		}
+		if full {
+			res.FullHits++
+		}
+	}
+	return res
+}
+
+// refSimulateOptimized issues instructions with the dependency-aware fetch:
+// among ready instructions it picks the one with the most cached operands
+// (then fewest uncached operands, then program order), scanning the whole
+// ready set per issue.
+func refSimulateOptimized(c *circuit.Circuit, cfg Config) Result {
+	d := circuit.BuildDAG(c)
+	res := Result{Config: cfg, Instructions: c.Len()}
+	l := newRefLRU(cfg.CacheQubits)
+
+	remaining := make([]int, c.Len())
+	var ready []int
+	for i := 0; i < c.Len(); i++ {
+		remaining[i] = len(d.Deps(i))
+		if remaining[i] == 0 {
+			ready = append(ready, i)
+		}
+	}
+
+	for len(ready) > 0 {
+		bestIdx := 0
+		bestCached, bestMissing := -1, 1<<30
+		for idx, i := range ready {
+			cached := 0
+			ops := c.Instr(i).Operands()
+			for _, q := range ops {
+				if l.contains(q) {
+					cached++
+				}
+			}
+			missing := len(ops) - cached
+			if cached > bestCached || (cached == bestCached && missing < bestMissing) ||
+				(cached == bestCached && missing == bestMissing && i < ready[bestIdx]) {
+				bestIdx, bestCached, bestMissing = idx, cached, missing
+			}
+		}
+		i := ready[bestIdx]
+		ready[bestIdx] = ready[len(ready)-1]
+		ready = ready[:len(ready)-1]
+
+		in := c.Instr(i)
+		full := true
+		for _, q := range in.Operands() {
+			res.Accesses++
+			if l.touch(q) {
+				res.Hits++
+			} else {
+				full = false
+			}
+		}
+		if full {
+			res.FullHits++
+		}
+		for _, s := range d.Succs(i) {
+			remaining[s]--
+			if remaining[s] == 0 {
+				ready = append(ready, s)
+			}
+		}
+	}
+	if res.Instructions != c.Len() {
+		panic("cache: optimized fetch lost instructions")
+	}
+	return res
 }

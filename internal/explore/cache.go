@@ -24,8 +24,9 @@ import (
 // When the runner was given a metrics registry, each tier counts its
 // hits and misses (cqla_evalcache_{hits,misses}_total, labeled by sweep
 // and kind: machine, plan, compiled). The counters are nil — free — when
-// observability is off, and a racing duplicate build counts as a miss on
-// both racers, which is the truth.
+// observability is off. memo.Map builds are single-flight, so concurrent
+// first callers of a key count one miss, for the caller that built it,
+// and a hit for every caller that waited on that build.
 type evalCache struct {
 	machines memo.Map[arch.Config, *arch.Machine]
 	plans    memo.Map[planKey, *arch.WorkloadPlan]

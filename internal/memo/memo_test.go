@@ -48,8 +48,8 @@ func TestSeedFirstWins(t *testing.T) {
 	}
 }
 
-// TestConcurrentConverges proves every racing caller observes one shared
-// instance, whichever build won.
+// TestConcurrentConverges proves racing callers of a cold key run exactly
+// one build and all observe its instance.
 func TestConcurrentConverges(t *testing.T) {
 	var c Map[int, *int]
 	var wg sync.WaitGroup
@@ -68,7 +68,52 @@ func TestConcurrentConverges(t *testing.T) {
 			t.Fatalf("caller %d got a different instance", i)
 		}
 	}
-	if builds.Load() < 1 {
-		t.Error("no build ran")
+	if n := builds.Load(); n != 1 {
+		t.Errorf("built %d times, want exactly 1", n)
+	}
+}
+
+// TestWaiterRetriesAfterFailedBuild holds a failing build in flight while a
+// second caller arrives: the second caller must not inherit the error,
+// whether it waited on the failing build or came after it, but return its
+// own build's value.
+func TestWaiterRetriesAfterFailedBuild(t *testing.T) {
+	var c Map[int, int]
+	boom := errors.New("boom")
+	started, release := make(chan struct{}), make(chan struct{})
+	errc := make(chan error, 1)
+	go func() {
+		_, err := c.Do(1, func() (int, error) { close(started); <-release; return 0, boom })
+		errc <- err
+	}()
+	<-started
+	got := make(chan int, 1)
+	go func() {
+		v, _ := c.Do(1, func() (int, error) { return 42, nil })
+		got <- v
+	}()
+	close(release)
+	if err := <-errc; !errors.Is(err, boom) {
+		t.Fatalf("failing build returned %v", err)
+	}
+	if v := <-got; v != 42 {
+		t.Errorf("waiter got %d, want its own build's 42", v)
+	}
+}
+
+// TestPanickingBuildNotCached checks that a build panic propagates to its
+// caller and leaves the key cold, so a later call builds it.
+func TestPanickingBuildNotCached(t *testing.T) {
+	var c Map[string, int]
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("build panic was swallowed")
+			}
+		}()
+		c.Do("k", func() (int, error) { panic("boom") })
+	}()
+	if v := c.Get("k", func() int { return 3 }); v != 3 {
+		t.Errorf("Get after panic = %d, want 3", v)
 	}
 }
