@@ -86,20 +86,18 @@ func BenchmarkTable5Hierarchy(b *testing.B) {
 
 // BenchmarkFig2Parallelism regenerates the 64-qubit adder profile.
 func BenchmarkFig2Parallelism(b *testing.B) {
-	m := cqla.New(cqla.Config{Code: ecc.Steane(), Params: phys.Projected(), ComputeBlocks: 15, ParallelTransfers: 10})
 	var f cqla.Figure2
 	for i := 0; i < b.N; i++ {
-		f = cqla.Fig2(m, 64, 15)
+		f = cqla.Fig2(64, 15)
 	}
 	b.ReportMetric(float64(f.LimitedSlots)/float64(f.UnlimitedSlots), "slowdown-at-15-blocks")
 }
 
 // BenchmarkFig6aUtilization regenerates the utilization curves.
 func BenchmarkFig6aUtilization(b *testing.B) {
-	p := phys.Projected()
 	var curves []cqla.Figure6a
 	for i := 0; i < b.N; i++ {
-		curves = cqla.Fig6a(p)
+		curves = cqla.Fig6a()
 	}
 	last := curves[len(curves)-1]
 	b.ReportMetric(last.Utilizations[0], "util-1024bit-4blocks")
@@ -159,10 +157,11 @@ func BenchmarkAblationCodeChoice(b *testing.B) {
 	q := 5*256 + 3
 	var gpSt, gpBS float64
 	for i := 0; i < b.N; i++ {
+		adder := cqla.AdderKernel(256)
 		st := cqla.New(cqla.Config{Code: ecc.Steane(), Params: p, ComputeBlocks: 36, ParallelTransfers: 10})
 		bs := cqla.New(cqla.Config{Code: ecc.BaconShor(), Params: p, ComputeBlocks: 36, ParallelTransfers: 10})
-		gpSt = st.GainProduct(256, q, true)
-		gpBS = bs.GainProduct(256, q, true)
+		gpSt = st.GainProduct(adder, q, true)
+		gpBS = bs.GainProduct(adder, q, true)
 	}
 	b.ReportMetric(gpSt, "gain-steane")
 	b.ReportMetric(gpBS, "gain-bacon-shor")
@@ -213,10 +212,11 @@ func BenchmarkAblationSuperblock(b *testing.B) {
 func BenchmarkAblationLevelMix(b *testing.B) {
 	p := phys.Projected()
 	m := cqla.New(cqla.Config{Code: ecc.BaconShor(), Params: p, ComputeBlocks: 36, ParallelTransfers: 10})
+	adder := cqla.AdderKernel(256)
 	var pure2, mix12, mix11 float64
 	for i := 0; i < b.N; i++ {
-		s2 := m.SpeedupL2(256)
-		s1 := m.SpeedupL1(256)
+		s2 := m.SpeedupL2(adder)
+		s1 := m.SpeedupL1(adder)
 		pure2 = s2
 		mix12 = (2*s2 + s1) / 3
 		mix11 = (s2 + s1) / 2
@@ -232,9 +232,10 @@ func BenchmarkAblationTransferWidth(b *testing.B) {
 	p := phys.Projected()
 	var s5, s10, s20 float64
 	for i := 0; i < b.N; i++ {
+		adder := cqla.AdderKernel(256)
 		for _, par := range []int{5, 10, 20} {
 			m := cqla.New(cqla.Config{Code: ecc.BaconShor(), Params: p, ComputeBlocks: 36, ParallelTransfers: par})
-			s := m.SpeedupL1(256)
+			s := m.SpeedupL1(adder)
 			switch par {
 			case 5:
 				s5 = s
@@ -258,7 +259,7 @@ func BenchmarkEndToEndPipeline(b *testing.B) {
 	var gp float64
 	for i := 0; i < b.N; i++ {
 		m := cqla.New(cqla.Config{Code: ecc.BaconShor(), Params: p, ComputeBlocks: 36, ParallelTransfers: 10})
-		gp = m.GainProduct(256, 5*256+3, true)
+		gp = m.GainProduct(cqla.AdderKernel(256), 5*256+3, true)
 	}
 	b.ReportMetric(gp, "gain-product")
 }

@@ -546,9 +546,8 @@ func table1(p phys.Params) {
 	fmt.Printf("%-14s %v\n", "clock cycle", p.CycleTime)
 }
 
-func fig2(p phys.Params) {
-	m := cqla.New(cqla.Config{Code: ecc.Steane(), Params: p, ComputeBlocks: 15, ParallelTransfers: 10})
-	f := cqla.Fig2(m, 64, 15)
+func fig2(phys.Params) {
+	f := cqla.Fig2(64, 15)
 	fmt.Printf("64-qubit adder: unlimited %d slots, 15 blocks %d slots (%.2fx)\n",
 		f.UnlimitedSlots, f.LimitedSlots, float64(f.LimitedSlots)/float64(f.UnlimitedSlots))
 	fmt.Println("slot  unlimited  15-blocks")
@@ -612,7 +611,11 @@ func overlap(p phys.Params) {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := eng.Evaluate(context.Background(), arch.NewAdder(64, false))
+		cw, err := m.Compile(arch.NewAdder(64, false))
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := arch.EvaluateCompiled(context.Background(), eng, cw)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -50,10 +50,11 @@ func main() {
 	// 3. Putting it together: per-addition speedups by network width.
 	fmt.Println("\nper-addition speedup vs QLA (Bacon-Shor, 36 blocks):")
 	fmt.Printf("  %-8s %-10s %-10s %-12s\n", "xfers", "L1", "L2", "1:2 mix")
+	adder := cqla.AdderKernel(bits)
 	for _, par := range []int{2, 5, 10, 20} {
 		m := cqla.New(cqla.Config{Code: ecc.BaconShor(), Params: p, ComputeBlocks: 36, ParallelTransfers: par})
 		fmt.Printf("  %-8d %-10.1f %-10.2f %-12.2f\n",
-			par, m.SpeedupL1(bits), m.SpeedupL2(bits), m.AdderSpeedup(bits))
+			par, m.SpeedupL1(adder), m.SpeedupL2(adder), m.AdderSpeedup(adder))
 	}
 
 	// 4. The fidelity ceiling on level-1 usage.

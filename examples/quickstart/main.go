@@ -4,19 +4,20 @@
 //  1. gen builds the Draper-style carry-lookahead adder circuit;
 //  2. circuit+quantum verify it functionally on a state vector;
 //  3. sched maps it onto a bounded set of compute blocks;
-//  4. core/cqla turns the schedule into area and time against the QLA
+//  4. arch evaluates it on a CQLA: area and time against the QLA
 //     baseline.
 //
 // Run with: go run ./examples/quickstart
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
 
+	"repro/internal/arch"
 	"repro/internal/circuit"
-	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/sched"
 )
@@ -62,15 +63,29 @@ func main() {
 			blocks, r.MakespanSlots, r.Utilization())
 	}
 
-	// 4. Size the machine.
-	machine := core.DefaultBaconShor(15)
-	qubits := 5*64 + 3 // modular-exponentiation footprint
+	// 4. Size the machine and evaluate the adder on it.
+	machine, err := arch.New(arch.WithCodeName("bacon-shor"), arch.WithBlocks(15), arch.WithTransfers(10))
+	if err != nil {
+		log.Fatal(err)
+	}
+	eng, err := machine.Engine(arch.EngineAnalytic)
+	if err != nil {
+		log.Fatal(err)
+	}
+	cw, err := machine.Compile(arch.NewAdder(64, false))
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := arch.EvaluateCompiled(context.Background(), eng, cw)
+	if err != nil {
+		log.Fatal(err)
+	}
+	qubits := gen.NewModExp(64).LogicalQubits() // the workload's memory footprint
 	fmt.Printf("\nCQLA (Bacon-Shor, 15 blocks) for a 64-bit workload:\n")
 	fmt.Printf("  area        %8.1f mm²  (QLA baseline %.1f mm², %.1fx denser)\n",
-		machine.AreaMM2(qubits, false), machine.Baseline().AreaMM2(qubits),
-		machine.AreaReduction(qubits, false))
+		machine.Analytic().AreaMM2(qubits, false), machine.Baseline().AreaMM2(qubits),
+		res.MustMetric("area_reduction"))
 	fmt.Printf("  adder time  %8.1f s    (QLA %.1f s, speedup %.2fx)\n",
-		machine.AdderTimeL2(64).Seconds(), machine.QLAAdderTime(64).Seconds(),
-		machine.SpeedupL2(64))
-	fmt.Printf("  gain product %.1f (QLA = 1.0)\n", machine.GainProduct(64, qubits, false))
+		res.MustMetric("l2_time_s"), res.MustMetric("qla_time_s"), res.MustMetric("l2_speedup"))
+	fmt.Printf("  gain product %.1f (QLA = 1.0)\n", res.MustMetric("gain_product"))
 }

@@ -43,25 +43,26 @@ func main() {
 	fmt.Printf("  fault-tolerance target: %.2g per logical operation (KQ = %.2g)\n\n",
 		app.Target(), app.K*app.Q)
 
+	adder := cqla.AdderKernel(bits)
 	for _, code := range ecc.Codes() {
 		m := cqla.New(cqla.Config{Code: code, Params: p, ComputeBlocks: k, ParallelTransfers: 10})
 		budget := fidelity.NewBudget(code, p.AverageFailure())
 		level := code.MinLevelFor(app.Target(), p.AverageFailure(), 4)
-		times := m.ModExpTimes(bits)
+		times := m.ModExpTimes(bits, adder)
 		fmt.Printf("CQLA with %s (%d compute blocks):\n", code.Name, k)
 		fmt.Printf("  concatenation level required: L%d (logical failure %.2g)\n",
 			level, code.LogicalFailureRate(level, p.AverageFailure(), ecc.DefaultCommDistance))
 		fmt.Printf("  area: %.2f m² (%.1fx denser than QLA)\n",
 			m.AreaMM2(me.LogicalQubits(), true)/1e6, m.AreaReduction(me.LogicalQubits(), true))
 		fmt.Printf("  one addition: %.1f s at L2, %.1f s at L1 (incl. transfers)\n",
-			m.AdderTimeL2(bits).Seconds(), m.AdderTimeL1(bits).Seconds())
+			m.AdderTimeL2(adder).Seconds(), m.AdderTimeL1(adder).Seconds())
 		fmt.Printf("  modular exponentiation: %.0f hours compute, %.0f hours communication\n",
 			times.Computation.Hours(), times.Communication.Hours())
 		safe := budget.MixMeetsTarget(1, 2, app)
 		fmt.Printf("  1:2 level-mix fidelity check: safe=%v (mix failure %.2g vs target %.2g)\n",
 			safe, budget.MixFailure(1, 2), app.Target())
 		fmt.Printf("  gain product vs QLA: %.1f\n\n",
-			m.GainProduct(bits, me.LogicalQubits(), true))
+			m.GainProduct(adder, me.LogicalQubits(), true))
 	}
 }
 

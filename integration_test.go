@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/circuit"
-	"repro/internal/core"
 	"repro/internal/cqla"
 	"repro/internal/des"
 	"repro/internal/ecc"
@@ -20,6 +19,13 @@ import (
 	"repro/internal/transfer"
 )
 
+// bsMachine is the paper's best configuration at a block budget:
+// Bacon-Shor regions with ten parallel memory<->cache transfers on the
+// projected ion-trap parameters.
+func bsMachine(blocks int) *cqla.Machine {
+	return cqla.New(cqla.Config{Code: ecc.BaconShor(), Params: phys.Projected(), ComputeBlocks: blocks, ParallelTransfers: 10})
+}
+
 // TestHeadlineClaims asserts the paper's abstract, end to end: "up to a
 // factor of thirteen savings in area due to specialization" and "increase
 // time performance by a factor of eight" via the memory hierarchy.
@@ -27,12 +33,12 @@ func TestHeadlineClaims(t *testing.T) {
 	bestArea, bestSpeed := 0.0, 0.0
 	for _, n := range cqla.PaperInputSizes() {
 		k := cqla.PaperBlockCounts()[n][0]
-		m := core.DefaultBaconShor(k)
+		m := bsMachine(k)
 		q := gen.NewModExp(n).LogicalQubits()
 		if f := m.AreaReduction(q, false); f > bestArea {
 			bestArea = f
 		}
-		if s := m.AdderSpeedup(n); s > bestSpeed {
+		if s := m.AdderSpeedup(cqla.AdderKernel(n)); s > bestSpeed {
 			bestSpeed = s
 		}
 	}
@@ -49,10 +55,11 @@ func TestHeadlineClaims(t *testing.T) {
 // discrete-event simulator with communication disabled.
 func TestPipelineConsistency(t *testing.T) {
 	n, blocks := 32, 9
-	m := core.DefaultBaconShor(blocks)
-	dag := m.AdderDAG(n)
+	m := bsMachine(blocks)
+	adder := cqla.AdderKernel(n)
+	dag := adder.DAG()
 	ms := sched.ListSchedule(dag, blocks).MakespanSlots
-	if got := m.AdderTimeL2(n); got != time.Duration(ms)*m.SlotTime(2) {
+	if got := m.AdderTimeL2(adder); got != time.Duration(ms)*m.SlotTime(2) {
 		t.Errorf("machine adder time %v != makespan x slot %v", got, time.Duration(ms)*m.SlotTime(2))
 	}
 	stats, err := des.Run(dag.Circuit(), des.Config{
@@ -100,7 +107,7 @@ func TestNoMemoryWallEndToEnd(t *testing.T) {
 // TestAreaModelMatchesFloorplan ties the analytic area model to the placed
 // floorplan.
 func TestAreaModelMatchesFloorplan(t *testing.T) {
-	m := core.DefaultBaconShor(36)
+	m := bsMachine(36)
 	q := gen.NewModExp(256).LogicalQubits()
 	fp, err := layout.Build(layout.Config{
 		Code:          ecc.BaconShor(),
@@ -145,8 +152,8 @@ func TestCurrentTechnologyIsBelowRequirements(t *testing.T) {
 // product 1 on the time axis.
 func TestGainProductBaselineIsOne(t *testing.T) {
 	n := 64
-	m := core.DefaultSteane(64) // far past the knee
-	s := m.SpeedupL2(n)
+	m := cqla.New(cqla.Config{Code: ecc.Steane(), Params: phys.Projected(), ComputeBlocks: 64, ParallelTransfers: 10}) // far past the knee
+	s := m.SpeedupL2(cqla.AdderKernel(n))
 	if s < 0.95 || s > 1.0001 {
 		t.Errorf("speedup with ample blocks = %.3f, want ~1", s)
 	}
@@ -166,8 +173,8 @@ func TestShorOnSimulatedCQLAWorkload(t *testing.T) {
 		t.Fatalf("Factor(15) = %d x %d", res.P, res.Q)
 	}
 	// And the architecture knows what the full-scale version costs.
-	m := core.DefaultBaconShor(100)
-	times := m.ModExpTimes(1024)
+	m := bsMachine(100)
+	times := m.ModExpTimes(1024, cqla.AdderKernel(1024))
 	if times.Computation <= 0 || times.Communication >= times.Computation {
 		t.Errorf("1024-bit modexp estimate inconsistent: %+v", times)
 	}
@@ -176,7 +183,7 @@ func TestShorOnSimulatedCQLAWorkload(t *testing.T) {
 // TestTransferMatrixFeedsHierarchyModel checks that the Table 3 numbers
 // actually drive the Table 5 stall model.
 func TestTransferMatrixFeedsHierarchyModel(t *testing.T) {
-	m := core.DefaultBaconShor(36)
+	m := bsMachine(36)
 	rt := transfer.RoundTrip(
 		transfer.Enc(ecc.BaconShor(), 2),
 		transfer.Enc(ecc.BaconShor(), 1),

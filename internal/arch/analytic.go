@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/gen"
 	"repro/internal/obs"
 )
 
@@ -18,133 +17,93 @@ type analyticEngine struct{ m *Machine }
 
 func (analyticEngine) Name() string { return EngineAnalytic }
 
-// EvaluateCompiled evaluates a precompiled workload. The paper's kinds
-// (adder, modexp, qft) forward to their closed forms — compilation seeds
-// the machine's adder-schedule memo with the plan's shared DAG, so the
-// speedup terms read a sweep-wide memo instead of rebuilding the kernel
-// per machine. Every other kind, including custom circuits, is costed
-// directly from the compiled plan's schedule.
-func (e analyticEngine) EvaluateCompiled(ctx context.Context, cw *CompiledWorkload) (Result, error) {
-	if cw == nil || cw.m != e.m {
-		return Result{}, errForeignCompile
-	}
-	switch cw.w.Kind {
-	case KindAdder, KindModExp, KindQFT:
-		return e.Evaluate(ctx, cw.w)
-	}
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	_, sp := obs.StartSpan(ctx, "analytic-eval")
-	defer sp.End()
-	if sp != nil {
-		sp.Annotate("kind", string(cw.w.Kind))
-		sp.Annotate("bits", strconv.Itoa(cw.w.Bits))
-	}
-	return e.planMetrics(cw.w, cw.plan), nil
-}
-
-// EvaluateCompiledInto is EvaluateCompiled writing into out. The closed
-// forms are microseconds per call, so the analytic engine keeps the simple
-// allocate-per-call evaluation underneath; the method exists so both
-// engines satisfy the same compiled hot-loop interface.
+// EvaluateCompiledInto evaluates a compiled workload into out. The paper's
+// kinds (adder, modexp, qft) use their closed forms, pricing the adder
+// kernel from the compiled plan's shared schedule memo; every other kind,
+// including custom circuits, is costed directly from the plan's schedule.
 func (e analyticEngine) EvaluateCompiledInto(ctx context.Context, cw *CompiledWorkload, out *Result) error {
-	res, err := e.EvaluateCompiled(ctx, cw)
-	if err != nil {
-		return err
-	}
-	*out = res
-	return nil
-}
-
-// planMetrics costs a compiled plan with the closed-form schedule model:
-// the list-scheduled makespan at the machine's block budget, priced at the
-// level-2 error-correction slot time, bracketed by the serial and
-// critical-path bounds.
-func (e analyticEngine) planMetrics(w Workload, plan *WorkloadPlan) Result {
-	cm := e.m.cq
-	slot := cm.SlotTime(2)
-	d := plan.DAG()
-	makespan := plan.makespan(e.m.cfg.Blocks)
-	serial := d.TotalSlots()
-	speedup := 1.0
-	if makespan > 0 {
-		speedup = float64(serial) / float64(makespan)
-	}
-	return e.m.result(EngineAnalytic, w, []Metric{
-		{"computation_s", (time.Duration(makespan) * slot).Seconds()},
-		{"critical_path_s", (time.Duration(d.Depth()) * slot).Seconds()},
-		{"serial_s", (time.Duration(serial) * slot).Seconds()},
-		{"parallel_speedup", speedup},
-		{"makespan_slots", float64(makespan)},
-	})
-}
-
-func (e analyticEngine) Evaluate(ctx context.Context, w Workload) (Result, error) {
-	if err := w.Validate(); err != nil {
-		return Result{}, err
+	if cw == nil || cw.m != e.m {
+		return errForeignCompile
 	}
 	if err := ctx.Err(); err != nil {
-		return Result{}, err
+		return err
 	}
 	// With a tracer in ctx the closed-form evaluation is one span; without
 	// one this line is a no-op.
 	_, sp := obs.StartSpan(ctx, "analytic-eval")
 	defer sp.End()
+	w := cw.w
 	if sp != nil {
 		sp.Annotate("kind", string(w.Kind))
 		sp.Annotate("bits", strconv.Itoa(w.Bits))
 	}
 	cm := e.m.cq
-	n := w.Bits
+	kernel := cw.plan.kernel
+	metrics := out.Metrics[:0]
 	switch w.Kind {
 	case KindAdder:
 		// The addition is the kernel of an n-bit modular exponentiation,
 		// whose logical-qubit footprint sets the memory size.
-		q := gen.NewModExp(n).LogicalQubits()
+		q := cw.adderQubits
 		area := cm.AreaReduction(q, w.Hierarchy)
-		l2 := cm.SpeedupL2(n)
-		metrics := []Metric{
-			{"area_reduction", area},
-			{"l2_speedup", l2},
-		}
+		l2 := cm.SpeedupL2(kernel)
+		l2Time := Metric{"l2_time_s", cm.AdderTimeL2(kernel).Seconds()}
+		qlaTime := Metric{"qla_time_s", cm.QLAAdderTime(kernel).Seconds()}
 		if w.Hierarchy {
 			metrics = append(metrics,
-				Metric{"l1_speedup", cm.SpeedupL1(n)},
-				Metric{"adder_speedup", cm.AdderSpeedup(n)},
-				Metric{"gain_product", cm.GainProduct(n, q, true)},
+				Metric{"area_reduction", area},
+				Metric{"l2_speedup", l2},
+				Metric{"l1_speedup", cm.SpeedupL1(kernel)},
+				Metric{"adder_speedup", cm.AdderSpeedup(kernel)},
+				Metric{"gain_product", cm.GainProduct(kernel, q, true)},
 				Metric{"stall_s", cm.TransferStall().Seconds()},
-				Metric{"l1_time_s", cm.AdderTimeL1(n).Seconds()},
+				Metric{"l1_time_s", cm.AdderTimeL1(kernel).Seconds()},
+				l2Time, qlaTime,
 			)
 		} else {
-			metrics = append(metrics, Metric{"gain_product", area * l2})
+			metrics = append(metrics,
+				Metric{"area_reduction", area},
+				Metric{"l2_speedup", l2},
+				Metric{"gain_product", area * l2},
+				l2Time, qlaTime,
+			)
+		}
+	case KindModExp:
+		t := cm.ModExpTimes(w.Bits, kernel)
+		metrics = append(metrics,
+			Metric{"computation_s", t.Computation.Seconds()},
+			Metric{"communication_s", t.Communication.Seconds()},
+			Metric{"total_s", (t.Computation + t.Communication).Seconds()},
+			Metric{"area_reduction", cm.AreaReduction(cw.adderQubits, w.Hierarchy)},
+		)
+	case KindQFT:
+		t := cm.QFTTimes(w.Bits)
+		metrics = append(metrics,
+			Metric{"computation_s", t.Computation.Seconds()},
+			Metric{"communication_s", t.Communication.Seconds()},
+			Metric{"total_s", (t.Computation + t.Communication).Seconds()},
+		)
+	default:
+		// Registry kernels and custom circuits: the list-scheduled
+		// makespan at the machine's block budget, priced at the level-2
+		// error-correction slot time, bracketed by the serial and
+		// critical-path bounds.
+		slot := cm.SlotTime(2)
+		d := cw.plan.DAG()
+		makespan := kernel.Makespan(e.m.cfg.Blocks)
+		serial := d.TotalSlots()
+		speedup := 1.0
+		if makespan > 0 {
+			speedup = float64(serial) / float64(makespan)
 		}
 		metrics = append(metrics,
-			Metric{"l2_time_s", cm.AdderTimeL2(n).Seconds()},
-			Metric{"qla_time_s", cm.QLAAdderTime(n).Seconds()},
+			Metric{"computation_s", (time.Duration(makespan) * slot).Seconds()},
+			Metric{"critical_path_s", (time.Duration(d.Depth()) * slot).Seconds()},
+			Metric{"serial_s", (time.Duration(serial) * slot).Seconds()},
+			Metric{"parallel_speedup", speedup},
+			Metric{"makespan_slots", float64(makespan)},
 		)
-		return e.m.result(EngineAnalytic, w, metrics), nil
-	case KindModExp:
-		t := cm.ModExpTimes(n)
-		q := gen.NewModExp(n).LogicalQubits()
-		return e.m.result(EngineAnalytic, w, []Metric{
-			{"computation_s", t.Computation.Seconds()},
-			{"communication_s", t.Communication.Seconds()},
-			{"total_s", (t.Computation + t.Communication).Seconds()},
-			{"area_reduction", cm.AreaReduction(q, w.Hierarchy)},
-		}), nil
-	case KindQFT:
-		t := cm.QFTTimes(n)
-		return e.m.result(EngineAnalytic, w, []Metric{
-			{"computation_s", t.Computation.Seconds()},
-			{"communication_s", t.Communication.Seconds()},
-			{"total_s", (t.Computation + t.Communication).Seconds()},
-		}), nil
-	default: // registry kernels (custom workloads fail in PlanWorkload)
-		plan, err := PlanWorkload(w)
-		if err != nil {
-			return Result{}, err
-		}
-		return e.planMetrics(w, plan), nil
 	}
+	*out = e.m.result(EngineAnalytic, w, metrics)
+	return nil
 }

@@ -12,7 +12,13 @@
 //
 //	m, err := arch.New(arch.WithCodeName("bacon-shor"), arch.WithBlocks(36))
 //	eng, err := m.Engine(arch.EngineDES)
-//	res, err := eng.Evaluate(ctx, arch.NewAdder(256, true))
+//	cw, err := m.Compile(arch.NewAdder(256, true))
+//	res, err := arch.EvaluateCompiled(ctx, eng, cw)
+//
+// Every evaluation goes through a compiled workload: the engines' one
+// evaluation method, Engine.EvaluateCompiledInto, takes the compiled form
+// (which holds the kernel's shared schedule plan), and EvaluateCompiled is
+// its allocating wrapper.
 //
 // Result is a versioned, JSON-stable envelope (SchemaVersion, config echo,
 // ordered named metrics) shared with the explore emitters and the `cqla

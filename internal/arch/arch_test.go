@@ -13,6 +13,15 @@ import (
 	"repro/internal/phys"
 )
 
+// evaluate is the one-shot path: compile w on m, then evaluate it on eng.
+func evaluate(ctx context.Context, m *arch.Machine, eng arch.Engine, w arch.Workload) (arch.Result, error) {
+	cw, err := m.Compile(w)
+	if err != nil {
+		return arch.Result{}, err
+	}
+	return arch.EvaluateCompiled(ctx, eng, cw)
+}
+
 func TestNewDefaults(t *testing.T) {
 	m, err := arch.New()
 	if err != nil {
@@ -112,18 +121,19 @@ func TestAnalyticMatchesClosedForm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Evaluate(context.Background(), arch.NewAdder(256, true))
+	res, err := evaluate(context.Background(), m, eng, arch.NewAdder(256, true))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cm := cqla.New(cqla.Config{Code: ecc.BaconShor(), Params: p, ComputeBlocks: 36, ParallelTransfers: 10})
 	q := gen.NewModExp(256).LogicalQubits()
+	adder := cqla.AdderKernel(256)
 	for name, want := range map[string]float64{
 		"area_reduction": cm.AreaReduction(q, true),
-		"l1_speedup":     cm.SpeedupL1(256),
-		"l2_speedup":     cm.SpeedupL2(256),
-		"adder_speedup":  cm.AdderSpeedup(256),
-		"gain_product":   cm.GainProduct(256, q, true),
+		"l1_speedup":     cm.SpeedupL1(adder),
+		"l2_speedup":     cm.SpeedupL2(adder),
+		"adder_speedup":  cm.AdderSpeedup(adder),
+		"gain_product":   cm.GainProduct(adder, q, true),
 	} {
 		if got := res.MustMetric(name); got != want {
 			t.Errorf("%s = %v, want exactly %v", name, got, want)
@@ -146,7 +156,7 @@ func TestSimEngineAdder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Evaluate(context.Background(), arch.NewAdder(16, false))
+	res, err := evaluate(context.Background(), m, eng, arch.NewAdder(16, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,14 +189,14 @@ func TestSimEngineModExpAndQFT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	me, err := eng.Evaluate(context.Background(), arch.NewModExp(8))
+	me, err := evaluate(context.Background(), m, eng, arch.NewModExp(8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if me.MustMetric("computation_s") <= me.MustMetric("adder_makespan_s") {
 		t.Error("modexp time should exceed one adder call")
 	}
-	qft, err := eng.Evaluate(context.Background(), arch.NewQFT(12))
+	qft, err := evaluate(context.Background(), m, eng, arch.NewQFT(12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +216,7 @@ func TestSimEngineHonorsContext(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := eng.Evaluate(ctx, arch.NewAdder(64, false)); err == nil {
+	if _, err := evaluate(ctx, m, eng, arch.NewAdder(64, false)); err == nil {
 		t.Error("canceled context should abort the simulation")
 	}
 }
@@ -231,7 +241,7 @@ func TestResultJSONStable(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng, _ := m.Engine("")
-	res, err := eng.Evaluate(context.Background(), arch.NewAdder(32, false))
+	res, err := evaluate(context.Background(), m, eng, arch.NewAdder(32, false))
 	if err != nil {
 		t.Fatal(err)
 	}

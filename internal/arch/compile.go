@@ -6,37 +6,28 @@ import (
 	"time"
 
 	"repro/internal/circuit"
-	"repro/internal/cqla"
 	"repro/internal/des"
 	"repro/internal/gen"
-	"repro/internal/memo"
 	"repro/internal/sched"
 )
 
 // WorkloadPlan is the machine-independent compiled form of a workload: the
-// kernel circuit the engines evaluate and its dependency DAG, plus a memo
-// of list-scheduled makespans per block budget. Adder and modexp workloads
-// share the carry-lookahead adder kernel (the paper evaluates modular
-// exponentiation as repeated additions), so their plans are
-// interchangeable at equal width; every other kind — the registry kernels
-// and custom circuits from circuit.Parse — compiles to its own DAG.
+// kernel's schedule plan — its dependency DAG plus a memo of list-scheduled
+// makespans per block budget. Adder and modexp workloads share the
+// carry-lookahead adder kernel (the paper evaluates modular exponentiation
+// as repeated additions), so their plans are interchangeable at equal
+// width; every other kind — the registry kernels and custom circuits from
+// circuit.Parse — compiles to its own DAG.
 //
 // A plan is immutable apart from its schedule memo, which is lock-guarded;
 // it is safe for concurrent use and intended to be shared — the explore
 // runner compiles each (kernel, bits) pair once per sweep and binds the
-// one plan to every machine that evaluates it.
+// one plan to every machine that evaluates it, on either engine.
 type WorkloadPlan struct {
-	kind Kind
-	name string // custom circuit name; "" for built-in kinds
-	bits int
-
-	// adder is set for adder/modexp workloads; its DAG and schedule memo
-	// are shared with the analytic model via Machine.UseAdderPlan.
-	adder *cqla.AdderPlan
-
-	// dag is set for every other kernel, with its own schedule memo.
-	dag *circuit.DAG
-	ms  memo.Map[int, int]
+	kind   Kind
+	name   string // custom circuit name; "" for built-in kinds
+	bits   int
+	kernel *sched.Plan
 }
 
 // PlanWorkload compiles the kernel circuit and dependency DAG for w. The
@@ -48,20 +39,18 @@ func PlanWorkload(w Workload) (*WorkloadPlan, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
-	p := &WorkloadPlan{kind: w.Kind, bits: w.Bits}
-	switch w.Kind {
-	case KindAdder, KindModExp:
-		p.adder = cqla.NewAdderPlan(w.Bits)
-	case KindCustom:
+	if w.Kind == KindCustom {
 		return nil, fmt.Errorf("arch: custom workload %q has no registered kernel; compile its circuit with PlanCircuit", w.Name)
-	default:
-		build, ok := kernelCircuits[w.Kind]
-		if !ok {
-			return nil, fmt.Errorf("arch: no kernel builder for workload kind %q", w.Kind)
-		}
-		p.dag = circuit.BuildDAG(build(w.Bits))
 	}
-	return p, nil
+	build, ok := kernelCircuits[w.Kind]
+	if !ok {
+		return nil, fmt.Errorf("arch: no kernel builder for workload kind %q", w.Kind)
+	}
+	return &WorkloadPlan{
+		kind:   w.Kind,
+		bits:   w.Bits,
+		kernel: sched.NewPlan(circuit.BuildDAG(build(w.Bits))),
+	}, nil
 }
 
 // PlanCircuit compiles a user-supplied circuit (typically from
@@ -79,10 +68,10 @@ func PlanCircuit(name string, c *circuit.Circuit) (*WorkloadPlan, error) {
 		return nil, fmt.Errorf("arch: custom circuit %q: %w", name, err)
 	}
 	return &WorkloadPlan{
-		kind: KindCustom,
-		name: name,
-		bits: c.NumQubits(),
-		dag:  circuit.BuildDAG(c),
+		kind:   KindCustom,
+		name:   name,
+		bits:   c.NumQubits(),
+		kernel: sched.NewPlan(circuit.BuildDAG(c)),
 	}, nil
 }
 
@@ -103,47 +92,22 @@ func (p *WorkloadPlan) Kernel() string { return p.Workload().Kernel() }
 
 // DAG returns the compiled kernel dependency graph (shared storage; treat
 // it as read-only).
-func (p *WorkloadPlan) DAG() *circuit.DAG {
-	if p.adder != nil {
-		return p.adder.DAG()
-	}
-	return p.dag
-}
+func (p *WorkloadPlan) DAG() *circuit.DAG { return p.kernel.DAG() }
 
-// compatible reports whether the plan can evaluate w.
+// compatible reports whether the plan can evaluate w: same width, same
+// kernel.
 func (p *WorkloadPlan) compatible(w Workload) bool {
-	if p.bits != w.Bits {
-		return false
-	}
-	switch w.Kind {
-	case KindAdder, KindModExp:
-		return p.adder != nil
-	case KindCustom:
-		return p.kind == KindCustom && p.name == w.Name && p.dag != nil
-	default:
-		return p.kind == w.Kind && p.dag != nil
-	}
-}
-
-// makespan returns the kernel's list-scheduled makespan at the given block
-// budget, memoized per plan (per shared adder plan for adder kernels).
-func (p *WorkloadPlan) makespan(blocks int) int {
-	if p.adder != nil {
-		return p.adder.Makespan(blocks)
-	}
-	return p.ms.Get(blocks, func() int {
-		return sched.ListSchedule(p.dag, blocks).MakespanSlots
-	})
+	return p.bits == w.Bits && p.Kernel() == w.Kernel()
 }
 
 // CompiledWorkload binds a workload plan to one machine: the validated
 // workload, the shared kernel plan, and the derived discrete-event machine
 // description. Compiling once and evaluating many times is the intended
-// hot-loop shape — Engine.EvaluateCompiled skips every per-evaluation
+// hot-loop shape — Engine.EvaluateCompiledInto skips every per-evaluation
 // setup cost (circuit generation, DAG construction, scheduling already
-// memoized in the plan), and Engine.EvaluateCompiledInto additionally
-// reuses the caller's result buffers and a pooled simulation arena, so a
-// steady-state des evaluation performs no allocations at all.
+// memoized in the plan) and reuses the caller's result buffers and a
+// pooled simulation arena, so a steady-state des evaluation performs no
+// allocations at all.
 type CompiledWorkload struct {
 	m      *Machine
 	w      Workload
@@ -210,18 +174,14 @@ func (m *Machine) CompileCircuit(name string, c *circuit.Circuit) (*CompiledWork
 	return m.CompileWith(plan.Workload(), plan)
 }
 
-// CompileWith binds a precompiled plan to this machine. The plan's adder
-// kernel (when present) also seeds the analytic model's schedule memo, so
-// both engines evaluate from the one shared DAG.
+// CompileWith binds a precompiled plan to this machine. Both engines then
+// evaluate from the plan's one shared DAG and schedule memo.
 func (m *Machine) CompileWith(w Workload, plan *WorkloadPlan) (*CompiledWorkload, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
 	if plan == nil || !plan.compatible(w) {
 		return nil, fmt.Errorf("arch: plan does not match workload %s/%d bits", w.Kind, w.Bits)
-	}
-	if plan.adder != nil {
-		m.cq.UseAdderPlan(plan.adder)
 	}
 	cw := &CompiledWorkload{m: m, w: w, plan: plan, desCfg: m.desConfig()}
 	// Building the first pooled arena now surfaces an invalid derived
@@ -244,5 +204,5 @@ func (m *Machine) CompileWith(w Workload, plan *WorkloadPlan) (*CompiledWorkload
 // the list-scheduled makespan at the machine's block count with
 // communication free. It anchors the communication-hidden metric.
 func (cw *CompiledWorkload) computeOnly() time.Duration {
-	return time.Duration(cw.plan.makespan(cw.desCfg.Blocks)) * cw.desCfg.SlotTime
+	return time.Duration(cw.plan.kernel.Makespan(cw.desCfg.Blocks)) * cw.desCfg.SlotTime
 }

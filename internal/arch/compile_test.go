@@ -9,10 +9,10 @@ import (
 )
 
 // TestCompiledEvaluationIsByteIdentical is the cache-transparency
-// contract: for both engines and every workload kind, evaluating a
-// precompiled workload yields a byte-identical Result envelope to the
-// one-shot Evaluate path — including when one plan is shared across
-// machines, which is exactly what explore's per-sweep cache does.
+// contract: for both engines and every workload kind, evaluating through
+// one plan shared across machines and engines — exactly what explore's
+// per-sweep cache does — yields a byte-identical Result envelope to
+// compiling a fresh plan for every evaluation.
 func TestCompiledEvaluationIsByteIdentical(t *testing.T) {
 	ctx := context.Background()
 	workloads := []arch.Workload{
@@ -40,26 +40,26 @@ func TestCompiledEvaluationIsByteIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				direct, err := eng.Evaluate(ctx, w)
+				fresh, err := evaluate(ctx, m, eng, w)
 				if err != nil {
-					t.Fatalf("%s Evaluate(%s/%d): %v", engine, w.Kind, w.Bits, err)
+					t.Fatalf("%s fresh-plan evaluation of %s/%d: %v", engine, w.Kind, w.Bits, err)
 				}
 				cw, err := m.CompileWith(w, plan)
 				if err != nil {
 					t.Fatalf("CompileWith(%s/%d): %v", w.Kind, w.Bits, err)
 				}
-				compiled, err := eng.EvaluateCompiled(ctx, cw)
+				shared, err := arch.EvaluateCompiled(ctx, eng, cw)
 				if err != nil {
-					t.Fatalf("%s EvaluateCompiled(%s/%d): %v", engine, w.Kind, w.Bits, err)
+					t.Fatalf("%s shared-plan evaluation of %s/%d: %v", engine, w.Kind, w.Bits, err)
 				}
-				dj, _ := json.Marshal(direct)
-				cj, _ := json.Marshal(compiled)
-				if string(dj) != string(cj) {
-					t.Errorf("%s %s/%d: compiled evaluation diverges\n direct:   %s\n compiled: %s",
-						engine, w.Kind, w.Bits, dj, cj)
+				fj, _ := json.Marshal(fresh)
+				cj, _ := json.Marshal(shared)
+				if string(fj) != string(cj) {
+					t.Errorf("%s %s/%d: shared-plan evaluation diverges\n fresh:  %s\n shared: %s",
+						engine, w.Kind, w.Bits, fj, cj)
 				}
 				// Evaluate-many on one compiled workload must be stable.
-				again, err := eng.EvaluateCompiled(ctx, cw)
+				again, err := arch.EvaluateCompiled(ctx, eng, cw)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -93,10 +93,10 @@ func TestCompileRejectsForeignAndMismatched(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := eng.EvaluateCompiled(context.Background(), cw); err == nil {
+		if _, err := arch.EvaluateCompiled(context.Background(), eng, cw); err == nil {
 			t.Errorf("%s: evaluating another machine's compiled workload did not error", engine)
 		}
-		if _, err := eng.EvaluateCompiled(context.Background(), nil); err == nil {
+		if _, err := arch.EvaluateCompiled(context.Background(), eng, nil); err == nil {
 			t.Errorf("%s: evaluating a nil compiled workload did not error", engine)
 		}
 	}
@@ -173,16 +173,16 @@ func BenchmarkCompileOnceEvalMany(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.EvaluateCompiled(ctx, cw); err != nil {
+		if _, err := arch.EvaluateCompiled(ctx, eng, cw); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// TestEvaluateCompiledIntoMatches pins the buffer-reusing variant to the
-// allocating one: for both engines and every paper kind, writing into a
-// result whose metric buffer holds stale garbage must produce the exact
-// envelope EvaluateCompiled returns.
+// TestEvaluateCompiledIntoMatches pins buffer reuse to a fresh result: for
+// both engines and every paper kind, writing into a result whose metric
+// buffer holds stale garbage must produce the exact envelope the
+// allocating arch.EvaluateCompiled returns.
 func TestEvaluateCompiledIntoMatches(t *testing.T) {
 	ctx := context.Background()
 	m, err := arch.New(arch.WithCodeName("bacon-shor"), arch.WithBlocks(9))
@@ -207,7 +207,7 @@ func TestEvaluateCompiledIntoMatches(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := eng.EvaluateCompiled(ctx, cw)
+			want, err := arch.EvaluateCompiled(ctx, eng, cw)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -12,24 +12,32 @@ import (
 type Engine interface {
 	// Name returns the engine's registry name.
 	Name() string
-	// Evaluate runs the workload and returns the metric envelope. It
-	// honors ctx for long evaluations.
-	Evaluate(ctx context.Context, w Workload) (Result, error)
-	// EvaluateCompiled runs a workload the machine has already compiled
-	// (Machine.Compile / Machine.CompileWith), skipping every
-	// per-evaluation setup cost. The result is identical to Evaluate on
-	// the same workload; the compiled input must belong to this engine's
-	// machine.
-	EvaluateCompiled(ctx context.Context, cw *CompiledWorkload) (Result, error)
-	// EvaluateCompiledInto is EvaluateCompiled writing into out, reusing
-	// out's metric buffer. On the des engine a steady-state call performs
-	// no allocations; out's previous contents are fully overwritten.
+	// EvaluateCompiledInto evaluates a workload the machine has compiled
+	// (Machine.Compile / Machine.CompileWith) into out, reusing out's
+	// metric buffer; out's previous contents are fully overwritten. The
+	// compiled input must belong to this engine's machine. On the des
+	// engine a steady-state call performs no allocations. It honors ctx
+	// for long evaluations.
 	EvaluateCompiledInto(ctx context.Context, cw *CompiledWorkload, out *Result) error
 }
 
+// EvaluateCompiled evaluates cw on eng into a fresh Result — the
+// allocating form of Engine.EvaluateCompiledInto, for callers that keep
+// the result. A one-shot evaluation compiles first:
+//
+//	cw, err := m.Compile(w)
+//	res, err := arch.EvaluateCompiled(ctx, eng, cw)
+func EvaluateCompiled(ctx context.Context, eng Engine, cw *CompiledWorkload) (Result, error) {
+	var res Result
+	if err := eng.EvaluateCompiledInto(ctx, cw, &res); err != nil {
+		return Result{}, err
+	}
+	return res, nil
+}
+
 // errForeignCompile rejects a compiled workload bound to another machine:
-// its derived simulator config and schedule memos describe that machine,
-// so evaluating it here would silently mix configurations.
+// its derived simulator config describes that machine, so evaluating it
+// here would silently mix configurations.
 var errForeignCompile = fmt.Errorf("arch: compiled workload belongs to a different machine")
 
 // Engine registry names.

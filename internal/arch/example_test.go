@@ -24,7 +24,11 @@ func ExampleNew() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := eng.Evaluate(context.Background(), arch.NewAdder(256, true))
+	cw, err := m.Compile(arch.NewAdder(256, true))
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := arch.EvaluateCompiled(context.Background(), eng, cw)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,9 +54,9 @@ func ExamplePlanWorkload() {
 }
 
 // ExampleMachine_Compile is the intended hot-loop shape: compile a
-// workload once, then evaluate the compiled form many times.
-// EvaluateCompiled skips circuit generation, DAG construction and
-// scheduling on every call and returns exactly what Evaluate would.
+// workload once, then evaluate the compiled form many times. Every
+// evaluation skips circuit generation, DAG construction and scheduling and
+// returns the same envelope.
 func ExampleMachine_Compile() {
 	m, err := arch.New(
 		arch.WithCodeName("bacon-shor"),
@@ -71,8 +75,8 @@ func ExampleMachine_Compile() {
 		log.Fatal(err)
 	}
 	ctx := context.Background()
-	again, _ := eng.EvaluateCompiled(ctx, cw)
-	res, err := eng.EvaluateCompiled(ctx, cw)
+	again, _ := arch.EvaluateCompiled(ctx, eng, cw)
+	res, err := arch.EvaluateCompiled(ctx, eng, cw)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -81,4 +85,34 @@ func ExampleMachine_Compile() {
 		res.MustMetric("parallel_speedup"),
 		res.MustMetric("makespan_slots") == again.MustMetric("makespan_slots"))
 	// Output: qftcomm: 130 slots, speedup x16.74, repeatable true
+}
+
+// ExampleEvaluateCompiled sizes the paper's best configuration — Bacon-Shor
+// regions, 36 compute blocks, ten parallel transfers — for a 256-bit
+// workload without the memory hierarchy and prints its Table 4 figures of
+// merit against the QLA.
+func ExampleEvaluateCompiled() {
+	m, err := arch.New(arch.WithCodeName("bacon-shor"), arch.WithBlocks(36), arch.WithTransfers(10))
+	if err != nil {
+		log.Fatal(err)
+	}
+	eng, err := m.Engine(arch.EngineAnalytic)
+	if err != nil {
+		log.Fatal(err)
+	}
+	cw, err := m.Compile(arch.NewAdder(256, false))
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := arch.EvaluateCompiled(context.Background(), eng, cw)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("area reduction: %.1fx\n", res.MustMetric("area_reduction"))
+	fmt.Printf("L2 speedup:     %.2fx\n", res.MustMetric("l2_speedup"))
+	fmt.Printf("gain product:   %.1f\n", res.MustMetric("gain_product"))
+	// Output:
+	// area reduction: 8.3x
+	// L2 speedup:     1.92x
+	// gain product:   16.0
 }

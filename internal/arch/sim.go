@@ -86,30 +86,6 @@ func appendStatMetrics(dst []Metric, stats des.Stats, computeOnly time.Duration)
 	)
 }
 
-// Evaluate compiles the workload and runs it once. Callers evaluating the
-// same workload repeatedly should compile once (Machine.Compile) and call
-// EvaluateCompiled — the DAG build that dominates a one-shot evaluation at
-// paper sizes then happens a single time.
-func (e simEngine) Evaluate(ctx context.Context, w Workload) (Result, error) {
-	// The one-shot path pays circuit generation + DAG build here; the
-	// span makes that cost visible next to sim-run in a -trace dump.
-	_, sp := obs.StartSpan(ctx, "plan-compile")
-	cw, err := e.m.Compile(w)
-	sp.End()
-	if err != nil {
-		return Result{}, err
-	}
-	return e.EvaluateCompiled(ctx, cw)
-}
-
-func (e simEngine) EvaluateCompiled(ctx context.Context, cw *CompiledWorkload) (Result, error) {
-	var res Result
-	if err := e.EvaluateCompiledInto(ctx, cw, &res); err != nil {
-		return Result{}, err
-	}
-	return res, nil
-}
-
 // EvaluateCompiledInto evaluates a precompiled workload into out, reusing
 // out's metric buffer across calls. With no tracer in ctx, a steady-state
 // evaluation — pooled simulation arena, precompiled DAG, precomputed
@@ -134,7 +110,6 @@ func (e simEngine) EvaluateCompiledInto(ctx context.Context, cw *CompiledWorkloa
 	_, dec := obs.StartSpan(ctx, "decode")
 	defer dec.End()
 	cm := e.m.cq
-	n := w.Bits
 	metrics := out.Metrics[:0]
 	switch w.Kind {
 	case KindAdder:
@@ -142,10 +117,10 @@ func (e simEngine) EvaluateCompiledInto(ctx context.Context, cw *CompiledWorkloa
 			// Area has no dynamic component; the simulator reuses the
 			// closed-form floorplan so its envelope stays comparable.
 			Metric{"area_reduction", cm.AreaReduction(cw.adderQubits, w.Hierarchy)},
-			Metric{"sim_speedup", float64(cm.QLAAdderTime(n)) / float64(stats.Makespan)},
+			Metric{"sim_speedup", float64(cm.QLAAdderTime(cw.plan.kernel)) / float64(stats.Makespan)},
 		)
 		metrics = appendStatMetrics(metrics, stats, computeOnly)
-		metrics = append(metrics, Metric{"qla_time_s", cm.QLAAdderTime(n).Seconds()})
+		metrics = append(metrics, Metric{"qla_time_s", cm.QLAAdderTime(cw.plan.kernel).Seconds()})
 	case KindModExp:
 		// The full modular-exponentiation circuit is out of simulation
 		// reach at paper sizes; simulate its adder kernel and scale by the

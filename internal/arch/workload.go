@@ -37,16 +37,19 @@ const (
 )
 
 // kernelCircuits is the registry of built-in kernel builders keyed by kind.
-// Adder and modexp are absent deliberately: they compile through the shared
-// cqla.AdderPlan (the paper evaluates modular exponentiation as repeated
-// additions), not through a one-shot circuit build. The map is assigned
-// only at declaration and never mutated, so reads from the evaluation path
-// stay pure.
+// Adder and modexp share the carry-lookahead adder (the paper evaluates
+// modular exponentiation as repeated additions). The map is assigned only
+// at declaration and never mutated, so reads from the evaluation path stay
+// pure.
 var kernelCircuits = map[Kind]func(bits int) *circuit.Circuit{
+	KindAdder:     claAdder,
+	KindModExp:    claAdder,
 	KindQFT:       func(bits int) *circuit.Circuit { return gen.QFT(bits, false) },
 	KindQFTComm:   func(bits int) *circuit.Circuit { return gen.QFT(bits, true) },
 	KindShorStage: shor.StageCircuit,
 }
+
+func claAdder(bits int) *circuit.Circuit { return gen.CarryLookahead(bits).Circuit }
 
 // Kinds returns the built-in workload kinds in presentation order (KindCustom
 // excluded — custom workloads are constructed from a circuit, not a kind).

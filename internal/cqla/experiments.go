@@ -48,6 +48,7 @@ func Table4(p phys.Params) []Table4Row {
 	st, bs := ecc.Steane(), ecc.BaconShor()
 	for _, n := range PaperInputSizes() {
 		q := gen.NewModExp(n).LogicalQubits()
+		adder := AdderKernel(n)
 		for _, k := range blockTable[n] {
 			mSt := New(Config{Code: st, Params: p, ComputeBlocks: k, ParallelTransfers: 10})
 			mBS := New(Config{Code: bs, Params: p, ComputeBlocks: k, ParallelTransfers: 10})
@@ -56,8 +57,8 @@ func Table4(p phys.Params) []Table4Row {
 				Blocks:            k,
 				AreaReducedSteane: mSt.AreaReduction(q, false),
 				AreaReducedBS:     mBS.AreaReduction(q, false),
-				SpeedupSteane:     mSt.SpeedupL2(n),
-				SpeedupBS:         mBS.SpeedupL2(n),
+				SpeedupSteane:     mSt.SpeedupL2(adder),
+				SpeedupBS:         mBS.SpeedupL2(adder),
 			}
 			row.GainProductSteane = row.AreaReducedSteane * row.SpeedupSteane
 			row.GainProductBS = row.AreaReducedBS * row.SpeedupBS
@@ -87,21 +88,26 @@ func Table5Sizes() []int { return []int{256, 512, 1024} }
 func Table5(p phys.Params) []Table5Row {
 	var rows []Table5Row
 	blockTable := PaperBlockCounts()
+	adders := make(map[int]*sched.Plan)
+	for _, n := range Table5Sizes() {
+		adders[n] = AdderKernel(n)
+	}
 	for _, code := range ecc.Codes() {
 		for _, par := range []int{10, 5} {
 			for _, n := range Table5Sizes() {
 				k := blockTable[n][0]
+				adder := adders[n]
 				m := New(Config{Code: code, Params: p, ComputeBlocks: k, ParallelTransfers: par})
 				q := gen.NewModExp(n).LogicalQubits()
 				rows = append(rows, Table5Row{
 					Code:              code.Short,
 					ParallelTransfers: par,
 					AdderSize:         n,
-					L1Speedup:         m.SpeedupL1(n),
-					L2Speedup:         m.SpeedupL2(n),
-					AdderSpeedup:      m.AdderSpeedup(n),
+					L1Speedup:         m.SpeedupL1(adder),
+					L2Speedup:         m.SpeedupL2(adder),
+					AdderSpeedup:      m.AdderSpeedup(adder),
 					AreaReduced:       m.AreaReduction(q, true),
-					GainProduct:       m.GainProduct(n, q, true),
+					GainProduct:       m.GainProduct(adder, q, true),
 				})
 			}
 		}
@@ -122,15 +128,15 @@ type Figure2 struct {
 }
 
 // Fig2 computes Figure 2 for the given adder size and block budget.
-func Fig2(m *Machine, adderSize, blocks int) Figure2 {
-	a := m.adder(adderSize)
-	unlimited := sched.ListSchedule(a.dag, 0)
-	limited := sched.ListSchedule(a.dag, blocks)
+func Fig2(adderSize, blocks int) Figure2 {
+	dag := AdderKernel(adderSize).DAG()
+	unlimited := sched.ListSchedule(dag, 0)
+	limited := sched.ListSchedule(dag, blocks)
 	return Figure2{
 		AdderSize:        adderSize,
 		Blocks:           blocks,
-		UnlimitedProfile: unlimited.Profile(a.dag.Circuit()),
-		LimitedProfile:   limited.Profile(a.dag.Circuit()),
+		UnlimitedProfile: unlimited.Profile(dag.Circuit()),
+		LimitedProfile:   limited.Profile(dag.Circuit()),
 		UnlimitedSlots:   unlimited.MakespanSlots,
 		LimitedSlots:     limited.MakespanSlots,
 	}
@@ -147,16 +153,14 @@ type Figure6a struct {
 func Fig6aBlockCounts() []int { return []int{4, 16, 36, 64, 100, 144, 196} }
 
 // Fig6a computes the utilization curves for every paper input size.
-func Fig6a(p phys.Params) []Figure6a {
+func Fig6a() []Figure6a {
 	var out []Figure6a
 	counts := Fig6aBlockCounts()
-	m := New(Config{Code: ecc.Steane(), Params: p, ComputeBlocks: 1, ParallelTransfers: 1})
 	for _, n := range PaperInputSizes() {
-		dag := m.AdderDAG(n)
 		out = append(out, Figure6a{
 			AdderSize:    n,
 			BlockCounts:  counts,
-			Utilizations: sched.UtilizationSweep(dag, counts),
+			Utilizations: sched.UtilizationSweep(AdderKernel(n).DAG(), counts),
 		})
 	}
 	return out
@@ -238,15 +242,15 @@ type AppTimes struct {
 	Communication time.Duration
 }
 
-// ModExpTimes computes Figure 8(a)'s point for one input size: total
-// computation and communication time of a full modular exponentiation on
-// the Bacon-Shor CQLA. Computation is the adder calls divided across the
+// ModExpTimes computes Figure 8(a)'s point for one input size n, given the
+// n-bit adder kernel's plan: total computation and communication time of a
+// full modular exponentiation on the Bacon-Shor CQLA. Computation is the adder calls divided across the
 // concurrent additions a multiplication exposes; communication is the
 // operand traffic through the compute-region perimeter, which the
 // teleportation interconnect sustains without stalling computation.
-func (m *Machine) ModExpTimes(n int) AppTimes {
+func (m *Machine) ModExpTimes(n int, adder *sched.Plan) AppTimes {
 	me := gen.NewModExp(n)
-	adderTime := m.AdderTimeL2(n)
+	adderTime := m.AdderTimeL2(adder)
 	comp := time.Duration(float64(me.AdderCalls()) / float64(me.ConcurrentAdders()) * float64(adderTime))
 
 	transport := mesh.TransportTime(m.cfg.Code, 2, m.cfg.Params)
@@ -276,7 +280,7 @@ func Fig8a(p phys.Params) []AppTimes {
 	blockTable := PaperBlockCounts()
 	for _, n := range PaperInputSizes() {
 		m := New(Config{Code: ecc.BaconShor(), Params: p, ComputeBlocks: blockTable[n][0], ParallelTransfers: 10})
-		out = append(out, m.ModExpTimes(n))
+		out = append(out, m.ModExpTimes(n, AdderKernel(n)))
 	}
 	return out
 }

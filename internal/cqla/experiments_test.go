@@ -93,9 +93,8 @@ func TestTable5Shape(t *testing.T) {
 }
 
 func TestFig2Shape(t *testing.T) {
-	m := steaneMachine(15)
-	f := Fig2(m, 64, 15)
-	if f.UnlimitedSlots != m.AdderDAG(64).Depth() {
+	f := Fig2(64, 15)
+	if f.UnlimitedSlots != AdderKernel(64).Depth() {
 		t.Error("unlimited profile length should equal depth")
 	}
 	if f.LimitedSlots < f.UnlimitedSlots {
@@ -124,7 +123,7 @@ func TestFig2Shape(t *testing.T) {
 }
 
 func TestFig6aShape(t *testing.T) {
-	curves := Fig6a(phys.Projected())
+	curves := Fig6a()
 	if len(curves) != len(PaperInputSizes()) {
 		t.Fatalf("%d curves", len(curves))
 	}

@@ -21,7 +21,6 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/ecc"
 	"repro/internal/gen"
-	"repro/internal/memo"
 	"repro/internal/phys"
 	"repro/internal/qla"
 	"repro/internal/sched"
@@ -90,54 +89,19 @@ type Config struct {
 	TransferOverlap float64
 }
 
-// Machine is a configured CQLA with its QLA baseline and memoized adder
-// plans. Machines are safe for concurrent use: the plan memo and each
-// plan's schedule memo are mutex-guarded, so one machine (or one plan) can
-// be shared across a worker pool.
+// Machine is a configured CQLA with its QLA baseline. It holds no state
+// beyond its configuration, so it is safe for concurrent use. The
+// performance methods take the adder kernel's schedule plan as an argument
+// (AdderKernel), so one plan serves every machine that evaluates it.
 type Machine struct {
 	cfg      Config
 	baseline qla.Model
-	adders   memo.Map[int, *AdderPlan]
 }
 
-// AdderPlan is the compiled form of the n-bit carry-lookahead adder: the
-// generated circuit, its dependency DAG and a memo of list-scheduled
-// makespans per block budget. Building one costs the circuit generation
-// and DAG construction that used to be repeated inside every fresh
-// Machine; a plan is immutable apart from its schedule memo and safe to
-// share between machines — the arch compilation layer hands one plan to
-// every machine of a sweep so the DAG is built exactly once.
-type AdderPlan struct {
-	adder *gen.Adder
-	dag   *circuit.DAG
-	depth int
-
-	makespans memo.Map[int, int]
-}
-
-// NewAdderPlan compiles the n-bit carry-lookahead adder kernel.
-func NewAdderPlan(n int) *AdderPlan {
-	ad := gen.CarryLookahead(n)
-	dag := circuit.BuildDAG(ad.Circuit)
-	return &AdderPlan{adder: ad, dag: dag, depth: dag.Depth()}
-}
-
-// Bits returns the adder width the plan was compiled for.
-func (a *AdderPlan) Bits() int { return a.adder.N }
-
-// DAG returns the compiled dependency graph. It is shared storage; treat
-// it as read-only.
-func (a *AdderPlan) DAG() *circuit.DAG { return a.dag }
-
-// Depth returns the critical-path length of the adder in slots.
-func (a *AdderPlan) Depth() int { return a.depth }
-
-// Makespan returns the list-scheduled makespan of the adder at the given
-// block budget, memoized per plan.
-func (a *AdderPlan) Makespan(blocks int) int {
-	return a.makespans.Get(blocks, func() int {
-		return sched.ListSchedule(a.dag, blocks).MakespanSlots
-	})
+// AdderKernel compiles the n-bit carry-lookahead adder — the paper's
+// kernel — into a schedule plan for the performance methods.
+func AdderKernel(n int) *sched.Plan {
+	return sched.NewPlan(circuit.BuildDAG(gen.CarryLookahead(n).Circuit))
 }
 
 // NewMachine returns a Machine for the given configuration, or an error
@@ -184,26 +148,6 @@ func (m *Machine) Config() Config { return m.cfg }
 
 // Baseline returns the QLA model results are normalized against.
 func (m *Machine) Baseline() qla.Model { return m.baseline }
-
-func (m *Machine) adder(n int) *AdderPlan {
-	return m.adders.Get(n, func() *AdderPlan { return NewAdderPlan(n) })
-}
-
-// UseAdderPlan seeds the machine's adder memo with a prebuilt shared plan,
-// so this machine's analytic model reuses a DAG (and its schedule memo)
-// compiled once for a whole sweep instead of rebuilding its own. A plan
-// already memoized for the same width is kept — interchangeable by
-// construction — and the machine's results are identical either way.
-func (m *Machine) UseAdderPlan(p *AdderPlan) {
-	if p == nil {
-		return
-	}
-	m.adders.Seed(p.Bits(), p)
-}
-
-// AdderDAG exposes the memoized dependency graph of the n-bit
-// carry-lookahead adder (used by the figure drivers).
-func (m *Machine) AdderDAG(n int) *circuit.DAG { return m.adder(n).dag }
 
 // --- Area model ---------------------------------------------------------
 
@@ -264,25 +208,25 @@ func (m *Machine) SlotTime(level int) time.Duration {
 	return m.cfg.Code.ECTime(level, m.cfg.Params)
 }
 
-// AdderTimeL2 returns the time of one n-bit carry-lookahead addition run
-// entirely in the level-2 compute region.
-func (m *Machine) AdderTimeL2(n int) time.Duration {
-	a := m.adder(n)
-	return time.Duration(a.Makespan(m.cfg.ComputeBlocks)) * m.SlotTime(2)
+// AdderTimeL2 returns the time of one carry-lookahead addition (the
+// adder kernel's plan, AdderKernel) run entirely in the level-2 compute
+// region.
+func (m *Machine) AdderTimeL2(adder *sched.Plan) time.Duration {
+	return time.Duration(adder.Makespan(m.cfg.ComputeBlocks)) * m.SlotTime(2)
 }
 
 // QLAAdderTime returns the baseline's time for the same addition: the QLA
 // achieves the unlimited-parallelism schedule at Steane level-2 speed.
-func (m *Machine) QLAAdderTime(n int) time.Duration {
-	return m.baseline.AdderTime(m.adder(n).depth)
+func (m *Machine) QLAAdderTime(adder *sched.Plan) time.Duration {
+	return m.baseline.AdderTime(adder.Depth())
 }
 
 // SpeedupL2 returns the Table 4 speedup: QLA adder time over CQLA level-2
 // adder time. For the Steane CQLA this is bounded by 1 (fewer blocks than
 // the QLA's ubiquitous compute), while the Bacon-Shor CQLA gains its faster
 // error correction.
-func (m *Machine) SpeedupL2(n int) float64 {
-	return float64(m.QLAAdderTime(n)) / float64(m.AdderTimeL2(n))
+func (m *Machine) SpeedupL2(adder *sched.Plan) float64 {
+	return float64(m.QLAAdderTime(adder)) / float64(m.AdderTimeL2(adder))
 }
 
 // Level1Blocks returns the size of the level-1 compute region: the
@@ -319,31 +263,30 @@ func (m *Machine) TransferStall() time.Duration {
 // AdderTimeL1 returns the time of one addition run in the level-1 compute
 // region: the superblock-capped schedule at level-1 error-correction speed
 // plus the transfer stall.
-func (m *Machine) AdderTimeL1(n int) time.Duration {
-	a := m.adder(n)
-	compute := time.Duration(a.Makespan(m.Level1Blocks())) * m.SlotTime(1)
+func (m *Machine) AdderTimeL1(adder *sched.Plan) time.Duration {
+	compute := time.Duration(adder.Makespan(m.Level1Blocks())) * m.SlotTime(1)
 	return compute + m.TransferStall()
 }
 
 // SpeedupL1 returns the level-1 speedup over the QLA baseline — the "L1
 // SpeedUp" column of Table 5.
-func (m *Machine) SpeedupL1(n int) float64 {
-	return float64(m.QLAAdderTime(n)) / float64(m.AdderTimeL1(n))
+func (m *Machine) SpeedupL1(adder *sched.Plan) float64 {
+	return float64(m.QLAAdderTime(adder)) / float64(m.AdderTimeL1(adder))
 }
 
 // AdderSpeedup returns the average per-addition speedup under the paper's
 // fidelity-safe policy of one level-1 addition for every two level-2
 // additions.
-func (m *Machine) AdderSpeedup(n int) float64 {
-	return (2*m.SpeedupL2(n) + m.SpeedupL1(n)) / 3
+func (m *Machine) AdderSpeedup(adder *sched.Plan) float64 {
+	return (2*m.SpeedupL2(adder) + m.SpeedupL1(adder)) / 3
 }
 
 // GainProduct returns (Area_QLA x Time_QLA) / (Area_CQLA x Time_CQLA)
 // relative to the QLA's 1.0 — area reduction times speedup.
-func (m *Machine) GainProduct(n int, logicalQubits int, withHierarchy bool) float64 {
-	speed := m.SpeedupL2(n)
+func (m *Machine) GainProduct(adder *sched.Plan, logicalQubits int, withHierarchy bool) float64 {
+	speed := m.SpeedupL2(adder)
 	if withHierarchy {
-		speed = m.AdderSpeedup(n)
+		speed = m.AdderSpeedup(adder)
 	}
 	return m.AreaReduction(logicalQubits, withHierarchy) * speed
 }

@@ -90,7 +90,8 @@ func TestSteaneSpeedupBelowOne(t *testing.T) {
 	// limited blocks: speedup in (0, 1], approaching 1 with more blocks.
 	m1 := steaneMachine(PaperBlockCounts()[256][0])
 	m2 := steaneMachine(PaperBlockCounts()[256][1])
-	s1, s2 := m1.SpeedupL2(256), m2.SpeedupL2(256)
+	adder := AdderKernel(256)
+	s1, s2 := m1.SpeedupL2(adder), m2.SpeedupL2(adder)
 	if s1 <= 0 || s1 > 1.0001 || s2 <= 0 || s2 > 1.0001 {
 		t.Errorf("Steane speedups out of range: %.2f %.2f", s1, s2)
 	}
@@ -103,7 +104,7 @@ func TestBaconShorSpeedupBand(t *testing.T) {
 	// Table 4: Bacon-Shor speedups 1.47-3.0 (faster error correction
 	// outruns the baseline even with few blocks).
 	for n, blocks := range PaperBlockCounts() {
-		s := bsMachine(blocks[1]).SpeedupL2(n)
+		s := bsMachine(blocks[1]).SpeedupL2(AdderKernel(n))
 		if s < 1.2 || s > 3.2 {
 			t.Errorf("n=%d: Bacon-Shor speedup %.2f outside paper band", n, s)
 		}
@@ -114,7 +115,8 @@ func TestBaconShorIsThreeTimesSteane(t *testing.T) {
 	// The codes share the schedule; the ratio is the EC-time ratio (3x).
 	st := steaneMachine(36)
 	bs := bsMachine(36)
-	ratio := bs.SpeedupL2(256) / st.SpeedupL2(256)
+	adder := AdderKernel(256)
+	ratio := bs.SpeedupL2(adder) / st.SpeedupL2(adder)
 	if ratio < 2.9 || ratio > 3.1 {
 		t.Errorf("BS/Steane speedup ratio = %.2f, want ~3", ratio)
 	}
@@ -123,8 +125,9 @@ func TestBaconShorIsThreeTimesSteane(t *testing.T) {
 func TestGainProductCombinesAreaAndSpeed(t *testing.T) {
 	m := bsMachine(36)
 	q := 5*256 + 3
-	gp := m.GainProduct(256, q, false)
-	want := m.AreaReduction(q, false) * m.SpeedupL2(256)
+	adder := AdderKernel(256)
+	gp := m.GainProduct(adder, q, false)
+	want := m.AreaReduction(q, false) * m.SpeedupL2(adder)
 	if diff := gp - want; diff > 1e-9 || diff < -1e-9 {
 		t.Errorf("gain product %.3f != area x speed %.3f", gp, want)
 	}
@@ -167,8 +170,9 @@ func TestBaconShorPaysChannelPenalty(t *testing.T) {
 }
 
 func TestLevel1AdderFasterThanLevel2(t *testing.T) {
+	adder := AdderKernel(256)
 	for _, m := range []*Machine{steaneMachine(36), bsMachine(36)} {
-		if m.AdderTimeL1(256) >= m.AdderTimeL2(256) {
+		if m.AdderTimeL1(adder) >= m.AdderTimeL2(adder) {
 			t.Errorf("%s: level-1 adder should be faster", m.Config().Code.Short)
 		}
 	}
@@ -180,7 +184,7 @@ func TestSpeedupL1InPaperBand(t *testing.T) {
 	for _, n := range Table5Sizes() {
 		k := PaperBlockCounts()[n][0]
 		st := New(Config{Code: ecc.Steane(), Params: phys.Projected(), ComputeBlocks: k, ParallelTransfers: 10})
-		s := st.SpeedupL1(n)
+		s := st.SpeedupL1(AdderKernel(n))
 		if s < 5 || s > 25 {
 			t.Errorf("n=%d: Steane L1 speedup %.1f outside band", n, s)
 		}
@@ -189,16 +193,17 @@ func TestSpeedupL1InPaperBand(t *testing.T) {
 
 func TestAdderSpeedupIsWeightedMean(t *testing.T) {
 	m := bsMachine(36)
-	want := (2*m.SpeedupL2(256) + m.SpeedupL1(256)) / 3
-	if got := m.AdderSpeedup(256); got != want {
+	adder := AdderKernel(256)
+	want := (2*m.SpeedupL2(adder) + m.SpeedupL1(adder)) / 3
+	if got := m.AdderSpeedup(adder); got != want {
 		t.Errorf("adder speedup %.3f != weighted mean %.3f", got, want)
 	}
 }
 
 func TestQLAAdderTimeUsesDepth(t *testing.T) {
 	m := steaneMachine(36)
-	d := m.AdderDAG(64).Depth()
-	if m.QLAAdderTime(64) != m.Baseline().AdderTime(d) {
+	adder := AdderKernel(64)
+	if m.QLAAdderTime(adder) != m.Baseline().AdderTime(adder.DAG().Depth()) {
 		t.Error("QLA adder time should be depth x baseline slot")
 	}
 }
@@ -290,11 +295,19 @@ func TestTransferStallExactCeiling(t *testing.T) {
 	}
 }
 
+// TestAdderMemoization pins the stateless-machine contract: one adder plan
+// shared by machines of different block budgets (and so holding several
+// memoized makespans) prices every machine exactly as a fresh plan does.
 func TestAdderMemoization(t *testing.T) {
-	m := steaneMachine(9)
-	d1 := m.AdderDAG(64)
-	d2 := m.AdderDAG(64)
-	if d1 != d2 {
-		t.Error("adder DAG should be memoized")
+	shared := AdderKernel(64)
+	for _, blocks := range []int{4, 9, 36, 100, 9} {
+		m := bsMachine(blocks)
+		fresh := AdderKernel(64)
+		if got, want := m.AdderTimeL2(shared), m.AdderTimeL2(fresh); got != want {
+			t.Errorf("%d blocks: shared-plan L2 time %v, fresh plan %v", blocks, got, want)
+		}
+		if got, want := m.AdderTimeL1(shared), m.AdderTimeL1(fresh); got != want {
+			t.Errorf("%d blocks: shared-plan L1 time %v, fresh plan %v", blocks, got, want)
+		}
 	}
 }

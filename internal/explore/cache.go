@@ -142,9 +142,7 @@ func (c *evalCache) compile(ctx context.Context, m *arch.Machine, w arch.Workloa
 // kernel hit instead of failing to rebuild a custom circuit.
 func (c *evalCache) compileWith(m *arch.Machine, plan *arch.WorkloadPlan) (*arch.CompiledWorkload, error) {
 	w := plan.Workload()
-	c.plans.Do(planKey{kernel: plan.Kernel(), bits: plan.Bits()}, func() (*arch.WorkloadPlan, error) {
-		return plan, nil
-	})
+	c.plans.Seed(planKey{kernel: plan.Kernel(), bits: plan.Bits()}, plan)
 	built := false
 	cw, err := c.compiled.Do(compiledKey{cfg: m.Config(), w: w}, func() (*arch.CompiledWorkload, error) {
 		built = true
@@ -174,24 +172,26 @@ func (in In) Machine(opts ...arch.Option) (*arch.Machine, error) {
 
 // EvaluateOn routes a workload through the named engine, evaluating a
 // per-sweep compiled form of the workload when the runner provided a
-// cache. Results are identical to Engine.Evaluate either way. With a
-// tracer in ctx (cqla sweep -trace), the compile and evaluate stages are
-// recorded as "plan-compile" and engine-level spans.
+// cache and a freshly compiled one otherwise; results are identical either
+// way. With a tracer in ctx (cqla sweep -trace), the compile and evaluate
+// stages are recorded as "plan-compile" and engine-level spans.
 func (in In) EvaluateOn(ctx context.Context, m *arch.Machine, w arch.Workload, engine string) (arch.Result, error) {
 	eng, err := m.Engine(engine)
 	if err != nil {
 		return arch.Result{}, err
 	}
+	compileCtx, sp := obs.StartSpan(ctx, "plan-compile")
+	var cw *arch.CompiledWorkload
 	if in.cache != nil {
-		compileCtx, sp := obs.StartSpan(ctx, "plan-compile")
-		cw, err := in.cache.compile(compileCtx, m, w)
-		sp.End()
-		if err != nil {
-			return arch.Result{}, err
-		}
-		return eng.EvaluateCompiled(ctx, cw)
+		cw, err = in.cache.compile(compileCtx, m, w)
+	} else {
+		cw, err = m.Compile(w)
 	}
-	return eng.Evaluate(ctx, w)
+	sp.End()
+	if err != nil {
+		return arch.Result{}, err
+	}
+	return arch.EvaluateCompiled(ctx, eng, cw)
 }
 
 // Evaluate is EvaluateOn with the engine the sweep was run with
@@ -219,5 +219,5 @@ func (in In) EvaluatePlan(ctx context.Context, m *arch.Machine, plan *arch.Workl
 	if err != nil {
 		return arch.Result{}, err
 	}
-	return eng.EvaluateCompiled(ctx, cw)
+	return arch.EvaluateCompiled(ctx, eng, cw)
 }

@@ -255,9 +255,8 @@ func fig2Exp() *Experiment {
 			Ints("blocks", 0, 15), // 0 = unlimited parallelism
 		},
 		Eval: func(_ context.Context, in In) ([]Metric, error) {
-			m := cqla.New(cqla.Config{Code: ecc.Steane(), Params: in.Phys, ComputeBlocks: 15, ParallelTransfers: 10})
-			s := sched.ListSchedule(m.AdderDAG(in.Int("size")), in.Int("blocks"))
-			return []Metric{{"makespan_slots", float64(s.MakespanSlots)}}, nil
+			slots := cqla.AdderKernel(in.Int("size")).Makespan(in.Int("blocks"))
+			return []Metric{{"makespan_slots", float64(slots)}}, nil
 		},
 	}
 }
@@ -271,9 +270,7 @@ func fig6aExp() *Experiment {
 			Ints("blocks", cqla.Fig6aBlockCounts()...),
 		},
 		Eval: func(_ context.Context, in In) ([]Metric, error) {
-			m := cqla.New(cqla.Config{Code: ecc.Steane(), Params: in.Phys, ComputeBlocks: 1, ParallelTransfers: 1})
-			dag := m.AdderDAG(in.Int("size"))
-			u := sched.UtilizationSweep(dag, []int{in.Int("blocks")})
+			u := sched.UtilizationSweep(cqla.AdderKernel(in.Int("size")).DAG(), []int{in.Int("blocks")})
 			return []Metric{{"utilization", u[0]}}, nil
 		},
 	}

@@ -19,10 +19,11 @@
 //     known-allocating constructs, making the AllocsPerRun == 0 benchmarks
 //     a compile-time property of every edit rather than a runtime spot
 //     check.
-//   - purity: no function reachable from an engine Evaluate entry point in
-//     the analytic-model packages may touch package-level mutable state,
-//     call into os/file IO, or mutate its receiver's maps outside a held
-//     mutex (a call-graph walk; the documented memo types are exempt).
+//   - purity: no function reachable from an engine's EvaluateCompiledInto
+//     in the analytic-model packages may touch package-level mutable
+//     state, call into os/file IO, or mutate its receiver's maps outside a
+//     held mutex (a call-graph walk; the memo package is exempt, and a
+//     walk with no roots is itself a finding).
 //   - goleak: every `go` statement in the serving and observability
 //     packages must be cancellable — a context, a done-channel select, or
 //     a WaitGroup with a reachable Wait.
@@ -103,14 +104,11 @@ type Config struct {
 	// their own packages' rules).
 	PurityPkgs map[string]bool
 	// PurityEntries are the method names whose declarations in PurityPkgs
-	// root the walk (Evaluate/EvaluateCompiled on the engines).
+	// root the walk (EvaluateCompiledInto on the engines).
 	PurityEntries map[string]bool
 	// PurityExemptPkgs are packages whose functions the walk never
 	// descends into — the documented memoization layer.
 	PurityExemptPkgs map[string]bool
-	// PurityExemptTypes are `path.Type` receiver types whose methods are
-	// exempt (cqla.AdderPlan caches its own makespans by design).
-	PurityExemptTypes map[string]bool
 	// GoleakPkgs are the packages where every `go` statement must be
 	// provably cancellable or WaitGroup-tracked.
 	GoleakPkgs map[string]bool
@@ -149,11 +147,9 @@ func DefaultConfig() Config {
 			"repro/internal/cqla": true,
 			"repro/internal/arch": true,
 		},
-		PurityEntries: map[string]bool{"Evaluate": true, "EvaluateCompiled": true},
-		// internal/memo is the documented concurrency-safe cache layer;
-		// AdderPlan memoizes its own makespans behind it.
-		PurityExemptPkgs:  map[string]bool{"repro/internal/memo": true},
-		PurityExemptTypes: map[string]bool{"repro/internal/cqla.AdderPlan": true},
+		PurityEntries: map[string]bool{"EvaluateCompiledInto": true},
+		// internal/memo is the documented concurrency-safe cache layer.
+		PurityExemptPkgs: map[string]bool{"repro/internal/memo": true},
 		GoleakPkgs: map[string]bool{
 			"repro/internal/explore": true,
 			"repro/internal/arch":    true,

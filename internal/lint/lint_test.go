@@ -98,11 +98,30 @@ func TestSuppressGolden(t *testing.T) {
 func TestPurityGolden(t *testing.T) {
 	pkgs := loadFixtures(t, "purefix")
 	cfg := Config{
-		PurityPkgs:        map[string]bool{fixturePrefix + "purefix": true},
-		PurityEntries:     map[string]bool{"Evaluate": true, "EvaluateCompiled": true},
-		PurityExemptTypes: map[string]bool{fixturePrefix + "purefix.Plan": true},
+		PurityPkgs:    map[string]bool{fixturePrefix + "purefix": true},
+		PurityEntries: map[string]bool{"Evaluate": true, "EvaluateCompiled": true},
 	}
 	runGolden(t, "purity.golden", cfg, pkgs)
+}
+
+// TestPurityWithoutRootsIsFinding: an entry set naming no declared method
+// leaves the walk without roots. Passing silently would certify nothing,
+// so the analyzer reports it instead.
+func TestPurityWithoutRootsIsFinding(t *testing.T) {
+	pkgs := loadFixtures(t, "purefix")
+	cfg := Config{
+		PurityPkgs:    map[string]bool{fixturePrefix + "purefix": true},
+		PurityEntries: map[string]bool{"Renamed": true},
+	}
+	var got []Finding
+	for _, f := range Run(cfg, pkgs) {
+		if f.Rule == "purity" {
+			got = append(got, f)
+		}
+	}
+	if len(got) != 1 || !strings.Contains(got[0].Msg, "checks nothing") {
+		t.Fatalf("rootless purity walk produced %v, want exactly one no-roots finding", got)
+	}
 }
 
 func TestGoLeakGolden(t *testing.T) {

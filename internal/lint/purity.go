@@ -9,8 +9,8 @@ import (
 
 // purity pins the paper's core contract: the analytic model is a pure
 // function of its inputs. Everything reachable from an engine's
-// Evaluate/EvaluateCompiled in the analytic-model packages is walked as a
-// call graph over the loaded type info, and three classes of impurity are
+// EvaluateCompiledInto in the analytic-model packages is walked as a call
+// graph over the loaded type info, and three classes of impurity are
 // flagged:
 //
 //   - package-level mutable state: writes always; reads when the variable
@@ -21,16 +21,17 @@ import (
 //   - racy memoization: mutating a receiver's map without a preceding
 //     mutex Lock in the same function body.
 //
-// The documented memoization layer (PurityExemptPkgs/PurityExemptTypes)
-// is excluded: its types exist precisely to make caching safe, and their
-// own tests cover that. Calls leaving PurityPkgs are trusted — foreign
-// packages are governed by their own analyzers. This is the precision vet
-// cannot offer: an unreachable helper may do anything, while a sin three
-// calls deep under Evaluate is still a finding at the line that commits
-// it.
+// The documented memoization layer (PurityExemptPkgs) is excluded: its
+// types exist precisely to make caching safe, and their own tests cover
+// that. Calls leaving PurityPkgs are trusted — foreign packages are
+// governed by their own analyzers. This is the precision vet cannot
+// offer: an unreachable helper may do anything, while a sin three calls
+// deep under an entry point is still a finding at the line that commits
+// it. A walk with no roots would pass vacuously, so loaded purity
+// packages declaring none of the PurityEntries methods are a finding too.
 var purity = &Analyzer{
 	Name:  "purity",
-	Doc:   "code reachable from Engine.Evaluate/EvaluateCompiled must be a pure function of its inputs",
+	Doc:   "code reachable from Engine.EvaluateCompiledInto must be a pure function of its inputs",
 	Run:   runPurity,
 	Suite: true,
 }
@@ -72,10 +73,13 @@ func runPurity(p *Pass) {
 		decls:   make(map[string]declIn),
 		mutated: make(map[string]bool),
 	}
-	var entries []string
+	var first *Package // the first loaded purity package, by path
 	for _, pkg := range p.All {
 		if !cfg.PurityPkgs[pkg.Path] {
 			continue
+		}
+		if first == nil || pkg.Path < first.Path {
+			first = pkg
 		}
 		for _, fn := range funcDecls(pkg) {
 			sym := declSymbol(pkg, fn)
@@ -83,14 +87,20 @@ func runPurity(p *Pass) {
 				continue
 			}
 			scope.decls[sym] = declIn{pkg: pkg, fn: fn}
-			if fn.Recv != nil && cfg.PurityEntries[fn.Name.Name] &&
-				!cfg.PurityExemptTypes[pkg.Path+"."+declRecvName(fn)] {
-				entries = append(entries, sym)
-			}
 			scope.recordMutations(pkg, fn)
 		}
 	}
-	sort.Strings(entries)
+	entries := purityRoots(cfg, p.All)
+	if first != nil && len(entries) == 0 && len(first.Files) > 0 {
+		names := make([]string, 0, len(cfg.PurityEntries))
+		for name := range cfg.PurityEntries {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		p.reportAt(first.Fset.Position(first.Files[0].Package),
+			"no method named %s is declared in the purity packages; the walk has no roots and checks nothing", strings.Join(names, "/"))
+		return
+	}
 
 	visited := make(map[string]bool)
 	queue := entries
@@ -104,6 +114,27 @@ func runPurity(p *Pass) {
 		d := scope.decls[sym]
 		queue = append(queue, scope.checkFunc(d.pkg, d.fn)...)
 	}
+}
+
+// purityRoots returns the sorted symbols the walk starts from: every
+// method declared in a loaded PurityPkgs package whose name PurityEntries
+// lists.
+func purityRoots(cfg Config, pkgs []*Package) []string {
+	var roots []string
+	for _, pkg := range pkgs {
+		if !cfg.PurityPkgs[pkg.Path] {
+			continue
+		}
+		for _, fn := range funcDecls(pkg) {
+			if fn.Recv != nil && cfg.PurityEntries[fn.Name.Name] {
+				if sym := declSymbol(pkg, fn); sym != "" {
+					roots = append(roots, sym)
+				}
+			}
+		}
+	}
+	sort.Strings(roots)
+	return roots
 }
 
 // recordMutations notes every package-level variable of a model package
@@ -227,9 +258,6 @@ func (s *purityScope) checkCall(pkg *Package, fn *ast.FuncDecl, call *ast.CallEx
 	if !cfg.PurityPkgs[path] || cfg.PurityExemptPkgs[path] {
 		return nil
 	}
-	if recv := receiverTypeName(callee); recv != "" && cfg.PurityExemptTypes[path+"."+recv] {
-		return nil
-	}
 	sym := funcSymbol(callee)
 	if sym == "" {
 		return nil
@@ -264,28 +292,6 @@ func (s *purityScope) checkReceiverMapWrite(pkg *Package, fn *ast.FuncDecl, targ
 		return // write under a held mutex: the allowed memo idiom
 	}
 	s.p.Reportf(idx.Pos(), "%s mutates its receiver's map outside a held mutex; concurrent evaluations race", fn.Name.Name)
-}
-
-// declRecvName returns the bare receiver type name of a method
-// declaration, "" for plain functions.
-func declRecvName(fn *ast.FuncDecl) string {
-	if fn.Recv == nil || len(fn.Recv.List) == 0 {
-		return ""
-	}
-	t := fn.Recv.List[0].Type
-	if st, ok := t.(*ast.StarExpr); ok {
-		t = st.X
-	}
-	switch x := t.(type) {
-	case *ast.IndexExpr:
-		t = x.X
-	case *ast.IndexListExpr:
-		t = x.X
-	}
-	if id, ok := t.(*ast.Ident); ok {
-		return id.Name
-	}
-	return ""
 }
 
 // receiverObject returns the declared receiver variable of fn, if any.
@@ -349,24 +355,6 @@ func pkgLevelVar(obj types.Object) *types.Var {
 		return nil
 	}
 	return v
-}
-
-// receiverTypeName returns the bare receiver type name of a method, ""
-// for plain functions.
-func receiverTypeName(fn *types.Func) string {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return ""
-	}
-	t := sig.Recv().Type()
-	if p, isPtr := t.(*types.Pointer); isPtr {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return ""
-	}
-	return named.Obj().Name()
 }
 
 // isSyncType reports types from sync/sync.atomic — primitives whose very

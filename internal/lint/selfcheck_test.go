@@ -53,3 +53,23 @@ func TestRepositoryClean(t *testing.T) {
 		t.Errorf("deleting a directive (simulated by remapping) produced %v, want exactly one missing-directive finding", got)
 	}
 }
+
+// TestPurityRootsEveryEngine pins the shipping entry set to the engines:
+// the purity walk must start from the evaluation method of each one, so
+// renaming that method cannot silently shrink what the analyzer checks.
+func TestPurityRootsEveryEngine(t *testing.T) {
+	pkgs, err := Load("../..", "./internal/arch")
+	if err != nil {
+		t.Fatalf("loading internal/arch: %v", err)
+	}
+	roots := make(map[string]bool)
+	for _, sym := range purityRoots(DefaultConfig(), pkgs) {
+		roots[sym] = true
+	}
+	for _, engine := range []string{"analyticEngine", "simEngine"} {
+		sym := "repro/internal/arch.(" + engine + ").EvaluateCompiledInto"
+		if !roots[sym] {
+			t.Errorf("purity walk does not root at %s (roots: %v)", sym, roots)
+		}
+	}
+}

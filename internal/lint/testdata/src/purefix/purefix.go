@@ -29,7 +29,7 @@ type Engine struct {
 }
 
 // Evaluate commits one of each direct impurity, then exercises the
-// allowed idioms through memoized and uses.
+// allowed idiom through memoized.
 func (e *Engine) Evaluate(n int) (float64, error) {
 	if n < 0 {
 		return 0, errNegative // allowed: read-only sentinel
@@ -39,7 +39,7 @@ func (e *Engine) Evaluate(n int) (float64, error) {
 	e.memo[n] = base         // receiver map write outside any lock
 	totals.Lock()            // use of a package-level sync primitive
 	totals.Unlock()
-	return base + e.uses(&Plan{ms: map[int]int{}}, n), nil
+	return base + e.memoized(n), nil
 }
 
 // EvaluateCompiled reaches an impurity only transitively.
@@ -70,30 +70,6 @@ func (e *Engine) memoized(n int) float64 {
 	}
 	e.memo[n] = float64(n * n)
 	return e.memo[n]
-}
-
-// uses ties the allowed memoization and the exempt Plan into the walk.
-func (e *Engine) uses(p *Plan, n int) float64 {
-	p.Put(n, n)
-	return e.memoized(n)
-}
-
-// Plan is the exempt memoization type: its map writes are by design, and
-// the walk must not descend into its methods.
-type Plan struct {
-	ms map[int]int
-}
-
-// Put mutates freely; the exemption covers it.
-func (p *Plan) Put(k, v int) {
-	p.ms[k] = v
-}
-
-// Evaluate on Plan matches an entry name, but the type exemption must
-// keep it out of the walk's roots.
-func (p *Plan) Evaluate(k int) int {
-	counter = k // would be a finding if the walk started here
-	return p.ms[k]
 }
 
 // Reset does everything the analyzer forbids, but no entry point reaches

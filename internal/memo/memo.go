@@ -4,7 +4,7 @@
 // single-flight: the first caller of a cold key builds it while later
 // callers wait for that build, so each key is built once however many
 // workers ask for it at the same time. Machine caches, kernel plans and
-// schedule memos across explore, cqla and arch are all instances of this
+// schedule memos across explore, sched and arch are all instances of this
 // Map.
 package memo
 

@@ -14,10 +14,10 @@ package perf
 // "import/path.(*Type).Method" or "import/path.(Type).Method".
 func MeasuredFunctions() map[string][]string {
 	return map[string][]string{
-		"AnalyticAdder256":    {"repro/internal/arch.(analyticEngine).Evaluate"},
+		"AnalyticAdder256":    {"repro/internal/arch.(analyticEngine).EvaluateCompiledInto"},
 		"BuildDAG":            {"repro/internal/circuit.BuildDAG"},
 		"BuildDAGInto":        {"repro/internal/circuit.BuildDAGInto"},
-		"CompileOnceEvalMany": {"repro/internal/arch.(simEngine).EvaluateCompiled"},
+		"CompileOnceEvalMany": {"repro/internal/arch.(simEngine).EvaluateCompiledInto"},
 		"ConcatenatedMCLevel2": {
 			"repro/internal/ecc.(*Code).ConcatenatedMonteCarloX",
 		},
