@@ -313,9 +313,9 @@ func BenchmarkMonteCarloXSeeded(b *testing.B) {
 	c := ecc.Steane()
 	var r ecc.MonteCarloResult
 	for i := 0; i < b.N; i++ {
-		r = c.MonteCarloXSeeded(1e-3, 20000, 42)
+		r = c.MonteCarlo(1e-3, 20000, 42, ecc.MC{})
 	}
-	b.ReportMetric(float64(r.LogicalFaults), "faults")
+	b.ReportMetric(float64(r.FaultTrials), "faults")
 }
 
 // BenchmarkMonteCarloBitSliced is a pinned gate benchmark: the transposed
@@ -327,9 +327,9 @@ func BenchmarkMonteCarloBitSliced(b *testing.B) {
 	var r ecc.MonteCarloResult
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r = c.MonteCarloXBatchParallel(1e-3, 20000, 42, 1)
+		r = c.MonteCarlo(1e-3, 20000, 42, ecc.MC{Estimator: ecc.BitSliced, Workers: 1})
 	}
-	b.ReportMetric(float64(r.LogicalFaults), "faults")
+	b.ReportMetric(float64(r.FaultTrials), "faults")
 }
 
 // BenchmarkMonteCarloRareEvent is a pinned gate benchmark: the
@@ -337,10 +337,10 @@ func BenchmarkMonteCarloBitSliced(b *testing.B) {
 // naive estimator observes nothing.
 func BenchmarkMonteCarloRareEvent(b *testing.B) {
 	c := ecc.Steane()
-	var r ecc.RareEventResult
+	var r ecc.MonteCarloResult
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r = c.MonteCarloXRareParallel(1e-4, 20000, 42, 1)
+		r = c.MonteCarlo(1e-4, 20000, 42, ecc.MC{Estimator: ecc.Rare, Workers: 1})
 	}
 	b.ReportMetric(float64(r.FaultTrials), "fault-trials")
 }

@@ -127,7 +127,7 @@ func runSweep(args []string, current bool) {
 	fs := flag.NewFlagSet("cqla sweep", flag.ExitOnError)
 	format := fs.String("format", "text", "output format: text, json or csv")
 	engine := fs.String("engine", "analytic", "evaluation engine for machine-backed sweeps: analytic or des")
-	estimator := fs.String("estimator", "naive", "montecarlo estimator: naive (scalar), bitsliced (64-trial batch) or rare (importance sampling + adaptive budget); montecarlo sweep only")
+	estimator := fs.String("estimator", "naive", "montecarlo estimator: naive (scalar), bitsliced (64-trial batch) or rare (importance sampling + early stop); montecarlo sweep only")
 	parallel := fs.Int("parallel", 0, "worker count (0 = GOMAXPROCS)")
 	seed := fs.Int64("seed", 1, "base seed for stochastic sweeps")
 	cur := fs.Bool("current", current, "use currently demonstrated ion-trap parameters instead of projected")

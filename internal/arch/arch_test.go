@@ -231,6 +231,18 @@ func TestWorkloadValidate(t *testing.T) {
 	if err := arch.NewQFT(8).Validate(); err != nil {
 		t.Errorf("valid workload rejected: %v", err)
 	}
+	for _, w := range []arch.Workload{
+		{Kind: arch.KindCustom, Bits: 4},
+		{Kind: arch.KindCustom, Bits: 0, Name: "c"},
+		{Kind: arch.KindQFT, Bits: 8, Name: "c"},
+	} {
+		if err := w.Validate(); err == nil {
+			t.Errorf("%+v should be rejected", w)
+		}
+	}
+	if err := (arch.Workload{Kind: arch.KindCustom, Bits: 1, Name: "c"}).Validate(); err != nil {
+		t.Errorf("1-qubit custom workload rejected: %v", err)
+	}
 }
 
 // TestResultJSONStable: the envelope is the serving contract — it must

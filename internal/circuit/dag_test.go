@@ -168,29 +168,3 @@ func TestBuildDAGAllocationBudget(t *testing.T) {
 		t.Errorf("BuildDAG: %v allocs/run, want <= 4", n)
 	}
 }
-
-// BenchmarkBuildDAG measures a fresh arena build of the 64-bit
-// carry-lookahead adder's dependency graph — the setup cost that dominated
-// one-shot des evaluations before the arena rework. The gen package is out
-// of reach from here, so the workload is a same-order random soup.
-func BenchmarkBuildDAG(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	c := randomCircuit(rng, 384, 2400) // ~64-bit adder dimensions
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		BuildDAG(c)
-	}
-}
-
-// BenchmarkBuildDAGInto is the amortized path: rebuilding into one DAG.
-func BenchmarkBuildDAGInto(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	c := randomCircuit(rng, 384, 2400)
-	d := BuildDAG(c)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		BuildDAGInto(d, c)
-	}
-}

@@ -3,9 +3,6 @@ package ecc
 import (
 	"math"
 	"math/bits"
-	"runtime"
-	"sync"
-	"sync/atomic"
 )
 
 // Bit-sliced batch Monte Carlo engine.
@@ -42,7 +39,7 @@ const (
 	// exactly the widest syndrome whose flip function fits one uint64.
 	mcMaxSyndromeBits = 6
 	// mcBatchShardBlocks groups 64-trial blocks into work items for the
-	// parallel fan-out, sized to match the scalar path's 4096-trial shards.
+	// shard pool, sized to match the naive path's 4096-trial shards.
 	mcBatchShardBlocks = mcShardTrials / mcBatchLanes
 )
 
@@ -164,14 +161,6 @@ func (d *bitDecoder) batchOK() bool {
 	return len(d.rows) <= mcMaxSyndromeBits
 }
 
-// requireBatch fails loudly if a hypothetical wide code ever reaches the
-// batch entry points; every code this package can construct qualifies.
-func (d *bitDecoder) requireBatch(name string) {
-	if !d.batchOK() {
-		panic("ecc: batch Monte Carlo requires at most 6 syndrome bits: " + name)
-	}
-}
-
 // faultLanes decodes one transposed block: given one lane per qubit it
 // returns the fault lane, bit t set iff trial t's residual after the
 // minimum-weight correction anticommutes with the logical operator.
@@ -235,80 +224,4 @@ func (d *bitDecoder) sampleBatch(n int, p float64, lo, hi, trials int, seed int6
 		faults += bits.OnesCount64(f)
 	}
 	return faults
-}
-
-// sampleBatchParallel fans shards of blocks across a worker pool. Faults are
-// summed with integer atomics, so the total is identical at any worker
-// count; only wall-clock time changes.
-func (d *bitDecoder) sampleBatchParallel(n int, p float64, blocks, trials int, seed int64, workers, shards int) int {
-	var next, faults int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				s := int(atomic.AddInt64(&next, 1)) - 1
-				if s >= shards {
-					return
-				}
-				lo := s * mcBatchShardBlocks
-				hi := lo + mcBatchShardBlocks
-				if hi > blocks {
-					hi = blocks
-				}
-				atomic.AddInt64(&faults, int64(d.sampleBatch(n, p, lo, hi, trials, seed)))
-			}
-		}()
-	}
-	wg.Wait()
-	return int(faults)
-}
-
-// MonteCarloXBatch is MonteCarloXSeeded on the bit-sliced engine: same
-// experiment, same determinism contract (same (p, trials, seed) ⇒ same
-// counts at any parallelism), ~an order of magnitude more trials per second.
-// The batch engine owns its own RNG streams, so its counts differ from the
-// scalar path's for the same seed — both are valid draws from the same
-// distribution, and each is individually reproducible.
-func (c *Code) MonteCarloXBatch(p float64, trials int, seed int64) MonteCarloResult {
-	return c.monteCarloBatch(p, trials, seed, 0, &c.bitX)
-}
-
-// MonteCarloZBatch is MonteCarloXBatch for phase-flip errors.
-func (c *Code) MonteCarloZBatch(p float64, trials int, seed int64) MonteCarloResult {
-	return c.monteCarloBatch(p, trials, seed, 0, &c.bitZ)
-}
-
-// MonteCarloXBatchParallel is MonteCarloXBatch with an explicit worker count
-// (0 or less selects GOMAXPROCS). The result is identical at any setting.
-func (c *Code) MonteCarloXBatchParallel(p float64, trials int, seed int64, workers int) MonteCarloResult {
-	return c.monteCarloBatch(p, trials, seed, workers, &c.bitX)
-}
-
-// MonteCarloZBatchParallel is MonteCarloXBatchParallel for phase-flip errors.
-func (c *Code) MonteCarloZBatchParallel(p float64, trials int, seed int64, workers int) MonteCarloResult {
-	return c.monteCarloBatch(p, trials, seed, workers, &c.bitZ)
-}
-
-func (c *Code) monteCarloBatch(p float64, trials int, seed int64, workers int, d *bitDecoder) MonteCarloResult {
-	res := MonteCarloResult{Trials: trials, PhysicalRate: p}
-	if trials <= 0 {
-		return res
-	}
-	d.requireBatch(c.Name)
-	blocks := (trials + mcBatchLanes - 1) / mcBatchLanes
-	shards := (blocks + mcBatchShardBlocks - 1) / mcBatchShardBlocks
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > shards {
-		workers = shards
-	}
-	if workers == 1 {
-		res.LogicalFaults = d.sampleBatch(c.N, p, 0, blocks, trials, seed)
-	} else {
-		res.LogicalFaults = d.sampleBatchParallel(c.N, p, blocks, trials, seed, workers, shards)
-	}
-	return res
 }

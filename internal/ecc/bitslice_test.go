@@ -3,7 +3,6 @@ package ecc
 import (
 	"math"
 	"math/bits"
-	"runtime"
 	"testing"
 )
 
@@ -93,57 +92,30 @@ func TestMonteCarloBatchMatchesScalarStatistically(t *testing.T) {
 		seed   = 3
 	)
 	for _, c := range Codes() {
-		a := c.MonteCarloXSeeded(p, trials, seed)
-		b := c.MonteCarloXBatch(p, trials, seed)
-		ra, rb := a.LogicalRate(), b.LogicalRate()
-		se := math.Sqrt((ra*(1-ra) + rb*(1-rb)) / trials)
-		if math.Abs(ra-rb) > 6*se {
+		a := c.MonteCarlo(p, trials, seed, MC{})
+		b := c.MonteCarlo(p, trials, seed, MC{Estimator: BitSliced})
+		if se := math.Hypot(a.StdErr, b.StdErr); math.Abs(a.LogicalRate-b.LogicalRate) > 6*se {
 			t.Errorf("%s: scalar rate %g vs batch rate %g differ by %.1f standard errors",
-				c.Name, ra, rb, math.Abs(ra-rb)/se)
+				c.Name, a.LogicalRate, b.LogicalRate, math.Abs(a.LogicalRate-b.LogicalRate)/se)
 		}
-		if b.Trials != trials || b.PhysicalRate != p {
+		if b.Trials != trials || b.PhysicalRate != p || b.TiltRate != p {
 			t.Errorf("%s: batch result echoes %+v", c.Name, b)
 		}
 	}
 }
 
-// TestMonteCarloBatchParallelDeterminism extends the seeded determinism
-// contract to the batch engine: identical counts at parallelism 1, 4 and
-// NumCPU, over a budget with a ragged 64-trial tail block. CI runs this
-// under -race, which also vets the atomic fan-out.
+// TestMonteCarloBatchParallelDeterminism extends the worker-count contract
+// to the batch engine, over a budget with a ragged 64-trial tail block.
 func TestMonteCarloBatchParallelDeterminism(t *testing.T) {
-	const (
-		p      = 0.02
-		trials = 3*mcShardTrials + 517
-		seed   = 99
-	)
-	for _, c := range Codes() {
-		workers := []int{1, 4, runtime.NumCPU()}
-		baseX := c.MonteCarloXBatchParallel(p, trials, seed, workers[0])
-		baseZ := c.MonteCarloZBatchParallel(p, trials, seed, workers[0])
-		if baseX.LogicalFaults == 0 {
-			t.Errorf("%s: no faults at p=%g over %d trials; the test is vacuous", c.Name, p, trials)
-		}
-		for _, w := range workers[1:] {
-			if got := c.MonteCarloXBatchParallel(p, trials, seed, w); got != baseX {
-				t.Errorf("%s: X counts differ at %d workers: %+v vs %+v", c.Name, w, got, baseX)
-			}
-			if got := c.MonteCarloZBatchParallel(p, trials, seed, w); got != baseZ {
-				t.Errorf("%s: Z counts differ at %d workers: %+v vs %+v", c.Name, w, got, baseZ)
-			}
-		}
-		if got := c.MonteCarloXBatch(p, trials, seed); got != baseX {
-			t.Errorf("%s: MonteCarloXBatch differs from the 1-worker result: %+v vs %+v", c.Name, got, baseX)
-		}
-	}
+	checkWorkerDeterminism(t, BitSliced, 0.02, 3*mcShardTrials+517, 99)
 }
 
 // TestMonteCarloBatchSeedSensitivity guards the opposite failure: the seed
 // must steer the block streams.
 func TestMonteCarloBatchSeedSensitivity(t *testing.T) {
 	c := Steane()
-	a := c.MonteCarloXBatch(0.05, 2*mcShardTrials, 1)
-	b := c.MonteCarloXBatch(0.05, 2*mcShardTrials, 2)
+	a := c.MonteCarlo(0.05, 2*mcShardTrials, 1, MC{Estimator: BitSliced})
+	b := c.MonteCarlo(0.05, 2*mcShardTrials, 2, MC{Estimator: BitSliced})
 	if a == b {
 		t.Error("different seeds produced identical batch Monte Carlo counts")
 	}
@@ -154,37 +126,40 @@ func TestMonteCarloBatchSeedSensitivity(t *testing.T) {
 // must make a 37-trial budget mean exactly 37 trials.
 func TestMonteCarloBatchDegenerateBudgets(t *testing.T) {
 	c := BaconShor()
-	if got := c.MonteCarloXBatch(0.1, 0, 5); got.LogicalFaults != 0 || got.Trials != 0 {
+	batch := func(p float64, trials int, seed int64, workers int) MonteCarloResult {
+		return c.MonteCarlo(p, trials, seed, MC{Estimator: BitSliced, Workers: workers})
+	}
+	if got := batch(0.1, 0, 5, 0); got.FaultTrials != 0 || got.Trials != 0 {
 		t.Errorf("zero budget: %+v", got)
 	}
 	for _, trials := range []int{1, 37, mcBatchLanes, mcBatchLanes + 1, mcShardTrials, 2*mcShardTrials + 63} {
-		a := c.MonteCarloXBatchParallel(0.1, trials, 7, 1)
-		b := c.MonteCarloXBatchParallel(0.1, trials, 7, 3)
+		a := batch(0.1, trials, 7, 1)
+		b := batch(0.1, trials, 7, 3)
 		if a != b {
 			t.Errorf("trials=%d: counts differ across worker counts: %+v vs %+v", trials, a, b)
 		}
 		if a.Trials != trials {
 			t.Errorf("trials=%d: result echoes %d", trials, a.Trials)
 		}
-		if a.LogicalFaults > trials {
-			t.Errorf("trials=%d: %d faults exceed the budget (tail mask broken)", trials, a.LogicalFaults)
+		if a.FaultTrials > trials {
+			t.Errorf("trials=%d: %d faults exceed the budget (tail mask broken)", trials, a.FaultTrials)
 		}
 	}
 	// At p=1 every trial of a distance-3 code faults… only if the all-ones
 	// pattern is a logical fault; pin tail masking directly instead: a
 	// 1-trial budget can contribute at most 1 fault even at p=1.
-	if got := c.MonteCarloXBatch(1, 1, 9); got.LogicalFaults > 1 {
-		t.Errorf("p=1, 1 trial: %d faults", got.LogicalFaults)
+	if got := batch(1, 1, 9, 0); got.FaultTrials > 1 {
+		t.Errorf("p=1, 1 trial: %d faults", got.FaultTrials)
 	}
 }
 
 // TestMonteCarloBatchAllocationFree pins the tentpole's steady-state
-// contract: the serial batch path — sampling, syndrome lanes, flip mux,
-// popcount — performs zero allocations.
+// contract: the one-worker batch path — sampling, syndrome lanes, flip
+// mux, popcount — performs zero allocations.
 func TestMonteCarloBatchAllocationFree(t *testing.T) {
 	for _, c := range Codes() {
 		if avg := testing.AllocsPerRun(50, func() {
-			c.MonteCarloXBatchParallel(0.01, 4096, 21, 1)
+			c.MonteCarlo(0.01, 4096, 21, MC{Estimator: BitSliced, Workers: 1})
 		}); avg != 0 {
 			t.Errorf("%s: batch Monte Carlo allocates %.1f times per run, want 0", c.Name, avg)
 		}

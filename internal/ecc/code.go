@@ -4,7 +4,11 @@
 // concatenation-level resource metrics of Table 2 (error-correction time,
 // transversal gate time, physical area, qubit counts), the Gottesman
 // logical-failure-rate estimate, and a Pauli-frame Monte Carlo error
-// injector used to validate the distance-3 claims.
+// injector used to validate the distance-3 claims. One method,
+// Code.MonteCarlo, runs every sampler (naive, bit-sliced, rare-event) on
+// one shard pool; ConcatenatedMonteCarloX samples concatenated blocks; and
+// PseudoThresholdX solves the exact level-1 rate polynomial, which the
+// tests also use as the oracle for every sampled estimate.
 package ecc
 
 import (

@@ -27,20 +27,32 @@ func TestCodeParameters(t *testing.T) {
 	}
 }
 
+// TestDistanceThreeCorrectsAllWeight1 checks A_1 = 0 in both bases: every
+// single-qubit X and Z error is corrected without a logical fault — the
+// operational meaning of distance 3.
 func TestDistanceThreeCorrectsAllWeight1(t *testing.T) {
 	for _, c := range Codes() {
-		if !c.CorrectsAllWeight1() {
-			t.Errorf("%s fails on a weight-1 error", c.Name)
+		for _, b := range []Basis{BasisX, BasisZ} {
+			if a := c.decoder(b).faultEnumerator(c.N); a[0] != 0 || a[1] != 0 {
+				t.Errorf("%s basis %d: A_0=%d A_1=%d logical faults, want none", c.Name, b, a[0], a[1])
+			}
 		}
 	}
 }
 
+// TestSomeWeight2ErrorsFail checks A_2 > 0: distance 3 means weight-2 errors
+// cannot all be corrected. The perfect Steane code miscorrects every one of
+// its C(7,2) = 21 weight-2 patterns into a weight-3 logical operator.
 func TestSomeWeight2ErrorsFail(t *testing.T) {
-	// Distance 3 means weight-2 errors cannot all be corrected.
 	for _, c := range Codes() {
-		if c.Weight2FailureCount() == 0 {
-			t.Errorf("%s corrected every weight-2 error; distance would be >= 5", c.Name)
+		for _, b := range []Basis{BasisX, BasisZ} {
+			if a := c.decoder(b).faultEnumerator(c.N); a[2] == 0 {
+				t.Errorf("%s basis %d corrected every weight-2 error; distance would be >= 5", c.Name, b)
+			}
 		}
+	}
+	if a := Steane().bitX.faultEnumerator(7); a[2] != 21 {
+		t.Errorf("Steane A_2 = %d, want 21", a[2])
 	}
 }
 
@@ -141,27 +153,28 @@ func TestResidualHasTrivialSyndromeProperty(t *testing.T) {
 func TestMonteCarloSuppression(t *testing.T) {
 	// Below threshold the logical rate must be well below the physical
 	// rate, and must drop superlinearly as p decreases.
-	rng := rand.New(rand.NewSource(42))
 	for _, c := range Codes() {
-		hi := c.MonteCarloX(0.02, 200000, rng)
-		lo := c.MonteCarloX(0.002, 200000, rng)
-		if hi.LogicalRate() >= hi.PhysicalRate {
-			t.Errorf("%s: logical rate %.5f not below physical %.5f", c.Name, hi.LogicalRate(), hi.PhysicalRate)
+		hi := c.MonteCarlo(0.02, 200000, 42, MC{})
+		lo := c.MonteCarlo(0.002, 200000, 43, MC{})
+		if hi.LogicalRate >= hi.PhysicalRate {
+			t.Errorf("%s: logical rate %.5f not below physical %.5f", c.Name, hi.LogicalRate, hi.PhysicalRate)
 		}
 		// Quadratic suppression: a 10x drop in p should give ~100x drop in
 		// logical rate; allow a generous factor for MC noise.
-		if lo.LogicalRate() > hi.LogicalRate()/20 {
-			t.Errorf("%s: suppression too weak: %.6f -> %.6f", c.Name, hi.LogicalRate(), lo.LogicalRate())
+		if lo.LogicalRate > hi.LogicalRate/20 {
+			t.Errorf("%s: suppression too weak: %.6f -> %.6f", c.Name, hi.LogicalRate, lo.LogicalRate)
 		}
 	}
 }
 
 func TestMonteCarloZeroErrorRate(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
 	for _, c := range Codes() {
-		res := c.MonteCarloZ(0, 1000, rng)
-		if res.LogicalFaults != 0 {
-			t.Errorf("%s: faults with zero physical error rate", c.Name)
+		for _, est := range []Estimator{Naive, BitSliced, Rare} {
+			// Rare still sees faults at its tilt, but weighs them by zero.
+			res := c.MonteCarlo(0, 1000, 1, MC{Basis: BasisZ, Estimator: est})
+			if res.LogicalRate != 0 || (est != Rare && res.FaultTrials != 0) {
+				t.Errorf("%s estimator %d: faults with zero physical error rate: %+v", c.Name, est, res)
+			}
 		}
 	}
 }

@@ -1,6 +1,10 @@
 package ecc
 
-import "math/rand"
+import (
+	"math"
+	"math/bits"
+	"math/rand"
+)
 
 // ConcatenatedMonteCarloX estimates the logical X failure rate of this code
 // concatenated to the given level, by hierarchical sampling: a level-L
@@ -18,13 +22,13 @@ func (c *Code) ConcatenatedMonteCarloX(level int, p float64, trials int, rng *ra
 	if level < 1 {
 		panic("ecc: concatenation level must be >= 1")
 	}
-	res := MonteCarloResult{Trials: trials, PhysicalRate: p}
+	faults := 0
 	for t := 0; t < trials; t++ {
 		if c.sampleBlockFaultX(level, p, rng) {
-			res.LogicalFaults++
+			faults++
 		}
 	}
-	return res
+	return binomialResult(p, trials, faults)
 }
 
 // sampleBlockFaultX samples whether one level-`level` block suffers a
@@ -48,16 +52,43 @@ func (c *Code) sampleBlockFaultX(level int, p float64, rng *rand.Rand) bool {
 	return c.bitX.fault(e)
 }
 
-// PseudoThresholdX estimates the code's level-1 pseudo-threshold for X
-// errors: the physical rate at which one level of encoding stops helping
-// (logical rate equals physical rate). It bisects on the Monte Carlo
-// estimate; trials bounds the per-point sample count.
-func (c *Code) PseudoThresholdX(trials int, rng *rand.Rand) float64 {
-	lo, hi := 1e-4, 0.5
-	for i := 0; i < 18; i++ {
+// faultEnumerator counts, by weight, the error patterns on n qubits that
+// the decoder turns into a logical fault: A[k] of the C(n,k) weight-k
+// patterns. It decodes all 2^n patterns (512 for Bacon-Shor), so callers
+// compute it on demand rather than at code construction.
+func (d *bitDecoder) faultEnumerator(n int) weightHist {
+	var a weightHist
+	for e := uint64(0); e < 1<<uint(n); e++ {
+		if d.fault(e) {
+			a[bits.OnesCount64(e)]++
+		}
+	}
+	return a
+}
+
+// rate evaluates the exact level-1 logical rate of a fault enumerator at
+// physical rate p: f(p) = Σ_k A_k p^k (1−p)^(n−k). Sub-blocks of a
+// concatenated block fail independently, so level L is f applied L times.
+func (a *weightHist) rate(n int, p float64) float64 {
+	f := 0.0
+	for k := 0; k <= n; k++ {
+		if a[k] != 0 {
+			f += float64(a[k]) * math.Pow(p, float64(k)) * math.Pow(1-p, float64(n-k))
+		}
+	}
+	return f
+}
+
+// PseudoThresholdX returns the code's level-1 pseudo-threshold for X
+// errors: the physical rate at which one level of encoding stops helping,
+// f(p) = p. It bisects the exact logical-rate polynomial to float64
+// resolution, so the value carries no sampling error.
+func (c *Code) PseudoThresholdX() float64 {
+	a := c.bitX.faultEnumerator(c.N)
+	lo, hi := 0.0, 0.5
+	for i := 0; i < 64; i++ {
 		mid := (lo + hi) / 2
-		r := c.MonteCarloX(mid, trials, rng)
-		if r.LogicalRate() < mid {
+		if a.rate(c.N, mid) < mid {
 			lo = mid
 		} else {
 			hi = mid

@@ -1,6 +1,7 @@
 package ecc
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/gf2"
@@ -220,19 +221,19 @@ func TestVectorFallbackPaths(t *testing.T) {
 	mustPanic(t, "DecodeZ(unachievable syndrome)", func() { c.DecodeZ(bogus) })
 }
 
-// TestMonteCarloZSeededMatchesParallel covers the Z-side seeded entry
-// point and its parallel-consistency contract.
+// TestMonteCarloZSeededMatchesParallel covers the Z basis of the naive
+// estimator and its worker-count contract.
 func TestMonteCarloZSeededMatchesParallel(t *testing.T) {
 	c := BaconShor()
-	serial := c.MonteCarloZSeededParallel(0.02, 9000, 3, 1)
-	pooled := c.MonteCarloZSeeded(0.02, 9000, 3)
+	serial := c.MonteCarlo(0.02, 9000, 3, MC{Basis: BasisZ, Workers: 1})
+	pooled := c.MonteCarlo(0.02, 9000, 3, MC{Basis: BasisZ})
 	if serial != pooled {
 		t.Errorf("Z-side seeded counts differ: serial %+v, pooled %+v", serial, pooled)
 	}
-	if serial.LogicalRate() < 0 || serial.LogicalRate() > 1 {
-		t.Errorf("logical rate %v outside [0,1]", serial.LogicalRate())
+	if serial.LogicalRate < 0 || serial.LogicalRate > 1 {
+		t.Errorf("logical rate %v outside [0,1]", serial.LogicalRate)
 	}
-	if (MonteCarloResult{}).LogicalRate() != 0 {
-		t.Error("zero-trial LogicalRate should be 0")
+	if r := (MonteCarloResult{}); r.LogicalRate != 0 || !math.IsInf(r.RelCI(), 1) || r.Resolved(1) {
+		t.Errorf("zero-trial result %+v should read as unresolved rate 0", r)
 	}
 }

@@ -1,90 +1,160 @@
 package ecc
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/gf2"
 )
 
-// MonteCarloResult summarizes a Pauli-frame error-injection experiment.
+// Basis selects the error type a Monte Carlo campaign injects.
+type Basis uint8
+
+const (
+	// BasisX injects bit-flip errors, decoded against the Z-type logical.
+	BasisX Basis = iota
+	// BasisZ injects phase-flip errors, decoded against the X-type logical.
+	BasisZ
+)
+
+// Estimator selects the Monte Carlo sampler.
+type Estimator uint8
+
+const (
+	// Naive is the scalar path: one trial per decode, one rand.Rand stream
+	// per 4096-trial shard. Its streams and counts are frozen.
+	Naive Estimator = iota
+	// BitSliced runs the same experiment 64 trials per word operation on
+	// per-block splitmix64 streams (bitslice.go).
+	BitSliced
+	// Rare samples at a tilted rate and reweights by likelihood ratio
+	// (rare.go). The trial count becomes a budget: the estimator spends it
+	// in grants of 65,536 trials and stops once the 95% CI is within
+	// TargetRelCI of the estimate.
+	Rare
+)
+
+// MC configures one Monte Carlo campaign. The zero value is the naive
+// X-error estimator on GOMAXPROCS workers.
+type MC struct {
+	Basis     Basis
+	Estimator Estimator
+	// Workers bounds the shard pool (0 or less selects GOMAXPROCS). Every
+	// estimator returns the identical result at any setting.
+	Workers int
+}
+
+// Confidence-interval conventions shared by every estimator and by the
+// montecarlo sweep's metrics.
+const (
+	// CIZ is the normal quantile behind every confidence-interval field:
+	// 1.96 standard errors ≈ a 95% interval.
+	CIZ = 1.96
+	// TargetRelCI is the resolution target: an estimate is resolved once
+	// its 95% CI half-width is within 10% of the estimate.
+	TargetRelCI = 0.10
+)
+
+// mcRareChunk is the Rare estimator's trial grant between resolution
+// checks, a whole number of 64-trial blocks.
+const mcRareChunk = 65536
+
+// MonteCarloResult summarizes a Pauli-frame error-injection campaign.
 type MonteCarloResult struct {
-	Trials        int
-	PhysicalRate  float64
-	LogicalFaults int
+	Trials       int     // trials spent
+	PhysicalRate float64 // target rate p the estimate is for
+	TiltRate     float64 // rate q the patterns were sampled at (p unless Rare tilts)
+	FaultTrials  int     // raw faulted trials observed at the sampling rate
+	LogicalRate  float64 // estimate of the logical rate at p
+	StdErr       float64 // standard error of LogicalRate
+	RateBound    float64 // 95% upper bound on the logical rate (rule-of-three when no faults)
 }
 
-// LogicalRate returns the observed logical fault probability.
-func (r MonteCarloResult) LogicalRate() float64 {
-	if r.Trials == 0 {
-		return 0
+// RelCI returns the half-width of the 95% confidence interval relative to
+// the estimate (+Inf when no faults were observed).
+func (r MonteCarloResult) RelCI() float64 {
+	if r.LogicalRate <= 0 {
+		return math.Inf(1)
 	}
-	return float64(r.LogicalFaults) / float64(r.Trials)
+	return CIZ * r.StdErr / r.LogicalRate
 }
 
-// MonteCarloX injects independent X errors with probability p on each
-// physical qubit of one code block, runs the decoder, and counts logical
-// faults. It is a code-capacity (perfect-syndrome-extraction) model: enough
-// to validate the distance of the code and the quadratic suppression of
-// logical errors below threshold, which is what the concatenation math of
-// the architecture model relies on.
+// Resolved reports whether the estimate is statistically resolved: at least
+// one fault observed and a relative CI no wider than target.
+func (r MonteCarloResult) Resolved(target float64) bool {
+	return r.FaultTrials > 0 && r.RelCI() <= target
+}
+
+// binomialResult is the unweighted estimate of the naive, bit-sliced and
+// concatenated samplers: the fault fraction with its binomial standard
+// error.
 //
-// The trial loop runs entirely on the code's precomputed bit decoder: it
-// performs no allocations, draws exactly one rng value per physical qubit
-// per trial, and a given rng stream produces the same counts it always has.
-func (c *Code) MonteCarloX(p float64, trials int, rng *rand.Rand) MonteCarloResult {
-	return c.monteCarlo(p, trials, rng, &c.bitX)
-}
-
-// MonteCarloZ is MonteCarloX for phase-flip errors.
-func (c *Code) MonteCarloZ(p float64, trials int, rng *rand.Rand) MonteCarloResult {
-	return c.monteCarlo(p, trials, rng, &c.bitZ)
-}
-
-// MonteCarloXSeeded runs the X-error injection experiment from a seed, so
-// concurrent design-space sweeps can evaluate points in any order and still
-// reproduce: the same (p, trials, seed) always returns the same counts.
-//
-// The trial budget is split into fixed-size shards, each with a sub-seed
-// derived from (seed, shard index) alone, and the shards are fanned across
-// a worker pool. Because the shard layout depends only on trials — never on
-// worker count or scheduling order — the summed counts are identical at any
-// parallelism, mirroring the explore runner's determinism contract.
-func (c *Code) MonteCarloXSeeded(p float64, trials int, seed int64) MonteCarloResult {
-	return c.monteCarloSeeded(p, trials, seed, 0, &c.bitX)
-}
-
-// MonteCarloZSeeded is MonteCarloXSeeded for phase-flip errors.
-func (c *Code) MonteCarloZSeeded(p float64, trials int, seed int64) MonteCarloResult {
-	return c.monteCarloSeeded(p, trials, seed, 0, &c.bitZ)
-}
-
-// MonteCarloXSeededParallel is MonteCarloXSeeded with an explicit worker
-// count (0 or less selects GOMAXPROCS). The result is identical at any
-// setting — only wall-clock time changes.
-func (c *Code) MonteCarloXSeededParallel(p float64, trials int, seed int64, workers int) MonteCarloResult {
-	return c.monteCarloSeeded(p, trials, seed, workers, &c.bitX)
-}
-
-// MonteCarloZSeededParallel is MonteCarloXSeededParallel for phase-flip
-// errors.
-func (c *Code) MonteCarloZSeededParallel(p float64, trials int, seed int64, workers int) MonteCarloResult {
-	return c.monteCarloSeeded(p, trials, seed, workers, &c.bitZ)
-}
-
-func (c *Code) monteCarlo(p float64, trials int, rng *rand.Rand, d *bitDecoder) MonteCarloResult {
-	return MonteCarloResult{
-		Trials:        trials,
-		PhysicalRate:  p,
-		LogicalFaults: d.sample(c.N, p, trials, rng),
+//cqla:noalloc
+func binomialResult(p float64, trials, faults int) MonteCarloResult {
+	res := MonteCarloResult{Trials: trials, PhysicalRate: p, TiltRate: p, FaultTrials: faults}
+	if trials <= 0 {
+		return res
 	}
+	T := float64(trials)
+	res.LogicalRate = float64(faults) / T
+	res.StdErr = math.Sqrt(res.LogicalRate * (1 - res.LogicalRate) / T)
+	res.RateBound = res.LogicalRate + CIZ*res.StdErr
+	if faults == 0 {
+		res.RateBound = 3 / T
+	}
+	return res
+}
+
+// MonteCarlo injects independent errors with probability p on each
+// physical qubit of one code block, decodes, and estimates the logical
+// fault rate. It is a code-capacity (perfect-syndrome-extraction) model:
+// enough to validate the distance of the code and the quadratic suppression
+// of logical errors below threshold that the concatenation math of the
+// architecture model relies on.
+//
+// The same (p, trials, seed, Basis, Estimator) always returns the same
+// result, at any Workers: every estimator splits its trials into units
+// whose streams are keyed by (seed, unit index) alone, and the shard pool
+// only ever adds integers.
+func (c *Code) MonteCarlo(p float64, trials int, seed int64, o MC) MonteCarloResult {
+	d := c.decoder(o.Basis)
+	workers := o.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if trials < 0 {
+		trials = 0
+	}
+	if o.Estimator != Naive && !d.batchOK() {
+		panic("ecc: batch Monte Carlo requires at most 6 syndrome bits: " + c.Name)
+	}
+	k := mcKernel{d: d, n: c.N, est: o.Estimator, p: p, trials: trials, seed: seed}
+	switch o.Estimator {
+	case Naive:
+		t := k.fanOut(0, (trials+mcShardTrials-1)/mcShardTrials, 1, workers)
+		return binomialResult(p, trials, t.faults)
+	case BitSliced:
+		t := k.fanOut(0, (trials+mcBatchLanes-1)/mcBatchLanes, mcBatchShardBlocks, workers)
+		return binomialResult(p, trials, t.faults)
+	case Rare:
+		return c.monteCarloRare(k, workers)
+	}
+	panic(fmt.Sprintf("ecc: unknown Monte Carlo estimator %d", o.Estimator))
+}
+
+// decoder returns the bit decoder for errors of basis b.
+func (c *Code) decoder(b Basis) *bitDecoder {
+	if b == BasisZ {
+		return &c.bitZ
+	}
+	return &c.bitX
 }
 
 // sample runs trials independent injection+decode rounds on one rng stream
-// and returns the logical-fault count. It is the Monte Carlo inner loop:
-// error masks are built bit by bit (one Float64 per qubit, preserving the
+// and returns the logical-fault count. It is the naive inner loop: error
+// masks are built bit by bit (one Float64 per qubit, preserving the
 // historical stream consumption) and decoded without allocating.
 //
 //cqla:noalloc
@@ -104,60 +174,10 @@ func (d *bitDecoder) sample(n int, p float64, trials int, rng *rand.Rand) int {
 	return faults
 }
 
-// mcShardTrials is the fixed shard size of the seeded Monte Carlo paths.
-// The shard layout is a pure function of the trial budget, which is what
-// makes the parallel result reproducible: workers race over shard indices,
-// not trial ranges.
+// mcShardTrials is the naive estimator's shard size. The shard layout is a
+// pure function of the trial budget, which is what makes its result
+// reproducible at any worker count.
 const mcShardTrials = 4096
-
-func (c *Code) monteCarloSeeded(p float64, trials int, seed int64, workers int, d *bitDecoder) MonteCarloResult {
-	res := MonteCarloResult{Trials: trials, PhysicalRate: p}
-	if trials <= 0 {
-		return res
-	}
-	shards := (trials + mcShardTrials - 1) / mcShardTrials
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > shards {
-		workers = shards
-	}
-	counts := make([]int, shards)
-	run := func(s int) {
-		size := mcShardTrials
-		if rem := trials - s*mcShardTrials; rem < size {
-			size = rem
-		}
-		rng := rand.New(rand.NewSource(shardSeed(seed, s)))
-		counts[s] = d.sample(c.N, p, size, rng)
-	}
-	if workers == 1 {
-		for s := 0; s < shards; s++ {
-			run(s)
-		}
-	} else {
-		var next int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					s := int(atomic.AddInt64(&next, 1)) - 1
-					if s >= shards {
-						return
-					}
-					run(s)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	for _, f := range counts {
-		res.LogicalFaults += f
-	}
-	return res
-}
 
 // shardSeed derives the shard's private seed from the base seed and the
 // shard index with a splitmix64 finalizer, so neighbouring shards (and
@@ -172,38 +192,83 @@ func shardSeed(seed int64, shard int) int64 {
 	return int64(v)
 }
 
-// CorrectsAllWeight1 exhaustively verifies that every single-qubit X and Z
-// error is corrected without a logical fault — the operational meaning of
-// distance 3.
-func (c *Code) CorrectsAllWeight1() bool {
-	for q := 0; q < c.N; q++ {
-		e := gf2.NewVec(c.N)
-		e.Set(q, true)
-		if _, fault := c.CorrectX(e); fault {
-			return false
-		}
-		if _, fault := c.CorrectZ(e); fault {
-			return false
-		}
-	}
-	return true
+// mcKernel is one estimator's sampling work over a range of units:
+// 4096-trial rng shards for Naive, 64-trial blocks for BitSliced and Rare.
+// Each unit draws from its own stream keyed by (seed, unit), so any
+// partition of a range yields the same tally.
+type mcKernel struct {
+	d      *bitDecoder
+	n      int
+	est    Estimator
+	p      float64 // sampling rate (the tilt for Rare)
+	trials int     // trials through the end of the range; caps the last unit
+	seed   int64
 }
 
-// Weight2FailureCount returns how many of the C(n,2) weight-2 X errors
-// produce a logical fault after decoding. For a distance-3 code this must
-// be nonzero (some weight-2 errors are miscorrected into logical
-// operators), which is what bounds the code to single-error correction.
-func (c *Code) Weight2FailureCount() int {
-	fails := 0
-	for i := 0; i < c.N; i++ {
-		for j := i + 1; j < c.N; j++ {
-			e := gf2.NewVec(c.N)
-			e.Set(i, true)
-			e.Set(j, true)
-			if _, fault := c.CorrectX(e); fault {
-				fails++
-			}
+// mcTally is the integer accumulator the shard pool merges: the fault
+// count, plus the faulted trials by error weight for Rare.
+type mcTally struct {
+	faults int
+	hist   weightHist
+}
+
+// span runs units [lo, hi) into t.
+func (k mcKernel) span(lo, hi int, t *mcTally) {
+	switch k.est {
+	case Naive:
+		for s := lo; s < hi; s++ {
+			size := min(mcShardTrials, k.trials-s*mcShardTrials)
+			rng := rand.New(rand.NewSource(shardSeed(k.seed, s)))
+			t.faults += k.d.sample(k.n, k.p, size, rng)
 		}
+	case BitSliced:
+		t.faults += k.d.sampleBatch(k.n, k.p, lo, hi, k.trials, k.seed)
+	case Rare:
+		pr := makeProb(k.p)
+		t.faults += k.d.sampleBatchHist(k.n, &pr, lo, hi, k.trials, k.seed, &t.hist)
 	}
-	return fails
+}
+
+// fanOut is the shard pool: it runs units [lo, hi) in work items of step
+// units across up to workers goroutines and returns the merged tally.
+// Workers race over item indices, never over the unit layout, and tallies
+// merge by integer addition, so the result is identical at any worker
+// count. One worker (or one item) runs inline, allocation-free.
+func (k mcKernel) fanOut(lo, hi, step, workers int) mcTally {
+	items := (hi - lo + step - 1) / step
+	if workers > items {
+		workers = items
+	}
+	if workers <= 1 {
+		var t mcTally
+		k.span(lo, hi, &t)
+		return t
+	}
+	var (
+		next  atomic.Int64
+		mu    sync.Mutex
+		total mcTally
+		wg    sync.WaitGroup
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var local mcTally
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= items {
+					break
+				}
+				a := lo + i*step
+				k.span(a, min(a+step, hi), &local)
+			}
+			mu.Lock()
+			total.faults += local.faults
+			total.hist.add(&local.hist)
+			mu.Unlock()
+		}()
+	}
+	wg.Wait()
+	return total
 }

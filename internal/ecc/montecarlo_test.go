@@ -45,9 +45,9 @@ func TestMonteCarloTrialLoopAllocationFree(t *testing.T) {
 	for _, c := range Codes() {
 		rng := rand.New(rand.NewSource(11))
 		if avg := testing.AllocsPerRun(50, func() {
-			c.MonteCarloX(0.01, 200, rng)
+			c.bitX.sample(c.N, 0.01, 200, rng)
 		}); avg != 0 {
-			t.Errorf("%s: MonteCarloX allocates %.1f times per 200-trial run, want 0", c.Name, avg)
+			t.Errorf("%s: the naive trial loop allocates %.1f times per 200-trial run, want 0", c.Name, avg)
 		}
 		if avg := testing.AllocsPerRun(50, func() {
 			c.ConcatenatedMonteCarloX(2, 0.01, 20, rng)
@@ -57,62 +57,60 @@ func TestMonteCarloTrialLoopAllocationFree(t *testing.T) {
 	}
 }
 
-// TestMonteCarloSeededParallelDeterminism is the contract the explore
-// runner's byte-identical-JSON guarantee rests on: the same (p, trials,
-// seed) must produce identical logical-error counts at parallelism 1, 4
-// and NumCPU. The trial budget spans several shards plus a ragged tail so
-// the shard layout itself is exercised. CI runs this under -race, which
-// also vets the worker pool's sharing discipline.
-func TestMonteCarloSeededParallelDeterminism(t *testing.T) {
-	const (
-		p      = 0.02
-		trials = 3*mcShardTrials + 517
-		seed   = 99
-	)
+// checkWorkerDeterminism is the contract the explore runner's
+// byte-identical-JSON guarantee rests on: the same (p, trials, seed) must
+// produce the identical result, floats included, at 1, 4 and NumCPU
+// workers and at the GOMAXPROCS default, for both bases. CI runs the
+// callers under -race, which also vets the shard pool's sharing
+// discipline.
+func checkWorkerDeterminism(t *testing.T, est Estimator, p float64, trials int, seed int64) {
+	t.Helper()
 	for _, c := range Codes() {
-		workers := []int{1, 4, runtime.NumCPU()}
-		baseX := c.MonteCarloXSeededParallel(p, trials, seed, workers[0])
-		baseZ := c.MonteCarloZSeededParallel(p, trials, seed, workers[0])
-		if baseX.LogicalFaults == 0 {
-			t.Errorf("%s: no faults at p=%g over %d trials; the test is vacuous", c.Name, p, trials)
-		}
-		for _, w := range workers[1:] {
-			if got := c.MonteCarloXSeededParallel(p, trials, seed, w); got != baseX {
-				t.Errorf("%s: X counts differ at %d workers: %+v vs %+v", c.Name, w, got, baseX)
+		for _, b := range []Basis{BasisX, BasisZ} {
+			base := c.MonteCarlo(p, trials, seed, MC{Basis: b, Estimator: est, Workers: 1})
+			if base.FaultTrials == 0 {
+				t.Errorf("%s basis %d: no faults at p=%g over %d trials; the test is vacuous", c.Name, b, p, base.Trials)
 			}
-			if got := c.MonteCarloZSeededParallel(p, trials, seed, w); got != baseZ {
-				t.Errorf("%s: Z counts differ at %d workers: %+v vs %+v", c.Name, w, got, baseZ)
+			for _, w := range []int{4, runtime.NumCPU(), 0} {
+				if got := c.MonteCarlo(p, trials, seed, MC{Basis: b, Estimator: est, Workers: w}); got != base {
+					t.Errorf("%s basis %d: result differs at %d workers: %+v vs %+v", c.Name, b, w, got, base)
+				}
 			}
-		}
-		// The default entry points choose GOMAXPROCS; they must land on the
-		// same counts as every explicit worker count.
-		if got := c.MonteCarloXSeeded(p, trials, seed); got != baseX {
-			t.Errorf("%s: MonteCarloXSeeded differs from the 1-worker result: %+v vs %+v", c.Name, got, baseX)
 		}
 	}
+}
+
+// TestMonteCarloSeededParallelDeterminism pins the naive estimator to the
+// worker-count contract over several shards plus a ragged tail, so the
+// shard layout itself is exercised.
+func TestMonteCarloSeededParallelDeterminism(t *testing.T) {
+	checkWorkerDeterminism(t, Naive, 0.02, 3*mcShardTrials+517, 99)
 }
 
 // TestMonteCarloSeededSeedSensitivity guards the opposite failure: the
 // seed must actually steer the shard streams.
 func TestMonteCarloSeededSeedSensitivity(t *testing.T) {
 	c := Steane()
-	a := c.MonteCarloXSeeded(0.05, 2*mcShardTrials, 1)
-	b := c.MonteCarloXSeeded(0.05, 2*mcShardTrials, 2)
+	a := c.MonteCarlo(0.05, 2*mcShardTrials, 1, MC{})
+	b := c.MonteCarlo(0.05, 2*mcShardTrials, 2, MC{})
 	if a == b {
 		t.Error("different seeds produced identical Monte Carlo counts")
 	}
 }
 
 // TestMonteCarloSeededDegenerateBudgets covers the shard-layout edges: a
-// zero budget, a sub-shard budget and an exact multiple of the shard size.
+// zero or negative budget, a sub-shard budget and an exact multiple of the
+// shard size.
 func TestMonteCarloSeededDegenerateBudgets(t *testing.T) {
 	c := BaconShor()
-	if got := c.MonteCarloXSeeded(0.1, 0, 5); got.LogicalFaults != 0 || got.Trials != 0 {
-		t.Errorf("zero budget: %+v", got)
+	for _, trials := range []int{0, -5} {
+		if got := c.MonteCarlo(0.1, trials, 5, MC{}); got.FaultTrials != 0 || got.Trials != 0 || got.LogicalRate != 0 {
+			t.Errorf("budget %d: %+v", trials, got)
+		}
 	}
 	for _, trials := range []int{1, 37, mcShardTrials, 2 * mcShardTrials} {
-		a := c.MonteCarloXSeededParallel(0.1, trials, 7, 1)
-		b := c.MonteCarloXSeededParallel(0.1, trials, 7, 3)
+		a := c.MonteCarlo(0.1, trials, 7, MC{Workers: 1})
+		b := c.MonteCarlo(0.1, trials, 7, MC{Workers: 3})
 		if a != b {
 			t.Errorf("trials=%d: counts differ across worker counts: %+v vs %+v", trials, a, b)
 		}
@@ -120,4 +118,10 @@ func TestMonteCarloSeededDegenerateBudgets(t *testing.T) {
 			t.Errorf("trials=%d: result echoes %d", trials, a.Trials)
 		}
 	}
+}
+
+// TestMonteCarloUnknownEstimatorPanics pins the loud failure for an
+// estimator value outside the enumeration.
+func TestMonteCarloUnknownEstimatorPanics(t *testing.T) {
+	mustPanic(t, "MonteCarlo(estimator 9)", func() { Steane().MonteCarlo(0.1, 10, 1, MC{Estimator: 9}) })
 }

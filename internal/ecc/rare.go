@@ -3,9 +3,6 @@ package ecc
 import (
 	"math"
 	"math/bits"
-	"runtime"
-	"sync"
-	"sync/atomic"
 )
 
 // Rare-event estimation on top of the bit-sliced batch engine.
@@ -32,10 +29,6 @@ import (
 // hundred trials. Rates at or above the tilt sample untilted (w ≡ 1).
 const mcTiltRate = 0.02
 
-// mcCIZ is the normal quantile behind every confidence-interval field: 1.96
-// standard errors ≈ a 95% interval.
-const mcCIZ = 1.96
-
 // tiltRate returns the sampling rate the rare-event estimator uses for a
 // target physical rate p. It is a pure function of p, part of the
 // determinism contract.
@@ -49,30 +42,11 @@ func tiltRate(p float64) float64 {
 // weightHist counts faulted trials by error weight (n ≤ mcMaxQubits).
 type weightHist [mcMaxQubits + 1]int64
 
-// RareEventResult summarizes an importance-sampled Monte Carlo campaign.
-type RareEventResult struct {
-	Trials       int     // trials spent
-	PhysicalRate float64 // target rate p the estimate is for
-	TiltRate     float64 // rate q the patterns were sampled at
-	FaultTrials  int     // raw faulted trials observed at the tilt
-	LogicalRate  float64 // importance-sampled estimate of the logical rate at p
-	StdErr       float64 // standard error of LogicalRate
-	RateBound    float64 // 95% upper bound on the logical rate (rule-of-three when no faults)
-}
-
-// RelCI returns the half-width of the 95% confidence interval relative to
-// the estimate (+Inf when no faults were observed).
-func (r RareEventResult) RelCI() float64 {
-	if r.LogicalRate <= 0 {
-		return math.Inf(1)
+// add merges another histogram into h.
+func (h *weightHist) add(o *weightHist) {
+	for k := range h {
+		h[k] += o[k]
 	}
-	return mcCIZ * r.StdErr / r.LogicalRate
-}
-
-// Resolved reports whether the estimate is statistically resolved: at least
-// one fault observed and a relative CI no wider than target.
-func (r RareEventResult) Resolved(target float64) bool {
-	return r.FaultTrials > 0 && r.RelCI() <= target
 }
 
 // weightAt returns the likelihood ratio of a weight-k pattern under p
@@ -87,8 +61,8 @@ func weightAt(n, k int, p, q float64) float64 {
 // rareFromHist turns a merged weight histogram into the estimate. All
 // floating-point work happens here, once, in ascending-k order — the
 // parallel paths only ever add integers.
-func rareFromHist(n, minFaultWeight int, p, q float64, trials int, hist *weightHist) RareEventResult {
-	res := RareEventResult{Trials: trials, PhysicalRate: p, TiltRate: q}
+func rareFromHist(n, minFaultWeight int, p, q float64, trials int, hist *weightHist) MonteCarloResult {
+	res := MonteCarloResult{Trials: trials, PhysicalRate: p, TiltRate: q}
 	var sumW, sumW2 float64
 	for k := 0; k <= n; k++ {
 		cnt := hist[k]
@@ -115,7 +89,7 @@ func rareFromHist(n, minFaultWeight int, p, q float64, trials int, hist *weightH
 		// least (d+1)/2 errors to fault, and w(k) decreases in k for p < q.
 		res.RateBound = weightAt(n, minFaultWeight, p, q) * 3 / T
 	} else {
-		res.RateBound = res.LogicalRate + mcCIZ*res.StdErr
+		res.RateBound = res.LogicalRate + CIZ*res.StdErr
 	}
 	return res
 }
@@ -165,224 +139,36 @@ func (d *bitDecoder) sampleBatchHist(n int, pr *mcProb, lo, hi, trials int, seed
 	return faults
 }
 
-// sampleBatchHistParallel fans hist shards across a worker pool and returns
-// the merged histogram; worker histograms merge under a mutex by integer
-// addition, so the merged histogram — and everything computed from it — is
-// identical at any worker count. It owns its accumulator (the escape into
-// the worker closures happens here), which keeps the serial kernel's
-// callers allocation-free.
-func (d *bitDecoder) sampleBatchHistParallel(n int, pr mcProb, lo, hi, trials int, seed int64, workers int) weightHist {
-	var hist weightHist
-	shards := (hi - lo + mcBatchShardBlocks - 1) / mcBatchShardBlocks
-	if workers > shards {
-		workers = shards
-	}
-	if workers <= 1 {
-		d.sampleBatchHist(n, &pr, lo, hi, trials, seed, &hist)
-		return hist
-	}
-	var mu sync.Mutex
-	var next int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p := pr
-			var local weightHist
-			for {
-				s := int(atomic.AddInt64(&next, 1)) - 1
-				if s >= shards {
-					break
-				}
-				slo := lo + s*mcBatchShardBlocks
-				shi := slo + mcBatchShardBlocks
-				if shi > hi {
-					shi = hi
-				}
-				d.sampleBatchHist(n, &p, slo, shi, trials, seed, &local)
-			}
-			mu.Lock()
-			for k := range local {
-				hist[k] += local[k]
-			}
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	return hist
-}
-
-// MonteCarloXRare estimates the X-error logical rate at p with the
-// importance-sampled batch engine on the full trial budget. Same seeding
-// and determinism contract as MonteCarloXBatch: the same (p, trials, seed)
-// produces the byte-identical result at any parallelism.
-func (c *Code) MonteCarloXRare(p float64, trials int, seed int64) RareEventResult {
-	return c.monteCarloRare(p, trials, seed, 0, &c.bitX)
-}
-
-// MonteCarloZRare is MonteCarloXRare for phase-flip errors.
-func (c *Code) MonteCarloZRare(p float64, trials int, seed int64) RareEventResult {
-	return c.monteCarloRare(p, trials, seed, 0, &c.bitZ)
-}
-
-// MonteCarloXRareParallel is MonteCarloXRare with an explicit worker count
-// (0 or less selects GOMAXPROCS).
-func (c *Code) MonteCarloXRareParallel(p float64, trials int, seed int64, workers int) RareEventResult {
-	return c.monteCarloRare(p, trials, seed, workers, &c.bitX)
-}
-
-// MonteCarloZRareParallel is MonteCarloXRareParallel for phase-flip errors.
-func (c *Code) MonteCarloZRareParallel(p float64, trials int, seed int64, workers int) RareEventResult {
-	return c.monteCarloRare(p, trials, seed, workers, &c.bitZ)
-}
-
-func (c *Code) monteCarloRare(p float64, trials int, seed int64, workers int, d *bitDecoder) RareEventResult {
+// monteCarloRare is the Rare estimator: the single-rate early-stop loop.
+// It samples k.trials — the budget — at the tilt from point 0's stream,
+// shardSeed(seed, 0), in grants of mcRareChunk trials (whole 64-trial
+// blocks only), and stops once the estimate is resolved to TargetRelCI.
+// Each grant continues the block sequence where the last one ended and
+// every decision reads only the accumulated integer histogram, so the
+// result — trials spent included — is identical at any worker count.
+func (c *Code) monteCarloRare(k mcKernel, workers int) MonteCarloResult {
+	p, budget := k.p, k.trials
 	q := tiltRate(p)
-	if trials < 0 {
-		trials = 0
-	}
+	k.p, k.seed = q, shardSeed(k.seed, 0)
 	var hist weightHist
-	if trials > 0 {
-		d.requireBatch(c.Name)
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
+	res := rareFromHist(c.N, c.minFaultWeight(), p, q, 0, &hist)
+	for res.Trials < budget {
+		g := min(budget-res.Trials, mcRareChunk) / mcBatchLanes * mcBatchLanes
+		if g == 0 {
+			break
 		}
-		pr := makeProb(q)
-		blocks := (trials + mcBatchLanes - 1) / mcBatchLanes
-		if workers == 1 {
-			d.sampleBatchHist(c.N, &pr, 0, blocks, trials, seed, &hist)
-		} else {
-			hist = d.sampleBatchHistParallel(c.N, pr, 0, blocks, trials, seed, workers)
+		lo := res.Trials / mcBatchLanes
+		k.trials = res.Trials + g
+		t := k.fanOut(lo, lo+g/mcBatchLanes, mcBatchShardBlocks, workers)
+		hist.add(&t.hist)
+		res = rareFromHist(c.N, c.minFaultWeight(), p, q, k.trials, &hist)
+		if res.Resolved(TargetRelCI) {
+			break
 		}
 	}
-	return rareFromHist(c.N, c.minFaultWeight(), p, q, trials, &hist)
+	return res
 }
 
 // minFaultWeight is the smallest error weight that can defeat the decoder:
 // (d+1)/2 for a distance-d code.
 func (c *Code) minFaultWeight() int { return (c.D + 1) / 2 }
-
-// AdaptiveOptions configures the adaptive trial allocator.
-type AdaptiveOptions struct {
-	// Budget is the global trial budget shared by all points (default 1e6).
-	Budget int
-	// Chunk is the trial grant per allocation step, rounded up to a whole
-	// number of 64-trial blocks (default 65536).
-	Chunk int
-	// TargetRelCI is the relative confidence-interval width at which a
-	// point counts as resolved (default 0.10).
-	TargetRelCI float64
-	// Workers bounds the parallelism inside each grant (0 = GOMAXPROCS).
-	// The allocation sequence and every estimate are identical at any
-	// setting.
-	Workers int
-}
-
-func (o AdaptiveOptions) withDefaults() AdaptiveOptions {
-	if o.Budget <= 0 {
-		o.Budget = 1000000
-	}
-	if o.Chunk <= 0 {
-		o.Chunk = 65536
-	}
-	o.Chunk = (o.Chunk + mcBatchLanes - 1) / mcBatchLanes * mcBatchLanes
-	if o.TargetRelCI <= 0 {
-		o.TargetRelCI = 0.10
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	return o
-}
-
-// AdaptivePoint is one physical rate's share of an adaptive campaign.
-type AdaptivePoint struct {
-	PhysicalRate float64
-	Result       RareEventResult
-}
-
-// AdaptiveMonteCarloX spreads a global trial budget across physical-rate
-// points, always feeding the point whose relative confidence interval is
-// widest, and stops early once every point is resolved to the target. Each
-// point continues its own seeded block sequence across grants, and grant
-// decisions depend only on accumulated integer histograms, so the whole
-// campaign — allocation sequence included — is reproducible at any worker
-// count. Points that have not yet faulted count as maximally unresolved and
-// round-robin by spent trials, so a pathologically quiet point cannot
-// starve the rest of the sweep.
-func (c *Code) AdaptiveMonteCarloX(rates []float64, seed int64, opt AdaptiveOptions) []AdaptivePoint {
-	return c.adaptiveMonteCarlo(rates, seed, opt, &c.bitX)
-}
-
-// AdaptiveMonteCarloZ is AdaptiveMonteCarloX for phase-flip errors.
-func (c *Code) AdaptiveMonteCarloZ(rates []float64, seed int64, opt AdaptiveOptions) []AdaptivePoint {
-	return c.adaptiveMonteCarlo(rates, seed, opt, &c.bitZ)
-}
-
-func (c *Code) adaptiveMonteCarlo(rates []float64, seed int64, opt AdaptiveOptions, d *bitDecoder) []AdaptivePoint {
-	opt = opt.withDefaults()
-	pts := make([]AdaptivePoint, len(rates))
-	for i, p := range rates {
-		pts[i].PhysicalRate = p
-		pts[i].Result = rareFromHist(c.N, c.minFaultWeight(), p, tiltRate(p), 0, &weightHist{})
-	}
-	if len(rates) == 0 {
-		return pts
-	}
-	d.requireBatch(c.Name)
-	hists := make([]weightHist, len(rates))
-	spent := 0
-	grant := func(i, g int) {
-		p := rates[i]
-		q := tiltRate(p)
-		pr := makeProb(q)
-		lo := pts[i].Result.Trials / mcBatchLanes
-		hi := lo + g/mcBatchLanes
-		trials := pts[i].Result.Trials + g
-		h := d.sampleBatchHistParallel(c.N, pr, lo, hi, trials, shardSeed(seed, i), opt.Workers)
-		for k := range h {
-			hists[i][k] += h[k]
-		}
-		pts[i].Result = rareFromHist(c.N, c.minFaultWeight(), p, q, trials, &hists[i])
-		spent += g
-	}
-	for spent < opt.Budget {
-		g := opt.Budget - spent
-		if g > opt.Chunk {
-			g = opt.Chunk
-		}
-		g = g / mcBatchLanes * mcBatchLanes
-		if g == 0 {
-			break
-		}
-		// Seeding pass: every point gets one chunk, in order, before the
-		// allocator starts chasing the widest interval.
-		best := -1
-		for i := range pts {
-			if pts[i].Result.Trials == 0 {
-				best = i
-				break
-			}
-		}
-		if best < 0 {
-			bestPri := math.Inf(-1)
-			for i := range pts {
-				r := pts[i].Result
-				if r.Resolved(opt.TargetRelCI) {
-					continue
-				}
-				pri := r.RelCI()
-				if best < 0 || pri > bestPri ||
-					(pri == bestPri && r.Trials < pts[best].Result.Trials) {
-					best, bestPri = i, pri
-				}
-			}
-			if best < 0 {
-				break // every point resolved: stop early, return the budget
-			}
-		}
-		grant(best, g)
-	}
-	return pts
-}

@@ -6,43 +6,26 @@ import (
 	"testing"
 )
 
-// TestRareParallelDeterminism extends the seeded determinism contract to
-// the importance-sampled estimator: the full result — estimate, standard
-// error and bound included — must be byte-identical at parallelism 1, 4 and
-// NumCPU, because every float is computed once from the merged integer
-// histogram. CI runs this under -race.
+// rare runs the Rare estimator with a trial budget.
+func rare(c *Code, p float64, budget int, seed int64, workers int) MonteCarloResult {
+	return c.MonteCarlo(p, budget, seed, MC{Estimator: Rare, Workers: workers})
+}
+
+// TestRareParallelDeterminism extends the worker-count contract to the
+// importance-sampled estimator: the full result — estimate, standard error
+// and bound included — must be identical because every float is computed
+// once from the merged integer histogram.
 func TestRareParallelDeterminism(t *testing.T) {
-	const (
-		p      = 1e-4
-		trials = 3*mcShardTrials + 517
-		seed   = 99
-	)
-	for _, c := range Codes() {
-		workers := []int{1, 4, runtime.NumCPU()}
-		baseX := c.MonteCarloXRareParallel(p, trials, seed, workers[0])
-		baseZ := c.MonteCarloZRareParallel(p, trials, seed, workers[0])
-		if baseX.FaultTrials == 0 {
-			t.Errorf("%s: no faults at tilt %g over %d trials; the test is vacuous", c.Name, baseX.TiltRate, trials)
-		}
-		for _, w := range workers[1:] {
-			if got := c.MonteCarloXRareParallel(p, trials, seed, w); got != baseX {
-				t.Errorf("%s: X results differ at %d workers: %+v vs %+v", c.Name, w, got, baseX)
-			}
-			if got := c.MonteCarloZRareParallel(p, trials, seed, w); got != baseZ {
-				t.Errorf("%s: Z results differ at %d workers: %+v vs %+v", c.Name, w, got, baseZ)
-			}
-		}
-		if got := c.MonteCarloXRare(p, trials, seed); got != baseX {
-			t.Errorf("%s: MonteCarloXRare differs from the 1-worker result: %+v vs %+v", c.Name, got, baseX)
-		}
-	}
+	checkWorkerDeterminism(t, Rare, 1e-4, 3*mcShardTrials+517, 99)
+	// Past the first grant, so the multi-grant path is covered too.
+	checkWorkerDeterminism(t, Rare, 3e-3, 4*mcRareChunk, 5)
 }
 
 // TestRareUntiltedMatchesBatch pins the estimator's p == q degenerate case:
 // at a rate above the tilt floor the rare estimator samples untilted from
-// the same per-block streams as the batch engine, so its raw fault count
-// must equal MonteCarloXBatch's exactly and its estimate must be the plain
-// fault fraction.
+// point 0's block streams, so its raw fault count must equal the batch
+// engine's on the same stream seed and trial count exactly, and its
+// estimate must be the plain fault fraction.
 func TestRareUntiltedMatchesBatch(t *testing.T) {
 	const (
 		p      = 0.05
@@ -50,21 +33,24 @@ func TestRareUntiltedMatchesBatch(t *testing.T) {
 		seed   = 17
 	)
 	for _, c := range Codes() {
-		b := c.MonteCarloXBatch(p, trials, seed)
-		r := c.MonteCarloXRare(p, trials, seed)
+		r := rare(c, p, trials, seed, 0)
 		if r.TiltRate != p {
 			t.Errorf("%s: tilt %g for p=%g above the floor", c.Name, r.TiltRate, p)
 		}
-		if r.FaultTrials != b.LogicalFaults {
-			t.Errorf("%s: untilted rare saw %d faults, batch saw %d", c.Name, r.FaultTrials, b.LogicalFaults)
+		if r.Trials != trials/mcBatchLanes*mcBatchLanes {
+			t.Errorf("%s: spent %d trials of %d; grants are whole blocks", c.Name, r.Trials, trials)
 		}
-		if want := b.LogicalRate(); r.LogicalRate != want {
-			t.Errorf("%s: untilted rare estimate %g, batch rate %g", c.Name, r.LogicalRate, want)
+		b := c.MonteCarlo(p, r.Trials, shardSeed(seed, 0), MC{Estimator: BitSliced})
+		if r.FaultTrials != b.FaultTrials {
+			t.Errorf("%s: untilted rare saw %d faults, batch saw %d", c.Name, r.FaultTrials, b.FaultTrials)
+		}
+		if r.LogicalRate != b.LogicalRate {
+			t.Errorf("%s: untilted rare estimate %g, batch rate %g", c.Name, r.LogicalRate, b.LogicalRate)
 		}
 	}
 }
 
-// TestRareUnbiasedAgainstNaive is the statistical heart of the satellite:
+// TestRareUnbiasedAgainstNaive is the statistical heart of the estimator:
 // at a physical rate the naive estimator can resolve, the tilted
 // importance-sampled estimate must agree with the naive estimate within
 // combined counting error. p = 0.01 sits below the tilt floor, so the rare
@@ -76,34 +62,31 @@ func TestRareUnbiasedAgainstNaive(t *testing.T) {
 		seed   = 8
 	)
 	for _, c := range Codes() {
-		naive := c.MonteCarloXBatch(p, trials, seed)
-		rare := c.MonteCarloXRare(p, trials, seed+1) // independent streams
-		if rare.TiltRate != mcTiltRate {
-			t.Fatalf("%s: expected tilted sampling at %g, got %g", c.Name, mcTiltRate, rare.TiltRate)
+		naive := c.MonteCarlo(p, trials, seed, MC{Estimator: BitSliced})
+		r := rare(c, p, trials, seed+1, 0) // independent streams
+		if r.TiltRate != mcTiltRate {
+			t.Fatalf("%s: expected tilted sampling at %g, got %g", c.Name, mcTiltRate, r.TiltRate)
 		}
-		nr := naive.LogicalRate()
-		naiveSE := math.Sqrt(nr * (1 - nr) / trials)
-		se := math.Hypot(naiveSE, rare.StdErr)
-		if diff := math.Abs(nr - rare.LogicalRate); diff > 6*se {
+		se := math.Hypot(naive.StdErr, r.StdErr)
+		if diff := math.Abs(naive.LogicalRate - r.LogicalRate); diff > 6*se {
 			t.Errorf("%s: naive %g vs importance-sampled %g differ by %.1f combined standard errors",
-				c.Name, nr, rare.LogicalRate, diff/se)
+				c.Name, naive.LogicalRate, r.LogicalRate, diff/se)
 		}
-		if !rare.Resolved(0.1) {
+		if !r.Resolved(TargetRelCI) {
 			t.Errorf("%s: rare estimator unresolved at p=%g over %d trials: relCI=%g",
-				c.Name, p, trials, rare.RelCI())
+				c.Name, p, r.Trials, r.RelCI())
 		}
 	}
 }
 
-// TestRareResolvesDeepPoints is the acceptance criterion of the tentpole's
-// statistics layer: at p = 1e-5 — where the naive estimator would need
-// ~10^11 trials — the adaptive rare-event estimator must deliver a relative
-// CI of at most 10% well inside the 1M-trial budget.
+// TestRareResolvesDeepPoints is the acceptance criterion of the rare-event
+// estimator: at p = 1e-5 — where the naive estimator would need ~10^11
+// trials — it must deliver a relative CI of at most 10% well inside a
+// 1M-trial budget.
 func TestRareResolvesDeepPoints(t *testing.T) {
 	for _, c := range Codes() {
-		pts := c.AdaptiveMonteCarloX([]float64{1e-5}, 42, AdaptiveOptions{Budget: 1000000})
-		r := pts[0].Result
-		if !r.Resolved(0.1) {
+		r := rare(c, 1e-5, 1000000, 42, 0)
+		if !r.Resolved(TargetRelCI) {
 			t.Fatalf("%s: p=1e-5 unresolved after %d trials: relCI=%g", c.Name, r.Trials, r.RelCI())
 		}
 		if r.Trials >= 1000000 {
@@ -117,71 +100,67 @@ func TestRareResolvesDeepPoints(t *testing.T) {
 	}
 }
 
-// TestAdaptiveAllocation exercises the global allocator: a mixed sweep
-// must resolve every point within budget, spend more trials on harder
-// points only while they are unresolved, stop early, and allocate
-// identically at any worker count.
+// TestAdaptiveAllocation exercises the early-stop loop: grants are whole
+// 64-trial blocks in chunks of mcRareChunk, the loop stops at the first
+// resolved grant (one chunk less leaves the estimate unresolved), the
+// result is a prefix of the same block sequence a larger budget would
+// draw, and none of it depends on the worker count.
 func TestAdaptiveAllocation(t *testing.T) {
 	c := Steane()
-	rates := []float64{3e-3, 1e-4, 1e-5}
-	opt := AdaptiveOptions{Budget: 1000000, Workers: 1}
-	pts := c.AdaptiveMonteCarloX(rates, 7, opt)
-	total := 0
-	for i, pt := range pts {
-		r := pt.Result
-		if pt.PhysicalRate != rates[i] {
-			t.Errorf("point %d echoes rate %g", i, pt.PhysicalRate)
+	const budget = 1000000
+	for _, p := range []float64{3e-3, 1e-4, 1e-5} {
+		r := rare(c, p, budget, 7, 1)
+		if !r.Resolved(TargetRelCI) {
+			t.Errorf("p=%g unresolved: relCI=%g after %d trials", p, r.RelCI(), r.Trials)
 		}
-		if !r.Resolved(0.1) {
-			t.Errorf("p=%g unresolved: relCI=%g after %d trials", pt.PhysicalRate, r.RelCI(), r.Trials)
+		if r.Trials%mcRareChunk != 0 || r.Trials >= budget {
+			t.Errorf("p=%g: stopped after %d trials, want a multiple of %d below the budget", p, r.Trials, mcRareChunk)
 		}
-		if r.Trials%mcBatchLanes != 0 {
-			t.Errorf("p=%g: %d trials is not a whole number of blocks", pt.PhysicalRate, r.Trials)
+		if r.Trials > mcRareChunk {
+			if prev := rare(c, p, r.Trials-mcRareChunk, 7, 1); prev.Resolved(TargetRelCI) {
+				t.Errorf("p=%g: already resolved after %d trials, yet the loop spent %d", p, prev.Trials, r.Trials)
+			}
 		}
-		total += r.Trials
-	}
-	if total > opt.Budget {
-		t.Errorf("allocator overspent: %d > %d", total, opt.Budget)
-	}
-	if total == opt.Budget {
-		t.Error("allocator never stopped early on a fully resolved sweep")
-	}
-	for _, w := range []int{4, runtime.NumCPU()} {
-		opt.Workers = w
-		got := c.AdaptiveMonteCarloX(rates, 7, opt)
-		for i := range got {
-			if got[i] != pts[i] {
-				t.Errorf("workers=%d: point %d differs: %+v vs %+v", w, i, got[i], pts[i])
+		// A budget that ends exactly at the stopping point draws the same
+		// blocks and so returns the same result.
+		if got := rare(c, p, r.Trials, 7, 1); got != r {
+			t.Errorf("p=%g: budget %d gives %+v, want the early-stopped %+v", p, r.Trials, got, r)
+		}
+		for _, w := range []int{4, runtime.NumCPU()} {
+			if got := rare(c, p, budget, 7, w); got != r {
+				t.Errorf("p=%g workers=%d: %+v vs %+v", p, w, got, r)
 			}
 		}
 	}
 }
 
-// TestAdaptiveDegenerateInputs covers the allocator's edges: no points, a
-// zero budget smaller than one block, and a seed change steering every
-// stream.
+// TestAdaptiveDegenerateInputs covers the loop's edges: zero and sub-block
+// budgets spend nothing, a budget that is not a block multiple is rounded
+// down to whole blocks, and a seed change steers the stream.
 func TestAdaptiveDegenerateInputs(t *testing.T) {
 	c := BaconShor()
-	if pts := c.AdaptiveMonteCarloX(nil, 1, AdaptiveOptions{}); len(pts) != 0 {
-		t.Errorf("no rates produced %d points", len(pts))
+	for _, budget := range []int{-1, 0, 63} {
+		r := rare(c, 1e-3, budget, 1, 0)
+		if r.Trials != 0 || r.FaultTrials != 0 || r.LogicalRate != 0 {
+			t.Errorf("budget %d: spent %+v", budget, r)
+		}
 	}
-	pts := c.AdaptiveMonteCarloX([]float64{1e-3}, 1, AdaptiveOptions{Budget: 63})
-	if got := pts[0].Result.Trials; got != 0 {
-		t.Errorf("sub-block budget spent %d trials", got)
+	if got := rare(c, 1e-3, mcRareChunk+100, 1, 0).Trials; got%mcBatchLanes != 0 || got > mcRareChunk+100 {
+		t.Errorf("budget %d: spent %d trials, want whole blocks within the budget", mcRareChunk+100, got)
 	}
-	a := c.AdaptiveMonteCarloX([]float64{1e-4}, 1, AdaptiveOptions{Budget: 1 << 17})
-	b := c.AdaptiveMonteCarloX([]float64{1e-4}, 2, AdaptiveOptions{Budget: 1 << 17})
-	if a[0].Result.FaultTrials == b[0].Result.FaultTrials && a[0].Result.LogicalRate == b[0].Result.LogicalRate {
-		t.Error("different seeds produced identical adaptive results")
+	a := rare(c, 1e-4, 1<<17, 1, 0)
+	b := rare(c, 1e-4, 1<<17, 2, 0)
+	if a.FaultTrials == b.FaultTrials && a.LogicalRate == b.LogicalRate {
+		t.Error("different seeds produced identical rare-event results")
 	}
 }
 
-// TestRareHistKernelAllocationFree pins the importance-sampling kernel to
-// the same steady-state contract as the plain batch path.
+// TestRareHistKernelAllocationFree pins the importance-sampling path to the
+// same steady-state contract as the plain batch path at one worker.
 func TestRareHistKernelAllocationFree(t *testing.T) {
 	for _, c := range Codes() {
 		if avg := testing.AllocsPerRun(50, func() {
-			c.MonteCarloXRareParallel(1e-4, 4096, 21, 1)
+			rare(c, 1e-4, 4096, 21, 1)
 		}); avg != 0 {
 			t.Errorf("%s: rare Monte Carlo allocates %.1f times per run, want 0", c.Name, avg)
 		}

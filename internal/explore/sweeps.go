@@ -3,7 +3,6 @@ package explore
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"repro/internal/arch"
 	"repro/internal/cache"
@@ -14,16 +13,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/transfer"
-)
-
-// Montecarlo confidence-interval conventions: the 95% normal quantile for
-// CI metrics and the resolution target (a point is resolved when its 95%
-// CI half-width is within 10% of the estimate). They mirror the ecc
-// package's internal constants so sweep metrics and estimator early
-// stopping agree.
-const (
-	mcCIZ         = 1.96
-	mcTargetRelCI = 0.10
 )
 
 // Built-in experiments: every sweepable table and figure of the CQLA paper
@@ -544,7 +533,7 @@ func xvalExp() *Experiment {
 // code × physical error rate, with the per-point deterministic seed the
 // runner derives — the sweep reproduces bit-for-bit at any parallelism.
 // Determinism holds at two levels: the runner derives each point's seed
-// from its coordinates (never evaluation order), and MonteCarloXSeeded
+// from its coordinates (never evaluation order), and ecc's MonteCarlo
 // itself fans fixed-size shards with seed-derived sub-streams across a
 // worker pool, so its counts are identical whether the point runs on one
 // core or many. `-parallel` therefore changes wall-clock only, even
@@ -560,10 +549,9 @@ const (
 	// engine: 64 trials per word operation, an order of magnitude more
 	// trials per second, its own (equally deterministic) RNG streams.
 	EstimatorBitSliced = "bitsliced"
-	// EstimatorRare adds importance sampling and adaptive trial
-	// allocation: the trials axis becomes a per-point budget, and points
-	// the naive estimator cannot resolve report tight confidence
-	// intervals.
+	// EstimatorRare adds importance sampling and an early stop: the
+	// trials axis becomes a per-point budget, and points the naive
+	// estimator cannot resolve report tight confidence intervals.
 	EstimatorRare = "rare"
 )
 
@@ -591,7 +579,7 @@ func NewMonteCarloExperiment(estimator string) (*Experiment, error) {
 
 // mcAxes is the shared design space of every montecarlo estimator. The
 // trials axis is an exact trial count for naive and bitsliced and a trial
-// budget for the adaptive rare-event estimator.
+// budget for the early-stopping rare-event estimator.
 func mcAxes() []Axis {
 	return []Axis{
 		Strings("code", codeNames()...),
@@ -650,21 +638,21 @@ func monteCarloExp() *Experiment {
 			}
 			p := in.Float("physical_rate")
 			trials := in.Int("trials")
-			r := c.MonteCarloXSeeded(p, trials, in.Seed)
-			logical := r.LogicalRate()
+			r := c.MonteCarlo(p, trials, in.Seed, ecc.MC{})
+			logical := r.LogicalRate
 			// Rule of three: zero observed faults bounds the true logical
 			// rate at ~3/trials with 95% confidence, so suppression_lb
 			// stays a finite, honest lower bound at operating points the
 			// trial budget cannot resolve (resolved reports which).
 			resolved, bound := 1.0, logical
-			if r.LogicalFaults == 0 {
+			if r.FaultTrials == 0 {
 				resolved, bound = 0, 3/float64(trials)
 			}
 			// The metric set is frozen: naive output is byte-identical
 			// across releases, which is why the bound is not emitted here.
 			return []Metric{
 				{"logical_rate", logical},
-				{"logical_faults", float64(r.LogicalFaults)},
+				{"logical_faults", float64(r.FaultTrials)},
 				{"suppression_lb", p / bound},
 				{"resolved", resolved},
 			}, nil
@@ -693,36 +681,27 @@ func monteCarloBatchExp() *Experiment {
 			p := in.Float("physical_rate")
 			trials := in.Int("trials")
 			_, sp := obs.StartSpan(ctx, "mc-bitsliced")
-			r := c.MonteCarloXBatch(p, trials, in.Seed)
+			r := c.MonteCarlo(p, trials, in.Seed, ecc.MC{Estimator: ecc.BitSliced})
 			sp.End()
 			mcRecord(in.Obs, EstimatorBitSliced, trials)
-			logical := r.LogicalRate()
-			se := math.Sqrt(logical * (1 - logical) / float64(trials))
-			relCI := math.Inf(1)
-			if logical > 0 {
-				relCI = mcCIZ * se / logical
-			}
-			resolved, bound := 0.0, logical+mcCIZ*se
-			if relCI <= mcTargetRelCI {
+			resolved := 0.0
+			if r.Resolved(ecc.TargetRelCI) {
 				resolved = 1
 			}
-			if r.LogicalFaults == 0 {
-				bound = 3 / float64(trials)
-			}
 			return []Metric{
-				{"logical_rate", logical},
-				{"logical_faults", float64(r.LogicalFaults)},
-				{"suppression_lb", p / bound},
+				{"logical_rate", r.LogicalRate},
+				{"logical_faults", float64(r.FaultTrials)},
+				{"suppression_lb", p / r.RateBound},
 				{"resolved", resolved},
-				{"rate_bound", bound},
-				{"rel_ci_95", relCI},
+				{"rate_bound", r.RateBound},
+				{"rel_ci_95", r.RelCI()},
 			}, nil
 		},
 	}
 }
 
 // monteCarloRareExp is the montecarlo sweep on the importance-sampled
-// adaptive estimator: the trials axis is a per-point budget, sampling is
+// estimator: the trials axis is a per-point budget, sampling is
 // tilted toward a resolvable error rate and reweighted by likelihood
 // ratio, and the estimator stops early once the 95% CI is within 10% of
 // the estimate — resolving operating points (p ≈ 1e-5) that the naive
@@ -744,15 +723,11 @@ func monteCarloRareExp() *Experiment {
 			p := in.Float("physical_rate")
 			budget := in.Int("trials")
 			_, sp := obs.StartSpan(ctx, "mc-rare")
-			pts := c.AdaptiveMonteCarloX([]float64{p}, in.Seed, ecc.AdaptiveOptions{
-				Budget:      budget,
-				TargetRelCI: mcTargetRelCI,
-			})
+			r := c.MonteCarlo(p, budget, in.Seed, ecc.MC{Estimator: ecc.Rare})
 			sp.End()
-			r := pts[0].Result
 			mcRecord(in.Obs, EstimatorRare, r.Trials)
 			resolved := 0.0
-			if r.Resolved(mcTargetRelCI) {
+			if r.Resolved(ecc.TargetRelCI) {
 				resolved = 1
 			}
 			return []Metric{

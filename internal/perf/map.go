@@ -39,10 +39,8 @@ func MeasuredFunctions() map[string][]string {
 		"MonteCarloRareEvent": {
 			"repro/internal/ecc.(*bitDecoder).sampleBatchHist",
 		},
-		"MonteCarloXSeeded": {"repro/internal/ecc.(*Code).MonteCarloXSeeded"},
-		"MonteCarloXSeededSerial": {
-			"repro/internal/ecc.(*Code).MonteCarloXSeededParallel",
-		},
+		"MonteCarloXSeeded":       {"repro/internal/ecc.(*Code).MonteCarlo"},
+		"MonteCarloXSeededSerial": {"repro/internal/ecc.(*Code).MonteCarlo"},
 		"PublicDecode": {
 			"repro/internal/ecc.(*Code).SyndromeX",
 			"repro/internal/ecc.(*Code).DecodeX",

@@ -72,7 +72,7 @@ func init() {
 			c := ecc.Steane()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.MonteCarloXSeededParallel(1e-3, 20000, 42, 1)
+				c.MonteCarlo(1e-3, 20000, 42, ecc.MC{Workers: 1})
 			}
 		},
 	})
@@ -83,7 +83,7 @@ func init() {
 			c := ecc.Steane()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.MonteCarloXSeeded(1e-3, 20000, 42)
+				c.MonteCarlo(1e-3, 20000, 42, ecc.MC{})
 			}
 		},
 	})
@@ -273,19 +273,19 @@ func init() {
 			c := ecc.Steane()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.MonteCarloXBatchParallel(1e-3, 20000, 42, 1)
+				c.MonteCarlo(1e-3, 20000, 42, ecc.MC{Estimator: ecc.BitSliced, Workers: 1})
 			}
 		},
 	})
 	mustRegister(Benchmark{
 		Name: "MonteCarloRareEvent",
-		Doc:  "20000 importance-sampled Monte Carlo trials at p=1e-4 on one worker",
+		Doc:  "importance-sampled Monte Carlo at p=1e-4 on one worker: a 20000-trial budget, one 19968-trial grant",
 		F: func(b *B) {
 			c := ecc.Steane()
-			var r ecc.RareEventResult
+			var r ecc.MonteCarloResult
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r = c.MonteCarloXRareParallel(1e-4, 20000, 42, 1)
+				r = c.MonteCarlo(1e-4, 20000, 42, ecc.MC{Estimator: ecc.Rare, Workers: 1})
 			}
 			b.ReportMetric(float64(r.FaultTrials), "fault-trials")
 		},
