@@ -7,14 +7,12 @@
 package repro_bench
 
 import (
-	"context"
 	"testing"
 
 	"repro/internal/cache"
 	"repro/internal/circuit"
 	"repro/internal/cqla"
 	"repro/internal/ecc"
-	"repro/internal/explore"
 	"repro/internal/gen"
 	"repro/internal/mesh"
 	"repro/internal/phys"
@@ -249,100 +247,6 @@ func BenchmarkAblationTransferWidth(b *testing.B) {
 	b.ReportMetric(s5, "L1-speedup-xfer5")
 	b.ReportMetric(s10, "L1-speedup-xfer10")
 	b.ReportMetric(s20, "L1-speedup-xfer20")
-}
-
-// BenchmarkEndToEndPipeline measures the full pipeline on one working
-// point: generate the adder, schedule it, size the machine and report its
-// figures of merit.
-func BenchmarkEndToEndPipeline(b *testing.B) {
-	p := phys.Projected()
-	var gp float64
-	for i := 0; i < b.N; i++ {
-		m := cqla.New(cqla.Config{Code: ecc.BaconShor(), Params: p, ComputeBlocks: 36, ParallelTransfers: 10})
-		gp = m.GainProduct(cqla.AdderKernel(256), 5*256+3, true)
-	}
-	b.ReportMetric(gp, "gain-product")
-}
-
-// --- Design-space exploration engine -------------------------------------
-
-// benchExplore runs the multi-axis pareto sweep (blocks x cache factor,
-// 45 points of full 256-bit machine evaluations) through the explore
-// worker pool at a fixed worker count.
-func benchExplore(b *testing.B, parallel int) {
-	exp, err := explore.Lookup("pareto")
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := phys.Projected()
-	var pts []explore.Point
-	for i := 0; i < b.N; i++ {
-		pts, err = explore.Run(context.Background(), exp, explore.Options{Phys: p, Parallel: parallel, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	best := 0.0
-	for _, pt := range pts {
-		if g := pt.MustMetric("gain_product"); g > best {
-			best = g
-		}
-	}
-	b.ReportMetric(best, "best-gain-product")
-	b.ReportMetric(float64(len(pts)), "points")
-}
-
-// BenchmarkExploreSerial is the single-worker baseline for the engine.
-func BenchmarkExploreSerial(b *testing.B) { benchExplore(b, 1) }
-
-// BenchmarkExploreParallel fans the same sweep across GOMAXPROCS workers;
-// compare against BenchmarkExploreSerial for the engine's parallel
-// speedup (near-linear until the point count stops covering the workers).
-func BenchmarkExploreParallel(b *testing.B) { benchExplore(b, 0) }
-
-// --- Hot paths under the CI regression gate ------------------------------
-//
-// BenchmarkConcatenatedMCLevel2 (internal/ecc) and BenchmarkDES64BitAdder
-// (internal/des) are also pinned in the gate; they live next to the code
-// they measure.
-
-// BenchmarkMonteCarloXSeeded is a pinned gate benchmark: the seeded,
-// sharded Monte Carlo path the montecarlo sweep runs, across the worker
-// pool (throughput scales with cores; counts do not change).
-func BenchmarkMonteCarloXSeeded(b *testing.B) {
-	c := ecc.Steane()
-	var r ecc.MonteCarloResult
-	for i := 0; i < b.N; i++ {
-		r = c.MonteCarlo(1e-3, 20000, 42, ecc.MC{})
-	}
-	b.ReportMetric(float64(r.FaultTrials), "faults")
-}
-
-// BenchmarkMonteCarloBitSliced is a pinned gate benchmark: the transposed
-// 64-trials-per-decode Monte Carlo engine on the same workload as the
-// scalar BenchmarkMonteCarloXSeeded path (one worker, 20000 trials, seed
-// 42), so the ratio of the two rows is the bit-slicing speedup.
-func BenchmarkMonteCarloBitSliced(b *testing.B) {
-	c := ecc.Steane()
-	var r ecc.MonteCarloResult
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r = c.MonteCarlo(1e-3, 20000, 42, ecc.MC{Estimator: ecc.BitSliced, Workers: 1})
-	}
-	b.ReportMetric(float64(r.FaultTrials), "faults")
-}
-
-// BenchmarkMonteCarloRareEvent is a pinned gate benchmark: the
-// importance-sampled estimator in the deep sub-threshold regime where the
-// naive estimator observes nothing.
-func BenchmarkMonteCarloRareEvent(b *testing.B) {
-	c := ecc.Steane()
-	var r ecc.MonteCarloResult
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r = c.MonteCarlo(1e-4, 20000, 42, ecc.MC{Estimator: ecc.Rare, Workers: 1})
-	}
-	b.ReportMetric(float64(r.FaultTrials), "fault-trials")
 }
 
 // BenchmarkTransferBatch measures the transfer-network batch model.

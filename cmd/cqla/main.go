@@ -299,7 +299,7 @@ Flags:
 // runBench handles `cqla bench [flags]`: the perf harness over the
 // registered benchmark suite, emitting the versioned BENCH.json document
 // and, with -baseline, a benchstat-style delta table against a previous
-// document (the CI regression gate's preferred path).
+// document (the CI regression gate's only path).
 func runBench(args []string) {
 	fs := flag.NewFlagSet("cqla bench", flag.ExitOnError)
 	filter := fs.String("filter", "", "regexp selecting benchmarks by name (default: all)")
@@ -307,7 +307,7 @@ func runBench(args []string) {
 	list := fs.Bool("list", false, "list registered benchmarks and exit")
 	benchtime := fs.Duration("benchtime", perf.DefaultBenchTime, "per-benchmark measurement budget")
 	baseline := fs.String("baseline", "", "compare against a previous BENCH.json and print a delta table")
-	gate := fs.Float64("gate", 0, "with -baseline: exit nonzero when the sec/op geomean regresses more than this percent (0 disables)")
+	gate := fs.Float64("gate", 0, "with -baseline: exit nonzero when the sec/op geomean over rows whose baseline is >= "+perf.GateFloor.String()+" regresses more than this percent (0 disables)")
 	fs.Usage = func() {
 		fmt.Fprintf(os.Stderr, `usage: cqla bench [-filter re] [-out BENCH.json] [-benchtime d] [-baseline old.json [-gate pct]] [-list]
 
@@ -319,11 +319,13 @@ Progress goes to stderr, the JSON document to -out (or stdout).
 
 With -baseline, a benchstat-style sec/op delta table against the previous
 document is printed to stderr, and -gate N fails the run when the
-geometric-mean regression exceeds N%% — the CI gate's fast path, replacing
-a full merge-base rebuild whenever a baseline artifact exists.
+geometric-mean regression exceeds N%%. The geomean covers only the common
+rows whose baseline ns/op is at least %v; faster rows are printed but not
+gated, and a comparison in which no common row reaches the floor fails.
+CI gates head against a merge-base document measured on the same runner.
 
 Flags:
-`, perf.SchemaVersion)
+`, perf.SchemaVersion, perf.GateFloor)
 		fs.PrintDefaults()
 		fmt.Fprintf(os.Stderr, "\nBenchmarks:\n")
 		listBenchmarks(os.Stderr)
@@ -406,8 +408,10 @@ Flags:
 		// than report a vacuous pass.
 		log.Fatalf("cqla: baseline %s shares no benchmarks with this build", *baseline)
 	}
-	if *gate > 0 && cmp.GeomeanPct > *gate {
-		log.Fatalf("cqla: sec/op geomean regressed %+.2f%% (> %g%% gate)", cmp.GeomeanPct, *gate)
+	if *gate > 0 {
+		if err := cmp.Gate(*gate); err != nil {
+			log.Fatalf("cqla: %v", err)
+		}
 	}
 }
 

@@ -152,33 +152,6 @@ func TestResolveMatchesNew(t *testing.T) {
 	}
 }
 
-// BenchmarkCompileOnceEvalMany measures the intended hot-loop shape: one
-// Machine.Compile, then repeated des-engine evaluations of the 64-bit
-// adder. Compare against BenchmarkDES64BitAdder (which pays the DAG build
-// per run) for the compile-once gain.
-func BenchmarkCompileOnceEvalMany(b *testing.B) {
-	m, err := arch.New(arch.WithCodeName("bacon-shor"), arch.WithBlocks(9))
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng, err := m.Engine(arch.EngineDES)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cw, err := m.Compile(arch.NewAdder(64, false))
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := arch.EvaluateCompiled(ctx, eng, cw); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // TestEvaluateCompiledIntoMatches pins buffer reuse to a fresh result: for
 // both engines and every paper kind, writing into a result whose metric
 // buffer holds stale garbage must produce the exact envelope the

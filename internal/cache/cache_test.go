@@ -226,34 +226,6 @@ func TestFetchMatchesReference(t *testing.T) {
 	}
 }
 
-func BenchmarkOptimizedFetch256(b *testing.B) {
-	ad := gen.CarryLookahead(256)
-	cfg := Config{CacheQubits: 648, Policy: Optimized}
-	b.ReportAllocs()
-	for b.Loop() {
-		Simulate(ad.Circuit, cfg)
-	}
-}
-
-// The 1024-bit adder at its Figure 7 1xPE capacity (100 blocks x 9).
-func BenchmarkOptimizedFetch1024(b *testing.B) {
-	ad := gen.CarryLookahead(1024)
-	cfg := Config{CacheQubits: 900, Policy: Optimized}
-	b.ReportAllocs()
-	for b.Loop() {
-		Simulate(ad.Circuit, cfg)
-	}
-}
-
-func BenchmarkNaiveFetch1024(b *testing.B) {
-	ad := gen.CarryLookahead(1024)
-	cfg := Config{CacheQubits: 900, Policy: Naive}
-	b.ReportAllocs()
-	for b.Loop() {
-		Simulate(ad.Circuit, cfg)
-	}
-}
-
 // refSimulate is the simulator as it stood before the dense LRU and the
 // incremental ready-set heap: a map-indexed container/list LRU and a full
 // scan of the ready set per issue. It is the oracle for

@@ -237,14 +237,3 @@ func TestUtilizationSmallAndDegenerate(t *testing.T) {
 		t.Errorf("utilization with zero span = %v, want 0", got)
 	}
 }
-
-func BenchmarkDES64BitAdder(b *testing.B) {
-	ad := gen.CarryLookahead(64)
-	c := cfg(9, 12, 700)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(ad.Circuit, c); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

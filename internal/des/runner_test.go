@@ -100,22 +100,3 @@ func TestRunnerAllocationFree(t *testing.T) {
 		t.Errorf("steady-state Run allocates %.1f times per run, want 0", avg)
 	}
 }
-
-// BenchmarkDESRunnerReuse is BenchmarkDES64BitAdder in compile-once/
-// evaluate-many form: the DAG is built and the arena allocated once, and
-// each iteration only replays the event loop.
-func BenchmarkDESRunnerReuse(b *testing.B) {
-	d := circuit.BuildDAG(gen.CarryLookahead(64).Circuit)
-	r, err := NewRunner(d, cfg(9, 12, 700))
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.Run(ctx); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -97,12 +97,3 @@ func TestConcatenatedPanicsOnLevelZero(t *testing.T) {
 	}()
 	Steane().ConcatenatedMonteCarloX(0, 0.01, 10, rand.New(rand.NewSource(1)))
 }
-
-func BenchmarkConcatenatedMCLevel2(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	c := BaconShor()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.ConcatenatedMonteCarloX(2, 0.01, 1000, rng)
-	}
-}

@@ -138,47 +138,6 @@ func TestDecodePanicsOnUnachievableSyndrome(t *testing.T) {
 	}
 }
 
-// BenchmarkPublicDecode measures the public-API decode path — syndrome
-// extraction plus table decode — which the bitmask backing makes
-// allocation-free for stack-resident results.
-func BenchmarkPublicDecode(b *testing.B) {
-	c := Steane()
-	e := gf2.NewVec(c.N)
-	e.Set(2, true)
-	e.Set(5, true)
-	weight := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := c.SyndromeX(e)
-		cor := c.DecodeX(s)
-		weight += cor.Weight()
-	}
-	if weight < 0 {
-		b.Fatal("impossible")
-	}
-}
-
-// BenchmarkPublicCorrect measures the full correction round (decode plus
-// residual construction), allocation-free since gf2.Vec went inline-word.
-func BenchmarkPublicCorrect(b *testing.B) {
-	c := Steane()
-	e := gf2.NewVec(c.N)
-	e.Set(2, true)
-	e.Set(5, true)
-	faults := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, fault := c.CorrectX(e); fault {
-			faults++
-		}
-	}
-	if faults < 0 {
-		b.Fatal("impossible")
-	}
-}
-
 // mustPanic runs f and reports whether it panicked.
 func mustPanic(t *testing.T, what string, f func()) {
 	t.Helper()

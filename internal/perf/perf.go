@@ -1,16 +1,19 @@
-// Package perf is the repository's machine-readable performance harness.
-// It keeps a registry of named micro- and macro-benchmarks over the hot
-// paths (Monte Carlo error injection, the discrete-event simulator, the
-// compiled-workload pipeline, the exploration engine), runs them through a
-// native calibrated measurement loop (see B), and renders the measurements
-// as a versioned BENCH.json document: ns/op, B/op, allocs/op and any
-// custom b.ReportMetric series per benchmark, plus enough host metadata to
-// interpret a number a month later. Owning the loop (instead of wrapping
-// testing.Benchmark) gives `cqla bench` a -benchtime knob, so CI can trade
-// precision for wall-clock, and real error propagation from failing
-// bodies. Compare reads a previous document back and prints a
-// benchstat-style delta table (`cqla bench -baseline old/BENCH.json`),
-// which the CI gate prefers over rebuilding the merge-base.
+// Package perf is the repository's machine-readable performance harness
+// and the only definition of its hot-path benchmarks: no `go test`
+// benchmark duplicates a registered row. It keeps a registry of named
+// micro- and macro-benchmarks over the hot paths (Monte Carlo error
+// injection, the discrete-event simulator, the compiled-workload
+// pipeline, the cache simulator, the exploration engine), runs them
+// through a native calibrated measurement loop (see B), and renders the
+// measurements as a versioned BENCH.json document: ns/op, B/op, allocs/op
+// and any custom b.ReportMetric series per benchmark, plus enough host
+// metadata to interpret a number a month later. Owning the loop (instead
+// of wrapping testing.Benchmark) gives `cqla bench` a -benchtime knob, so
+// CI can trade precision for wall-clock, and real error propagation from
+// failing bodies. Compare reads a previous document back and prints a
+// benchstat-style delta table (`cqla bench -baseline old/BENCH.json`);
+// Comparison.Gate is the CI regression gate over the rows at or above
+// GateFloor.
 package perf
 
 import (
@@ -35,9 +38,8 @@ const SchemaVersion = 1
 
 // Benchmark is one registered measurement.
 type Benchmark struct {
-	// Name identifies the benchmark in reports and filters. By convention
-	// it matches the `go test` benchmark it mirrors, without the
-	// "Benchmark" prefix (e.g. "DES64BitAdder").
+	// Name identifies the benchmark in reports, filters and the CI gate
+	// (e.g. "DES64BitAdder").
 	Name string
 	// Doc is a one-line description carried into the report.
 	Doc string

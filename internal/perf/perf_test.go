@@ -55,24 +55,21 @@ func TestRegisterValidation(t *testing.T) {
 }
 
 func TestSuiteRegistered(t *testing.T) {
-	names := map[string]bool{}
 	prev := ""
 	for _, bm := range Benchmarks() {
-		names[bm.Name] = true
 		if bm.Name < prev {
 			t.Errorf("Benchmarks() not sorted: %q after %q", bm.Name, prev)
 		}
 		prev = bm.Name
 	}
-	// The CI gate's pinned set must stay registered; renaming one silently
-	// un-gates it. BuildDAG/CompileOnceEvalMany/PublicDecode carry the
-	// compiled-workload pipeline's gains into BENCH.json.
-	for _, want := range []string{
-		"ConcatenatedMCLevel2", "DES64BitAdder", "MonteCarloXSeeded", "ExplorePareto",
-		"BuildDAG", "BuildDAGInto", "CompileOnceEvalMany", "PublicDecode",
-	} {
-		if !names[want] {
-			t.Errorf("suite benchmark %q missing from registry", want)
+}
+
+// TestSuiteBodiesRun runs every registered body once, so a broken body
+// fails `go test` instead of surfacing first in the CI bench job.
+func TestSuiteBodiesRun(t *testing.T) {
+	for _, bm := range Benchmarks() {
+		if _, err := runN(bm, 1); err != nil {
+			t.Error(err)
 		}
 	}
 }
@@ -251,15 +248,16 @@ func TestRoundUp(t *testing.T) {
 }
 
 func TestCompareAndLoad(t *testing.T) {
+	// Both common rows sit above GateFloor, so both enter the geomean.
 	base := &Report{SchemaVersion: SchemaVersion, Benchmarks: []Result{
-		{Name: "A", NsPerOp: 100, AllocsPerOp: 3},
-		{Name: "B", NsPerOp: 200},
-		{Name: "Gone", NsPerOp: 50},
+		{Name: "A", NsPerOp: 100e3, AllocsPerOp: 3},
+		{Name: "B", NsPerOp: 200e3},
+		{Name: "Gone", NsPerOp: 50e3},
 	}}
 	head := &Report{SchemaVersion: SchemaVersion, Benchmarks: []Result{
-		{Name: "A", NsPerOp: 50, AllocsPerOp: 0}, // 2x faster
-		{Name: "B", NsPerOp: 400},                // 2x slower
-		{Name: "New", NsPerOp: 10},
+		{Name: "A", NsPerOp: 50e3, AllocsPerOp: 0}, // 2x faster
+		{Name: "B", NsPerOp: 400e3},                // 2x slower
+		{Name: "New", NsPerOp: 10e3},
 	}}
 	c := Compare(base, head)
 	if len(c.Deltas) != 2 {
@@ -272,8 +270,8 @@ func TestCompareAndLoad(t *testing.T) {
 		t.Errorf("delta B = %+v, want +100%%", c.Deltas[1])
 	}
 	// geomean of (0.5, 2.0) is exactly 1.0: no net movement.
-	if g := c.GeomeanPct; g < -1e-9 || g > 1e-9 {
-		t.Errorf("geomean = %v%%, want 0", g)
+	if g := c.GeomeanPct; c.Gated != 2 || g < -1e-9 || g > 1e-9 {
+		t.Errorf("geomean = %v%% over %d rows, want 0 over 2", g, c.Gated)
 	}
 	if len(c.BaseOnly) != 1 || c.BaseOnly[0] != "Gone" {
 		t.Errorf("BaseOnly = %v", c.BaseOnly)
@@ -329,5 +327,54 @@ func TestCompareAndLoad(t *testing.T) {
 	}
 	if _, err := LoadReport(path); err == nil {
 		t.Error("empty benchmark set loaded")
+	}
+}
+
+// TestCompareGatesAboveFloor pins the gate's floor rule: a row whose
+// baseline is below GateFloor is compared but never gated, a row at or
+// above it is, and a comparison with no row at the floor is an error
+// rather than a vacuous pass.
+func TestCompareGatesAboveFloor(t *testing.T) {
+	floor := float64(GateFloor.Nanoseconds())
+	report := func(rows ...Result) *Report { return &Report{SchemaVersion: SchemaVersion, Benchmarks: rows} }
+
+	// A 2x regression on a sub-floor row alone moves nothing.
+	c := Compare(
+		report(Result{Name: "Micro", NsPerOp: 20}, Result{Name: "Macro", NsPerOp: 4 * floor}),
+		report(Result{Name: "Micro", NsPerOp: 40}, Result{Name: "Macro", NsPerOp: 4 * floor}),
+	)
+	if c.Gated != 1 || c.GeomeanPct != 0 {
+		t.Errorf("sub-floor regression: gated %d rows, geomean %+.2f%%; want 1 row, +0%%", c.Gated, c.GeomeanPct)
+	}
+	if err := c.Gate(15); err != nil {
+		t.Errorf("sub-floor regression gated: %v", err)
+	}
+	var buf bytes.Buffer
+	if err := c.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "(below gate floor)") {
+		t.Errorf("delta table does not mark the sub-floor row:\n%s", buf.String())
+	}
+
+	// A 2x regression on a row exactly at the floor is gated.
+	c = Compare(
+		report(Result{Name: "Micro", NsPerOp: 20}, Result{Name: "Macro", NsPerOp: floor}),
+		report(Result{Name: "Micro", NsPerOp: 20}, Result{Name: "Macro", NsPerOp: 2 * floor}),
+	)
+	if c.Gated != 1 || c.GeomeanPct != 100 {
+		t.Errorf("above-floor regression: gated %d rows, geomean %+.2f%%; want 1 row, +100%%", c.Gated, c.GeomeanPct)
+	}
+	if err := c.Gate(15); err == nil || !strings.Contains(err.Error(), "regressed") {
+		t.Errorf("above-floor 2x regression passed the 15%% gate: %v", err)
+	}
+
+	// Common rows, none at the floor: nothing to gate is an error.
+	c = Compare(report(Result{Name: "Micro", NsPerOp: 20}), report(Result{Name: "Micro", NsPerOp: 20}))
+	if len(c.Deltas) != 1 || c.Gated != 0 {
+		t.Fatalf("all-sub-floor comparison: %d deltas, %d gated; want 1, 0", len(c.Deltas), c.Gated)
+	}
+	if err := c.Gate(15); err == nil || !strings.Contains(err.Error(), "nothing to gate") {
+		t.Errorf("all-sub-floor comparison passed the gate: %v", err)
 	}
 }

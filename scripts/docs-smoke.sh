@@ -41,6 +41,15 @@ run go run ./cmd/cqla sweep workloads -format json -seed 1
 run go run ./cmd/cqla sweep montecarlo -estimator bitsliced -seed 7
 run go run ./cmd/cqla sweep montecarlo -estimator rare -format json -seed 7
 
+# --- README performance section: cqla bench and its gate -------------
+# A small budget keeps this fast; the gate run exercises the same
+# -baseline/-gate path as the CI bench job.
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+run go run ./cmd/cqla bench -list
+run go run ./cmd/cqla bench -filter 'MonteCarlo|BuildDAG' -benchtime 10ms -out "$tmp/a.json"
+run go run ./cmd/cqla bench -filter 'MonteCarlo|BuildDAG' -benchtime 10ms -baseline "$tmp/a.json" -gate 1000 -out /dev/null
+
 # --- no broken relative links in the docs ----------------------------
 go run ./scripts/linkcheck README.md docs
 
