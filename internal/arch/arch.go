@@ -64,17 +64,32 @@ type Config struct {
 	SimResidency int `json:"sim_residency,omitempty"`
 }
 
+// codes is the code registry: each registry name and its ecc constructor,
+// Steane first (matching ecc.Codes order).
+var codes = []struct {
+	name  string
+	build func() *ecc.Code
+}{
+	{"steane", ecc.Steane},
+	{"bacon-shor", ecc.BaconShor},
+}
+
 // CodeNames lists the supported code names, Steane first (matching
 // ecc.Codes order).
-func CodeNames() []string { return []string{"steane", "bacon-shor"} }
+func CodeNames() []string {
+	names := make([]string, len(codes))
+	for i, c := range codes {
+		names[i] = c.name
+	}
+	return names
+}
 
 // CodeByName resolves a registry code name to its ecc constructor.
 func CodeByName(name string) (*ecc.Code, error) {
-	switch name {
-	case "steane":
-		return ecc.Steane(), nil
-	case "bacon-shor":
-		return ecc.BaconShor(), nil
+	for _, c := range codes {
+		if c.name == name {
+			return c.build(), nil
+		}
 	}
 	return nil, fmt.Errorf("arch: unknown code %q (have %v)", name, CodeNames())
 }
@@ -273,14 +288,14 @@ func (m *Machine) Analytic() *cqla.Machine { return m.cq }
 // Baseline returns the QLA model results are normalized against.
 func (m *Machine) Baseline() qla.Model { return m.cq.Baseline() }
 
-// codeName maps a code value back to its registry name; unknown codes
-// render their short name so the config echo stays informative.
+// codeName maps a code value back to its registry name by short label;
+// unknown codes render their short name so the config echo stays
+// informative.
 func codeName(c *ecc.Code) string {
-	switch c.Short {
-	case ecc.Steane().Short:
-		return "steane"
-	case ecc.BaconShor().Short:
-		return "bacon-shor"
+	for _, r := range codes {
+		if r.build().Short == c.Short {
+			return r.name
+		}
 	}
 	return c.Short
 }

@@ -116,8 +116,8 @@ type CompiledWorkload struct {
 
 	// runners pools des.Runner arenas for this (DAG, config) pair so
 	// concurrent evaluations each replay the event loop on a private,
-	// allocation-free arena. Seeded eagerly by CompileWith, which also
-	// validates the derived simulator config at compile time.
+	// allocation-free arena. It starts empty: the first des evaluation
+	// builds the first arena, so analytic-only workloads never pay for one.
 	runners sync.Pool
 
 	// Modular-exponentiation constants for the adder/modexp metric decode,
@@ -128,8 +128,8 @@ type CompiledWorkload struct {
 }
 
 // runner takes a simulation arena from the pool, building a fresh one when
-// the pool is empty. The config was validated when CompileWith seeded the
-// pool, so construction here cannot fail.
+// the pool is empty. CompileWith validated the config, so construction
+// here cannot fail.
 func (cw *CompiledWorkload) runner() *des.Runner {
 	if r, ok := cw.runners.Get().(*des.Runner); ok {
 		return r
@@ -184,13 +184,11 @@ func (m *Machine) CompileWith(w Workload, plan *WorkloadPlan) (*CompiledWorkload
 		return nil, fmt.Errorf("arch: plan does not match workload %s/%d bits", w.Kind, w.Bits)
 	}
 	cw := &CompiledWorkload{m: m, w: w, plan: plan, desCfg: m.desConfig()}
-	// Building the first pooled arena now surfaces an invalid derived
-	// simulator config at compile time instead of mid-evaluation.
-	r, err := des.NewRunner(plan.DAG(), cw.desCfg)
-	if err != nil {
+	// Validating now surfaces an invalid derived simulator config at
+	// compile time instead of mid-evaluation.
+	if err := cw.desCfg.Validate(); err != nil {
 		return nil, fmt.Errorf("arch: workload %s/%d bits: %w", w.Kind, w.Bits, err)
 	}
-	cw.runners.Put(r)
 	if w.Kind == KindAdder || w.Kind == KindModExp {
 		me := gen.NewModExp(w.Bits)
 		cw.adderQubits = me.LogicalQubits()

@@ -56,10 +56,10 @@ func (m *Machine) desConfig() des.Config {
 // simulate runs the compiled kernel once and returns its stats plus the
 // compute-only lower bound (the list-scheduled makespan at the same block
 // count, with communication free), which anchors the communication-hidden
-// metric. All setup — circuit generation, DAG construction, scheduling,
-// and now the simulation arena itself — happened at compile time, so
-// repeated evaluations pay only the event loop: the run replays on a
-// pooled des.Runner and allocates nothing.
+// metric. Circuit generation, DAG construction and scheduling happened at
+// compile time, and the first evaluation builds the pooled des.Runner
+// arena, so repeated evaluations pay only the event loop and allocate
+// nothing.
 func (e simEngine) simulate(ctx context.Context, cw *CompiledWorkload) (des.Stats, time.Duration, error) {
 	_, sp := obs.StartSpan(ctx, "sim-run")
 	r := cw.runner()

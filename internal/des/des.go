@@ -183,13 +183,16 @@ func Run(c *circuit.Circuit, cfg Config) (Stats, error) {
 // RunContext is Run with cancellation: a long simulation aborts with the
 // context's error at the next event-loop check.
 func RunContext(ctx context.Context, c *circuit.Circuit, cfg Config) (Stats, error) {
-	if err := validate(cfg); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return Stats{}, err
 	}
 	return RunDAG(ctx, circuit.BuildDAG(c), cfg)
 }
 
-func validate(cfg Config) error {
+// Validate reports whether the machine can run a circuit: at least one
+// block and one channel, room for a Toffoli's three operands, a positive
+// slot time and a non-negative transport time.
+func (cfg Config) Validate() error {
 	if cfg.Blocks < 1 || cfg.Channels < 1 {
 		return fmt.Errorf("des: need at least one block and one channel")
 	}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/gen"
+	"repro/internal/minheap"
 )
 
 // TestMinHeapPopsTotalOrder drives the event heap with adversarial
@@ -16,30 +17,30 @@ import (
 // minimum under the simulator's (at, seq) total order.
 func TestMinHeapPopsTotalOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	h := newMinHeap[event](4, eventLess)
+	h := minheap.New(4, eventLess)
 	var live []event
 	seq := 0
 	popMin := func() {
 		sort.Slice(live, func(i, j int) bool { return eventLess(live[i], live[j]) })
 		want := live[0]
 		live = live[1:]
-		if got := h.pop(); got != want {
+		if got := h.Pop(); got != want {
 			t.Fatalf("pop = %+v, want %+v", got, want)
 		}
 	}
 	for round := 0; round < 2000; round++ {
-		if h.len() == 0 || rng.Intn(3) > 0 {
+		if h.Len() == 0 || rng.Intn(3) > 0 {
 			seq++
 			// Coarse timestamps force plenty of equal-time ties so the seq
 			// tiebreaker is exercised, not just the primary key.
 			e := event{at: time.Duration(rng.Intn(50)), kind: eventKind(rng.Intn(2)), id: rng.Intn(10), seq: seq}
-			h.push(e)
+			h.Push(e)
 			live = append(live, e)
 		} else {
 			popMin()
 		}
 	}
-	for h.len() > 0 {
+	for h.Len() > 0 {
 		popMin()
 	}
 	if len(live) != 0 {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/circuit"
+	"repro/internal/minheap"
 )
 
 // Runner is a reusable simulation arena bound to one (DAG, Config) pair:
@@ -31,7 +32,7 @@ type Runner struct {
 	readyRun   *intQueue
 	waiters    [][]int32 // qubit -> staged instructions awaiting it
 	res        *residency
-	events     *minHeap[event]
+	events     *minheap.Heap[event]
 
 	// Per-run mutable state, rewound by reset.
 	seq            int
@@ -49,7 +50,7 @@ type Runner struct {
 // of d's circuit needs. The staging window and event-arena sizing match
 // RunDAG exactly; so does every statistic a Run produces.
 func NewRunner(d *circuit.DAG, cfg Config) (*Runner, error) {
-	if err := validate(cfg); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	c := d.Circuit()
@@ -75,7 +76,7 @@ func NewRunner(d *circuit.DAG, cfg Config) (*Runner, error) {
 		res:        newResidency(cfg.ResidentQubits, nq),
 		// Outstanding events are bounded by busy resources: one evInstrDone
 		// per occupied block plus one evFetchDone per occupied channel.
-		events: newMinHeap[event](cfg.Blocks+cfg.Channels, eventLess),
+		events: minheap.New(cfg.Blocks+cfg.Channels, eventLess),
 	}, nil
 }
 
@@ -92,7 +93,7 @@ func (r *Runner) reset() {
 		r.waiters[q] = r.waiters[q][:0] // keep the backing array across runs
 	}
 	r.res.reset()
-	r.events.reset()
+	r.events.Reset()
 	r.seq = 0
 	r.now = 0
 	r.freeBlocks = r.cfg.Blocks
@@ -113,7 +114,7 @@ func (r *Runner) reset() {
 //cqla:noalloc
 func (r *Runner) pushEvent(at time.Duration, kind eventKind, id int) {
 	r.seq++
-	r.events.push(event{at: at, kind: kind, id: id, seq: r.seq})
+	r.events.Push(event{at: at, kind: kind, id: id, seq: r.seq})
 }
 
 // stage admits pending instructions into the window, pinning their
@@ -214,13 +215,13 @@ func (r *Runner) Run(ctx context.Context) (Stats, error) {
 	r.pump()
 	r.stalledInstrs = r.pending.len() + r.window
 	loops := 0
-	for r.events.len() > 0 {
+	for r.events.Len() > 0 {
 		if loops++; loops&1023 == 1 {
 			if err := ctx.Err(); err != nil {
 				return Stats{}, err
 			}
 		}
-		ev := r.events.pop()
+		ev := r.events.Pop()
 		r.accountStall(ev.at)
 		r.now = ev.at
 		switch ev.kind {
@@ -250,7 +251,7 @@ func (r *Runner) Run(ctx context.Context) (Stats, error) {
 		}
 		r.pump()
 		r.stalledInstrs = r.pending.len() + r.window
-		if r.events.len() == 0 && r.done < n {
+		if r.events.Len() == 0 && r.done < n {
 			//lint:ignore-cqla noalloc deadlock reporting is a terminal failure path
 			return Stats{}, fmt.Errorf("des: deadlock after %d/%d instructions", r.done, n)
 		}
@@ -268,10 +269,6 @@ func (r *Runner) Run(ctx context.Context) (Stats, error) {
 func (q *intQueue) reset() {
 	q.buf = q.buf[:0]
 	q.head = 0
-}
-
-func (h *minHeap[T]) reset() {
-	h.a = h.a[:0]
 }
 
 // reset returns the residency set to empty with no pins. The intrusive

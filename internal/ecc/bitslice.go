@@ -31,9 +31,9 @@ import (
 const (
 	// mcBatchLanes is the number of trials held per machine word.
 	mcBatchLanes = 64
-	// mcMaxQubits bounds the transposed lane array; buildLookup caps any
-	// constructible code at 20 physical qubits.
-	mcMaxQubits = 20
+	// mcMaxQubits bounds the transposed lane array; newBitDecoder caps
+	// any constructible code at this many physical qubits.
+	mcMaxQubits = maxDecoderQubits
 	// mcMaxSyndromeBits bounds the syndrome lane array. Both paper codes
 	// fit (Steane: 3 rows; Bacon-Shor: 6 Z-rows, 2 X-rows), and it is
 	// exactly the widest syndrome whose flip function fits one uint64.

@@ -29,7 +29,7 @@ func TestBatchFaultLanesMatchesScalar(t *testing.T) {
 		for _, side := range []struct {
 			name string
 			d    *bitDecoder
-		}{{"X", &c.bitX}, {"Z", &c.bitZ}} {
+		}{{"X", c.bitX}, {"Z", c.bitZ}} {
 			var masks [mcBatchLanes]uint64
 			var lanes [mcMaxQubits]uint64
 			total := uint64(1) << uint(c.N)

@@ -9,12 +9,17 @@
 // one shard pool; ConcatenatedMonteCarloX samples concatenated blocks; and
 // PseudoThresholdX solves the exact level-1 rate polynomial, which the
 // tests also use as the oracle for every sampled estimate.
+//
+// Each code's minimum-weight decoder tables are built once per process, on
+// the first Steane() or BaconShor() call, and shared read-only by every
+// Code value; the exported check matrices and logical operators stay
+// per-call copies.
 package ecc
 
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"sync"
 
 	"repro/internal/gf2"
 )
@@ -41,23 +46,22 @@ type Code struct {
 
 	profile resourceProfile
 
-	decodeX map[uint64]gf2.Vec // Z-syndrome -> X correction
-	decodeZ map[uint64]gf2.Vec // X-syndrome -> Z correction
-
-	bitX bitDecoder // allocation-free X-error decoding (Monte Carlo hot path)
-	bitZ bitDecoder // allocation-free Z-error decoding
+	// The decoders are built once per process for each code and shared by
+	// every Code value the constructor returns; they are read-only.
+	bitX *bitDecoder // X-error decoding against HZ and LZ
+	bitZ *bitDecoder // Z-error decoding against HX and LX
 }
 
-// bitDecoder is the hot-path decoding engine for one error type: the
-// parity-check rows, the total syndrome->correction table and the logical
-// operator are all hoisted into packed uint64 masks at construction, so one
-// decode is a handful of popcounts and a table index — no vectors, no map
-// lookups, no allocations. It is valid for any code this package can build
-// (buildLookup caps N at 20 physical qubits, well inside one word).
+// bitDecoder is the decoding engine for one error type: the parity-check
+// rows, the total syndrome->correction table and the logical operator are
+// all packed into uint64 masks at construction, so one decode is a handful
+// of popcounts and a table index — no vectors, no map lookups, no
+// allocations. Every code this package builds has at most
+// maxDecoderQubits physical qubits, well inside one word.
 type bitDecoder struct {
 	rows    []uint64 // check-matrix rows as bit masks
 	table   []uint64 // dense syndrome -> minimum-weight correction mask
-	valid   []bool   // achievable syndromes (the lookup table's domain)
+	valid   []bool   // achievable syndromes (the table's domain)
 	logical uint64   // support of the logical operator the residual must commute with
 
 	// flipBits is the whole syndrome->fault-flip function as one bitset:
@@ -74,21 +78,38 @@ type bitDecoder struct {
 	flipCompl bool
 }
 
-func newBitDecoder(h *gf2.Matrix, lookup map[uint64]gf2.Vec, logical gf2.Vec) bitDecoder {
-	d := bitDecoder{rows: make([]uint64, h.Rows()), logical: logical.Uint64()}
+// maxDecoderQubits caps the physical qubits a decoder enumerates: building
+// the table walks all 2^n error patterns.
+const maxDecoderQubits = 20
+
+// newBitDecoder builds the minimum-weight decoder for the check matrix h
+// and the logical operator the residual must commute with. One pass over
+// every error pattern in increasing mask order keeps, per syndrome, the
+// lightest pattern seen, replacing it only when strictly lighter — so ties
+// resolve to the lowest mask. The table must be total over achievable
+// syndromes (rank(h) can equal the row count, as for Bacon-Shor's six
+// Z-generators, where some syndromes require weight-3 corrections).
+func newBitDecoder(h *gf2.Matrix, logical gf2.Vec) *bitDecoder {
+	n := h.Cols()
+	if n > maxDecoderQubits {
+		panic(fmt.Sprintf("ecc: lookup decoding supports at most %d physical qubits", maxDecoderQubits))
+	}
+	d := &bitDecoder{rows: make([]uint64, h.Rows()), logical: logical.Uint64()}
 	for i := range d.rows {
 		d.rows[i] = h.Row(i).Uint64()
 	}
 	// Unachievable syndromes stay zero in the dense table; they cannot be
 	// produced by any error pattern, so the hot path never indexes them.
 	// The validity bitset exists for DecodeX/DecodeZ, whose contract is to
-	// fail loudly on a syndrome outside the lookup domain rather than
+	// fail loudly on a syndrome outside the table's domain rather than
 	// return a zero correction.
 	d.table = make([]uint64, 1<<uint(len(d.rows)))
 	d.valid = make([]bool, len(d.table))
-	for s, cor := range lookup {
-		d.table[s] = cor.Uint64()
-		d.valid[s] = true
+	for e := uint64(0); e < 1<<uint(n); e++ {
+		s := d.syndromeBits(e)
+		if !d.valid[s] || bits.OnesCount64(e) < bits.OnesCount64(d.table[s]) {
+			d.table[s], d.valid[s] = e, true
+		}
 	}
 	if d.batchOK() {
 		for s, cor := range d.table {
@@ -205,15 +226,48 @@ func (s syndromePhases) Total() int {
 // Steane returns the Steane [[7,1,3]] code: the smallest CSS code with
 // transversal implementations of every gate used in concatenated error
 // correction. Its check matrices are the Hamming(7,4) parity checks and its
-// logical operators act on all seven qubits.
+// logical operators act on all seven qubits. Each call returns fresh
+// exported fields over the process-wide decoder tables.
 func Steane() *Code {
+	c := steane()
+	c.bitX, c.bitZ = steaneDecoders()
+	return c
+}
+
+// BaconShor returns the [[9,1,3]] code in its gauge-fixed (Shor) stabilizer
+// presentation: six weight-2 Z-type generators (adjacent pairs within each
+// row of the 3x3 qubit grid) and two weight-6 X-type generators (adjacent
+// row pairs). The subsystem structure is what makes its error correction
+// cheap — syndrome extraction needs only weight-2 gauge measurements and no
+// ancilla verification — and the resource profile reflects that. Each call
+// returns fresh exported fields over the process-wide decoder tables.
+func BaconShor() *Code {
+	c := baconShor()
+	c.bitX, c.bitZ = baconShorDecoders()
+	return c
+}
+
+var (
+	steaneDecoders    = sync.OnceValues(func() (*bitDecoder, *bitDecoder) { return steane().buildDecoders() })
+	baconShorDecoders = sync.OnceValues(func() (*bitDecoder, *bitDecoder) { return baconShor().buildDecoders() })
+)
+
+// buildDecoders builds the X- and Z-error decoders from the code's check
+// matrices and logical operators.
+func (c *Code) buildDecoders() (x, z *bitDecoder) {
+	return newBitDecoder(c.HZ, c.LZ), newBitDecoder(c.HX, c.LX)
+}
+
+// steane builds the Steane code's exported fields and resource profile,
+// without decoders.
+func steane() *Code {
 	h := gf2.MustMatrix(
 		"1010101",
 		"0110011",
 		"0001111",
 	)
 	all := gf2.VecFromBits([]int{1, 1, 1, 1, 1, 1, 1})
-	c := &Code{
+	return &Code{
 		Name:  "Steane [[7,1,3]]",
 		Short: "[[7,1,3]]",
 		N:     7, K: 1, D: 3,
@@ -236,17 +290,11 @@ func Steane() *Code {
 			channelsRequired:   1,
 		},
 	}
-	c.buildDecoders()
-	return c
 }
 
-// BaconShor returns the [[9,1,3]] code in its gauge-fixed (Shor) stabilizer
-// presentation: six weight-2 Z-type generators (adjacent pairs within each
-// row of the 3x3 qubit grid) and two weight-6 X-type generators (adjacent
-// row pairs). The subsystem structure is what makes its error correction
-// cheap — syndrome extraction needs only weight-2 gauge measurements and no
-// ancilla verification — and the resource profile reflects that.
-func BaconShor() *Code {
+// baconShor builds the Bacon-Shor code's exported fields and resource
+// profile, without decoders.
+func baconShor() *Code {
 	hz := gf2.MustMatrix(
 		"110000000",
 		"011000000",
@@ -259,7 +307,7 @@ func BaconShor() *Code {
 		"111111000",
 		"000111111",
 	)
-	c := &Code{
+	return &Code{
 		Name:  "Bacon-Shor [[9,1,3]]",
 		Short: "[[9,1,3]]",
 		N:     9, K: 1, D: 3,
@@ -289,8 +337,6 @@ func BaconShor() *Code {
 			channelsRequired:   3,
 		},
 	}
-	c.buildDecoders()
-	return c
 }
 
 // Codes returns the two codes the paper evaluates, Steane first.
@@ -298,84 +344,24 @@ func Codes() []*Code {
 	return []*Code{Steane(), BaconShor()}
 }
 
-// buildDecoders constructs minimum-weight lookup tables mapping syndromes to
-// corrections, by enumerating errors in order of increasing weight.
-func (c *Code) buildDecoders() {
-	c.decodeX = buildLookup(c.HZ)
-	c.decodeZ = buildLookup(c.HX)
-	c.bitX = newBitDecoder(c.HZ, c.decodeX, c.LZ)
-	c.bitZ = newBitDecoder(c.HX, c.decodeZ, c.LX)
-}
-
-func buildLookup(h *gf2.Matrix) map[uint64]gf2.Vec {
-	n := h.Cols()
-	if n > 20 {
-		panic("ecc: lookup decoding supports at most 20 physical qubits")
-	}
-	// Enumerate every error pattern in order of increasing weight so each
-	// syndrome maps to a minimum-weight correction. The table must be total
-	// over achievable syndromes (rank(h) can equal the row count, as for
-	// Bacon-Shor's six Z-generators, where some syndromes require weight-3
-	// corrections).
-	type pattern struct {
-		bits   uint64
-		weight int
-	}
-	patterns := make([]pattern, 0, 1<<uint(n))
-	for b := uint64(0); b < 1<<uint(n); b++ {
-		w := 0
-		for x := b; x != 0; x &= x - 1 {
-			w++
-		}
-		patterns = append(patterns, pattern{b, w})
-	}
-	sort.Slice(patterns, func(i, j int) bool {
-		if patterns[i].weight != patterns[j].weight {
-			return patterns[i].weight < patterns[j].weight
-		}
-		return patterns[i].bits < patterns[j].bits
-	})
-	table := make(map[uint64]gf2.Vec)
-	for _, p := range patterns {
-		e := gf2.NewVec(n)
-		for i := 0; i < n; i++ {
-			if p.bits>>uint(i)&1 == 1 {
-				e.Set(i, true)
-			}
-		}
-		s := h.MulVec(e).Uint64()
-		if _, ok := table[s]; !ok {
-			table[s] = e
-		}
-	}
-	return table
-}
-
-// The public vector API below is backed by the packed bitDecoder whenever
-// the code fits one 64-bit word — true for every code this package can
-// construct (buildLookup caps N at 20 physical qubits). The vector-algebra
-// expressions remain as the in-worker fallback for inputs the packed path
-// cannot take, and as the oracle the exhaustive equivalence tests compare
-// against.
+// The public vector API below is backed by the packed bitDecoder. Operand
+// lengths are checked up front: a wrong-length error vector or syndrome
+// panics, naming the code and both lengths.
 //
 // The shims are shaped for the compiler's inlining budget: each is exactly
 // one worker call plus one gf2.RawWord construction. Since gf2.Vec stores
 // small vectors in an inline word, RawWord is a plain struct literal —
 // nothing to heap-allocate even when a shim's result escapes — so the
 // whole public decode path, CorrectX/CorrectZ included, runs at zero
-// allocations (TestPublicDecodeAllocationFree pins this). The per-side
-// delegators are marked go:noinline so the shims pay a fixed call, not the
-// delegator's inlined body.
-//
-// Results wider than 64 bits cannot arise from any constructible code; the
-// workers fail loudly if a hypothetical wider code ever materializes
-// rather than silently truncating.
+// allocations (TestPublicDecodeAllocationFree pins this). The workers are
+// marked go:noinline so the shims pay a fixed call, not the worker's
+// inlined body.
 
 // SyndromeX returns the syndrome of an X-error support vector.
 //
 //cqla:noalloc
 func (c *Code) SyndromeX(e gf2.Vec) gf2.Vec {
-	m, n := c.syndromeXPacked(e)
+	m, n := c.syndromePacked(e, c.bitX)
 	return gf2.RawWord(n, m)
 }
 
@@ -383,7 +369,7 @@ func (c *Code) SyndromeX(e gf2.Vec) gf2.Vec {
 //
 //cqla:noalloc
 func (c *Code) SyndromeZ(e gf2.Vec) gf2.Vec {
-	m, n := c.syndromeZPacked(e)
+	m, n := c.syndromePacked(e, c.bitZ)
 	return gf2.RawWord(n, m)
 }
 
@@ -391,7 +377,7 @@ func (c *Code) SyndromeZ(e gf2.Vec) gf2.Vec {
 //
 //cqla:noalloc
 func (c *Code) DecodeX(syndrome gf2.Vec) gf2.Vec {
-	m, n := c.decodeXPacked(syndrome)
+	m, n := c.decodePacked(syndrome, c.bitX, "X")
 	return gf2.RawWord(n, m)
 }
 
@@ -399,7 +385,7 @@ func (c *Code) DecodeX(syndrome gf2.Vec) gf2.Vec {
 //
 //cqla:noalloc
 func (c *Code) DecodeZ(syndrome gf2.Vec) gf2.Vec {
-	m, n := c.decodeZPacked(syndrome)
+	m, n := c.decodePacked(syndrome, c.bitZ, "Z")
 	return gf2.RawWord(n, m)
 }
 
@@ -409,7 +395,7 @@ func (c *Code) DecodeZ(syndrome gf2.Vec) gf2.Vec {
 //
 //cqla:noalloc
 func (c *Code) CorrectX(e gf2.Vec) (residual gf2.Vec, logicalFault bool) {
-	m, fault := c.correctXPacked(e)
+	m, fault := c.correctPacked(e, c.bitX)
 	return gf2.RawWord(c.N, m), fault
 }
 
@@ -417,90 +403,41 @@ func (c *Code) CorrectX(e gf2.Vec) (residual gf2.Vec, logicalFault bool) {
 //
 //cqla:noalloc
 func (c *Code) CorrectZ(e gf2.Vec) (residual gf2.Vec, logicalFault bool) {
-	m, fault := c.correctZPacked(e)
+	m, fault := c.correctPacked(e, c.bitZ)
 	return gf2.RawWord(c.N, m), fault
 }
 
 //go:noinline
-func (c *Code) syndromeXPacked(e gf2.Vec) (uint64, int) {
-	return c.syndromePacked(e, &c.bitX, c.HZ)
+func (c *Code) syndromePacked(e gf2.Vec, d *bitDecoder) (uint64, int) {
+	c.checkLen("error", e, c.N)
+	return d.syndromeBits(e.Uint64()), len(d.rows)
 }
 
 //go:noinline
-func (c *Code) syndromeZPacked(e gf2.Vec) (uint64, int) {
-	return c.syndromePacked(e, &c.bitZ, c.HX)
-}
-
-//go:noinline
-func (c *Code) decodeXPacked(syndrome gf2.Vec) (uint64, int) {
-	return c.decodePacked(syndrome, &c.bitX, c.decodeX, c.HZ.Rows(), "X")
-}
-
-//go:noinline
-func (c *Code) decodeZPacked(syndrome gf2.Vec) (uint64, int) {
-	return c.decodePacked(syndrome, &c.bitZ, c.decodeZ, c.HX.Rows(), "Z")
-}
-
-//go:noinline
-func (c *Code) correctXPacked(e gf2.Vec) (uint64, bool) {
-	return c.correctPacked(e, &c.bitX, c.decodeX, c.HZ, c.LZ)
-}
-
-//go:noinline
-func (c *Code) correctZPacked(e gf2.Vec) (uint64, bool) {
-	return c.correctPacked(e, &c.bitZ, c.decodeZ, c.HX, c.LX)
-}
-
-func (c *Code) syndromePacked(e gf2.Vec, d *bitDecoder, h *gf2.Matrix) (uint64, int) {
-	if c.N <= 64 && e.Len() == c.N {
-		return d.syndromeBits(e.Uint64()), h.Rows()
-	}
-	// Vector fallback; MulVec panics on an operand-length mismatch exactly
-	// as the pre-packed API did.
-	return packVec(h.MulVec(e))
-}
-
-func (c *Code) decodePacked(syndrome gf2.Vec, d *bitDecoder, lookup map[uint64]gf2.Vec, rows int, kind string) (uint64, int) {
-	if c.N <= 64 && syndrome.Len() == rows {
-		s := syndrome.Uint64()
-		if !d.valid[s] {
-			// Cannot happen for a total table, but fail loudly if it does.
-			// Stringify eagerly: passing the vector itself into the panic
-			// would make the parameter escape and cost the warm path its
-			// allocation-freedom.
-			panic(fmt.Sprintf("ecc: %s has no %s correction for syndrome %s", c.Name, kind, syndrome.String()))
-		}
-		return d.table[s], c.N
-	}
-	cor, ok := lookup[syndrome.Uint64()]
-	if !ok {
+func (c *Code) decodePacked(syndrome gf2.Vec, d *bitDecoder, kind string) (uint64, int) {
+	c.checkLen("syndrome", syndrome, len(d.rows))
+	s := syndrome.Uint64()
+	if !d.valid[s] {
+		// Both paper codes have total tables; a rank-deficient check
+		// matrix leaves syndromes no error produces. Stringify eagerly: passing the vector itself into the panic
+		// would make the parameter escape and cost the warm path its
+		// allocation-freedom.
 		panic(fmt.Sprintf("ecc: %s has no %s correction for syndrome %s", c.Name, kind, syndrome.String()))
 	}
-	// Packing copies the correction by value, so the shim hands back a
-	// fresh vector — callers can mutate it, as they always could.
-	return packVec(cor)
+	return d.table[s], c.N
 }
 
-func (c *Code) correctPacked(e gf2.Vec, d *bitDecoder, lookup map[uint64]gf2.Vec, h *gf2.Matrix, logical gf2.Vec) (uint64, bool) {
-	if c.N <= 64 && e.Len() == c.N {
-		return d.correct(e.Uint64())
-	}
-	cor, ok := lookup[h.MulVec(e).Uint64()]
-	if !ok {
-		panic(fmt.Sprintf("ecc: %s has no correction for error %s", c.Name, e.String()))
-	}
-	residual := e.Clone()
-	residual.Xor(cor)
-	m, _ := packVec(residual)
-	return m, residual.Dot(logical)
+//go:noinline
+func (c *Code) correctPacked(e gf2.Vec, d *bitDecoder) (uint64, bool) {
+	c.checkLen("error", e, c.N)
+	return d.correct(e.Uint64())
 }
 
-// packVec re-packs a vector-path result for the shim constructors.
-func packVec(v gf2.Vec) (uint64, int) {
-	if v.Len() > 64 {
-		panic("ecc: packed decode supports results up to 64 bits")
+// checkLen panics unless v has want bits.
+func (c *Code) checkLen(what string, v gf2.Vec, want int) {
+	if v.Len() != want {
+		panic(fmt.Sprintf("ecc: %s %s has %d bits, want %d", c.Name, what, v.Len(), want))
 	}
-	return v.Uint64(), v.Len()
 }
 
 // Validate checks the internal consistency of the stabilizer data: CSS

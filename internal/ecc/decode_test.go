@@ -2,6 +2,7 @@ package ecc
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/gf2"
@@ -18,11 +19,38 @@ func vecFromMask(n int, mask uint64) gf2.Vec {
 	return v
 }
 
+// sortedLookup is the decoder oracle: it enumerates every error pattern
+// sorted by (weight, mask) and maps each syndrome to the first pattern
+// that produces it, all in plain vector algebra.
+func sortedLookup(h *gf2.Matrix) map[uint64]gf2.Vec {
+	n := h.Cols()
+	masks := make([]uint64, 1<<uint(n))
+	for i := range masks {
+		masks[i] = uint64(i)
+	}
+	sort.Slice(masks, func(i, j int) bool {
+		wi, wj := vecFromMask(n, masks[i]).Weight(), vecFromMask(n, masks[j]).Weight()
+		if wi != wj {
+			return wi < wj
+		}
+		return masks[i] < masks[j]
+	})
+	table := make(map[uint64]gf2.Vec)
+	for _, m := range masks {
+		e := vecFromMask(n, m)
+		s := h.MulVec(e).Uint64()
+		if _, ok := table[s]; !ok {
+			table[s] = e
+		}
+	}
+	return table
+}
+
 // TestPublicDecodeMatchesVectorPath exhaustively checks, over every one of
 // the 2^N error patterns of both codes and both error types, that the
 // bitmask-backed public API returns bit-identical syndromes, corrections,
-// residuals and fault verdicts to the plain vector-algebra expressions it
-// replaced.
+// residuals and fault verdicts to the plain vector-algebra expressions
+// over the sort-based lookup oracle.
 func TestPublicDecodeMatchesVectorPath(t *testing.T) {
 	for _, c := range Codes() {
 		type side struct {
@@ -35,8 +63,8 @@ func TestPublicDecodeMatchesVectorPath(t *testing.T) {
 			cor     func(gf2.Vec) (gf2.Vec, bool)
 		}
 		sides := []side{
-			{"X", c.HZ, c.decodeX, c.LZ, c.SyndromeX, c.DecodeX, c.CorrectX},
-			{"Z", c.HX, c.decodeZ, c.LX, c.SyndromeZ, c.DecodeZ, c.CorrectZ},
+			{"X", c.HZ, sortedLookup(c.HZ), c.LZ, c.SyndromeX, c.DecodeX, c.CorrectX},
+			{"Z", c.HX, sortedLookup(c.HX), c.LX, c.SyndromeZ, c.DecodeZ, c.CorrectZ},
 		}
 		for _, s := range sides {
 			for mask := uint64(0); mask < 1<<uint(c.N); mask++ {
@@ -111,30 +139,43 @@ func TestPublicDecodeAllocationFree(t *testing.T) {
 }
 
 // TestDecodePanicsOnUnachievableSyndrome pins the loud-failure contract of
-// the dense-table path: a syndrome outside the lookup domain must panic,
-// not decode to a zero correction.
+// the dense-table path: a syndrome outside the table's domain must panic,
+// not decode to a zero correction. Both paper codes have full-rank check
+// matrices, so every syndrome is achievable and their valid bitsets must
+// cover the whole oracle domain; a rank-deficient check matrix supplies
+// the unachievable syndromes.
 func TestDecodePanicsOnUnachievableSyndrome(t *testing.T) {
-	c := BaconShor() // HX has 2 rows but rank 2; all 4 X-syndromes achievable
-	// The Z-side table of Bacon-Shor is total over 2^6 syndromes (rank 6),
-	// so manufacture an unachievable one on Steane instead: HZ has 3 rows
-	// of rank 3 — total too. Use a syndrome wider than the row count to hit
-	// the fallback validation through the vector path instead.
-	_ = c
-	st := Steane()
-	// Every 3-bit syndrome of Steane is achievable (the Hamming code is
-	// perfect), so totality means no panic can fire on honest input; check
-	// the valid bitset agrees with the lookup map domain instead.
-	for s := range st.bitX.table {
-		_, inMap := st.decodeX[uint64(s)]
-		if st.bitX.valid[s] != inMap {
-			t.Fatalf("valid[%d] = %v, lookup map has it: %v", s, st.bitX.valid[s], inMap)
+	for _, c := range Codes() {
+		for _, side := range []struct {
+			name string
+			d    *bitDecoder
+			h    *gf2.Matrix
+		}{{"X", c.bitX, c.HZ}, {"Z", c.bitZ, c.HX}} {
+			oracle := sortedLookup(side.h)
+			for s := range side.d.table {
+				if _, inMap := oracle[uint64(s)]; side.d.valid[s] != inMap {
+					t.Fatalf("%s %s: valid[%d] = %v, oracle has it: %v", c.Short, side.name, s, side.d.valid[s], inMap)
+				}
+			}
 		}
 	}
-	for s := range c.bitZ.table {
-		_, inMap := c.decodeZ[uint64(s)]
-		if c.bitZ.valid[s] != inMap {
-			t.Fatalf("bacon-shor valid[%d] = %v, lookup map has it: %v", s, c.bitZ.valid[s], inMap)
+
+	// The third row is the sum of the first two: only half of the eight
+	// 3-bit syndromes are achievable.
+	h := gf2.MustMatrix("110", "011", "101")
+	d := newBitDecoder(h, gf2.VecFromBits([]int{1, 1, 1}))
+	c := &Code{Name: "rank-deficient", N: 3, bitX: d, bitZ: d}
+	oracle := sortedLookup(h)
+	for s := uint64(0); s < 8; s++ {
+		syn := gf2.Word(3, s)
+		if cor, ok := oracle[s]; ok {
+			if got := c.DecodeX(syn); !got.Equal(cor) {
+				t.Errorf("DecodeX(%s) = %s, want %s", syn, got, cor)
+			}
+			continue
 		}
+		mustPanic(t, "DecodeX(unachievable "+syn.String()+")", func() { c.DecodeX(syn) })
+		mustPanic(t, "DecodeZ(unachievable "+syn.String()+")", func() { c.DecodeZ(syn) })
 	}
 }
 
@@ -149,11 +190,9 @@ func mustPanic(t *testing.T, what string, f func()) {
 	f()
 }
 
-// TestVectorFallbackPaths exercises the in-worker vector fallbacks the
-// packed fast paths guard: wrong-length operands panic exactly as the
-// pre-packed API did (inside MulVec), and a wrong-length syndrome still
-// resolves through the lookup map when its packed value is a real
-// syndrome.
+// TestVectorFallbackPaths pins the length checks in front of the packed
+// decoders: every wrong-length operand — error vector or syndrome, either
+// basis — panics instead of being decoded by its packed value.
 func TestVectorFallbackPaths(t *testing.T) {
 	c := Steane()
 	wrong := gf2.NewVec(c.N + 1)
@@ -162,22 +201,45 @@ func TestVectorFallbackPaths(t *testing.T) {
 	mustPanic(t, "CorrectX(wrong length)", func() { c.CorrectX(wrong) })
 	mustPanic(t, "CorrectZ(wrong length)", func() { c.CorrectZ(wrong) })
 
-	// A 5-bit zero "syndrome" has packed value 0 — a real syndrome — so
-	// the historical map path returns the identity correction.
+	// A 5-bit zero syndrome packs to 0, a real syndrome; it must still be
+	// refused, as must a 10-bit one whose packed value no syndrome uses.
 	odd := gf2.NewVec(5)
-	if cor := c.DecodeX(odd); !cor.IsZero() || cor.Len() != c.N {
-		t.Errorf("DecodeX(odd-length zero syndrome) = %s, want zero correction", cor)
-	}
-	if cor := c.DecodeZ(odd); !cor.IsZero() || cor.Len() != c.N {
-		t.Errorf("DecodeZ(odd-length zero syndrome) = %s, want zero correction", cor)
-	}
-	// A packed value no achievable syndrome uses must fail loudly.
+	mustPanic(t, "DecodeX(odd-length zero syndrome)", func() { c.DecodeX(odd) })
+	mustPanic(t, "DecodeZ(odd-length zero syndrome)", func() { c.DecodeZ(odd) })
 	bogus := gf2.NewVec(10)
 	for i := 0; i < 10; i++ {
 		bogus.Set(i, true)
 	}
-	mustPanic(t, "DecodeX(unachievable syndrome)", func() { c.DecodeX(bogus) })
-	mustPanic(t, "DecodeZ(unachievable syndrome)", func() { c.DecodeZ(bogus) })
+	mustPanic(t, "DecodeX(wrong-length syndrome)", func() { c.DecodeX(bogus) })
+	mustPanic(t, "DecodeZ(wrong-length syndrome)", func() { c.DecodeZ(bogus) })
+}
+
+// TestDecodersSharedAcrossCalls: the decoder tables are built once per
+// code and shared by every constructor call, while each call's exported
+// fields stay private copies — mutating one code's HZ leaves another's
+// decoding untouched.
+func TestDecodersSharedAcrossCalls(t *testing.T) {
+	a, b := Steane(), Steane()
+	if a.bitX != b.bitX || a.bitZ != b.bitZ {
+		t.Fatal("two Steane() calls built separate decoders")
+	}
+	if bs := BaconShor(); bs.bitX == a.bitX || bs.bitX != BaconShor().bitX {
+		t.Fatal("Bacon-Shor decoders not shared per code")
+	}
+	e := gf2.VecFromBits([]int{0, 1, 0, 0, 1, 0, 0})
+	wantRes, wantFault := b.CorrectX(e)
+	for j := 0; j < a.N; j++ {
+		a.HZ.Set(0, j, !a.HZ.At(0, j))
+	}
+	if a.HZ.Row(0).Equal(b.HZ.Row(0)) {
+		t.Fatal("Steane() calls share an HZ matrix")
+	}
+	if res, fault := b.CorrectX(e); !res.Equal(wantRes) || fault != wantFault {
+		t.Errorf("CorrectX after mutating another code's HZ = (%s, %v), want (%s, %v)", res, fault, wantRes, wantFault)
+	}
+	if res, fault := Steane().CorrectX(e); !res.Equal(wantRes) || fault != wantFault {
+		t.Errorf("fresh Steane().CorrectX = (%s, %v), want (%s, %v)", res, fault, wantRes, wantFault)
+	}
 }
 
 // TestMonteCarloZSeededMatchesParallel covers the Z basis of the naive

@@ -147,9 +147,9 @@ func (c *Code) MonteCarlo(p float64, trials int, seed int64, o MC) MonteCarloRes
 // decoder returns the bit decoder for errors of basis b.
 func (c *Code) decoder(b Basis) *bitDecoder {
 	if b == BasisZ {
-		return &c.bitZ
+		return c.bitZ
 	}
-	return &c.bitX
+	return c.bitX
 }
 
 // sample runs trials independent injection+decode rounds on one rng stream

@@ -111,29 +111,13 @@ func (c *evalCache) plan(ctx context.Context, w arch.Workload) (*arch.WorkloadPl
 	return p, err
 }
 
-// compile returns the compiled workload binding w's shared plan to m,
-// caching the binding per (machine config, workload). A caller-supplied
-// machine that is not the cache's own instance for that config (possible
-// only if the evaluator built one outside In.Machine) gets a fresh
-// uncached binding, so the returned compilation always belongs to m.
+// compile returns the compiled workload binding w's shared plan to m.
 func (c *evalCache) compile(ctx context.Context, m *arch.Machine, w arch.Workload) (*arch.CompiledWorkload, error) {
 	p, err := c.plan(ctx, w)
 	if err != nil {
 		return nil, err
 	}
-	built := false
-	cw, err := c.compiled.Do(compiledKey{cfg: m.Config(), w: w}, func() (*arch.CompiledWorkload, error) {
-		built = true
-		return m.CompileWith(w, p)
-	})
-	if err != nil {
-		return nil, err
-	}
-	count(c.compiledHits, c.compiledMisses, built)
-	if cw.Machine() != m {
-		return m.CompileWith(w, p)
-	}
-	return cw, nil
+	return c.bind(m, w, p)
 }
 
 // compileWith binds a caller-supplied prebuilt plan (a custom circuit from
@@ -141,19 +125,27 @@ func (c *evalCache) compile(ctx context.Context, m *arch.Machine, w arch.Workloa
 // The plan tier is seeded with the plan so later lookups of the same
 // kernel hit instead of failing to rebuild a custom circuit.
 func (c *evalCache) compileWith(m *arch.Machine, plan *arch.WorkloadPlan) (*arch.CompiledWorkload, error) {
-	w := plan.Workload()
 	c.plans.Seed(planKey{kernel: plan.Kernel(), bits: plan.Bits()}, plan)
+	return c.bind(m, plan.Workload(), plan)
+}
+
+// bind is the compiled tier: it caches m.CompileWith(w, p) per (machine
+// config, workload). A caller-supplied machine that is not the cache's own
+// instance for that config (possible only if the evaluator built one
+// outside In.Machine) gets a fresh uncached binding, so the returned
+// compilation always belongs to m.
+func (c *evalCache) bind(m *arch.Machine, w arch.Workload, p *arch.WorkloadPlan) (*arch.CompiledWorkload, error) {
 	built := false
 	cw, err := c.compiled.Do(compiledKey{cfg: m.Config(), w: w}, func() (*arch.CompiledWorkload, error) {
 		built = true
-		return m.CompileWith(w, plan)
+		return m.CompileWith(w, p)
 	})
 	if err != nil {
 		return nil, err
 	}
 	count(c.compiledHits, c.compiledMisses, built)
 	if cw.Machine() != m {
-		return m.CompileWith(w, plan)
+		return m.CompileWith(w, p)
 	}
 	return cw, nil
 }

@@ -9,11 +9,11 @@
 package sched
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
 	"repro/internal/circuit"
+	"repro/internal/minheap"
 )
 
 // Result is the outcome of scheduling one circuit onto a block budget.
@@ -91,25 +91,38 @@ func ListSchedule(d *circuit.DAG, blocks int) Result {
 
 	prio := criticalPathPriority(d)
 	remainingDeps := make([]int, n)
-	ready := &prioQueue{prio: prio}
+	// Ready instructions pop longest-remaining-path first, ties to the
+	// lower index; running ones pop by end slot, then instruction. Both
+	// are total orders, so the schedule is fully determined.
+	ready := minheap.New(n, func(a, b int) bool {
+		if prio[a] != prio[b] {
+			return prio[a] > prio[b]
+		}
+		return a < b
+	})
 	for i := 0; i < n; i++ {
 		remainingDeps[i] = len(d.Deps(i))
 		if remainingDeps[i] == 0 {
-			heap.Push(ready, i)
+			ready.Push(i)
 		}
 	}
 
-	running := &finishQueue{}
+	running := minheap.New(min(blocks, n), func(a, b finishEntry) bool {
+		if a.end != b.end {
+			return a.end < b.end
+		}
+		return a.instr < b.instr
+	})
 	now := 0
 	free := blocks
 	scheduled := 0
 	for scheduled < n {
 		// Dispatch as many ready instructions as blocks allow.
 		for free > 0 && ready.Len() > 0 {
-			i := heap.Pop(ready).(int)
+			i := ready.Pop()
 			res.Start[i] = now
 			end := now + c.Instr(i).Slots()
-			heap.Push(running, finishEntry{end, i})
+			running.Push(finishEntry{end, i})
 			free--
 			scheduled++
 			if end > res.MakespanSlots {
@@ -123,19 +136,25 @@ func ListSchedule(d *circuit.DAG, blocks int) Result {
 			continue
 		}
 		// Advance to the next completion and release its successors.
-		now = (*running)[0].end
-		for running.Len() > 0 && (*running)[0].end == now {
-			e := heap.Pop(running).(finishEntry)
+		now = running.Peek().end
+		for running.Len() > 0 && running.Peek().end == now {
+			e := running.Pop()
 			free++
 			for _, s := range d.Succs(e.instr) {
 				remainingDeps[s]--
 				if remainingDeps[s] == 0 {
-					heap.Push(ready, s)
+					ready.Push(s)
 				}
 			}
 		}
 	}
 	return res
+}
+
+// finishEntry is a running instruction and the slot it completes at.
+type finishEntry struct {
+	end   int
+	instr int
 }
 
 // criticalPathPriority computes, for every instruction, the length in slots
@@ -156,53 +175,6 @@ func criticalPathPriority(d *circuit.DAG) []int {
 		prio[i] = longest + c.Instr(i).Slots()
 	}
 	return prio
-}
-
-type prioQueue struct {
-	items []int
-	prio  []int
-}
-
-func (q *prioQueue) Len() int { return len(q.items) }
-func (q *prioQueue) Less(i, j int) bool {
-	a, b := q.items[i], q.items[j]
-	if q.prio[a] != q.prio[b] {
-		return q.prio[a] > q.prio[b]
-	}
-	return a < b
-}
-func (q *prioQueue) Swap(i, j int)      { q.items[i], q.items[j] = q.items[j], q.items[i] }
-func (q *prioQueue) Push(x interface{}) { q.items = append(q.items, x.(int)) }
-func (q *prioQueue) Pop() interface{} {
-	old := q.items
-	n := len(old)
-	x := old[n-1]
-	q.items = old[:n-1]
-	return x
-}
-
-type finishEntry struct {
-	end   int
-	instr int
-}
-
-type finishQueue []finishEntry
-
-func (q finishQueue) Len() int { return len(q) }
-func (q finishQueue) Less(i, j int) bool {
-	if q[i].end != q[j].end {
-		return q[i].end < q[j].end
-	}
-	return q[i].instr < q[j].instr
-}
-func (q finishQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *finishQueue) Push(x interface{}) { *q = append(*q, x.(finishEntry)) }
-func (q *finishQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	x := old[n-1]
-	*q = old[:n-1]
-	return x
 }
 
 // UtilizationSweep schedules the circuit at each block budget and returns

@@ -224,3 +224,47 @@ func BenchmarkSchedule1024Adder100Blocks(b *testing.B) {
 		ListSchedule(d, 100)
 	}
 }
+
+// TestListScheduleAllocationsConstant: a block-limited schedule allocates
+// its result and a fixed set of work arrays, never per instruction — the
+// ready and running queues hold concrete values, not boxed interfaces.
+func TestListScheduleAllocationsConstant(t *testing.T) {
+	for _, bits := range []int{16, 64} {
+		d := circuit.BuildDAG(gen.CarryLookahead(bits).Circuit)
+		if n := testing.AllocsPerRun(20, func() { ListSchedule(d, 15) }); n > 8 {
+			t.Errorf("ListSchedule(%d-bit adder, 15 blocks): %v allocs/run, want <= 8", bits, n)
+		}
+	}
+}
+
+// TestValidateRejectsBrokenSchedules: Validate catches both ways a
+// schedule can be wrong — an instruction starting before its dependency
+// finishes, and more instructions in flight than the block budget — and
+// the zero-makespan and unreachable-tolerance edges stay well defined.
+func TestValidateRejectsBrokenSchedules(t *testing.T) {
+	d := chain(3)
+	early := ListSchedule(d, 1)
+	early.Start[2] = early.Start[1]
+	if err := early.Validate(d); err == nil {
+		t.Error("Validate accepted an instruction starting before its dependency finished")
+	}
+	ind := independent(4)
+	crowded := ListSchedule(ind, 0)
+	crowded.Blocks = 2
+	if err := crowded.Validate(ind); err == nil {
+		t.Error("Validate accepted 4 concurrent instructions on 2 blocks")
+	}
+
+	empty := circuit.BuildDAG(circuit.New(1))
+	if u := ListSchedule(empty, 3).Utilization(); u != 0 {
+		t.Errorf("empty schedule utilization = %v, want 0", u)
+	}
+	if s := SpeedupVsUnlimited(empty, 3); s != 1 {
+		t.Errorf("empty schedule speedup = %v, want 1", s)
+	}
+	// A negative tolerance puts the target below the unlimited makespan:
+	// no budget meets it, so the search caps at one block per instruction.
+	if k := KneeBlocks(ind, -0.5); k != 4 {
+		t.Errorf("KneeBlocks(unreachable target) = %d, want 4", k)
+	}
+}
