@@ -38,7 +38,6 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/circuit"
-	"repro/internal/cqla"
 	"repro/internal/ecc"
 	"repro/internal/explore"
 	"repro/internal/gen"
@@ -46,6 +45,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/perf"
 	"repro/internal/phys"
+	"repro/internal/sched"
 )
 
 // specials are the artifacts that are not point sweeps: their output is a
@@ -550,24 +550,22 @@ func table1(p phys.Params) {
 	fmt.Printf("%-14s %v\n", "clock cycle", p.CycleTime)
 }
 
+// fig2 draws Figure 2: the 64-qubit adder's parallelism profile with
+// unlimited compute blocks and with 15.
 func fig2(phys.Params) {
-	f := cqla.Fig2(64, 15)
+	dag := circuit.BuildDAG(gen.CarryLookahead(64).Circuit)
+	unlimited, limited := sched.ListSchedule(dag, 0), sched.ListSchedule(dag, 15)
+	up, lp := unlimited.Profile(dag.Circuit()), limited.Profile(dag.Circuit())
 	fmt.Printf("64-qubit adder: unlimited %d slots, 15 blocks %d slots (%.2fx)\n",
-		f.UnlimitedSlots, f.LimitedSlots, float64(f.LimitedSlots)/float64(f.UnlimitedSlots))
+		unlimited.MakespanSlots, limited.MakespanSlots, float64(limited.MakespanSlots)/float64(unlimited.MakespanSlots))
 	fmt.Println("slot  unlimited  15-blocks")
-	step := len(f.UnlimitedProfile) / 24
-	if step < 1 {
-		step = 1
-	}
-	for t := 0; t < f.LimitedSlots; t += step {
-		u, l := 0, 0
-		if t < len(f.UnlimitedProfile) {
-			u = f.UnlimitedProfile[t]
+	step := max(len(up)/24, 1)
+	for t := 0; t < len(lp); t += step {
+		u := 0
+		if t < len(up) {
+			u = up[t]
 		}
-		if t < len(f.LimitedProfile) {
-			l = f.LimitedProfile[t]
-		}
-		fmt.Printf("%-5d %-10s %-10s\n", t, bar(u), bar(l))
+		fmt.Printf("%-5d %-10s %-10s\n", t, bar(u), bar(lp[t]))
 	}
 }
 

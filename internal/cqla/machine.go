@@ -5,6 +5,8 @@
 // mesh (mesh), code-transfer networks (transfer), the qubit cache (cache)
 // and the fault-tolerance budget (fidelity) — into the area and performance
 // models behind Tables 4 and 5 and Figures 2, 6, 7 and 8 of the paper.
+// The package is the machine model and the paper's axis values only: each
+// table and figure is produced by its registered sweep in internal/explore.
 //
 // The CQLA specializes the homogeneous QLA into:
 //

@@ -176,17 +176,11 @@ func (r *residency) unpin(q int) { r.pins[q]-- }
 // Run simulates the circuit on the configured machine and returns the
 // measured statistics. All qubits start in memory.
 func Run(c *circuit.Circuit, cfg Config) (Stats, error) {
-	//lint:ignore-cqla ctxflow Run is the uncancellable convenience API; callers needing teardown use RunContext
-	return RunContext(context.Background(), c, cfg)
-}
-
-// RunContext is Run with cancellation: a long simulation aborts with the
-// context's error at the next event-loop check.
-func RunContext(ctx context.Context, c *circuit.Circuit, cfg Config) (Stats, error) {
 	if err := cfg.Validate(); err != nil {
 		return Stats{}, err
 	}
-	return RunDAG(ctx, circuit.BuildDAG(c), cfg)
+	//lint:ignore-cqla ctxflow Run is the uncancellable convenience API; callers needing teardown use RunDAG or a Runner
+	return RunDAG(context.Background(), circuit.BuildDAG(c), cfg)
 }
 
 // Validate reports whether the machine can run a circuit: at least one

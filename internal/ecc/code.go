@@ -76,6 +76,12 @@ type bitDecoder struct {
 	// minterms of the non-flipping set and complements the result.
 	flipWork  uint64
 	flipCompl bool
+
+	// faults is the fault weight enumerator: faults[k] of the C(n,k)
+	// weight-k error patterns decode to a logical fault. It is the exact
+	// level-1 logical rate polynomial (weightHist.rate), recorded by the
+	// one-time build once the table is complete.
+	faults weightHist
 }
 
 // maxDecoderQubits caps the physical qubits a decoder enumerates: building
@@ -88,7 +94,9 @@ const maxDecoderQubits = 20
 // lightest pattern seen, replacing it only when strictly lighter — so ties
 // resolve to the lowest mask. The table must be total over achievable
 // syndromes (rank(h) can equal the row count, as for Bacon-Shor's six
-// Z-generators, where some syndromes require weight-3 corrections).
+// Z-generators, where some syndromes require weight-3 corrections). A
+// second pass over the finished table records the fault weight
+// enumerator.
 func newBitDecoder(h *gf2.Matrix, logical gf2.Vec) *bitDecoder {
 	n := h.Cols()
 	if n > maxDecoderQubits {
@@ -120,6 +128,11 @@ func newBitDecoder(h *gf2.Matrix, logical gf2.Vec) *bitDecoder {
 		if bits.OnesCount64(d.flipBits) > len(d.table)/2 {
 			d.flipWork = ^d.flipBits & domain
 			d.flipCompl = true
+		}
+	}
+	for e := uint64(0); e < 1<<uint(n); e++ {
+		if d.fault(e) {
+			d.faults[bits.OnesCount64(e)]++
 		}
 	}
 	return d

@@ -2,6 +2,7 @@ package ecc
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -33,7 +34,7 @@ func TestCodeParameters(t *testing.T) {
 func TestDistanceThreeCorrectsAllWeight1(t *testing.T) {
 	for _, c := range Codes() {
 		for _, b := range []Basis{BasisX, BasisZ} {
-			if a := c.decoder(b).faultEnumerator(c.N); a[0] != 0 || a[1] != 0 {
+			if a := c.decoder(b).faults; a[0] != 0 || a[1] != 0 {
 				t.Errorf("%s basis %d: A_0=%d A_1=%d logical faults, want none", c.Name, b, a[0], a[1])
 			}
 		}
@@ -46,13 +47,44 @@ func TestDistanceThreeCorrectsAllWeight1(t *testing.T) {
 func TestSomeWeight2ErrorsFail(t *testing.T) {
 	for _, c := range Codes() {
 		for _, b := range []Basis{BasisX, BasisZ} {
-			if a := c.decoder(b).faultEnumerator(c.N); a[2] == 0 {
+			if a := c.decoder(b).faults; a[2] == 0 {
 				t.Errorf("%s basis %d corrected every weight-2 error; distance would be >= 5", c.Name, b)
 			}
 		}
 	}
-	if a := Steane().bitX.faultEnumerator(7); a[2] != 21 {
+	if a := Steane().bitX.faults; a[2] != 21 {
 		t.Errorf("Steane A_2 = %d, want 21", a[2])
+	}
+}
+
+// TestFaultEnumeratorHalvesPatterns checks the enumerator the decoder build
+// stores against an invariant the table cannot fake: e and e plus a
+// logical operator share a syndrome, and exactly one of the two residuals
+// anticommutes with the opposite logical, so the enumerator sums to
+// 2^(n-1). It also pins both codes' X-error enumerators.
+func TestFaultEnumeratorHalvesPatterns(t *testing.T) {
+	for _, c := range Codes() {
+		for _, b := range []Basis{BasisX, BasisZ} {
+			var sum int64
+			for _, a := range c.decoder(b).faults {
+				sum += a
+			}
+			if sum != 1<<(c.N-1) {
+				t.Errorf("%s basis %d: %d fault patterns, want 2^%d", c.Name, b, sum, c.N-1)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		c    *Code
+		want []int64
+	}{
+		{Steane(), []int64{0, 0, 21, 7, 28, 0, 7, 1}},
+		{BaconShor(), []int64{0, 0, 9, 57, 99, 27, 27, 27, 9, 1}},
+	} {
+		a := tc.c.bitX.faults
+		if got := a[:tc.c.N+1]; !slices.Equal(got, tc.want) {
+			t.Errorf("%s X enumerator = %v, want %v", tc.c.Name, got, tc.want)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package ecc
 
 import (
 	"math"
-	"math/bits"
 	"math/rand"
 )
 
@@ -52,20 +51,6 @@ func (c *Code) sampleBlockFaultX(level int, p float64, rng *rand.Rand) bool {
 	return c.bitX.fault(e)
 }
 
-// faultEnumerator counts, by weight, the error patterns on n qubits that
-// the decoder turns into a logical fault: A[k] of the C(n,k) weight-k
-// patterns. It decodes all 2^n patterns (512 for Bacon-Shor), so callers
-// compute it on demand rather than at code construction.
-func (d *bitDecoder) faultEnumerator(n int) weightHist {
-	var a weightHist
-	for e := uint64(0); e < 1<<uint(n); e++ {
-		if d.fault(e) {
-			a[bits.OnesCount64(e)]++
-		}
-	}
-	return a
-}
-
 // rate evaluates the exact level-1 logical rate of a fault enumerator at
 // physical rate p: f(p) = Σ_k A_k p^k (1−p)^(n−k). Sub-blocks of a
 // concatenated block fail independently, so level L is f applied L times.
@@ -84,7 +69,7 @@ func (a *weightHist) rate(n int, p float64) float64 {
 // f(p) = p. It bisects the exact logical-rate polynomial to float64
 // resolution, so the value carries no sampling error.
 func (c *Code) PseudoThresholdX() float64 {
-	a := c.bitX.faultEnumerator(c.N)
+	a := &c.bitX.faults
 	lo, hi := 0.0, 0.5
 	for i := 0; i < 64; i++ {
 		mid := (lo + hi) / 2

@@ -13,7 +13,7 @@ const oracleZ = 4
 // exactRate is the exact logical rate of c at the given concatenation level
 // for errors of basis b: the level-1 polynomial f applied level times.
 func exactRate(c *Code, b Basis, level int, p float64) float64 {
-	a := c.decoder(b).faultEnumerator(c.N)
+	a := &c.decoder(b).faults
 	for i := 0; i < level; i++ {
 		p = a.rate(c.N, p)
 	}

@@ -4,27 +4,23 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/cqla"
+	"repro/internal/ecc"
 	"repro/internal/explore"
+	"repro/internal/gen"
 	"repro/internal/phys"
+	"repro/internal/sched"
 )
 
 // TestTable4Golden routes the Table 4 experiment through the engine and
-// demands exact (bitwise) agreement with the hand-coded serial path
-// cqla.Table4 — the engine must be a faithful re-plumbing, not an
+// demands exact (bitwise) agreement with the hand-coded serial oracle
+// table4 — the engine must be a faithful re-plumbing, not an
 // approximation. The engine's product order is size x budget x code with
-// code fastest, so each Table4Row corresponds to two consecutive points.
+// code fastest, so each table4Row corresponds to two consecutive points.
 func TestTable4Golden(t *testing.T) {
-	p := phys.Projected()
-	exp, err := explore.Lookup("table4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts, err := explore.Run(context.Background(), exp, explore.Options{Phys: p, Parallel: 8, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := cqla.Table4(p)
+	pts := sweepPoints(t, "table4")
+	rows := table4(phys.Projected())
 	if len(pts) != 2*len(rows) {
 		t.Fatalf("engine produced %d points for %d table rows", len(pts), len(rows))
 	}
@@ -58,20 +54,12 @@ func TestTable4Golden(t *testing.T) {
 
 // TestTable5Golden routes the Table 5 experiment through the engine (and
 // therefore through arch's analytic engine) and demands exact agreement
-// with the hand-coded serial path cqla.Table5. The experiment's product
+// with the hand-coded serial oracle table5. The experiment's product
 // order — code x transfers x size, size fastest — matches the row order of
 // the hand-coded loop, so points and rows correspond one to one.
 func TestTable5Golden(t *testing.T) {
-	p := phys.Projected()
-	exp, err := explore.Lookup("table5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts, err := explore.Run(context.Background(), exp, explore.Options{Phys: p, Parallel: 4, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := cqla.Table5(p)
+	pts := sweepPoints(t, "table5")
+	rows := table5(phys.Projected())
 	if len(pts) != len(rows) {
 		t.Fatalf("engine produced %d points for %d table rows", len(pts), len(rows))
 	}
@@ -97,19 +85,11 @@ func TestTable5Golden(t *testing.T) {
 	}
 }
 
-// TestFig7Golden pins the cache-hit-rate sweep to the hand-coded cqla.Fig7
-// path, exactly.
+// TestFig7Golden pins the cache-hit-rate sweep to the hand-coded fig7
+// oracle, exactly.
 func TestFig7Golden(t *testing.T) {
-	p := phys.Projected()
-	exp, err := explore.Lookup("fig7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts, err := explore.Run(context.Background(), exp, explore.Options{Phys: p, Parallel: 4, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := cqla.Fig7(p)
+	pts := sweepPoints(t, "fig7")
+	rows := fig7(phys.Projected())
 	if len(pts) != len(rows) {
 		t.Fatalf("engine produced %d points for %d figure rows", len(pts), len(rows))
 	}
@@ -218,4 +198,123 @@ func TestParetoFrontierMarks(t *testing.T) {
 			}
 		}
 	}
+}
+
+// The oracles below are the hand-coded serial computations of Table 4,
+// Table 5 and Figure 7, written directly against the cqla machine model
+// and the cache simulator with no explore or arch code in between. They
+// exist only to pin the registered sweeps bit for bit.
+
+// table4Row is one row of Table 4: CQLA vs QLA for modular exponentiation
+// at one (input size, compute blocks) point, for both codes.
+type table4Row struct {
+	InputSize, Blocks                int
+	AreaReducedSteane, AreaReducedBS float64
+	SpeedupSteane, SpeedupBS         float64
+	GainProductSteane, GainProductBS float64
+}
+
+// table4 reproduces Table 4: the specialization study without the memory
+// hierarchy.
+func table4(p phys.Params) []table4Row {
+	var rows []table4Row
+	blockTable := cqla.PaperBlockCounts()
+	st, bs := ecc.Steane(), ecc.BaconShor()
+	for _, n := range cqla.PaperInputSizes() {
+		q := gen.NewModExp(n).LogicalQubits()
+		adder := cqla.AdderKernel(n)
+		for _, k := range blockTable[n] {
+			mSt := cqla.New(cqla.Config{Code: st, Params: p, ComputeBlocks: k, ParallelTransfers: 10})
+			mBS := cqla.New(cqla.Config{Code: bs, Params: p, ComputeBlocks: k, ParallelTransfers: 10})
+			row := table4Row{
+				InputSize:         n,
+				Blocks:            k,
+				AreaReducedSteane: mSt.AreaReduction(q, false),
+				AreaReducedBS:     mBS.AreaReduction(q, false),
+				SpeedupSteane:     mSt.SpeedupL2(adder),
+				SpeedupBS:         mBS.SpeedupL2(adder),
+			}
+			row.GainProductSteane = row.AreaReducedSteane * row.SpeedupSteane
+			row.GainProductBS = row.AreaReducedBS * row.SpeedupBS
+			rows = append(rows, row)
+		}
+	}
+	return rows
+}
+
+// table5Row is one row of Table 5: the memory-hierarchy study.
+type table5Row struct {
+	Code              string
+	ParallelTransfers int
+	AdderSize         int
+	L1Speedup         float64
+	L2Speedup         float64
+	AdderSpeedup      float64
+	AreaReduced       float64
+	GainProduct       float64
+}
+
+// table5 reproduces Table 5: adding the level-1 cache + compute tier with 5
+// or 10 parallel memory<->cache transfers.
+func table5(p phys.Params) []table5Row {
+	var rows []table5Row
+	blockTable := cqla.PaperBlockCounts()
+	adders := make(map[int]*sched.Plan)
+	for _, n := range cqla.Table5Sizes() {
+		adders[n] = cqla.AdderKernel(n)
+	}
+	for _, code := range ecc.Codes() {
+		for _, par := range []int{10, 5} {
+			for _, n := range cqla.Table5Sizes() {
+				k := blockTable[n][0]
+				adder := adders[n]
+				m := cqla.New(cqla.Config{Code: code, Params: p, ComputeBlocks: k, ParallelTransfers: par})
+				q := gen.NewModExp(n).LogicalQubits()
+				rows = append(rows, table5Row{
+					Code:              code.Short,
+					ParallelTransfers: par,
+					AdderSize:         n,
+					L1Speedup:         m.SpeedupL1(adder),
+					L2Speedup:         m.SpeedupL2(adder),
+					AdderSpeedup:      m.AdderSpeedup(adder),
+					AreaReduced:       m.AreaReduction(q, true),
+					GainProduct:       m.GainProduct(adder, q, true),
+				})
+			}
+		}
+	}
+	return rows
+}
+
+// figure7Row is one bar group of Figure 7: hit rates for one adder size.
+type figure7Row struct {
+	AdderSize  int
+	CacheSize  int
+	Multiplier float64 // cache size as a multiple of the compute region
+	NaiveRate  float64
+	OptimRate  float64
+}
+
+// fig7 reproduces Figure 7: cache hit rates for naive and optimized
+// instruction fetch at cache sizes {1, 1.5, 2} x the compute-region qubits.
+func fig7(p phys.Params) []figure7Row {
+	var rows []figure7Row
+	blockTable := cqla.PaperBlockCounts()
+	for _, n := range cqla.Fig7Sizes() {
+		ad := gen.CarryLookahead(n)
+		pe := blockTable[n][0] * cqla.BlockDataQubits
+		for _, mult := range []float64{1, 1.5, 2} {
+			capQ := int(mult * float64(pe))
+			naive := cache.Simulate(ad.Circuit, cache.Config{CacheQubits: capQ, Policy: cache.Naive})
+			opt := cache.Simulate(ad.Circuit, cache.Config{CacheQubits: capQ, Policy: cache.Optimized})
+			rows = append(rows, figure7Row{
+				AdderSize:  n,
+				CacheSize:  capQ,
+				Multiplier: mult,
+				NaiveRate:  naive.HitRate(),
+				OptimRate:  opt.HitRate(),
+			})
+		}
+	}
+	return rows
 }

@@ -31,7 +31,7 @@ func init() {
 	Register(fig8bExp())
 	Register(paretoExp())
 	Register(overlapSensExp())
-	Register(monteCarloExp())
+	Register(monteCarloExp(ecc.Naive))
 	Register(xvalExp())
 	Register(workloadsExp())
 	Register(workloadBlocksExp())
@@ -171,7 +171,7 @@ func table4Exp() *Experiment {
 				return metricsFrom(res, Metric{"blocks", float64(blocks)}), nil
 			}
 			// The analytic path keeps Table 4's historical metric names —
-			// the golden test demands bitwise agreement with cqla.Table4.
+			// the golden test demands bitwise agreement with its table4 oracle.
 			v, err := pickMetrics(res, "area_reduction", "l2_speedup", "gain_product")
 			if err != nil {
 				return nil, err
@@ -529,15 +529,6 @@ func xvalExp() *Experiment {
 	}
 }
 
-// monteCarloExp sweeps the Pauli-frame Monte Carlo error injector over
-// code × physical error rate, with the per-point deterministic seed the
-// runner derives — the sweep reproduces bit-for-bit at any parallelism.
-// Determinism holds at two levels: the runner derives each point's seed
-// from its coordinates (never evaluation order), and ecc's MonteCarlo
-// itself fans fixed-size shards with seed-derived sub-streams across a
-// worker pool, so its counts are identical whether the point runs on one
-// core or many. `-parallel` therefore changes wall-clock only, even
-// though every evaluation is internally concurrent too.
 // Monte Carlo estimator names for the montecarlo sweep (`cqla sweep
 // montecarlo -estimator ...`). The registered sweep runs the naive
 // estimator; NewMonteCarloExperiment builds the sweep for any of them.
@@ -568,11 +559,11 @@ func Estimators() []string {
 func NewMonteCarloExperiment(estimator string) (*Experiment, error) {
 	switch estimator {
 	case "", EstimatorNaive:
-		return monteCarloExp(), nil
+		return monteCarloExp(ecc.Naive), nil
 	case EstimatorBitSliced:
-		return monteCarloBatchExp(), nil
+		return monteCarloExp(ecc.BitSliced), nil
 	case EstimatorRare:
-		return monteCarloRareExp(), nil
+		return monteCarloExp(ecc.Rare), nil
 	}
 	return nil, fmt.Errorf("explore: unknown estimator %q (have %v)", estimator, Estimators())
 }
@@ -622,7 +613,30 @@ func mcRecord(reg *obs.Registry, estimator string, trials int) {
 		"estimator").With(estimator).Add(uint64(trials))
 }
 
-func monteCarloExp() *Experiment {
+// monteCarloExp sweeps the Pauli-frame Monte Carlo error injector over
+// code × physical error rate, with the per-point deterministic seed the
+// runner derives — the sweep reproduces bit-for-bit at any parallelism.
+// Determinism holds at two levels: the runner derives each point's seed
+// from its coordinates (never evaluation order), and ecc's MonteCarlo
+// itself fans fixed-size shards with seed-derived sub-streams across a
+// worker pool, so its counts are identical whether the point runs on one
+// core or many. `-parallel` therefore changes wall-clock only, even
+// though every evaluation is internally concurrent too.
+//
+// The sweep is built on one ecc estimator. Every variant shares the name,
+// axes and renderer and differs in its sampler and metric set, each
+// metric set in its own fixed order. The bit-sliced and rare-event
+// samplers run under the mc-bitsliced and mc-rare spans
+// (benchmark/layers.go attributes time by those names) and count their
+// work with mcRecord; the frozen naive path has neither.
+func monteCarloExp(est ecc.Estimator) *Experiment {
+	label, span := EstimatorNaive, ""
+	switch est {
+	case ecc.BitSliced:
+		label, span = EstimatorBitSliced, "mc-bitsliced"
+	case ecc.Rare:
+		label, span = EstimatorRare, "mc-rare"
+	}
 	return &Experiment{
 		Name:   "montecarlo",
 		Title:  "Monte Carlo logical X-error rate vs physical rate per code",
@@ -638,98 +652,31 @@ func monteCarloExp() *Experiment {
 			}
 			p := in.Float("physical_rate")
 			trials := in.Int("trials")
-			r := c.MonteCarlo(p, trials, in.Seed, ecc.MC{})
-			logical := r.LogicalRate
-			// Rule of three: zero observed faults bounds the true logical
-			// rate at ~3/trials with 95% confidence, so suppression_lb
-			// stays a finite, honest lower bound at operating points the
-			// trial budget cannot resolve (resolved reports which).
-			resolved, bound := 1.0, logical
-			if r.FaultTrials == 0 {
-				resolved, bound = 0, 3/float64(trials)
+			if est == ecc.Naive {
+				return naiveMetrics(p, trials, c.MonteCarlo(p, trials, in.Seed, ecc.MC{})), nil
 			}
-			// The metric set is frozen: naive output is byte-identical
-			// across releases, which is why the bound is not emitted here.
-			return []Metric{
-				{"logical_rate", logical},
-				{"logical_faults", float64(r.FaultTrials)},
-				{"suppression_lb", p / bound},
-				{"resolved", resolved},
-			}, nil
-		},
-	}
-}
-
-// monteCarloBatchExp is the montecarlo sweep on the bit-sliced batch
-// engine: the same experiment and determinism contract, roughly an order
-// of magnitude more trials per second, plus explicit confidence-interval
-// metrics the frozen naive set cannot grow.
-func monteCarloBatchExp() *Experiment {
-	return &Experiment{
-		Name:   "montecarlo",
-		Title:  "Monte Carlo logical X-error rate vs physical rate per code",
-		Axes:   mcAxes(),
-		Render: mcRender,
-		Eval: func(ctx context.Context, in In) ([]Metric, error) {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			c, err := arch.CodeByName(in.Str("code"))
-			if err != nil {
-				return nil, err
-			}
-			p := in.Float("physical_rate")
-			trials := in.Int("trials")
-			_, sp := obs.StartSpan(ctx, "mc-bitsliced")
-			r := c.MonteCarlo(p, trials, in.Seed, ecc.MC{Estimator: ecc.BitSliced})
+			_, sp := obs.StartSpan(ctx, span)
+			r := c.MonteCarlo(p, trials, in.Seed, ecc.MC{Estimator: est})
 			sp.End()
-			mcRecord(in.Obs, EstimatorBitSliced, trials)
+			mcRecord(in.Obs, label, r.Trials)
 			resolved := 0.0
 			if r.Resolved(ecc.TargetRelCI) {
 				resolved = 1
 			}
-			return []Metric{
-				{"logical_rate", r.LogicalRate},
-				{"logical_faults", float64(r.FaultTrials)},
-				{"suppression_lb", p / r.RateBound},
-				{"resolved", resolved},
-				{"rate_bound", r.RateBound},
-				{"rel_ci_95", r.RelCI()},
-			}, nil
-		},
-	}
-}
-
-// monteCarloRareExp is the montecarlo sweep on the importance-sampled
-// estimator: the trials axis is a per-point budget, sampling is
-// tilted toward a resolvable error rate and reweighted by likelihood
-// ratio, and the estimator stops early once the 95% CI is within 10% of
-// the estimate — resolving operating points (p ≈ 1e-5) that the naive
-// estimator's rule-of-three bound only censors.
-func monteCarloRareExp() *Experiment {
-	return &Experiment{
-		Name:   "montecarlo",
-		Title:  "Monte Carlo logical X-error rate vs physical rate per code",
-		Axes:   mcAxes(),
-		Render: mcRender,
-		Eval: func(ctx context.Context, in In) ([]Metric, error) {
-			if err := ctx.Err(); err != nil {
-				return nil, err
+			if est == ecc.BitSliced {
+				// The naive set plus the explicit confidence-interval
+				// metrics the frozen set cannot grow.
+				return []Metric{
+					{"logical_rate", r.LogicalRate},
+					{"logical_faults", float64(r.FaultTrials)},
+					{"suppression_lb", p / r.RateBound},
+					{"resolved", resolved},
+					{"rate_bound", r.RateBound},
+					{"rel_ci_95", r.RelCI()},
+				}, nil
 			}
-			c, err := arch.CodeByName(in.Str("code"))
-			if err != nil {
-				return nil, err
-			}
-			p := in.Float("physical_rate")
-			budget := in.Int("trials")
-			_, sp := obs.StartSpan(ctx, "mc-rare")
-			r := c.MonteCarlo(p, budget, in.Seed, ecc.MC{Estimator: ecc.Rare})
-			sp.End()
-			mcRecord(in.Obs, EstimatorRare, r.Trials)
-			resolved := 0.0
-			if r.Resolved(ecc.TargetRelCI) {
-				resolved = 1
-			}
+			// The rare-event estimator's trials axis is a budget, so it
+			// reports the trials it used and the rate it sampled at.
 			return []Metric{
 				{"logical_rate", r.LogicalRate},
 				{"stderr", r.StdErr},
@@ -742,5 +689,25 @@ func monteCarloRareExp() *Experiment {
 				{"tilt_rate", r.TiltRate},
 			}, nil
 		},
+	}
+}
+
+// naiveMetrics is the naive estimator's metric set. Rule of three: zero
+// observed faults bounds the true logical rate at ~3/trials with 95%
+// confidence, so suppression_lb stays a finite, honest lower bound at
+// operating points the trial budget cannot resolve (resolved reports
+// which). The set is frozen: naive output is byte-identical across
+// releases, which is why the bound is not emitted.
+func naiveMetrics(p float64, trials int, r ecc.MonteCarloResult) []Metric {
+	logical := r.LogicalRate
+	resolved, bound := 1.0, logical
+	if r.FaultTrials == 0 {
+		resolved, bound = 0, 3/float64(trials)
+	}
+	return []Metric{
+		{"logical_rate", logical},
+		{"logical_faults", float64(r.FaultTrials)},
+		{"suppression_lb", p / bound},
+		{"resolved", resolved},
 	}
 }

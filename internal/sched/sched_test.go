@@ -115,6 +115,31 @@ func TestFigure2FewBlocksSuffice(t *testing.T) {
 	}
 }
 
+func TestFig2Shape(t *testing.T) {
+	// Figure 2: the 64-qubit adder's parallelism profile with unlimited
+	// resources and with 15 compute blocks.
+	d := circuit.BuildDAG(gen.CarryLookahead(64).Circuit)
+	unlimited, limited := ListSchedule(d, 0), ListSchedule(d, 15)
+	if unlimited.MakespanSlots != d.Depth() {
+		t.Error("unlimited profile length should equal depth")
+	}
+	if limited.MakespanSlots < unlimited.MakespanSlots {
+		t.Error("limited schedule cannot beat unlimited")
+	}
+	// 15 blocks keep the 64-bit adder within ~30% of unlimited runtime.
+	if float64(limited.MakespanSlots) > 1.3*float64(unlimited.MakespanSlots) {
+		t.Errorf("15 blocks: %d slots vs %d unlimited", limited.MakespanSlots, unlimited.MakespanSlots)
+	}
+	// Peak unlimited parallelism is tens of gates (Figure 2 peaks ~55).
+	if peak := unlimited.PeakParallelism(d.Circuit()); peak < 20 {
+		t.Errorf("peak parallelism %d, expected tens of gates", peak)
+	}
+	// Limited profile never exceeds the block budget.
+	if peak := limited.PeakParallelism(d.Circuit()); peak > 15 {
+		t.Errorf("limited profile exceeds 15 blocks: %d", peak)
+	}
+}
+
 func TestKneeBlocks(t *testing.T) {
 	d := circuit.BuildDAG(gen.CarryLookahead(64).Circuit)
 	knee := KneeBlocks(d, 0.02)

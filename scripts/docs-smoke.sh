@@ -21,6 +21,7 @@ done
 # --- README quickstart -----------------------------------------------
 run go run ./cmd/cqla table4
 run go run ./cmd/cqla floorplan
+run go run ./cmd/cqla fig2
 run go run ./cmd/qcirc gen -kind adder -n 8
 go run ./cmd/qcirc gen -kind qft -n 8 | run go run ./cmd/qcirc sched -blocks 4
 
