@@ -9,10 +9,10 @@ package repro_bench
 import (
 	"testing"
 
+	"repro/internal/arch"
 	"repro/internal/cache"
 	"repro/internal/circuit"
 	"repro/internal/cqla"
-	"repro/internal/ecc"
 	"repro/internal/gen"
 	"repro/internal/mesh"
 	"repro/internal/phys"
@@ -35,13 +35,12 @@ func BenchmarkTable1Params(b *testing.B) {
 // BenchmarkAblationCodeChoice compares Steane vs Bacon-Shor as the CQLA's
 // region code at the 256-bit working point.
 func BenchmarkAblationCodeChoice(b *testing.B) {
-	p := phys.Projected()
 	q := 5*256 + 3
 	var gpSt, gpBS float64
 	for i := 0; i < b.N; i++ {
 		adder := cqla.AdderKernel(256)
-		st := cqla.New(cqla.Config{Code: ecc.Steane(), Params: p, ComputeBlocks: 36, ParallelTransfers: 10})
-		bs := cqla.New(cqla.Config{Code: ecc.BaconShor(), Params: p, ComputeBlocks: 36, ParallelTransfers: 10})
+		st := paperMachine(arch.WithCodeName("steane"))
+		bs := paperMachine(arch.WithCodeName("bacon-shor"))
 		gpSt = st.GainProduct(adder, q, true)
 		gpBS = bs.GainProduct(adder, q, true)
 	}
@@ -92,8 +91,7 @@ func BenchmarkAblationSuperblock(b *testing.B) {
 // BenchmarkAblationLevelMix sweeps the L1:L2 addition mix around the
 // paper's 1:2 policy.
 func BenchmarkAblationLevelMix(b *testing.B) {
-	p := phys.Projected()
-	m := cqla.New(cqla.Config{Code: ecc.BaconShor(), Params: p, ComputeBlocks: 36, ParallelTransfers: 10})
+	m := bsMachine(36)
 	adder := cqla.AdderKernel(256)
 	var pure2, mix12, mix11 float64
 	for i := 0; i < b.N; i++ {
@@ -111,12 +109,11 @@ func BenchmarkAblationLevelMix(b *testing.B) {
 // BenchmarkAblationTransferWidth sweeps the memory<->cache transfer-network
 // width.
 func BenchmarkAblationTransferWidth(b *testing.B) {
-	p := phys.Projected()
 	var s5, s10, s20 float64
 	for i := 0; i < b.N; i++ {
 		adder := cqla.AdderKernel(256)
 		for _, par := range []int{5, 10, 20} {
-			m := cqla.New(cqla.Config{Code: ecc.BaconShor(), Params: p, ComputeBlocks: 36, ParallelTransfers: par})
+			m := paperMachine(arch.WithCodeName("bacon-shor"), arch.WithTransfers(par))
 			s := m.SpeedupL1(adder)
 			switch par {
 			case 5:

@@ -38,7 +38,6 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/circuit"
-	"repro/internal/ecc"
 	"repro/internal/explore"
 	"repro/internal/gen"
 	"repro/internal/layout"
@@ -576,14 +575,14 @@ func bar(n int) string {
 	return strings.Repeat("#", n)
 }
 
+// floorplan draws the Bacon-Shor machine at the paper's 36-block,
+// 10-transfer working point for a 256-bit modular exponentiation.
 func floorplan(p phys.Params) {
-	f, err := layout.Build(layout.Config{
-		Code:          ecc.BaconShor(),
-		Params:        p,
-		InputBits:     256,
-		ComputeBlocks: 36,
-		Hierarchy:     true,
-	})
+	m, err := arch.New(arch.WithCodeName("bacon-shor"), arch.WithParams(p))
+	if err != nil {
+		log.Fatal(err)
+	}
+	f, err := layout.Build(m.Analytic(), 256, true)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -101,7 +101,7 @@ func runGen(args []string) error {
 	if err != nil {
 		return err
 	}
-	return circuit.Encode(os.Stdout, c)
+	return circuit.Format(os.Stdout, c)
 }
 
 func runFmt(args []string) error {
@@ -136,7 +136,7 @@ func runStats(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	c, err := circuit.Decode(os.Stdin)
+	c, err := circuit.Parse(os.Stdin)
 	if err != nil {
 		return err
 	}
@@ -159,7 +159,7 @@ func runSched(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	c, err := circuit.Decode(os.Stdin)
+	c, err := circuit.Parse(os.Stdin)
 	if err != nil {
 		return err
 	}

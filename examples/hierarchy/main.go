@@ -10,7 +10,9 @@ package main
 
 import (
 	"fmt"
+	"log"
 
+	"repro/internal/arch"
 	"repro/internal/cache"
 	"repro/internal/cqla"
 	"repro/internal/ecc"
@@ -52,7 +54,11 @@ func main() {
 	fmt.Printf("  %-8s %-10s %-10s %-12s\n", "xfers", "L1", "L2", "1:2 mix")
 	adder := cqla.AdderKernel(bits)
 	for _, par := range []int{2, 5, 10, 20} {
-		m := cqla.New(cqla.Config{Code: ecc.BaconShor(), Params: p, ComputeBlocks: 36, ParallelTransfers: par})
+		am, err := arch.New(arch.WithCodeName("bacon-shor"), arch.WithParams(p), arch.WithTransfers(par))
+		if err != nil {
+			log.Fatal(err)
+		}
+		m := am.Analytic()
 		fmt.Printf("  %-8d %-10.1f %-10.2f %-12.2f\n",
 			par, m.SpeedupL1(adder), m.SpeedupL2(adder), m.AdderSpeedup(adder))
 	}

@@ -14,8 +14,8 @@ import (
 	"log"
 	"math/rand"
 
+	"repro/internal/arch"
 	"repro/internal/circuit"
-	"repro/internal/cqla"
 	"repro/internal/ecc"
 	"repro/internal/gen"
 	"repro/internal/mesh"
@@ -55,7 +55,11 @@ func main() {
 	}
 
 	// 4. Figure 8(b): the QFT's computation/communication balance.
-	machine := cqla.New(cqla.Config{Code: bs, Params: p, ComputeBlocks: 36, ParallelTransfers: 10})
+	am, err := arch.New(arch.WithCodeName("bacon-shor"), arch.WithParams(p))
+	if err != nil {
+		log.Fatal(err)
+	}
+	machine := am.Analytic()
 	fmt.Println("\nQFT computation vs communication (Figure 8b):")
 	fmt.Printf("  %-8s %-14s %-14s %-8s\n", "size", "compute (s)", "comm (s)", "ratio")
 	for _, q := range []int{100, 250, 500, 1000} {

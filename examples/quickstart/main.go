@@ -83,7 +83,7 @@ func main() {
 	qubits := gen.NewModExp(64).LogicalQubits() // the workload's memory footprint
 	fmt.Printf("\nCQLA (Bacon-Shor, 15 blocks) for a 64-bit workload:\n")
 	fmt.Printf("  area        %8.1f mm²  (QLA baseline %.1f mm², %.1fx denser)\n",
-		machine.Analytic().AreaMM2(qubits, false), machine.Baseline().AreaMM2(qubits),
+		machine.Analytic().AreaMM2(qubits, false), machine.Analytic().Baseline().AreaMM2(qubits),
 		res.MustMetric("area_reduction"))
 	fmt.Printf("  adder time  %8.1f s    (QLA %.1f s, speedup %.2fx)\n",
 		res.MustMetric("l2_time_s"), res.MustMetric("qla_time_s"), res.MustMetric("l2_speedup"))

@@ -10,9 +10,11 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"os"
 	"strconv"
 
+	"repro/internal/arch"
 	"repro/internal/cqla"
 	"repro/internal/ecc"
 	"repro/internal/fidelity"
@@ -44,8 +46,12 @@ func main() {
 		app.Target(), app.K*app.Q)
 
 	adder := cqla.AdderKernel(bits)
-	for _, code := range ecc.Codes() {
-		m := cqla.New(cqla.Config{Code: code, Params: p, ComputeBlocks: k, ParallelTransfers: 10})
+	for _, name := range arch.CodeNames() {
+		am, err := arch.New(arch.WithCodeName(name), arch.WithParams(p), arch.WithBlocks(k))
+		if err != nil {
+			log.Fatal(err)
+		}
+		m, code := am.Analytic(), am.Code()
 		budget := fidelity.NewBudget(code, p.AverageFailure())
 		level := code.MinLevelFor(app.Target(), p.AverageFailure(), 4)
 		times := m.ModExpTimes(bits, adder)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/arch"
 	"repro/internal/circuit"
 	"repro/internal/cqla"
 	"repro/internal/des"
@@ -19,11 +20,22 @@ import (
 	"repro/internal/transfer"
 )
 
+// paperMachine is the analytic model of arch's paper working point
+// (projected parameters, ten parallel transfers, the Section 5.2 cache
+// factor and overlap) modified by opts.
+func paperMachine(opts ...arch.Option) *cqla.Machine {
+	m, err := arch.New(opts...)
+	if err != nil {
+		panic(err)
+	}
+	return m.Analytic()
+}
+
 // bsMachine is the paper's best configuration at a block budget:
 // Bacon-Shor regions with ten parallel memory<->cache transfers on the
 // projected ion-trap parameters.
 func bsMachine(blocks int) *cqla.Machine {
-	return cqla.New(cqla.Config{Code: ecc.BaconShor(), Params: phys.Projected(), ComputeBlocks: blocks, ParallelTransfers: 10})
+	return paperMachine(arch.WithCodeName("bacon-shor"), arch.WithBlocks(blocks))
 }
 
 // TestHeadlineClaims asserts the paper's abstract, end to end: "up to a
@@ -105,24 +117,30 @@ func TestNoMemoryWallEndToEnd(t *testing.T) {
 }
 
 // TestAreaModelMatchesFloorplan ties the analytic area model to the placed
-// floorplan.
+// floorplan at every Table 4 input size and block budget, for both codes
+// and a non-default cache factor, with and without the hierarchy.
 func TestAreaModelMatchesFloorplan(t *testing.T) {
-	m := bsMachine(36)
-	q := gen.NewModExp(256).LogicalQubits()
-	fp, err := layout.Build(layout.Config{
-		Code:          ecc.BaconShor(),
-		Params:        phys.Projected(),
-		InputBits:     256,
-		ComputeBlocks: 36,
-		Hierarchy:     true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	model := m.AreaMM2(q, true)
-	placed := fp.TotalAreaMM2()
-	if diff := (placed - model) / model; diff > 1e-6 || diff < -1e-6 {
-		t.Errorf("floorplan %.1f mm² vs model %.1f mm²", placed, model)
+	for _, code := range arch.CodeNames() {
+		for _, cacheFactor := range []float64{cqla.CacheFactor, 3} {
+			for _, n := range cqla.PaperInputSizes() {
+				for _, blocks := range cqla.PaperBlockCounts()[n] {
+					m := paperMachine(arch.WithCodeName(code), arch.WithBlocks(blocks), arch.WithCacheFactor(cacheFactor))
+					q := gen.NewModExp(n).LogicalQubits()
+					for _, hierarchy := range []bool{false, true} {
+						fp, err := layout.Build(m, n, hierarchy)
+						if err != nil {
+							t.Fatal(err)
+						}
+						model := m.AreaMM2(q, hierarchy)
+						placed := fp.TotalAreaMM2()
+						if diff := (placed - model) / model; diff > 1e-9 || diff < -1e-9 {
+							t.Errorf("%s, cache factor %g, %d bits, %d blocks, hierarchy %v: floorplan %.1f mm² vs model %.1f mm²",
+								code, cacheFactor, n, blocks, hierarchy, placed, model)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -152,7 +170,7 @@ func TestCurrentTechnologyIsBelowRequirements(t *testing.T) {
 // product 1 on the time axis.
 func TestGainProductBaselineIsOne(t *testing.T) {
 	n := 64
-	m := cqla.New(cqla.Config{Code: ecc.Steane(), Params: phys.Projected(), ComputeBlocks: 64, ParallelTransfers: 10}) // far past the knee
+	m := paperMachine(arch.WithCodeName("steane"), arch.WithBlocks(64)) // far past the knee
 	s := m.SpeedupL2(cqla.AdderKernel(n))
 	if s < 0.95 || s > 1.0001 {
 		t.Errorf("speedup with ample blocks = %.3f, want ~1", s)

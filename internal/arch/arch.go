@@ -2,11 +2,13 @@
 // reproduction: one error-returning builder over every machine knob the
 // paper sweeps, and one Engine interface with interchangeable evaluation
 // backends — the closed-form analytic model (internal/cqla + internal/qla)
-// and the discrete-event simulator (internal/des). Where cqla.Config keeps
-// zero-value sentinels for backward compatibility (zero means "paper
-// default", a negative overlap means "literally none"), arch options are
-// literal: WithTransferOverlap(0) models no overlap, and omitting an
-// option selects the paper default explicitly at build time.
+// and the discrete-event simulator (internal/des). New is the only way
+// non-test code builds a machine: it starts from the paper's working
+// point, applies the options to one cqla.Config and validates it with
+// cqla.Config.Validate. Options are literal — WithTransferOverlap(0)
+// models no overlap — and a machine's code is always a registry name
+// (WithCodeName). The des engine's configuration reads the cqla model
+// (cqla.Machine.CacheQubits) instead of re-deriving it.
 //
 // The intended flow is:
 //
@@ -32,7 +34,6 @@ import (
 	"repro/internal/cqla"
 	"repro/internal/ecc"
 	"repro/internal/phys"
-	"repro/internal/qla"
 )
 
 // Config is the fully resolved machine configuration echoed into every
@@ -94,16 +95,12 @@ func CodeByName(name string) (*ecc.Code, error) {
 	return nil, fmt.Errorf("arch: unknown code %q (have %v)", name, CodeNames())
 }
 
-// settings accumulates options before validation.
+// settings accumulates options before validation: the machine model's
+// configuration plus what only arch knows about the machine.
 type settings struct {
-	code         *ecc.Code
+	cq           cqla.Config
 	codeName     string
 	codeErr      error
-	params       phys.Params
-	blocks       int
-	transfers    int
-	cacheFactor  float64
-	overlap      float64
 	simChannels  int
 	simResidency int
 }
@@ -111,44 +108,32 @@ type settings struct {
 // Option configures one knob of the machine under construction.
 type Option func(*settings)
 
-// WithCode selects the error-correction code of the machine's regions.
-func WithCode(c *ecc.Code) Option {
-	return func(s *settings) {
-		s.code = c
-		if c != nil {
-			s.codeName = codeName(c)
-		}
-		s.codeErr = nil
-	}
-}
-
 // WithCodeName selects the code by registry name ("steane" or
 // "bacon-shor"); an unknown name surfaces as New's error.
 func WithCodeName(name string) Option {
 	return func(s *settings) {
 		c, err := CodeByName(name)
-		s.code, s.codeName, s.codeErr = c, name, err
+		s.cq.Code, s.codeName, s.codeErr = c, name, err
 	}
 }
 
 // WithParams selects the ion-trap technology point.
-func WithParams(p phys.Params) Option { return func(s *settings) { s.params = p } }
+func WithParams(p phys.Params) Option { return func(s *settings) { s.cq.Params = p } }
 
 // WithBlocks sets the number of level-2 compute blocks.
-func WithBlocks(n int) Option { return func(s *settings) { s.blocks = n } }
+func WithBlocks(n int) Option { return func(s *settings) { s.cq.ComputeBlocks = n } }
 
 // WithTransfers sets the memory<->cache transfer-network width (the "Par
 // Xfer" of Table 5).
-func WithTransfers(n int) Option { return func(s *settings) { s.transfers = n } }
+func WithTransfers(n int) Option { return func(s *settings) { s.cq.ParallelTransfers = n } }
 
 // WithCacheFactor sizes the level-1 cache as a multiple of the level-1
 // compute region's data qubits.
-func WithCacheFactor(f float64) Option { return func(s *settings) { s.cacheFactor = f } }
+func WithCacheFactor(f float64) Option { return func(s *settings) { s.cq.CacheFactor = f } }
 
 // WithTransferOverlap sets the fraction of memory<->cache transfer latency
-// the static schedule hides. Unlike cqla.Config, zero means literally zero
-// overlap — there is no sentinel.
-func WithTransferOverlap(f float64) Option { return func(s *settings) { s.overlap = f } }
+// the static schedule hides; zero models no overlap at all.
+func WithTransferOverlap(f float64) Option { return func(s *settings) { s.cq.TransferOverlap = f } }
 
 // WithSimChannels overrides the discrete-event engine's channel count.
 func WithSimChannels(n int) Option { return func(s *settings) { s.simChannels = n } }
@@ -160,23 +145,23 @@ func WithSimResidency(n int) Option { return func(s *settings) { s.simResidency 
 // Machine is a validated machine configuration with its analytic model
 // instantiated; engines evaluate workloads against it.
 type Machine struct {
-	cfg  Config
-	code *ecc.Code
-	phys phys.Params
-	cq   *cqla.Machine
+	cfg Config
+	cq  *cqla.Machine
 }
 
 // resolve applies the options to the paper-default working point and
 // validates the result.
 func resolve(opts []Option) (settings, error) {
 	s := settings{
-		code:        ecc.Steane(),
-		codeName:    "steane",
-		params:      phys.Projected(),
-		blocks:      36,
-		transfers:   10,
-		cacheFactor: cqla.CacheFactor,
-		overlap:     cqla.TransferOverlap,
+		cq: cqla.Config{
+			Code:              ecc.Steane(),
+			Params:            phys.Projected(),
+			ComputeBlocks:     36,
+			ParallelTransfers: 10,
+			CacheFactor:       cqla.CacheFactor,
+			TransferOverlap:   cqla.TransferOverlap,
+		},
+		codeName: "steane",
 	}
 	for _, o := range opts {
 		o(&s)
@@ -184,20 +169,8 @@ func resolve(opts []Option) (settings, error) {
 	if s.codeErr != nil {
 		return settings{}, s.codeErr
 	}
-	if s.code == nil {
-		return settings{}, fmt.Errorf("arch: nil code")
-	}
-	if s.blocks < 1 {
-		return settings{}, fmt.Errorf("arch: %d compute blocks, need at least 1", s.blocks)
-	}
-	if s.transfers < 1 {
-		return settings{}, fmt.Errorf("arch: %d parallel transfers, need at least 1", s.transfers)
-	}
-	if s.cacheFactor <= 0 {
-		return settings{}, fmt.Errorf("arch: cache factor %g, need > 0", s.cacheFactor)
-	}
-	if s.overlap < 0 || s.overlap > 1 {
-		return settings{}, fmt.Errorf("arch: transfer overlap %g outside [0, 1]", s.overlap)
+	if err := s.cq.Validate(); err != nil {
+		return settings{}, err
 	}
 	if s.simChannels < 0 {
 		return settings{}, fmt.Errorf("arch: %d sim channels, need >= 0 (0 derives from transfers)", s.simChannels)
@@ -212,11 +185,11 @@ func resolve(opts []Option) (settings, error) {
 func (s *settings) config() Config {
 	return Config{
 		Code:         s.codeName,
-		Phys:         s.params.Name,
-		Blocks:       s.blocks,
-		Transfers:    s.transfers,
-		CacheFactor:  s.cacheFactor,
-		Overlap:      s.overlap,
+		Phys:         s.cq.Params.Name,
+		Blocks:       s.cq.ComputeBlocks,
+		Transfers:    s.cq.ParallelTransfers,
+		CacheFactor:  s.cq.CacheFactor,
+		Overlap:      s.cq.TransferOverlap,
 		SimChannels:  s.simChannels,
 		SimResidency: s.simResidency,
 	}
@@ -227,9 +200,7 @@ func (s *settings) config() Config {
 // machine's analytic models. Because Config is a comparable value it works
 // as a cache key: two option lists resolving to the same Config produce
 // machines with identical behavior, which is what explore's per-sweep
-// machine cache relies on. (Codes selected via WithCode rather than the
-// registry render by their short name; distinct hand-built codes sharing a
-// short name would collide, so cache only registry-named machines.)
+// machine cache relies on.
 func Resolve(opts ...Option) (Config, error) {
 	s, err := resolve(opts)
 	if err != nil {
@@ -247,55 +218,23 @@ func New(opts ...Option) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Translate literal overlap into cqla's sentinel encoding.
-	cqOverlap := s.overlap
-	if cqOverlap == 0 {
-		cqOverlap = cqla.NoTransferOverlap
-	}
-	cq, err := cqla.NewMachine(cqla.Config{
-		Code:              s.code,
-		Params:            s.params,
-		ComputeBlocks:     s.blocks,
-		ParallelTransfers: s.transfers,
-		CacheFactor:       s.cacheFactor,
-		TransferOverlap:   cqOverlap,
-	})
+	cq, err := cqla.NewMachine(s.cq)
 	if err != nil {
 		return nil, err
 	}
-	return &Machine{
-		cfg:  s.config(),
-		code: s.code,
-		phys: s.params,
-		cq:   cq,
-	}, nil
+	return &Machine{cfg: s.config(), cq: cq}, nil
 }
 
 // Config returns the resolved configuration echoed into Result envelopes.
 func (m *Machine) Config() Config { return m.cfg }
 
 // Code returns the machine's error-correction code.
-func (m *Machine) Code() *ecc.Code { return m.code }
+func (m *Machine) Code() *ecc.Code { return m.cq.Config().Code }
 
 // Params returns the machine's technology point.
-func (m *Machine) Params() phys.Params { return m.phys }
+func (m *Machine) Params() phys.Params { return m.cq.Config().Params }
 
 // Analytic exposes the underlying closed-form cqla model for callers that
-// need methods the engine metrics do not cover (figure drivers, floorplan
-// cross-checks).
+// need methods the engine metrics do not cover (figure drivers, the
+// floorplan, the QLA baseline).
 func (m *Machine) Analytic() *cqla.Machine { return m.cq }
-
-// Baseline returns the QLA model results are normalized against.
-func (m *Machine) Baseline() qla.Model { return m.cq.Baseline() }
-
-// codeName maps a code value back to its registry name by short label;
-// unknown codes render their short name so the config echo stays
-// informative.
-func codeName(c *ecc.Code) string {
-	for _, r := range codes {
-		if r.build().Short == c.Short {
-			return r.name
-		}
-	}
-	return c.Short
-}

@@ -46,7 +46,6 @@ func TestNewErrors(t *testing.T) {
 		frag string
 	}{
 		{"unknown code", []arch.Option{arch.WithCodeName("surface")}, "unknown code"},
-		{"nil code", []arch.Option{arch.WithCode(nil)}, "nil code"},
 		{"zero blocks", []arch.Option{arch.WithBlocks(0)}, "compute blocks"},
 		{"negative transfers", []arch.Option{arch.WithTransfers(-1)}, "parallel transfers"},
 		{"zero cache", []arch.Option{arch.WithCacheFactor(0)}, "cache factor"},
@@ -125,7 +124,17 @@ func TestAnalyticMatchesClosedForm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm := cqla.New(cqla.Config{Code: ecc.BaconShor(), Params: p, ComputeBlocks: 36, ParallelTransfers: 10})
+	cm, err := cqla.NewMachine(cqla.Config{
+		Code:              ecc.BaconShor(),
+		Params:            p,
+		ComputeBlocks:     36,
+		ParallelTransfers: 10,
+		CacheFactor:       cqla.CacheFactor,
+		TransferOverlap:   cqla.TransferOverlap,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	q := gen.NewModExp(256).LogicalQubits()
 	adder := cqla.AdderKernel(256)
 	for name, want := range map[string]float64{

@@ -95,11 +95,10 @@ func TestCompileCircuit(t *testing.T) {
 }
 
 // TestMachineAccessors pins the accessors to the options the machine was
-// built from, including the registry name WithCode derives from a code
-// value (an unregistered code echoes its short name).
+// built from.
 func TestMachineAccessors(t *testing.T) {
 	p := phys.Current()
-	m, err := arch.New(arch.WithCode(ecc.BaconShor()), arch.WithParams(p))
+	m, err := arch.New(arch.WithCodeName("bacon-shor"), arch.WithParams(p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,22 +109,10 @@ func TestMachineAccessors(t *testing.T) {
 		t.Error("Params() does not echo WithParams")
 	}
 	if got := m.Config().Code; got != "bacon-shor" {
-		t.Errorf("WithCode(BaconShor) echoes code %q", got)
+		t.Errorf("WithCodeName(bacon-shor) echoes code %q", got)
 	}
-	if m.Baseline() != m.Analytic().Baseline() {
-		t.Error("Baseline() disagrees with the analytic model's baseline")
-	}
-	for _, c := range []struct {
-		code *ecc.Code
-		want string
-	}{{ecc.Steane(), "steane"}, {&ecc.Code{Short: "[[5,1,3]]"}, "[[5,1,3]]"}} {
-		m, err := arch.New(arch.WithCode(c.code))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := m.Config().Code; got != c.want {
-			t.Errorf("WithCode(%s) echoes code %q, want %q", c.code.Short, got, c.want)
-		}
+	if m.Analytic().Config().Code != m.Code() || m.Analytic().Config().Params != p {
+		t.Error("the analytic model was not built from the machine's configuration")
 	}
 }
 

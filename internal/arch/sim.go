@@ -19,37 +19,26 @@ type simEngine struct{ m *Machine }
 
 func (simEngine) Name() string { return EngineDES }
 
-// desConfig derives the simulator's machine description from the resolved
-// arch configuration: channels shrink by the code's per-transfer channel
-// requirement, and the residency set is the level-2 compute region's data
-// qubits plus the cache-factor-sized cache, unless overridden.
+// desConfig derives the simulator's machine description from the machine
+// model: channels shrink by the code's per-transfer channel requirement,
+// and the residency set is the level-2 compute region's data qubits plus
+// the model's level-1 cache (cqla.Machine.CacheQubits), unless overridden.
 func (m *Machine) desConfig() des.Config {
-	cfg := m.cfg
-	channels := cfg.SimChannels
+	cq := m.cq.Config()
+	channels := m.cfg.SimChannels
 	if channels == 0 {
-		channels = cfg.Transfers / m.code.ChannelsRequired()
-		if channels < 1 {
-			channels = 1
-		}
+		channels = max(cq.ParallelTransfers/cq.Code.ChannelsRequired(), 1)
 	}
-	resident := cfg.SimResidency
+	resident := m.cfg.SimResidency
 	if resident == 0 {
-		// The cache sizing must match the analytic machine's: the level-1
-		// region is capped at one superblock (cqla.Machine.Level1Blocks),
-		// so past it the cache stops growing with the block budget.
-		computeData := cfg.Blocks * cqla.BlockDataQubits
-		cacheData := int(cfg.CacheFactor * float64(m.cq.Level1Blocks()*cqla.BlockDataQubits))
-		resident = computeData + cacheData
-	}
-	if resident < 3 {
-		resident = 3 // a Toffoli's operands must fit
+		resident = cq.ComputeBlocks*cqla.BlockDataQubits + m.cq.CacheQubits()
 	}
 	return des.Config{
-		Blocks:         cfg.Blocks,
+		Blocks:         cq.ComputeBlocks,
 		Channels:       channels,
-		ResidentQubits: resident,
-		SlotTime:       m.code.ECTime(2, m.phys),
-		TransportTime:  m.code.TransversalGateTime(2, m.phys),
+		ResidentQubits: max(resident, 3), // a Toffoli's operands must fit
+		SlotTime:       cq.Code.ECTime(2, cq.Params),
+		TransportTime:  cq.Code.TransversalGateTime(2, cq.Params),
 	}
 }
 

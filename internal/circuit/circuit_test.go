@@ -169,8 +169,8 @@ func TestTextRoundTrip(t *testing.T) {
 	c.AddToffoli(0, 1, 4)
 	c.AddCPhase(2, 3, math.Pi/8)
 	c.AddMeasure(4)
-	text := EncodeToString(c)
-	got, err := DecodeString(text)
+	text := FormatString(c)
+	got, err := ParseString(text)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestTextRoundTrip(t *testing.T) {
 
 func TestDecodeComments(t *testing.T) {
 	src := "# adder fragment\nqubits 3\n\ncnot 0 1\n# comment\ntoffoli 0 1 2\n"
-	c, err := DecodeString(src)
+	c, err := ParseString(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestDecodeErrors(t *testing.T) {
 		"",                        // empty
 	}
 	for _, src := range cases {
-		if _, err := DecodeString(src); err == nil {
+		if _, err := ParseString(src); err == nil {
 			t.Errorf("decoding %q should fail", src)
 		}
 	}
@@ -334,7 +334,7 @@ func TestTextRoundTripProperty(t *testing.T) {
 				c.AddH(a)
 			}
 		}
-		got, err := DecodeString(EncodeToString(c))
+		got, err := ParseString(FormatString(c))
 		if err != nil || got.Len() != c.Len() {
 			return false
 		}
@@ -368,7 +368,7 @@ func TestEncodeDecodeViaWriter(t *testing.T) {
 	c := New(2)
 	c.AddCNOT(0, 1)
 	var sb strings.Builder
-	if err := Encode(&sb, c); err != nil {
+	if err := Format(&sb, c); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(sb.String(), "qubits 2\n") {

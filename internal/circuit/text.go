@@ -13,8 +13,8 @@ import (
 // the "assembly language" the paper describes as its simulator input. The
 // normative specification (grammar, gate set, error cases, a worked
 // example) lives in docs/workload-format.md; Parse and Format are its
-// reference implementation and every other entry point (Encode, Decode,
-// cmd/qcirc, the serve API's circuit field) delegates to them.
+// reference implementation and every other entry point (FormatString,
+// ParseString, cmd/qcirc, the serve API's circuit field) delegates to them.
 //
 // The format, in brief:
 //
@@ -71,13 +71,6 @@ func FormatString(c *Circuit) string {
 	}
 	return sb.String()
 }
-
-// Encode writes the circuit in the text format; it is Format under the
-// encoder/decoder naming the package started with.
-func Encode(w io.Writer, c *Circuit) error { return Format(w, c) }
-
-// EncodeToString renders the circuit text format as a string.
-func EncodeToString(c *Circuit) string { return FormatString(c) }
 
 // Parse reads one circuit from the text format. Every malformed input —
 // missing or duplicate header, unknown mnemonic, wrong operand count,
@@ -176,13 +169,6 @@ func parseInstr(fields []string, numQubits, lineNo int) (Instr, error) {
 func ParseString(s string) (*Circuit, error) {
 	return Parse(strings.NewReader(s))
 }
-
-// Decode parses the text format produced by Encode; it is Parse under the
-// encoder/decoder naming the package started with.
-func Decode(r io.Reader) (*Circuit, error) { return Parse(r) }
-
-// DecodeString parses the text format from a string.
-func DecodeString(s string) (*Circuit, error) { return ParseString(s) }
 
 func kindByName(name string) (Kind, bool) {
 	for k := Kind(0); k < numKinds; k++ {

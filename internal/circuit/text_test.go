@@ -57,7 +57,7 @@ func TestParseErrorPaths(t *testing.T) {
 }
 
 // TestParseNeverPanics covers the inputs that used to reach NewInstr's
-// panics through Decode (e.g. a gate wired back onto its own operand).
+// panics through Parse (e.g. a gate wired back onto its own operand).
 func TestParseNeverPanics(t *testing.T) {
 	srcs := []string{
 		"qubits 2\ncnot 0 0\n",

@@ -7,6 +7,9 @@
 // models behind Tables 4 and 5 and Figures 2, 6, 7 and 8 of the paper.
 // The package is the machine model and the paper's axis values only: each
 // table and figure is produced by its registered sweep in internal/explore.
+// Machines are built by arch.New; the discrete-event engine's residency
+// and the internal/layout floorplan read their sizes from the Machine
+// (CacheQubits and the region-area methods) rather than re-deriving them.
 //
 // The CQLA specializes the homogeneous QLA into:
 //
@@ -56,10 +59,6 @@ const (
 	// two-qubit-gate slots (it is not transversal and decomposes into
 	// CNOTs plus corrective single-qubit rotations).
 	CPhaseSlots = 3
-	// NoTransferOverlap is the Config.TransferOverlap value selecting no
-	// overlap at all. The field's zero value means "paper default", so
-	// literal zero overlap needs a distinct (negative) sentinel.
-	NoTransferOverlap = -1.0
 	// MaxSuperblockBlocks caps the level-1 compute region at one
 	// superblock: past 36 blocks a superblock's perimeter bandwidth can no
 	// longer feed its blocks (the Figure 6(b) crossover), so the fast tier
@@ -67,7 +66,10 @@ const (
 	MaxSuperblockBlocks = 36
 )
 
-// Config selects a CQLA instance.
+// Config selects a CQLA instance. Every field is literal: there are no
+// zero-value sentinels, so a zero CacheFactor or ParallelTransfers is
+// rejected and a zero TransferOverlap models no overlap. arch.New fills in
+// the paper's working point.
 type Config struct {
 	// Code is the error-correction code of the CQLA's regions (the QLA
 	// baseline always uses Steane).
@@ -80,15 +82,30 @@ type Config struct {
 	// "Par Xfer" of Table 5).
 	ParallelTransfers int
 	// CacheFactor sizes the level-1 cache relative to the level-1 compute
-	// region's data qubits. The zero value selects the paper's default
-	// (the CacheFactor constant); design-space sweeps set it explicitly.
+	// region's data qubits (the paper's is the CacheFactor constant).
 	CacheFactor float64
-	// TransferOverlap is the fraction of memory<->cache transfer latency
-	// the static schedule hides under surrounding level-2 additions. The
-	// zero value selects the paper's default (the TransferOverlap
-	// constant); pass a negative value to model no overlap at all (it is
-	// clamped to 0).
+	// TransferOverlap is the fraction, in [0, 1], of memory<->cache
+	// transfer latency the static schedule hides under surrounding level-2
+	// additions (the paper's is the TransferOverlap constant).
 	TransferOverlap float64
+}
+
+// Validate reports what, if anything, makes the configuration unbuildable.
+// The negated range checks reject NaN as well.
+func (c Config) Validate() error {
+	switch {
+	case c.Code == nil:
+		return fmt.Errorf("cqla: nil code")
+	case c.ComputeBlocks < 1:
+		return fmt.Errorf("cqla: %d compute blocks, need at least 1", c.ComputeBlocks)
+	case c.ParallelTransfers < 1:
+		return fmt.Errorf("cqla: %d parallel transfers, need at least 1", c.ParallelTransfers)
+	case !(c.CacheFactor > 0):
+		return fmt.Errorf("cqla: cache factor %g, need > 0", c.CacheFactor)
+	case !(c.TransferOverlap >= 0 && c.TransferOverlap <= 1):
+		return fmt.Errorf("cqla: transfer overlap %g outside [0, 1]", c.TransferOverlap)
+	}
+	return nil
 }
 
 // Machine is a configured CQLA with its QLA baseline. It holds no state
@@ -106,43 +123,14 @@ func AdderKernel(n int) *sched.Plan {
 	return sched.NewPlan(circuit.BuildDAG(gen.CarryLookahead(n).Circuit))
 }
 
-// NewMachine returns a Machine for the given configuration, or an error
-// describing what is wrong with it. The Config retains its historical
-// zero-value sentinels (zero CacheFactor and TransferOverlap select the
-// paper defaults; NoTransferOverlap selects literal zero overlap); the
-// sentinel-free construction path is arch.New in internal/arch.
+// NewMachine returns a Machine for the given configuration, or the error
+// Config.Validate reports. Outside tests, machines are built by arch.New,
+// which starts from the paper's working point.
 func NewMachine(cfg Config) (*Machine, error) {
-	if cfg.Code == nil {
-		return nil, fmt.Errorf("cqla: nil code")
-	}
-	if cfg.ComputeBlocks < 1 {
-		return nil, fmt.Errorf("cqla: %d compute blocks", cfg.ComputeBlocks)
-	}
-	if cfg.ParallelTransfers < 1 {
-		cfg.ParallelTransfers = 1
-	}
-	if cfg.CacheFactor <= 0 {
-		cfg.CacheFactor = CacheFactor
-	}
-	switch {
-	case cfg.TransferOverlap == 0:
-		cfg.TransferOverlap = TransferOverlap
-	case cfg.TransferOverlap < 0:
-		cfg.TransferOverlap = 0
-	case cfg.TransferOverlap > 1:
-		return nil, fmt.Errorf("cqla: transfer overlap %g > 1", cfg.TransferOverlap)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	return &Machine{cfg: cfg, baseline: qla.NewWith(cfg.Params)}, nil
-}
-
-// New is NewMachine for call sites that treat a bad configuration as a
-// programmer error: it panics instead of returning the error.
-func New(cfg Config) *Machine {
-	m, err := NewMachine(cfg)
-	if err != nil {
-		panic(err.Error())
-	}
-	return m
 }
 
 // Config returns the machine's configuration.
@@ -172,17 +160,39 @@ func (m *Machine) ComputeAreaMM2() float64 {
 	return float64(m.cfg.ComputeBlocks) * perBlock * ComputeInterconnectFactor
 }
 
-// HierarchyAreaMM2 returns the additional area of the memory hierarchy: the
-// level-1 compute blocks, the level-1 cache (CacheFactor times the level-1
-// compute qubits) and the code-transfer network sites.
-func (m *Machine) HierarchyAreaMM2() float64 {
-	c := m.cfg.Code
-	l1Qubit := c.AreaMM2(1, m.cfg.Params)
-	l1Compute := float64(m.cfg.ComputeBlocks) * float64(BlockDataQubits+BlockAncillaQubits) * l1Qubit * ComputeInterconnectFactor
+// L1ComputeAreaMM2 returns the area of the level-1 compute region: blocks
+// of level-1 qubits with the level-2 region's provisioning and
+// interconnect. It is sized by the full block budget, while the
+// performance model (Level1Blocks) and the discrete-event engine cap the
+// level-1 region at one superblock; above MaxSuperblockBlocks the two
+// disagree.
+func (m *Machine) L1ComputeAreaMM2() float64 {
+	l1Qubit := m.cfg.Code.AreaMM2(1, m.cfg.Params)
+	return float64(m.cfg.ComputeBlocks) * float64(BlockDataQubits+BlockAncillaQubits) * l1Qubit * ComputeInterconnectFactor
+}
+
+// CacheAreaMM2 returns the area of the level-1 cache: CacheFactor times
+// the data qubits of the full block budget, at level-1 tile size. Like
+// L1ComputeAreaMM2 it ignores the superblock cap that CacheQubits applies,
+// so above MaxSuperblockBlocks it is larger than the cache the performance
+// model refills.
+func (m *Machine) CacheAreaMM2() float64 {
 	cacheQubits := m.cfg.CacheFactor * float64(m.cfg.ComputeBlocks*BlockDataQubits)
-	cacheArea := cacheQubits * l1Qubit
-	transferArea := float64(m.cfg.ParallelTransfers) * (c.AreaMM2(2, m.cfg.Params) + l1Qubit)
-	return l1Compute + cacheArea + transferArea
+	return cacheQubits * m.cfg.Code.AreaMM2(1, m.cfg.Params)
+}
+
+// TransferAreaMM2 returns the area of the code-transfer network: one
+// level-2 plus one level-1 qubit site per parallel transfer.
+func (m *Machine) TransferAreaMM2() float64 {
+	c := m.cfg.Code
+	return float64(m.cfg.ParallelTransfers) * (c.AreaMM2(2, m.cfg.Params) + c.AreaMM2(1, m.cfg.Params))
+}
+
+// HierarchyAreaMM2 returns the additional area of the memory hierarchy:
+// the level-1 compute region, the level-1 cache and the code-transfer
+// network.
+func (m *Machine) HierarchyAreaMM2() float64 {
+	return m.L1ComputeAreaMM2() + m.CacheAreaMM2() + m.TransferAreaMM2()
 }
 
 // AreaMM2 returns the CQLA floorplan area for an application with the given
@@ -233,7 +243,8 @@ func (m *Machine) SpeedupL2(adder *sched.Plan) float64 {
 
 // Level1Blocks returns the size of the level-1 compute region: the
 // configured block budget capped at one superblock (the Figure 6(b)
-// bandwidth crossover).
+// bandwidth crossover). The area model (L1ComputeAreaMM2) does not apply
+// the cap.
 func (m *Machine) Level1Blocks() int {
 	if m.cfg.ComputeBlocks > MaxSuperblockBlocks {
 		return MaxSuperblockBlocks
@@ -241,22 +252,30 @@ func (m *Machine) Level1Blocks() int {
 	return m.cfg.ComputeBlocks
 }
 
+// CacheQubits returns the level-1 cache's capacity in logical qubits:
+// CacheFactor times the level-1 region's data qubits. The transfer stall
+// refills this many qubits, and the discrete-event engine holds them
+// resident beside the compute region. Because Level1Blocks is capped at
+// one superblock, the cache stops growing past MaxSuperblockBlocks, while
+// CacheAreaMM2 keeps growing with the block budget.
+func (m *Machine) CacheQubits() int {
+	return int(m.cfg.CacheFactor * float64(m.Level1Blocks()*BlockDataQubits))
+}
+
 // TransferStall returns the non-overlappable memory<->cache transfer time
-// per level-1 addition: the level-1 cache (CacheFactor times the level-1
-// region's data qubits) is refilled through the code-transfer network,
-// whose effective width shrinks by the code's channel requirement; all but
-// (1-TransferOverlap) of the latency hides under the surrounding level-2
-// additions thanks to the static schedule. Because the level-1 region is
-// capped at one superblock, the stall is independent of problem size —
-// which is why the paper's level-1 speedups hold steady from 256 to 1024
-// bits.
+// per level-1 addition: the level-1 cache (CacheQubits) is refilled
+// through the code-transfer network, whose effective width shrinks by the
+// code's channel requirement; all but (1-TransferOverlap) of the latency
+// hides under the surrounding level-2 additions thanks to the static
+// schedule. Because the level-1 region is capped at one superblock, the
+// stall is independent of problem size — which is why the paper's level-1
+// speedups hold steady from 256 to 1024 bits.
 func (m *Machine) TransferStall() time.Duration {
 	c := m.cfg.Code
-	qubits := int(m.cfg.CacheFactor * float64(m.Level1Blocks()*BlockDataQubits))
 	// Each transfer occupies ChannelsRequired network channels, so a batch
 	// moves ParallelTransfers/ChannelsRequired qubits; the batch count is
 	// the exact integer ceiling of qubits over that width.
-	demand := qubits * c.ChannelsRequired()
+	demand := m.CacheQubits() * c.ChannelsRequired()
 	batches := (demand + m.cfg.ParallelTransfers - 1) / m.cfg.ParallelTransfers
 	rt := transfer.RoundTrip(transfer.Enc(c, 2), transfer.Enc(c, 1))
 	return time.Duration((1 - m.cfg.TransferOverlap) * float64(batches) * float64(rt))

@@ -1,6 +1,8 @@
 package cqla
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -9,13 +11,32 @@ import (
 	"repro/internal/transfer"
 )
 
-func steaneMachine(blocks int) *Machine {
-	return New(Config{Code: ecc.Steane(), Params: phys.Projected(), ComputeBlocks: blocks, ParallelTransfers: 10})
+// paper returns the paper's working point for a code and block budget:
+// projected parameters, ten parallel transfers and the Section 5.2 cache
+// factor and overlap.
+func paper(code *ecc.Code, blocks int) Config {
+	return Config{
+		Code:              code,
+		Params:            phys.Projected(),
+		ComputeBlocks:     blocks,
+		ParallelTransfers: 10,
+		CacheFactor:       CacheFactor,
+		TransferOverlap:   TransferOverlap,
+	}
 }
 
-func bsMachine(blocks int) *Machine {
-	return New(Config{Code: ecc.BaconShor(), Params: phys.Projected(), ComputeBlocks: blocks, ParallelTransfers: 10})
+// mustMachine builds a machine the test knows to be valid.
+func mustMachine(cfg Config) *Machine {
+	m, err := NewMachine(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return m
 }
+
+func steaneMachine(blocks int) *Machine { return mustMachine(paper(ecc.Steane(), blocks)) }
+
+func bsMachine(blocks int) *Machine { return mustMachine(paper(ecc.BaconShor(), blocks)) }
 
 func TestMemoryTileDenserThanComputeTile(t *testing.T) {
 	m := steaneMachine(9)
@@ -144,7 +165,9 @@ func TestLevel1BlocksCappedAtSuperblock(t *testing.T) {
 
 func TestTransferStallScalesWithParallelism(t *testing.T) {
 	m10 := steaneMachine(36)
-	m5 := New(Config{Code: ecc.Steane(), Params: phys.Projected(), ComputeBlocks: 36, ParallelTransfers: 5})
+	cfg := paper(ecc.Steane(), 36)
+	cfg.ParallelTransfers = 5
+	m5 := mustMachine(cfg)
 	if m5.TransferStall() <= m10.TransferStall() {
 		t.Error("fewer parallel transfers should stall longer")
 	}
@@ -183,7 +206,7 @@ func TestSpeedupL1InPaperBand(t *testing.T) {
 	// transfers, roughly flat across adder sizes.
 	for _, n := range Table5Sizes() {
 		k := PaperBlockCounts()[n][0]
-		st := New(Config{Code: ecc.Steane(), Params: phys.Projected(), ComputeBlocks: k, ParallelTransfers: 10})
+		st := steaneMachine(k)
 		s := st.SpeedupL1(AdderKernel(n))
 		if s < 5 || s > 25 {
 			t.Errorf("n=%d: Steane L1 speedup %.1f outside band", n, s)
@@ -215,44 +238,58 @@ func TestSlotTimes(t *testing.T) {
 	}
 }
 
+// TestNewValidation: the configuration is literal, so every zero value
+// that used to select a default is now rejected (except TransferOverlap,
+// whose zero means no overlap), as are out-of-range values.
 func TestNewValidation(t *testing.T) {
-	cases := []func(){
-		func() { New(Config{Code: nil, Params: phys.Projected(), ComputeBlocks: 4}) },
-		func() { New(Config{Code: ecc.Steane(), Params: phys.Projected(), ComputeBlocks: 0}) },
+	for _, c := range []struct {
+		name string
+		edit func(*Config)
+		frag string
+	}{
+		{"nil code", func(c *Config) { c.Code = nil }, "nil code"},
+		{"zero blocks", func(c *Config) { c.ComputeBlocks = 0 }, "compute blocks"},
+		{"zero transfers", func(c *Config) { c.ParallelTransfers = 0 }, "parallel transfers"},
+		{"zero cache factor", func(c *Config) { c.CacheFactor = 0 }, "cache factor"},
+		{"NaN cache factor", func(c *Config) { c.CacheFactor = math.NaN() }, "cache factor"},
+		{"negative overlap", func(c *Config) { c.TransferOverlap = -1 }, "overlap"},
+		{"overlap above one", func(c *Config) { c.TransferOverlap = 1.5 }, "overlap"},
+	} {
+		cfg := paper(ecc.Steane(), 4)
+		c.edit(&cfg)
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), c.frag) {
+			t.Errorf("%s: Validate() = %v, want mention of %q", c.name, err, c.frag)
+		}
 	}
-	for i, f := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d: expected panic", i)
-				}
-			}()
-			f()
-		}()
-	}
-	// Zero parallel transfers is normalized to 1 rather than rejected.
-	m := New(Config{Code: ecc.Steane(), Params: phys.Projected(), ComputeBlocks: 4})
-	if m.Config().ParallelTransfers != 1 {
-		t.Error("parallel transfers should default to 1")
+	for _, overlap := range []float64{0, 1} {
+		cfg := paper(ecc.Steane(), 4)
+		cfg.TransferOverlap = overlap
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("overlap %g rejected: %v", overlap, err)
+		}
 	}
 }
 
+// TestNewMachineErrors: NewMachine returns Validate's error, and a valid
+// configuration is kept exactly as given — a zero TransferOverlap models
+// no overlap, stalling ten times longer than the paper's 0.9.
 func TestNewMachineErrors(t *testing.T) {
-	if _, err := NewMachine(Config{Code: nil, Params: phys.Projected(), ComputeBlocks: 4}); err == nil {
-		t.Error("nil code should be rejected")
+	zero := Config{Code: ecc.Steane(), Params: phys.Projected(), ComputeBlocks: 4}
+	if _, err := NewMachine(zero); err == nil || err.Error() != zero.Validate().Error() {
+		t.Errorf("zero transfers and cache factor: err = %v, want Validate's %v", err, zero.Validate())
 	}
-	if _, err := NewMachine(Config{Code: ecc.Steane(), Params: phys.Projected(), ComputeBlocks: 0}); err == nil {
-		t.Error("zero compute blocks should be rejected")
-	}
-	if _, err := NewMachine(Config{Code: ecc.Steane(), Params: phys.Projected(), ComputeBlocks: 4, TransferOverlap: 1.5}); err == nil {
-		t.Error("overlap > 1 should be rejected")
-	}
-	m, err := NewMachine(Config{Code: ecc.Steane(), Params: phys.Projected(), ComputeBlocks: 4})
+	cfg := paper(ecc.Steane(), 4)
+	cfg.TransferOverlap = 0
+	m, err := NewMachine(cfg)
 	if err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
-	if m.Config().CacheFactor != CacheFactor || m.Config().TransferOverlap != TransferOverlap {
-		t.Error("zero-value sentinels should resolve to the paper defaults")
+	if m.Config() != cfg {
+		t.Errorf("config %+v, want it kept as given %+v", m.Config(), cfg)
+	}
+	r := float64(m.TransferStall()) / float64(steaneMachine(4).TransferStall())
+	if r < 9.99 || r > 10.01 {
+		t.Errorf("zero-overlap stall should be 10x the 0.9-overlap stall, got %.3fx", r)
 	}
 }
 
@@ -269,14 +306,10 @@ func TestTransferStallExactCeiling(t *testing.T) {
 	stallFor := func(parallel int) time.Duration {
 		// One block, cache factor 1: exactly BlockDataQubits (9) cache
 		// qubits; Steane needs one channel per transfer.
-		m := New(Config{
-			Code:              ecc.Steane(),
-			Params:            phys.Projected(),
-			ComputeBlocks:     1,
-			ParallelTransfers: parallel,
-			CacheFactor:       1,
-		})
-		return m.TransferStall()
+		cfg := paper(ecc.Steane(), 1)
+		cfg.ParallelTransfers = parallel
+		cfg.CacheFactor = 1
+		return mustMachine(cfg).TransferStall()
 	}
 	batchesFor := func(parallel int) float64 {
 		return float64(stallFor(parallel)) / ((1 - TransferOverlap) * float64(rt))

@@ -214,6 +214,24 @@ type table4Row struct {
 	GainProductSteane, GainProductBS float64
 }
 
+// oracleMachine builds the oracles' machines with every field spelled out
+// (Section 5.2's cache factor 2 and transfer overlap 0.9), so the goldens
+// do not depend on arch's defaults.
+func oracleMachine(code *ecc.Code, p phys.Params, blocks, transfers int) *cqla.Machine {
+	m, err := cqla.NewMachine(cqla.Config{
+		Code:              code,
+		Params:            p,
+		ComputeBlocks:     blocks,
+		ParallelTransfers: transfers,
+		CacheFactor:       2,
+		TransferOverlap:   0.9,
+	})
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
 // table4 reproduces Table 4: the specialization study without the memory
 // hierarchy.
 func table4(p phys.Params) []table4Row {
@@ -224,8 +242,8 @@ func table4(p phys.Params) []table4Row {
 		q := gen.NewModExp(n).LogicalQubits()
 		adder := cqla.AdderKernel(n)
 		for _, k := range blockTable[n] {
-			mSt := cqla.New(cqla.Config{Code: st, Params: p, ComputeBlocks: k, ParallelTransfers: 10})
-			mBS := cqla.New(cqla.Config{Code: bs, Params: p, ComputeBlocks: k, ParallelTransfers: 10})
+			mSt := oracleMachine(st, p, k, 10)
+			mBS := oracleMachine(bs, p, k, 10)
 			row := table4Row{
 				InputSize:         n,
 				Blocks:            k,
@@ -268,7 +286,7 @@ func table5(p phys.Params) []table5Row {
 			for _, n := range cqla.Table5Sizes() {
 				k := blockTable[n][0]
 				adder := adders[n]
-				m := cqla.New(cqla.Config{Code: code, Params: p, ComputeBlocks: k, ParallelTransfers: par})
+				m := oracleMachine(code, p, k, par)
 				q := gen.NewModExp(n).LogicalQubits()
 				rows = append(rows, table5Row{
 					Code:              code.Short,

@@ -183,14 +183,13 @@ func (j *Job) isFinished() bool {
 type managerConfig struct {
 	maxEval    int
 	cacheBytes int64
-	history    int
 	obs        *obs.Registry
 	log        *slog.Logger
 	pprof      bool
 }
 
 func defaultManagerConfig() managerConfig {
-	return managerConfig{maxEval: 1, cacheBytes: 64 << 20, history: 256, log: obs.NopLogger()}
+	return managerConfig{maxEval: 1, cacheBytes: 64 << 20, log: obs.NopLogger()}
 }
 
 // ManagerOption configures a Manager (and, through NewServer, a Server).
@@ -213,17 +212,6 @@ func WithMaxEvaluations(n int) ManagerOption {
 // never cached.
 func WithCacheBytes(n int64) ManagerOption {
 	return func(c *managerConfig) { c.cacheBytes = n }
-}
-
-// WithJobHistory caps how many finished job records the manager retains
-// for GET /v1/jobs (default 256). In-flight jobs are never evicted.
-func WithJobHistory(n int) ManagerOption {
-	return func(c *managerConfig) {
-		if n < 1 {
-			n = 1
-		}
-		c.history = n
-	}
 }
 
 // WithObservability attaches a metrics registry. The manager records job
@@ -297,7 +285,6 @@ type Manager struct {
 	cancelJobs context.CancelFunc
 	sem        chan struct{}
 	cache      *docCache
-	history    int
 	reg        *obs.Registry // threaded into every sweep evaluation
 	met        jobMetrics
 	log        *slog.Logger
@@ -335,7 +322,6 @@ func newManager(cfg managerConfig) *Manager {
 		cancelJobs: cancel,
 		sem:        make(chan struct{}, cfg.maxEval),
 		cache:      newDocCache(cfg.cacheBytes),
-		history:    cfg.history,
 		reg:        cfg.obs,
 		met:        newJobMetrics(cfg.obs),
 		log:        cfg.log,
@@ -510,8 +496,12 @@ func (m *Manager) Jobs() []JobStatus {
 	return out
 }
 
-// trimLocked evicts the oldest finished job records beyond the history
-// cap; m.mu must be held. Jobs still queued or running always survive.
+// jobHistory caps how many finished job records a Manager retains for GET
+// /v1/jobs. In-flight jobs are never evicted.
+const jobHistory = 256
+
+// trimLocked evicts the oldest finished job records beyond jobHistory;
+// m.mu must be held. Jobs still queued or running always survive.
 func (m *Manager) trimLocked() {
 	finished := 0
 	for _, j := range m.order {
@@ -519,12 +509,12 @@ func (m *Manager) trimLocked() {
 			finished++
 		}
 	}
-	if finished <= m.history {
+	if finished <= jobHistory {
 		return
 	}
 	keep := m.order[:0]
 	for _, j := range m.order {
-		if finished > m.history && j.isFinished() {
+		if finished > jobHistory && j.isFinished() {
 			delete(m.jobs, j.ID)
 			finished--
 			continue

@@ -430,6 +430,87 @@ func TestJobsSemaphoreBounds(t *testing.T) {
 	}
 }
 
+// TestJobsHistoryCap: the manager retains the newest 256 finished job
+// records, newest first, and never evicts a job that is still in flight,
+// however old.
+func TestJobsHistoryCap(t *testing.T) {
+	gate := make(chan struct{})
+	gated := &explore.Experiment{
+		Name:  "t-history-gated",
+		Title: "history fixture",
+		Axes:  []explore.Axis{explore.Ints("i", 1)},
+		Eval: func(ctx context.Context, in explore.In) ([]explore.Metric, error) {
+			select {
+			case <-gate:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+			return []explore.Metric{{Name: "v", Value: 1}}, nil
+		},
+	}
+	quick := &explore.Experiment{
+		Name:  "t-history-quick",
+		Title: "history fixture",
+		Axes:  []explore.Axis{explore.Ints("i", 1)},
+		Eval: func(ctx context.Context, in explore.In) ([]explore.Metric, error) {
+			return []explore.Metric{{Name: "v", Value: 2}}, nil
+		},
+	}
+	// Two evaluation slots: the gated job holds one while the quick job
+	// fills the cache through the other.
+	m := explore.NewManager(explore.WithMaxEvaluations(2))
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		m.Shutdown(ctx)
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	spec := explore.JobSpec{Phys: phys.Projected(), Seed: 1}
+	inflight, _, err := m.Submit(gated, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, _, err := m.Submit(quick, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := first.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	const runs, history = 300, 256
+	ids := make([]string, runs)
+	for i := range ids {
+		j, hit, err := m.Submit(quick, spec)
+		if err != nil || !hit {
+			t.Fatalf("run %d: hit=%v err=%v, want a cache-served job", i, hit, err)
+		}
+		ids[i] = j.ID
+	}
+	jobs := m.Jobs()
+	if len(jobs) != history+1 {
+		t.Fatalf("retained %d jobs, want %d finished plus the in-flight one", len(jobs), history)
+	}
+	for i := 0; i < history; i++ {
+		if want := ids[runs-1-i]; jobs[i].ID != want {
+			t.Fatalf("Jobs()[%d] = %s, want %s (the newest %d, newest first)", i, jobs[i].ID, want, history)
+		}
+	}
+	if last := jobs[history]; last.ID != inflight.ID || (last.State != explore.JobQueued && last.State != explore.JobRunning) {
+		t.Errorf("oldest retained job = %s (%s), want the in-flight %s", last.ID, last.State, inflight.ID)
+	}
+	if _, ok := m.Job(first.ID); ok {
+		t.Error("the oldest finished job survived trimming")
+	}
+	close(gate)
+	if _, err := inflight.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(m.Jobs()); n != history {
+		t.Errorf("retained %d jobs once everything finished, want %d", n, history)
+	}
+}
+
 // TestJobsShutdownDrains: Shutdown rejects new work but lets the running
 // job finish, and reports a clean drain.
 func TestJobsShutdownDrains(t *testing.T) {

@@ -440,8 +440,7 @@ func overlapSensExp() *Experiment {
 		},
 		Eval: func(ctx context.Context, in In) ([]Metric, error) {
 			const n = 256
-			// arch options are literal — overlap 0 means none, no sentinel
-			// dance required.
+			// arch options are literal: overlap 0 models no overlap.
 			m, err := in.Machine(
 				arch.WithCodeName("bacon-shor"),
 				arch.WithBlocks(36),

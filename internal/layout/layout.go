@@ -1,9 +1,10 @@
 // Package layout produces the CQLA's physical floorplan: the arrangement of
 // the dense level-2 memory, the code-transfer networks, the level-1 cache,
 // and the level-1 and level-2 compute regions on the ion-trap substrate
-// (Figure 3(b) of the paper). The floorplan realizes the area model of
-// internal/cqla as placed rectangles, checks that regions tile without
-// overlap, and renders an ASCII schematic for inspection.
+// (Figure 3(b) of the paper). Build places the region areas a
+// cqla.Machine reports as rectangles, with no area formula of its own;
+// the package checks that regions tile without overlap and renders an
+// ASCII schematic for inspection.
 package layout
 
 import (
@@ -12,9 +13,7 @@ import (
 	"strings"
 
 	"repro/internal/cqla"
-	"repro/internal/ecc"
 	"repro/internal/gen"
-	"repro/internal/phys"
 )
 
 // RegionKind identifies a floorplan region.
@@ -72,62 +71,41 @@ type Floorplan struct {
 	Regions           []Region
 }
 
-// Config selects what to floorplan.
-type Config struct {
-	Code          *ecc.Code
-	Params        phys.Params
-	InputBits     int // modular-exponentiation width; sets memory size
-	ComputeBlocks int
-	Hierarchy     bool // include the level-1 tier
-}
-
-// Build computes the floorplan: regions are laid out as vertical strips in
-// memory-hierarchy order (memory, transfer, cache, level-1 compute,
-// level-2 compute), sharing a common height chosen to keep the die roughly
-// 2:1. Strip widths follow each region's area in the cqla model.
-func Build(cfg Config) (*Floorplan, error) {
-	if cfg.Code == nil || cfg.InputBits < 1 || cfg.ComputeBlocks < 1 {
-		return nil, fmt.Errorf("layout: invalid config %+v", cfg)
+// Build computes the floorplan of machine m holding an inputBits-wide
+// modular exponentiation in memory; hierarchy adds the level-1 tier. The
+// regions are the model's — the memory tiles of the workload's logical
+// qubits and the cqla.Machine region areas — so the die totals m.AreaMM2.
+// They are laid out as vertical strips in memory-hierarchy order (memory,
+// transfer, cache, level-1 compute, level-2 compute), sharing a common
+// height chosen to keep the die roughly 2:1.
+func Build(m *cqla.Machine, inputBits int, hierarchy bool) (*Floorplan, error) {
+	if m == nil || inputBits < 1 {
+		return nil, fmt.Errorf("layout: need a machine and at least 1 input bit, got %d", inputBits)
 	}
-	m := cqla.New(cqla.Config{
-		Code:              cfg.Code,
-		Params:            cfg.Params,
-		ComputeBlocks:     cfg.ComputeBlocks,
-		ParallelTransfers: 10,
-	})
-	qubits := gen.NewModExp(cfg.InputBits).LogicalQubits()
-
-	regionArea := map[RegionKind]float64{
-		Memory:    float64(qubits) * m.MemoryTileAreaMM2(),
-		ComputeL2: m.ComputeAreaMM2(),
+	// Indexed by kind; the kinds are declared in strip order.
+	var areas [ComputeL2 + 1]float64
+	areas[Memory] = float64(gen.NewModExp(inputBits).LogicalQubits()) * m.MemoryTileAreaMM2()
+	areas[ComputeL2] = m.ComputeAreaMM2()
+	if hierarchy {
+		areas[Transfer] = m.TransferAreaMM2()
+		areas[Cache] = m.CacheAreaMM2()
+		areas[ComputeL1] = m.L1ComputeAreaMM2()
 	}
-	if cfg.Hierarchy {
-		l1Qubit := cfg.Code.AreaMM2(1, cfg.Params)
-		l1Blocks := m.Level1Blocks()
-		regionArea[ComputeL1] = float64(l1Blocks) * float64(cqla.BlockDataQubits+cqla.BlockAncillaQubits) * l1Qubit * cqla.ComputeInterconnectFactor
-		regionArea[Cache] = cqla.CacheFactor * float64(l1Blocks*cqla.BlockDataQubits) * l1Qubit
-		regionArea[Transfer] = float64(m.Config().ParallelTransfers) * (cfg.Code.AreaMM2(2, cfg.Params) + l1Qubit)
-	}
-
 	total := 0.0
-	for _, a := range regionArea {
+	for _, a := range areas {
 		total += a
 	}
 	// Common strip height for a ~2:1 die.
 	height := math.Sqrt(total / 2)
 	fp := &Floorplan{HeightMM: height}
-	order := []RegionKind{Memory, Transfer, Cache, ComputeL1, ComputeL2}
-	x := 0.0
-	for _, kind := range order {
-		area, ok := regionArea[kind]
-		if !ok || area == 0 {
+	for kind, area := range areas {
+		if area == 0 {
 			continue
 		}
 		w := area / height
-		fp.Regions = append(fp.Regions, Region{Kind: kind, X: x, Y: 0, W: w, H: height})
-		x += w
+		fp.Regions = append(fp.Regions, Region{Kind: RegionKind(kind), X: fp.WidthMM, W: w, H: height})
+		fp.WidthMM += w
 	}
-	fp.WidthMM = x
 	return fp, nil
 }
 

@@ -6,19 +6,25 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/ecc"
-	"repro/internal/phys"
+	"repro/internal/arch"
+	"repro/internal/cqla"
+	"repro/internal/gen"
 )
+
+// machine is the paper's working point with the given code and block
+// budget.
+func machine(t *testing.T, code string, blocks int) *cqla.Machine {
+	t.Helper()
+	m, err := arch.New(arch.WithCodeName(code), arch.WithBlocks(blocks))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.Analytic()
+}
 
 func build(t *testing.T, bits, blocks int, hierarchy bool) *Floorplan {
 	t.Helper()
-	f, err := Build(Config{
-		Code:          ecc.BaconShor(),
-		Params:        phys.Projected(),
-		InputBits:     bits,
-		ComputeBlocks: blocks,
-		Hierarchy:     hierarchy,
-	})
+	f, err := Build(machine(t, "bacon-shor", blocks), bits, hierarchy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,10 +81,29 @@ func TestDieAspect(t *testing.T) {
 }
 
 func TestAreasMatchConfiguredModel(t *testing.T) {
-	// The floorplan realizes exactly the cqla area model.
-	f := build(t, 256, 36, false)
-	if math.Abs(f.TotalAreaMM2()-f.WidthMM*f.HeightMM)/f.TotalAreaMM2() > 1e-6 {
-		t.Error("strips do not tile the die")
+	// The floorplan realizes exactly the cqla area model, region by region.
+	for _, blocks := range []int{36, 100} {
+		m := machine(t, "bacon-shor", blocks)
+		f, err := Build(m, 256, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(f.TotalAreaMM2()-f.WidthMM*f.HeightMM)/f.TotalAreaMM2() > 1e-6 {
+			t.Errorf("%d blocks: strips do not tile the die", blocks)
+		}
+		q := gen.NewModExp(256).LogicalQubits()
+		for kind, want := range map[RegionKind]float64{
+			Memory:    float64(q) * m.MemoryTileAreaMM2(),
+			Transfer:  m.TransferAreaMM2(),
+			Cache:     m.CacheAreaMM2(),
+			ComputeL1: m.L1ComputeAreaMM2(),
+			ComputeL2: m.ComputeAreaMM2(),
+		} {
+			r, _ := f.Region(kind)
+			if math.Abs(r.AreaMM2()-want) > 1e-9*want {
+				t.Errorf("%d blocks: %v is %.3f mm², model says %.3f", blocks, kind, r.AreaMM2(), want)
+			}
+		}
 	}
 }
 
@@ -112,10 +137,10 @@ func TestASCIIRendering(t *testing.T) {
 }
 
 func TestBuildValidation(t *testing.T) {
-	if _, err := Build(Config{}); err == nil {
-		t.Error("empty config should fail")
+	if _, err := Build(nil, 256, true); err == nil {
+		t.Error("nil machine should fail")
 	}
-	if _, err := Build(Config{Code: ecc.Steane(), Params: phys.Projected(), InputBits: 0, ComputeBlocks: 4}); err == nil {
+	if _, err := Build(machine(t, "steane", 4), 0, true); err == nil {
 		t.Error("zero bits should fail")
 	}
 }
@@ -126,13 +151,7 @@ func TestFloorplanValidityProperty(t *testing.T) {
 	f := func(bitsSeed, blocksSeed uint8, hierarchy bool) bool {
 		bits := 16 + int(bitsSeed)%1009
 		blocks := 1 + int(blocksSeed)%150
-		fp, err := Build(Config{
-			Code:          ecc.Steane(),
-			Params:        phys.Projected(),
-			InputBits:     bits,
-			ComputeBlocks: blocks,
-			Hierarchy:     hierarchy,
-		})
+		fp, err := Build(machine(t, "steane", blocks), bits, hierarchy)
 		if err != nil {
 			return false
 		}
@@ -149,5 +168,22 @@ func TestRegionKindString(t *testing.T) {
 	}
 	if RegionKind(99).String() == "" {
 		t.Error("unknown kind should render")
+	}
+}
+
+// TestValidateRejectsBrokenFloorplans drives each structural check of
+// Validate with a hand-broken placement.
+func TestValidateRejectsBrokenFloorplans(t *testing.T) {
+	for name, f := range map[string]*Floorplan{
+		"non-positive": {WidthMM: 2, HeightMM: 1, Regions: []Region{{Kind: Memory, W: 0, H: 1}}},
+		"escapes":      {WidthMM: 2, HeightMM: 1, Regions: []Region{{Kind: Memory, X: 1.5, W: 1, H: 1}}},
+		"overlap": {WidthMM: 2, HeightMM: 1, Regions: []Region{
+			{Kind: Memory, W: 1.5, H: 1},
+			{Kind: Cache, X: 1, W: 1, H: 1},
+		}},
+	} {
+		if err := f.Validate(); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("Validate() = %v, want an error mentioning %q", err, name)
+		}
 	}
 }

@@ -156,8 +156,11 @@ func init() {
 			p := phys.Projected()
 			var gp float64
 			for i := 0; i < b.N; i++ {
-				m := cqla.New(cqla.Config{Code: ecc.BaconShor(), Params: p, ComputeBlocks: 36, ParallelTransfers: 10})
-				gp = m.GainProduct(cqla.AdderKernel(256), 5*256+3, true)
+				m, err := arch.New(arch.WithCodeName("bacon-shor"), arch.WithParams(p))
+				if err != nil {
+					b.Fatal(err)
+				}
+				gp = m.Analytic().GainProduct(cqla.AdderKernel(256), 5*256+3, true)
 			}
 			b.ReportMetric(gp, "gain-product")
 		},
