@@ -21,6 +21,7 @@ func (analyticEngine) Name() string { return EngineAnalytic }
 // kinds (adder, modexp, qft) use their closed forms, pricing the adder
 // kernel from the compiled plan's shared schedule memo; every other kind,
 // including custom circuits, is costed directly from the plan's schedule.
+// The QFT's closed form reads no plan, so its kernel is never built here.
 func (e analyticEngine) EvaluateCompiledInto(ctx context.Context, cw *CompiledWorkload, out *Result) error {
 	if cw == nil || cw.m != e.m {
 		return errForeignCompile
@@ -30,7 +31,7 @@ func (e analyticEngine) EvaluateCompiledInto(ctx context.Context, cw *CompiledWo
 	}
 	// With a tracer in ctx the closed-form evaluation is one span; without
 	// one this line is a no-op.
-	_, sp := obs.StartSpan(ctx, "analytic-eval")
+	ctx, sp := obs.StartSpan(ctx, "analytic-eval")
 	defer sp.End()
 	w := cw.w
 	if sp != nil {
@@ -38,10 +39,10 @@ func (e analyticEngine) EvaluateCompiledInto(ctx context.Context, cw *CompiledWo
 		sp.Annotate("bits", strconv.Itoa(w.Bits))
 	}
 	cm := e.m.cq
-	kernel := cw.plan.kernel
 	metrics := out.Metrics[:0]
 	switch w.Kind {
 	case KindAdder:
+		kernel := cw.plan.schedule(ctx)
 		// The addition is the kernel of an n-bit modular exponentiation,
 		// whose logical-qubit footprint sets the memory size.
 		q := cw.adderQubits
@@ -69,7 +70,7 @@ func (e analyticEngine) EvaluateCompiledInto(ctx context.Context, cw *CompiledWo
 			)
 		}
 	case KindModExp:
-		t := cm.ModExpTimes(w.Bits, kernel)
+		t := cm.ModExpTimes(w.Bits, cw.plan.schedule(ctx))
 		metrics = append(metrics,
 			Metric{"computation_s", t.Computation.Seconds()},
 			Metric{"communication_s", t.Communication.Seconds()},
@@ -89,7 +90,8 @@ func (e analyticEngine) EvaluateCompiledInto(ctx context.Context, cw *CompiledWo
 		// error-correction slot time, bracketed by the serial and
 		// critical-path bounds.
 		slot := cm.SlotTime(2)
-		d := cw.plan.DAG()
+		kernel := cw.plan.schedule(ctx)
+		d := kernel.DAG()
 		makespan := kernel.Makespan(e.m.cfg.Blocks)
 		serial := d.TotalSlots()
 		speedup := 1.0

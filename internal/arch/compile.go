@@ -1,6 +1,7 @@
 package arch
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/des"
 	"repro/internal/gen"
+	"repro/internal/obs"
 	"repro/internal/sched"
 )
 
@@ -19,19 +21,27 @@ import (
 // width; every other kind — the registry kernels and custom circuits from
 // circuit.Parse — compiles to its own DAG.
 //
-// A plan is immutable apart from its schedule memo, which is lock-guarded;
-// it is safe for concurrent use and intended to be shared — the explore
-// runner compiles each (kernel, bits) pair once per sweep and binds the
-// one plan to every machine that evaluates it, on either engine.
+// A registry kernel's schedule plan is built on first read, exactly once:
+// an engine that never reads it (the analytic engine prices the QFT in
+// closed form) never generates the circuit. A custom circuit's plan is
+// built when PlanCircuit constructs it. A plan is immutable once built
+// apart from its schedule memo, which is lock-guarded; it is safe for
+// concurrent use and intended to be shared — the explore runner plans each
+// (kernel, bits) pair once per sweep and binds the one plan to every
+// machine that evaluates it, on either engine.
 type WorkloadPlan struct {
-	kind   Kind
-	name   string // custom circuit name; "" for built-in kinds
-	bits   int
-	kernel *sched.Plan
+	kind  Kind
+	name  string // custom circuit name; "" for built-in kinds
+	bits  int
+	build func(bits int) *circuit.Circuit // kernel generator; nil for custom circuits
+
+	once   sync.Once
+	kernel *sched.Plan // set by once; read it through schedule
 }
 
-// PlanWorkload compiles the kernel circuit and dependency DAG for w. The
-// result is machine-independent: bind it to a machine with
+// PlanWorkload describes the kernel plan for w without building it: the
+// circuit generation and DAG construction run when an engine first reads
+// the plan. The result is machine-independent: bind it to a machine with
 // Machine.CompileWith (or let Machine.Compile do both steps). Custom
 // workloads carry their own circuit and are compiled with PlanCircuit
 // instead.
@@ -47,16 +57,17 @@ func PlanWorkload(w Workload) (*WorkloadPlan, error) {
 		return nil, fmt.Errorf("arch: no kernel builder for workload kind %q", w.Kind)
 	}
 	return &WorkloadPlan{
-		kind:   w.Kind,
-		bits:   w.Bits,
-		kernel: sched.NewPlan(circuit.BuildDAG(build(w.Bits))),
+		kind:  w.Kind,
+		bits:  w.Bits,
+		build: build,
 	}, nil
 }
 
 // PlanCircuit compiles a user-supplied circuit (typically from
-// circuit.Parse) into a workload plan under the given name. The resulting
-// plan behaves exactly like a registry kernel's: bind it to machines with
-// Machine.CompileWith and evaluate on either engine.
+// circuit.Parse) into a workload plan under the given name, building its
+// DAG now. The resulting plan behaves exactly like a registry kernel's:
+// bind it to machines with Machine.CompileWith and evaluate on either
+// engine.
 func PlanCircuit(name string, c *circuit.Circuit) (*WorkloadPlan, error) {
 	if name == "" {
 		return nil, fmt.Errorf("arch: custom circuit needs a name")
@@ -67,12 +78,22 @@ func PlanCircuit(name string, c *circuit.Circuit) (*WorkloadPlan, error) {
 	if err := c.Validate(); err != nil {
 		return nil, fmt.Errorf("arch: custom circuit %q: %w", name, err)
 	}
-	return &WorkloadPlan{
-		kind:   KindCustom,
-		name:   name,
-		bits:   c.NumQubits(),
-		kernel: sched.NewPlan(circuit.BuildDAG(c)),
-	}, nil
+	p := &WorkloadPlan{kind: KindCustom, name: name, bits: c.NumQubits()}
+	p.once.Do(func() { p.kernel = sched.NewPlan(circuit.BuildDAG(c)) })
+	return p, nil
+}
+
+// schedule returns the kernel's schedule plan, generating the circuit and
+// building its DAG on the first call. Concurrent first readers wait for
+// the one build. With a tracer in the first reader's ctx the build is
+// recorded as a "dag-build" span.
+func (p *WorkloadPlan) schedule(ctx context.Context) *sched.Plan {
+	p.once.Do(func() {
+		_, sp := obs.StartSpan(ctx, "dag-build")
+		defer sp.End()
+		p.kernel = sched.NewPlan(circuit.BuildDAG(p.build(p.bits)))
+	})
+	return p.kernel
 }
 
 // Bits returns the problem width the plan was compiled for.
@@ -90,9 +111,10 @@ func (p *WorkloadPlan) Workload() Workload {
 // plan is compatible with.
 func (p *WorkloadPlan) Kernel() string { return p.Workload().Kernel() }
 
-// DAG returns the compiled kernel dependency graph (shared storage; treat
-// it as read-only).
-func (p *WorkloadPlan) DAG() *circuit.DAG { return p.kernel.DAG() }
+// DAG returns the kernel dependency graph (shared storage; treat it as
+// read-only), building the plan if this is its first read; ctx carries the
+// tracer the build is recorded under.
+func (p *WorkloadPlan) DAG(ctx context.Context) *circuit.DAG { return p.schedule(ctx).DAG() }
 
 // compatible reports whether the plan can evaluate w: same width, same
 // kernel.
@@ -104,10 +126,10 @@ func (p *WorkloadPlan) compatible(w Workload) bool {
 // workload, the shared kernel plan, and the derived discrete-event machine
 // description. Compiling once and evaluating many times is the intended
 // hot-loop shape — Engine.EvaluateCompiledInto skips every per-evaluation
-// setup cost (circuit generation, DAG construction, scheduling already
-// memoized in the plan) and reuses the caller's result buffers and a
-// pooled simulation arena, so a steady-state des evaluation performs no
-// allocations at all.
+// setup cost (circuit generation and DAG construction happen once, on the
+// plan's first read; scheduling is memoized in the plan) and reuses the
+// caller's result buffers and a pooled simulation arena, so a steady-state
+// des evaluation performs no allocations at all.
 type CompiledWorkload struct {
 	m      *Machine
 	w      Workload
@@ -130,11 +152,11 @@ type CompiledWorkload struct {
 // runner takes a simulation arena from the pool, building a fresh one when
 // the pool is empty. CompileWith validated the config, so construction
 // here cannot fail.
-func (cw *CompiledWorkload) runner() *des.Runner {
+func (cw *CompiledWorkload) runner(ctx context.Context) *des.Runner {
 	if r, ok := cw.runners.Get().(*des.Runner); ok {
 		return r
 	}
-	r, err := des.NewRunner(cw.plan.DAG(), cw.desCfg)
+	r, err := des.NewRunner(cw.plan.DAG(ctx), cw.desCfg)
 	if err != nil {
 		panic("arch: compiled workload holds an invalid simulator config: " + err.Error())
 	}
@@ -201,6 +223,6 @@ func (m *Machine) CompileWith(w Workload, plan *WorkloadPlan) (*CompiledWorkload
 // computeOnly returns the compute-only lower bound of the compiled kernel:
 // the list-scheduled makespan at the machine's block count with
 // communication free. It anchors the communication-hidden metric.
-func (cw *CompiledWorkload) computeOnly() time.Duration {
-	return time.Duration(cw.plan.kernel.Makespan(cw.desCfg.Blocks)) * cw.desCfg.SlotTime
+func (cw *CompiledWorkload) computeOnly(ctx context.Context) time.Duration {
+	return time.Duration(cw.plan.schedule(ctx).Makespan(cw.desCfg.Blocks)) * cw.desCfg.SlotTime
 }

@@ -33,8 +33,9 @@ func TestPlanCircuit(t *testing.T) {
 	if got := plan.Workload(); got != want {
 		t.Errorf("plan workload %+v, want %+v", got, want)
 	}
-	if plan.Bits() != 3 || plan.Kernel() != "custom:bell" || plan.DAG().Circuit().Len() != 3 {
-		t.Errorf("plan bits %d kernel %q DAG %d nodes", plan.Bits(), plan.Kernel(), plan.DAG().Circuit().Len())
+	d := plan.DAG(context.Background())
+	if plan.Bits() != 3 || plan.Kernel() != "custom:bell" || d.Circuit().Len() != 3 {
+		t.Errorf("plan bits %d kernel %q DAG %d nodes", plan.Bits(), plan.Kernel(), d.Circuit().Len())
 	}
 
 	bad := circuit.New(2)

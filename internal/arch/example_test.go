@@ -38,16 +38,16 @@ func ExampleNew() {
 	// Output: analytic v1: area x7.8, adder speedup x7.6
 }
 
-// ExamplePlanWorkload compiles a registry kernel into its
-// machine-independent plan: the circuit's dependency DAG, shared by every
-// machine that later binds it. Adder and modexp plans are interchangeable
-// (same carry-lookahead kernel); every other kind owns its DAG.
+// ExamplePlanWorkload plans a registry kernel: the machine-independent
+// dependency DAG, shared by every machine that later binds it and built on
+// its first read. Adder and modexp plans are interchangeable (same
+// carry-lookahead kernel); every other kind owns its DAG.
 func ExamplePlanWorkload() {
 	plan, err := arch.PlanWorkload(arch.NewQFT(8))
 	if err != nil {
 		log.Fatal(err)
 	}
-	d := plan.DAG()
+	d := plan.DAG(context.Background())
 	fmt.Printf("kernel %s at %d bits: %d serial slots, critical path %d\n",
 		plan.Kernel(), plan.Bits(), d.TotalSlots(), d.Depth())
 	// Output: kernel qft at 8 bits: 36 serial slots, critical path 15

@@ -45,20 +45,20 @@ func (m *Machine) desConfig() des.Config {
 // simulate runs the compiled kernel once and returns its stats plus the
 // compute-only lower bound (the list-scheduled makespan at the same block
 // count, with communication free), which anchors the communication-hidden
-// metric. Circuit generation, DAG construction and scheduling happened at
-// compile time, and the first evaluation builds the pooled des.Runner
-// arena, so repeated evaluations pay only the event loop and allocate
-// nothing.
+// metric. The first evaluation of a plan builds it (circuit generation and
+// DAG construction, a "dag-build" span under "sim-run") and the pooled
+// des.Runner arena, and scheduling is memoized in the plan, so repeated
+// evaluations pay only the event loop and allocate nothing.
 func (e simEngine) simulate(ctx context.Context, cw *CompiledWorkload) (des.Stats, time.Duration, error) {
-	_, sp := obs.StartSpan(ctx, "sim-run")
-	r := cw.runner()
+	runCtx, sp := obs.StartSpan(ctx, "sim-run")
+	r := cw.runner(runCtx)
 	stats, err := r.Run(ctx)
 	cw.runners.Put(r)
 	sp.End()
 	if err != nil {
 		return des.Stats{}, 0, err
 	}
-	return stats, cw.computeOnly(), nil
+	return stats, cw.computeOnly(ctx), nil
 }
 
 // appendStatMetrics appends the shared simulation measurements to dst.
@@ -102,14 +102,15 @@ func (e simEngine) EvaluateCompiledInto(ctx context.Context, cw *CompiledWorkloa
 	metrics := out.Metrics[:0]
 	switch w.Kind {
 	case KindAdder:
+		qlaTime := cm.QLAAdderTime(cw.plan.schedule(ctx))
 		metrics = append(metrics,
 			// Area has no dynamic component; the simulator reuses the
 			// closed-form floorplan so its envelope stays comparable.
 			Metric{"area_reduction", cm.AreaReduction(cw.adderQubits, w.Hierarchy)},
-			Metric{"sim_speedup", float64(cm.QLAAdderTime(cw.plan.kernel)) / float64(stats.Makespan)},
+			Metric{"sim_speedup", float64(qlaTime) / float64(stats.Makespan)},
 		)
 		metrics = appendStatMetrics(metrics, stats, computeOnly)
-		metrics = append(metrics, Metric{"qla_time_s", cm.QLAAdderTime(cw.plan.kernel).Seconds()})
+		metrics = append(metrics, Metric{"qla_time_s", qlaTime.Seconds()})
 	case KindModExp:
 		// The full modular-exponentiation circuit is out of simulation
 		// reach at paper sizes; simulate its adder kernel and scale by the

@@ -12,6 +12,7 @@ package circuit
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Kind enumerates logical gate kinds.
@@ -179,6 +180,10 @@ func (c *Circuit) Append(in Instr) {
 	}
 	c.instrs = append(c.instrs, in)
 }
+
+// Grow reserves room for n more instructions, so a generator that knows
+// its gate count appends without regrowing.
+func (c *Circuit) Grow(n int) { c.instrs = slices.Grow(c.instrs, n) }
 
 // AppendAll appends every instruction of other (register widened as needed).
 func (c *Circuit) AppendAll(other *Circuit) {

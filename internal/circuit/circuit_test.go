@@ -71,6 +71,25 @@ func TestAppendGrowsRegister(t *testing.T) {
 	}
 }
 
+func TestGrowReservesWithoutChangingContent(t *testing.T) {
+	c := New(2)
+	c.AddH(0)
+	c.Grow(3)
+	if c.Len() != 1 || cap(c.Instrs()) < 4 {
+		t.Fatalf("after Grow(3): len %d cap %d, want len 1 cap >= 4", c.Len(), cap(c.Instrs()))
+	}
+	before := &c.Instrs()[0]
+	c.AddCNOT(0, 1)
+	c.AddX(1)
+	c.AddCZ(0, 1)
+	if &c.Instrs()[0] != before {
+		t.Error("appending within the reservation reallocated the instruction list")
+	}
+	if c.Instr(0).Kind != H || c.Instr(3).Kind != CZ {
+		t.Errorf("instructions %v", c.Instrs())
+	}
+}
+
 func TestDAGSerialChain(t *testing.T) {
 	c := New(1)
 	c.AddH(0)

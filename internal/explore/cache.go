@@ -9,9 +9,10 @@ import (
 )
 
 // evalCache is the per-sweep evaluation cache the runner threads through
-// every In: one arch.Machine per resolved configuration, one compiled
-// kernel plan per (kernel, bits), and one bound CompiledWorkload per
-// (machine, workload). Machines and plans are safe for concurrent use and
+// every In: one arch.Machine per resolved configuration, one kernel plan
+// per (kernel, bits), and one bound CompiledWorkload per (machine,
+// workload). A plan builds its circuit and DAG only when an engine first
+// reads it. Machines and plans are safe for concurrent use and
 // deterministic — two caches (or none at all) produce byte-identical
 // sweeps, which TestCacheTransparency pins.
 //
@@ -93,16 +94,14 @@ func (c *evalCache) machine(opts ...arch.Option) (*arch.Machine, error) {
 	return m, err
 }
 
-// plan returns the shared kernel plan for w, compiling it on first use.
-// A cold plan compile — the circuit generation and DAG build that
-// dominate one-shot evaluation — is recorded as a "dag-build" span.
-func (c *evalCache) plan(ctx context.Context, w arch.Workload) (*arch.WorkloadPlan, error) {
-	k := planKey{kernel: w.Kernel(), bits: w.Bits}
+// plan returns the shared kernel plan for w, planning it on first use.
+// Planning builds nothing: the plan generates its circuit and DAG when an
+// engine first reads it, recording that build as a "dag-build" span, so a
+// kernel the sweep's engine never reads (the analytic QFT) is never built.
+func (c *evalCache) plan(w arch.Workload) (*arch.WorkloadPlan, error) {
 	built := false
-	p, err := c.plans.Do(k, func() (*arch.WorkloadPlan, error) {
+	p, err := c.plans.Do(planKey{kernel: w.Kernel(), bits: w.Bits}, func() (*arch.WorkloadPlan, error) {
 		built = true
-		_, sp := obs.StartSpan(ctx, "dag-build")
-		defer sp.End()
 		return arch.PlanWorkload(w)
 	})
 	if err == nil {
@@ -112,8 +111,8 @@ func (c *evalCache) plan(ctx context.Context, w arch.Workload) (*arch.WorkloadPl
 }
 
 // compile returns the compiled workload binding w's shared plan to m.
-func (c *evalCache) compile(ctx context.Context, m *arch.Machine, w arch.Workload) (*arch.CompiledWorkload, error) {
-	p, err := c.plan(ctx, w)
+func (c *evalCache) compile(m *arch.Machine, w arch.Workload) (*arch.CompiledWorkload, error) {
+	p, err := c.plan(w)
 	if err != nil {
 		return nil, err
 	}
@@ -166,16 +165,17 @@ func (in In) Machine(opts ...arch.Option) (*arch.Machine, error) {
 // per-sweep compiled form of the workload when the runner provided a
 // cache and a freshly compiled one otherwise; results are identical either
 // way. With a tracer in ctx (cqla sweep -trace), the compile and evaluate
-// stages are recorded as "plan-compile" and engine-level spans.
+// stages are recorded as "plan-compile" and engine-level spans, and the
+// engine that first reads the kernel records its build as "dag-build".
 func (in In) EvaluateOn(ctx context.Context, m *arch.Machine, w arch.Workload, engine string) (arch.Result, error) {
 	eng, err := m.Engine(engine)
 	if err != nil {
 		return arch.Result{}, err
 	}
-	compileCtx, sp := obs.StartSpan(ctx, "plan-compile")
+	_, sp := obs.StartSpan(ctx, "plan-compile")
 	var cw *arch.CompiledWorkload
 	if in.cache != nil {
-		cw, err = in.cache.compile(compileCtx, m, w)
+		cw, err = in.cache.compile(m, w)
 	} else {
 		cw, err = m.Compile(w)
 	}
@@ -184,6 +184,16 @@ func (in In) EvaluateOn(ctx context.Context, m *arch.Machine, w arch.Workload, e
 		return arch.Result{}, err
 	}
 	return arch.EvaluateCompiled(ctx, eng, cw)
+}
+
+// Plan returns the machine-independent kernel plan for w, shared across the
+// sweep through the per-sweep cache when the runner provided one and
+// planned afresh otherwise. Its DAG is built on first read.
+func (in In) Plan(w arch.Workload) (*arch.WorkloadPlan, error) {
+	if in.cache != nil {
+		return in.cache.plan(w)
+	}
+	return arch.PlanWorkload(w)
 }
 
 // Evaluate is EvaluateOn with the engine the sweep was run with

@@ -25,6 +25,7 @@ func TestCacheTransparency(t *testing.T) {
 		{"xval", "analytic"},   // evaluates both engines inside one point
 		{"fig8b", "des"},       // QFT kernel through the simulator
 		{"table4", "analytic"}, // the Table 4 golden path
+		{"fig6a", "analytic"},  // In.Plan: one shared adder DAG per size
 	}
 	for _, tc := range cases {
 		exp, err := Lookup(tc.sweep)

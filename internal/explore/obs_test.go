@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/cqla"
 	"repro/internal/explore"
 	"repro/internal/obs"
 	"repro/internal/phys"
@@ -193,5 +194,43 @@ func TestRunSpans(t *testing.T) {
 	}
 	if counts["dag-build"] != 1 {
 		t.Errorf("dag-build spans = %d, want 1 (shared kernel plan)", counts["dag-build"])
+	}
+}
+
+// TestRunSpansLazyKernel pins where the kernel build is paid: traced
+// fig8b on the analytic engine prices the QFT in closed form and records
+// no "dag-build" span, while the des engine simulates each size's circuit
+// and records one per size.
+func TestRunSpansLazyKernel(t *testing.T) {
+	exp, err := explore.Lookup("fig8b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		engine string
+		builds int
+	}{
+		{"analytic", 0},
+		{"des", len(cqla.Fig8bSizes())},
+	} {
+		tr := obs.NewTracer()
+		ctx := obs.WithTracer(context.Background(), tr)
+		if _, err := explore.Run(ctx, exp, explore.Options{
+			Phys:     phys.Projected(),
+			Seed:     1,
+			Engine:   c.engine,
+			Parallel: 2,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		builds := 0
+		for _, sp := range tr.Spans() {
+			if sp.Name() == "dag-build" {
+				builds++
+			}
+		}
+		if builds != c.builds {
+			t.Errorf("%s fig8b: %d dag-build spans, want %d", c.engine, builds, c.builds)
+		}
 	}
 }

@@ -258,8 +258,14 @@ func fig6aExp() *Experiment {
 			Ints("size", cqla.PaperInputSizes()...),
 			Ints("blocks", cqla.Fig6aBlockCounts()...),
 		},
-		Eval: func(_ context.Context, in In) ([]Metric, error) {
-			u := sched.UtilizationSweep(cqla.AdderKernel(in.Int("size")).DAG(), []int{in.Int("blocks")})
+		Eval: func(ctx context.Context, in In) ([]Metric, error) {
+			// Every block count of one size reads the sweep's shared adder
+			// plan, so each size builds its DAG once.
+			plan, err := in.Plan(arch.NewAdder(in.Int("size"), false))
+			if err != nil {
+				return nil, err
+			}
+			u := sched.UtilizationSweep(plan.DAG(ctx), []int{in.Int("blocks")})
 			return []Metric{{"utilization", u[0]}}, nil
 		},
 	}

@@ -21,10 +21,13 @@ func QFT(n int, bitReversal bool) *circuit.Circuit {
 		panic(fmt.Sprintf("gen: QFT width %d < 1", n))
 	}
 	c := circuit.New(n)
+	c.Grow(n + QFTGateCount(n) + 3*(n/2))
 	for i := n - 1; i >= 0; i-- {
 		c.AddH(i)
 		for j := i - 1; j >= 0; j-- {
-			c.AddCPhase(j, i, math.Pi/math.Pow(2, float64(i-j)))
+			// π/2^(i-j); Ldexp is exact, so this is bit-identical to
+			// math.Pi/math.Pow(2, float64(i-j)) at a fraction of the cost.
+			c.AddCPhase(j, i, math.Pi/math.Ldexp(1, i-j))
 		}
 	}
 	if bitReversal {

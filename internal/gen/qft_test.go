@@ -118,6 +118,35 @@ func TestQFTGateCount(t *testing.T) {
 		if stats.Toffolis != 0 {
 			t.Errorf("QFT(%d): unexpected Toffolis", n)
 		}
+		// The count QFT reserves up front: three CNOTs per reversal swap.
+		if got, want := QFT(n, true).Len(), c.Len()+3*(n/2); got != want {
+			t.Errorf("QFT(%d) with bit reversal: %d instructions, want %d", n, got, want)
+		}
+	}
+}
+
+// TestQFTAnglesMatchPow pins the rotation angles bit for bit to the
+// math.Pow expression the generator used before it switched to Ldexp,
+// for every exponent k = i-j in [1, 1023].
+func TestQFTAnglesMatchPow(t *testing.T) {
+	const n = 1024
+	c := QFT(n, false)
+	seen := make([]bool, n)
+	for _, in := range c.Instrs() {
+		if in.Kind != circuit.CPhase {
+			continue
+		}
+		k := in.Qubits[1] - in.Qubits[0]
+		want := math.Pi / math.Pow(2, float64(k))
+		if math.Float64bits(in.Angle) != math.Float64bits(want) {
+			t.Fatalf("CPhase(%d, %d): angle %b, want π/2^%d = %b", in.Qubits[0], in.Qubits[1], in.Angle, k, want)
+		}
+		seen[k] = true
+	}
+	for k := 1; k < n; k++ {
+		if !seen[k] {
+			t.Errorf("no rotation with k = %d", k)
+		}
 	}
 }
 
