@@ -7,8 +7,9 @@
 // actually hides beneath error-correction-dominated computation — the
 // paper's "quantum computers do not suffer from the memory wall" claim.
 //
-// The simulator is built for the hot path: the event queue is a concrete
-// generic heap over a pre-sized arena (no interface boxing), the residency
+// The simulator is built for the hot path: the event queue is one pre-sized
+// FIFO lane per distinct event duration, each already in time order, so
+// the next event is the least of a few lane heads; the residency
 // set is an intrusive array-backed LRU list, and every per-instruction and
 // per-qubit table is allocated once up front, so a run's allocation cost is
 // a fixed setup independent of how many events it processes.
@@ -74,7 +75,7 @@ type event struct {
 
 // eventLess orders events by time with the sequence number breaking ties —
 // a total order, so the pop sequence (and with it every statistic) is
-// independent of heap internals.
+// independent of how the pending events are stored.
 func eventLess(a, b event) bool {
 	if a.at != b.at {
 		return a.at < b.at

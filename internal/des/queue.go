@@ -35,3 +35,90 @@ func (q *intQueue) pop() int {
 }
 
 func (q *intQueue) peek() int { return q.buf[q.head] }
+
+// eventLane is a fixed-capacity FIFO ring of events that all share one
+// duration. Events are pushed at the current simulated time plus that
+// duration, and the current time never decreases while the sequence
+// number only grows, so a lane is always sorted by (at, seq): its head is
+// its least event.
+type eventLane struct {
+	buf  []event
+	head int
+	n    int
+}
+
+// push appends e; the lane must have room. The Runner sizes each lane to
+// the resources that bound it, so it never overflows.
+//
+//cqla:noalloc
+func (l *eventLane) push(e event) {
+	i := l.head + l.n
+	if i >= len(l.buf) {
+		i -= len(l.buf)
+	}
+	l.buf[i] = e
+	l.n++
+}
+
+//cqla:noalloc
+func (l *eventLane) pop() event {
+	e := l.buf[l.head]
+	if l.head++; l.head == len(l.buf) {
+		l.head = 0
+	}
+	l.n--
+	return e
+}
+
+// eventQueue is the simulator's pending-event set: one FIFO lane per
+// distinct event duration. Every lane is sorted by (at, seq), so the least
+// lane head under eventLess is the least pending event, and pop yields
+// exactly the sequence a min-heap over all events would — with a handful
+// of head comparisons instead of a sift through the whole set.
+type eventQueue struct {
+	lanes []eventLane
+	size  int
+}
+
+// newEventQueue returns a queue with one lane per capacity.
+func newEventQueue(capacities []int) *eventQueue {
+	q := &eventQueue{lanes: make([]eventLane, len(capacities))}
+	for k, c := range capacities {
+		q.lanes[k].buf = make([]event, c)
+	}
+	return q
+}
+
+func (q *eventQueue) len() int { return q.size }
+
+// push adds e to the given lane; e must not precede the lane's last event
+// under eventLess.
+//
+//cqla:noalloc
+func (q *eventQueue) push(lane int, e event) {
+	q.lanes[lane].push(e)
+	q.size++
+}
+
+// pop removes and returns the least pending event; the queue must be
+// non-empty.
+//
+//cqla:noalloc
+func (q *eventQueue) pop() event {
+	best := -1
+	for k := range q.lanes {
+		l := &q.lanes[k]
+		if l.n > 0 && (best < 0 || eventLess(l.buf[l.head], q.lanes[best].buf[q.lanes[best].head])) {
+			best = k
+		}
+	}
+	q.size--
+	return q.lanes[best].pop()
+}
+
+func (q *eventQueue) reset() {
+	for k := range q.lanes {
+		q.lanes[k].head, q.lanes[k].n = 0, 0
+	}
+	q.size = 0
+}

@@ -6,13 +6,12 @@ import (
 	"time"
 
 	"repro/internal/circuit"
-	"repro/internal/minheap"
 )
 
 // Runner is a reusable simulation arena bound to one (DAG, Config) pair:
 // every per-instruction and per-qubit table RunDAG used to allocate — the
 // dependency counters, the staging queues, the waiter lists, the residency
-// LRU and the event heap — lives in the Runner and is rewound between runs.
+// LRU and the event lanes — lives in the Runner and is rewound between runs.
 // The first Run grows the waiter backing arrays to the circuit's high-water
 // mark; after that a run performs no allocations at all, which is what the
 // compile-once/evaluate-many arch engine needs to replay a precompiled
@@ -25,14 +24,19 @@ type Runner struct {
 	cfg    Config
 	winCap int
 
-	remaining  []int // unmet dependencies
-	missing    []int // operands not yet resident (window members)
+	remaining  []int32 // unmet dependencies
+	missing    []int32 // operands not yet resident (window members)
 	pending    *intQueue
 	fetchQueue *intQueue
 	readyRun   *intQueue
 	waiters    [][]int32 // qubit -> staged instructions awaiting it
 	res        *residency
-	events     *minheap.Heap[event]
+	events     *eventQueue
+	// lane is each instruction's completion-event lane and laneTime that
+	// lane's duration, so starting an instruction reads one byte instead
+	// of the instruction. Lane fetchLane holds operand fetches.
+	lane     []uint8
+	laneTime []time.Duration
 
 	// Per-run mutable state, rewound by reset.
 	seq            int
@@ -62,21 +66,40 @@ func NewRunner(d *circuit.DAG, cfg Config) (*Runner, error) {
 	if winCap < 1 {
 		winCap = 1
 	}
+	// One event lane per distinct event duration: fetches, then each slot
+	// count the circuit uses, in order of first use. Outstanding events are
+	// bounded by busy resources, so a lane holds at most one fetch per
+	// channel or one completion per block.
+	capacities := []int{cfg.Channels}
+	laneTime := []time.Duration{cfg.TransportTime}
+	lane := make([]uint8, n)
+	for i, in := range c.Instrs() {
+		dur := time.Duration(in.Slots()) * cfg.SlotTime
+		k := fetchLane + 1
+		for k < len(laneTime) && laneTime[k] != dur {
+			k++
+		}
+		if k == len(laneTime) {
+			capacities = append(capacities, cfg.Blocks)
+			laneTime = append(laneTime, dur)
+		}
+		lane[i] = uint8(k)
+	}
 	return &Runner{
 		d:          d,
 		c:          c,
 		cfg:        cfg,
 		winCap:     winCap,
-		remaining:  make([]int, n),
-		missing:    make([]int, n),
+		remaining:  make([]int32, n),
+		missing:    make([]int32, n),
 		pending:    newIntQueue(n),
 		fetchQueue: newIntQueue(nq),
 		readyRun:   newIntQueue(n),
 		waiters:    make([][]int32, nq),
 		res:        newResidency(cfg.ResidentQubits, nq),
-		// Outstanding events are bounded by busy resources: one evInstrDone
-		// per occupied block plus one evFetchDone per occupied channel.
-		events: minheap.New(cfg.Blocks+cfg.Channels, eventLess),
+		events:     newEventQueue(capacities),
+		lane:       lane,
+		laneTime:   laneTime,
 	}, nil
 }
 
@@ -93,7 +116,7 @@ func (r *Runner) reset() {
 		r.waiters[q] = r.waiters[q][:0] // keep the backing array across runs
 	}
 	r.res.reset()
-	r.events.Reset()
+	r.events.reset()
 	r.seq = 0
 	r.now = 0
 	r.freeBlocks = r.cfg.Blocks
@@ -104,17 +127,20 @@ func (r *Runner) reset() {
 	r.lastStallCheck = 0
 	r.stalledInstrs = 0
 	for i := 0; i < r.c.Len(); i++ {
-		r.remaining[i] = len(r.d.Deps(i))
+		r.remaining[i] = int32(len(r.d.Deps(i)))
 		if r.remaining[i] == 0 {
 			r.pending.push(i)
 		}
 	}
 }
 
+// fetchLane is the event lane of operand fetches.
+const fetchLane = 0
+
 //cqla:noalloc
-func (r *Runner) pushEvent(at time.Duration, kind eventKind, id int) {
+func (r *Runner) pushEvent(lane int, at time.Duration, kind eventKind, id int) {
 	r.seq++
-	r.events.Push(event{at: at, kind: kind, id: id, seq: r.seq})
+	r.events.push(lane, event{at: at, kind: kind, id: id, seq: r.seq})
 }
 
 // stage admits pending instructions into the window, pinning their
@@ -125,7 +151,7 @@ func (r *Runner) stage() {
 	for r.window < r.winCap && r.pending.len() > 0 {
 		i := r.pending.pop()
 		r.window++
-		miss := 0
+		var miss int32
 		for _, q := range r.c.Instr(i).Operands() {
 			r.res.pin(q)
 			if r.res.contains(q) {
@@ -157,7 +183,7 @@ func (r *Runner) startFetches() {
 		r.freeChannels--
 		r.stats.Transports++
 		r.stats.TransportBusy += r.cfg.TransportTime
-		r.pushEvent(r.now+r.cfg.TransportTime, evFetchDone, q)
+		r.pushEvent(fetchLane, r.now+r.cfg.TransportTime, evFetchDone, q)
 	}
 }
 
@@ -167,9 +193,10 @@ func (r *Runner) startInstrs() {
 		i := r.readyRun.pop()
 		r.window-- // leaves the staging window; pins persist until done
 		r.freeBlocks--
-		dur := time.Duration(r.c.Instr(i).Slots()) * r.cfg.SlotTime
+		k := int(r.lane[i])
+		dur := r.laneTime[k]
 		r.stats.ComputeBusy += dur
-		r.pushEvent(r.now+dur, evInstrDone, i)
+		r.pushEvent(k, r.now+dur, evInstrDone, i)
 	}
 }
 
@@ -215,13 +242,13 @@ func (r *Runner) Run(ctx context.Context) (Stats, error) {
 	r.pump()
 	r.stalledInstrs = r.pending.len() + r.window
 	loops := 0
-	for r.events.Len() > 0 {
+	for r.events.len() > 0 {
 		if loops++; loops&1023 == 1 {
 			if err := ctx.Err(); err != nil {
 				return Stats{}, err
 			}
 		}
-		ev := r.events.Pop()
+		ev := r.events.pop()
 		r.accountStall(ev.at)
 		r.now = ev.at
 		switch ev.kind {
@@ -251,7 +278,7 @@ func (r *Runner) Run(ctx context.Context) (Stats, error) {
 		}
 		r.pump()
 		r.stalledInstrs = r.pending.len() + r.window
-		if r.events.Len() == 0 && r.done < n {
+		if r.events.len() == 0 && r.done < n {
 			//lint:ignore-cqla noalloc deadlock reporting is a terminal failure path
 			return Stats{}, fmt.Errorf("des: deadlock after %d/%d instructions", r.done, n)
 		}

@@ -38,41 +38,68 @@ func (h *Heap[T]) Reset() { h.a = h.a[:0] }
 //cqla:noalloc
 func (h *Heap[T]) Push(v T) {
 	h.a = append(h.a, v)
-	i := len(h.a) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(h.a[i], h.a[parent]) {
-			break
-		}
-		h.a[i], h.a[parent] = h.a[parent], h.a[i]
-		i = parent
-	}
+	h.up(len(h.a)-1, v)
 }
 
 // Pop removes and returns the minimum element; the heap must be non-empty.
+// It sinks the hole the minimum leaves to a leaf along the lesser
+// children, one comparison a level, and then lifts the displaced last
+// element from there. That element is among the greatest, so it rarely
+// climbs far: a pop costs about half the comparisons of a sift-down that
+// compares the element against both children at every level, and the
+// descent picks each child arithmetically rather than by a branch on the
+// comparison, which a processor predicts no better than a coin toss.
 //
 //cqla:noalloc
 func (h *Heap[T]) Pop() T {
-	top := h.a[0]
-	last := len(h.a) - 1
-	h.a[0] = h.a[last]
+	a := h.a
+	top := a[0]
+	last := len(a) - 1
+	v := a[last]
 	var zero T
-	h.a[last] = zero // release references held by pointer-carrying types
-	h.a = h.a[:last]
+	a[last] = zero // release references held by pointer-carrying types
+	a = a[:last]
+	h.a = a
+	if last == 0 {
+		return top
+	}
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < last && h.less(h.a[l], h.a[smallest]) {
-			smallest = l
+		child := 2*i + 1
+		if child >= last {
+			break
 		}
-		if r < last && h.less(h.a[r], h.a[smallest]) {
-			smallest = r
+		if r := child + 1; r < last {
+			child += b2i(h.less(a[r], a[child]))
 		}
-		if smallest == i {
-			return top
-		}
-		h.a[i], h.a[smallest] = h.a[smallest], h.a[i]
-		i = smallest
+		a[i] = a[child]
+		i = child
 	}
+	h.up(i, v)
+	return top
+}
+
+// up places v in the hole at index i, lifting the hole towards the root
+// past every parent greater than v.
+//
+//cqla:noalloc
+func (h *Heap[T]) up(i int, v T) {
+	a := h.a
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h.less(v, a[parent]) {
+			break
+		}
+		a[i] = a[parent]
+		i = parent
+	}
+	a[i] = v
+}
+
+// b2i converts b to 0 or 1 without a conditional jump.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

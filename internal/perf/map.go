@@ -26,6 +26,7 @@ func MeasuredFunctions() map[string][]string {
 		},
 		"DES64BitAdder":          {"repro/internal/des.Run"},
 		"DESEventLoop64BitAdder": {"repro/internal/des.RunDAG"},
+		"DESRunnerQFT256":        {"repro/internal/des.(*Runner).Run"},
 		"DESRunnerReuse":         {"repro/internal/des.(*Runner).Run"},
 		"ExplorePareto":          {"repro/internal/explore.Run"},
 		// The bit-sliced campaign is certified through its three kernels:

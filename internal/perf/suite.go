@@ -16,6 +16,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/gf2"
 	"repro/internal/phys"
+	"repro/internal/sched"
 )
 
 // The built-in suite covers the repository's hot paths at three scales:
@@ -350,6 +351,60 @@ func init() {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := r.Run(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+		},
+	})
+	// Figure 8(b)'s des evaluation, split into its two halves at the
+	// 256-qubit QFT on the sweep's machine: the compute-only list schedule
+	// (what the plan memo caches) and the event loop on a reused arena.
+	mustRegister(Benchmark{
+		Name: "PlanMakespanQFT256",
+		Doc:  "the list-scheduled makespan of the 256-qubit QFT at 36 blocks on a fresh plan (fig8b's compute-only bound)",
+		F: func(b *B) {
+			plan, err := arch.PlanWorkload(arch.NewQFT(256))
+			if err != nil {
+				b.Fatal(err)
+			}
+			d := plan.DAG(context.Background())
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sched.NewPlan(d).Makespan(36)
+			}
+		},
+	})
+	mustRegister(Benchmark{
+		Name: "DESRunnerQFT256",
+		Doc:  "one des-engine evaluation of the 256-qubit QFT on fig8b's machine: the event loop on a reused arena, the schedule memoized",
+		F: func(b *B) {
+			m, err := arch.New(
+				arch.WithParams(phys.Projected()),
+				arch.WithCodeName("bacon-shor"),
+				arch.WithBlocks(36),
+				arch.WithTransfers(10),
+			)
+			if err != nil {
+				b.Fatal(err)
+			}
+			eng, err := m.Engine(arch.EngineDES)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cw, err := m.Compile(arch.NewQFT(256))
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctx := context.Background()
+			var res arch.Result
+			// The first evaluation builds the plan, the arena and the
+			// schedule memo; the loop replays the event loop alone.
+			if err := eng.EvaluateCompiledInto(ctx, cw, &res); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := eng.EvaluateCompiledInto(ctx, cw, &res); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -28,9 +28,14 @@ func (p *Plan) DAG() *circuit.DAG { return p.dag }
 func (p *Plan) Depth() int { return p.dag.Depth() }
 
 // Makespan returns ListSchedule(p.DAG(), blocks).MakespanSlots, memoized
-// per block budget.
+// per block budget. It runs the same dispatch loop without recording start
+// slots, and answers unlimited budgets from the DAG's critical path.
 func (p *Plan) Makespan(blocks int) int {
 	return p.makespans.Get(blocks, func() int {
-		return ListSchedule(p.dag, blocks).MakespanSlots
+		if blocks <= 0 || p.dag.Circuit().Len() == 0 {
+			return p.dag.Depth()
+		}
+		makespan, _ := listSchedule(p.dag, blocks, nil)
+		return makespan
 	})
 }

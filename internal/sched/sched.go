@@ -29,8 +29,9 @@ type Result struct {
 }
 
 // Utilization returns busy block-slots over available block-slots — the
-// y-axis of Figure 6(a). For unlimited blocks it uses the peak concurrency
-// as the denominator's width.
+// y-axis of Figure 6(a). It returns 0 for an empty schedule and for
+// unlimited blocks: a Result carries no circuit, so it has no peak
+// concurrency to stand in for the block count.
 func (r Result) Utilization() float64 {
 	if r.MakespanSlots == 0 || r.Blocks == 0 {
 		return 0
@@ -66,113 +67,132 @@ func (r Result) PeakParallelism(c *circuit.Circuit) int {
 // the given number of compute blocks; blocks <= 0 means unlimited (the
 // schedule then equals the ASAP schedule). Instructions become ready when
 // every dependency has completed; among ready instructions the one with the
-// longest remaining path to the circuit's end is dispatched first.
+// longest remaining path to the circuit's end is dispatched first, ties to
+// the lower index. The circuit must respect the bound of the packed
+// schedule keys: fewer than 2^32 instructions and fewer than 2^32 busy
+// slots, which also caps the critical path and the makespan below 2^32.
+// ListSchedule panics past it.
 func ListSchedule(d *circuit.DAG, blocks int) Result {
 	c := d.Circuit()
 	n := c.Len()
 	res := Result{Blocks: blocks, Start: make([]int, n)}
-	for _, in := range c.Instrs() {
-		res.BusySlots += in.Slots()
-	}
 	if n == 0 {
 		return res
 	}
 	if blocks <= 0 {
-		// Unlimited resources: ASAP.
+		// Unlimited resources: ASAP, whose makespan is the critical path.
 		res.Blocks = 0
-		for i := range res.Start {
+		for i, in := range c.Instrs() {
 			res.Start[i] = d.ASAPStart(i)
-			if end := res.Start[i] + c.Instr(i).Slots(); end > res.MakespanSlots {
-				res.MakespanSlots = end
-			}
+			res.BusySlots += in.Slots()
 		}
+		res.MakespanSlots = d.Depth()
 		return res
 	}
+	res.MakespanSlots, res.BusySlots = listSchedule(d, blocks, res.Start)
+	return res
+}
 
-	prio := criticalPathPriority(d)
-	remainingDeps := make([]int, n)
-	// Ready instructions pop longest-remaining-path first, ties to the
-	// lower index; running ones pop by end slot, then instruction. Both
-	// are total orders, so the schedule is fully determined.
-	ready := minheap.New(n, func(a, b int) bool {
-		if prio[a] != prio[b] {
-			return prio[a] > prio[b]
-		}
-		return a < b
-	})
-	for i := 0; i < n; i++ {
-		remainingDeps[i] = len(d.Deps(i))
-		if remainingDeps[i] == 0 {
-			ready.Push(i)
+// keyLimit bounds every field packed into a 32-bit half of a schedule
+// key: instruction indices, critical-path priorities and end slots.
+const keyLimit = 1 << 32
+
+// checkKeyBound panics when a circuit of n instructions and busy total
+// slots would overflow the packed schedule keys. The busy slots bound the
+// critical path and every end slot, so one check covers all three fields.
+func checkKeyBound(n int, busy uint64) {
+	if uint64(n) >= keyLimit || busy >= keyLimit {
+		panic(fmt.Sprintf("sched: %d instructions and %d busy slots exceed the packed schedule keys' bound of 2^32", n, busy))
+	}
+}
+
+// keyLess orders packed schedule keys; both heaps pop their least key.
+func keyLess(a, b uint64) bool { return a < b }
+
+// listSchedule is the block-limited dispatch loop behind ListSchedule and
+// Plan.Makespan: blocks must be positive. It writes each instruction's
+// start slot into start when start is non-nil and returns the makespan and
+// the busy slots.
+//
+// Both queues hold packed uint64 keys, so the heap compares plain integers
+// instead of chasing per-instruction tables. A ready key is the bitwise
+// complement of the instruction's priority over its index: the least key
+// is the longest remaining path, ties to the lower index. A running key is
+// the end slot over the index; every instruction ending at one slot is
+// released before the next dispatch, and the ready order is total, so the
+// order they leave the running heap in cannot change the schedule.
+func listSchedule(d *circuit.DAG, blocks int, start []int) (makespan, busy int) {
+	c := d.Circuit()
+	n := c.Len()
+	// The slot table holds each instruction's duration in one byte (no
+	// kind lasts longer than ToffoliSlots), so dispatch never reloads the
+	// 40-byte instruction.
+	slots := make([]uint8, n)
+	var total uint64
+	for i, in := range c.Instrs() {
+		slots[i] = uint8(in.Slots())
+		total += uint64(slots[i])
+	}
+	checkKeyBound(n, total)
+
+	prio := criticalPathPriority(d, slots)
+	deps := make([]int32, n)
+	// Instructions sharing a qubit are ordered by the DAG, so the ready
+	// and running instructions together touch distinct qubits: the qubit
+	// count bounds the ready set, however long the circuit.
+	ready := minheap.New(min(n, c.NumQubits()), keyLess)
+	for i := range deps {
+		deps[i] = int32(len(d.Deps(i)))
+		if deps[i] == 0 {
+			ready.Push(uint64(^prio[i])<<32 | uint64(i))
 		}
 	}
-
-	running := minheap.New(min(blocks, n), func(a, b finishEntry) bool {
-		if a.end != b.end {
-			return a.end < b.end
-		}
-		return a.instr < b.instr
-	})
-	now := 0
-	free := blocks
-	scheduled := 0
-	for scheduled < n {
+	running := minheap.New(min(blocks, n), keyLess)
+	now, free := 0, blocks
+	for scheduled := 0; scheduled < n; {
 		// Dispatch as many ready instructions as blocks allow.
-		for free > 0 && ready.Len() > 0 {
-			i := ready.Pop()
-			res.Start[i] = now
-			end := now + c.Instr(i).Slots()
-			running.Push(finishEntry{end, i})
-			free--
-			scheduled++
-			if end > res.MakespanSlots {
-				res.MakespanSlots = end
+		for ; free > 0 && ready.Len() > 0; free-- {
+			i := int(uint32(ready.Pop()))
+			if start != nil {
+				start[i] = now
 			}
+			end := now + int(slots[i])
+			running.Push(uint64(end)<<32 | uint64(i))
+			scheduled++
+			makespan = max(makespan, end)
 		}
 		if running.Len() == 0 {
-			if ready.Len() == 0 && scheduled < n {
-				panic("sched: deadlock — dependency cycle in DAG")
-			}
-			continue
+			panic("sched: deadlock — dependency cycle in DAG")
 		}
 		// Advance to the next completion and release its successors.
-		now = running.Peek().end
-		for running.Len() > 0 && running.Peek().end == now {
-			e := running.Pop()
+		next := running.Peek() >> 32
+		now = int(next)
+		for running.Len() > 0 && running.Peek()>>32 == next {
+			i := int(uint32(running.Pop()))
 			free++
-			for _, s := range d.Succs(e.instr) {
-				remainingDeps[s]--
-				if remainingDeps[s] == 0 {
-					ready.Push(s)
+			for _, s := range d.Succs(i) {
+				if deps[s]--; deps[s] == 0 {
+					ready.Push(uint64(^prio[s])<<32 | uint64(s))
 				}
 			}
 		}
 	}
-	return res
-}
-
-// finishEntry is a running instruction and the slot it completes at.
-type finishEntry struct {
-	end   int
-	instr int
+	return makespan, int(total)
 }
 
 // criticalPathPriority computes, for every instruction, the length in slots
-// of the longest dependent chain starting at it (inclusive).
-func criticalPathPriority(d *circuit.DAG) []int {
-	c := d.Circuit()
-	n := c.Len()
-	prio := make([]int, n)
+// of the longest dependent chain starting at it (inclusive), reading
+// durations from the slot table.
+func criticalPathPriority(d *circuit.DAG, slots []uint8) []uint32 {
+	prio := make([]uint32, len(slots))
 	// Instructions are appended in topological order, so a reverse sweep
 	// sees all successors first.
-	for i := n - 1; i >= 0; i-- {
-		longest := 0
+	for i := len(slots) - 1; i >= 0; i-- {
+		var longest uint32
 		for _, s := range d.Succs(i) {
-			if prio[s] > longest {
-				longest = prio[s]
-			}
+			longest = max(longest, prio[s])
 		}
-		prio[i] = longest + c.Instr(i).Slots()
+		prio[i] = longest + uint32(slots[i])
 	}
 	return prio
 }

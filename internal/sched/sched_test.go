@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -291,5 +292,47 @@ func TestValidateRejectsBrokenSchedules(t *testing.T) {
 	// no budget meets it, so the search caps at one block per instruction.
 	if k := KneeBlocks(ind, -0.5); k != 4 {
 		t.Errorf("KneeBlocks(unreachable target) = %d, want 4", k)
+	}
+}
+
+// TestUtilizationUnlimitedIsZero: a Result carries no circuit, so an
+// unlimited-budget schedule has no block count to divide by and reports 0
+// rather than a peak-concurrency stand-in.
+func TestUtilizationUnlimitedIsZero(t *testing.T) {
+	d := circuit.BuildDAG(gen.CarryLookahead(16).Circuit)
+	r := ListSchedule(d, 0)
+	if r.MakespanSlots == 0 || r.BusySlots == 0 {
+		t.Fatalf("unlimited schedule of a 16-bit adder is empty: %+v", r)
+	}
+	if u := r.Utilization(); u != 0 {
+		t.Errorf("unlimited-budget utilization = %v, want 0", u)
+	}
+}
+
+// TestKeyBoundPanicsPastTwoTo32: the packed schedule keys hold indices,
+// priorities and end slots in 32 bits; a circuit past that bound must
+// panic with a message naming it instead of scheduling wrongly.
+func TestKeyBoundPanicsPastTwoTo32(t *testing.T) {
+	checkKeyBound(1<<20, 1<<32-1) // the largest accepted busy total
+	for _, tc := range []struct {
+		name string
+		n    uint64
+		busy uint64
+	}{
+		{"busy slots", 1 << 20, 1 << 32},
+		{"instructions", 1 << 32, 1 << 32},
+	} {
+		if uint64(int(tc.n)) != tc.n {
+			continue // an instruction count past 2^32 is no int on 32-bit hosts
+		}
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "2^32") {
+					t.Errorf("%s past the key bound: panic %q, want one naming 2^32", tc.name, msg)
+				}
+			}()
+			checkKeyBound(int(tc.n), tc.busy)
+		}()
 	}
 }
