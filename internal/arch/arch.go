@@ -195,20 +195,6 @@ func (s *settings) config() Config {
 	}
 }
 
-// Resolve applies the options to the paper-default working point and
-// returns the fully resolved, validated configuration without building the
-// machine's analytic models. Because Config is a comparable value it works
-// as a cache key: two option lists resolving to the same Config produce
-// machines with identical behavior, which is what explore's per-sweep
-// machine cache relies on.
-func Resolve(opts ...Option) (Config, error) {
-	s, err := resolve(opts)
-	if err != nil {
-		return Config{}, err
-	}
-	return s.config(), nil
-}
-
 // New builds a Machine from the paper's default working point (Steane
 // code, projected parameters, 36 compute blocks, 10 parallel transfers,
 // the Section 5.2 cache factor and overlap) modified by the given options.

@@ -175,25 +175,14 @@ func (cw *CompiledWorkload) Plan() *WorkloadPlan { return cw.plan }
 // Compile validates w, compiles its kernel plan and binds it to the
 // machine. For repeated evaluations of one workload family across many
 // machines, compile the plan once with PlanWorkload and bind it to each
-// machine with CompileWith instead. Custom workloads go through
-// CompileCircuit.
+// machine with CompileWith instead. Custom workloads carry their own
+// circuit: plan it with PlanCircuit and bind it with CompileWith.
 func (m *Machine) Compile(w Workload) (*CompiledWorkload, error) {
 	plan, err := PlanWorkload(w)
 	if err != nil {
 		return nil, err
 	}
 	return m.CompileWith(w, plan)
-}
-
-// CompileCircuit compiles a user-supplied circuit under the given name and
-// binds it to the machine — Compile for workloads that carry their own
-// gates instead of a registered kernel.
-func (m *Machine) CompileCircuit(name string, c *circuit.Circuit) (*CompiledWorkload, error) {
-	plan, err := PlanCircuit(name, c)
-	if err != nil {
-		return nil, err
-	}
-	return m.CompileWith(plan.Workload(), plan)
 }
 
 // CompileWith binds a precompiled plan to this machine. Both engines then

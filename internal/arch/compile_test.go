@@ -3,6 +3,7 @@ package arch_test
 import (
 	"context"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"repro/internal/arch"
@@ -122,34 +123,49 @@ func TestCompileRejectsForeignAndMismatched(t *testing.T) {
 	}
 }
 
-// TestResolveMatchesNew pins Resolve's contract as a cache key: it returns
-// exactly the Config a built machine echoes, and errors exactly when New
-// errors.
-func TestResolveMatchesNew(t *testing.T) {
-	optSets := [][]arch.Option{
-		{},
-		{arch.WithCodeName("bacon-shor"), arch.WithBlocks(49), arch.WithCacheFactor(3)},
-		{arch.WithTransferOverlap(0), arch.WithSimChannels(4), arch.WithSimResidency(500)},
+// TestCompileRejectsInvalidWorkloads: an invalid workload fails at plan or
+// compile time with the reason, a custom workload has no registered kernel
+// to plan, and a result reports the metric it does not carry by name.
+func TestCompileRejectsInvalidWorkloads(t *testing.T) {
+	m, err := arch.New()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, opts := range optSets {
-		cfg, err := arch.Resolve(opts...)
-		if err != nil {
-			t.Fatalf("set %d: %v", i, err)
+	if _, err := m.Compile(arch.NewAdder(1, false)); err == nil || !strings.Contains(err.Error(), "need at least 2") {
+		t.Errorf("Compile of a 1-bit adder: err = %v", err)
+	}
+	plan, err := arch.PlanWorkload(arch.NewAdder(16, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.CompileWith(arch.Workload{Kind: "nope", Bits: 16}, plan); err == nil || !strings.Contains(err.Error(), "unknown workload kind") {
+		t.Errorf("CompileWith of an unknown kind: err = %v", err)
+	}
+	custom := arch.Workload{Kind: arch.KindCustom, Name: "bell", Bits: 3}
+	if _, err := arch.PlanWorkload(custom); err == nil || !strings.Contains(err.Error(), "PlanCircuit") {
+		t.Errorf("PlanWorkload of a custom workload: err = %v", err)
+	}
+	eng, err := m.Engine(arch.EngineAnalytic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cw, err := m.CompileWith(arch.NewAdder(16, false), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := arch.EvaluateCompiled(context.Background(), eng, cw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := res.Metric("no_such_metric"); err == nil || !strings.Contains(err.Error(), `"no_such_metric"`) {
+		t.Errorf("Metric of an unknown name: err = %v", err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("MustMetric of an unknown name did not panic")
 		}
-		m, err := arch.New(opts...)
-		if err != nil {
-			t.Fatalf("set %d: %v", i, err)
-		}
-		if cfg != m.Config() {
-			t.Errorf("set %d: Resolve = %+v, machine echoes %+v", i, cfg, m.Config())
-		}
-	}
-	if _, err := arch.Resolve(arch.WithBlocks(0)); err == nil {
-		t.Error("Resolve accepted zero blocks")
-	}
-	if _, err := arch.Resolve(arch.WithCodeName("nope")); err == nil {
-		t.Error("Resolve accepted an unknown code name")
-	}
+	}()
+	res.MustMetric("no_such_metric")
 }
 
 // TestEvaluateCompiledIntoMatches pins buffer reuse to a fresh result: for

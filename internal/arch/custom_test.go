@@ -56,15 +56,20 @@ func TestPlanCircuit(t *testing.T) {
 	}
 }
 
-// TestCompileCircuit binds a custom circuit to a machine and evaluates it
-// on both engines; the compiled workload echoes its machine, workload and
-// plan, and planning errors surface from CompileCircuit unchanged.
+// TestCompileCircuit plans a custom circuit, binds it to a machine and
+// evaluates it on both engines; the compiled workload echoes its machine,
+// workload and plan, and planning errors surface from PlanCircuit before
+// any binding.
 func TestCompileCircuit(t *testing.T) {
 	m, err := arch.New(arch.WithBlocks(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cw, err := m.CompileCircuit("bell", bell())
+	plan, err := arch.PlanCircuit("bell", bell())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cw, err := m.CompileWith(plan.Workload(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,8 +95,8 @@ func TestCompileCircuit(t *testing.T) {
 			t.Errorf("%s: result %+v", name, res)
 		}
 	}
-	if _, err := m.CompileCircuit("", bell()); err == nil {
-		t.Error("CompileCircuit accepted an unnamed circuit")
+	if _, err := arch.PlanCircuit("", bell()); err == nil {
+		t.Error("PlanCircuit accepted an unnamed circuit")
 	}
 }
 

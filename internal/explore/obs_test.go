@@ -13,8 +13,8 @@ import (
 )
 
 // machineExp returns a small machine-backed experiment that exercises the
-// whole evaluation-cache stack: In.Machine, the shared kernel plan, and a
-// compiled evaluation per (machine, workload).
+// whole evaluation path: In.Machine, the shared kernel plan, and a
+// compiled evaluation per point.
 func machineExp() *explore.Experiment {
 	return &explore.Experiment{
 		Name: "t-obs-machine",
@@ -99,7 +99,8 @@ func TestRunnerPointLatencyMetric(t *testing.T) {
 }
 
 // TestRunnerEvalCacheMetrics: the per-sweep evaluation cache reports its
-// hits and misses per tier when a registry is attached.
+// plan hits and misses when a registry is attached, and plans are its only
+// tier — no machine or compiled-binding series is registered.
 func TestRunnerEvalCacheMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	if _, err := explore.Run(context.Background(), machineExp(), explore.Options{
@@ -109,31 +110,30 @@ func TestRunnerEvalCacheMetrics(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	hits := reg.CounterVec("cqla_evalcache_hits_total",
-		"Evaluation-cache hits by tier (machine, plan, compiled).",
-		"sweep", "kind")
-	misses := reg.CounterVec("cqla_evalcache_misses_total",
-		"Evaluation-cache misses by tier (machine, plan, compiled).",
-		"sweep", "kind")
-	at := func(v *obs.CounterVec, kind string) uint64 {
-		return v.With("t-obs-machine", kind).Value()
+	// Two unique points (blocks=2 repeats) sharing one kernel plan.
+	for _, c := range []struct {
+		name string
+		want float64
+	}{
+		{"cqla_evalcache_misses_total", 1},
+		{"cqla_evalcache_hits_total", 1},
+	} {
+		got := metricValue(t, reg, c.name, map[string]string{"sweep": "t-obs-machine", "kind": "plan"})
+		if got != c.want {
+			t.Errorf("%s{kind=\"plan\"} = %g, want %g", c.name, got, c.want)
+		}
 	}
-	// Two unique points (blocks=2 repeats), so two machine/compile lookups
-	// sharing one kernel plan.
-	if got, want := at(misses, "machine"), uint64(2); got != want {
-		t.Errorf("machine misses = %d, want %d", got, want)
-	}
-	if got := at(hits, "machine"); got != 0 {
-		t.Errorf("machine hits = %d, want 0 (all configs distinct)", got)
-	}
-	if got, want := at(misses, "plan"), uint64(1); got != want {
-		t.Errorf("plan misses = %d, want %d", got, want)
-	}
-	if got, want := at(hits, "plan"), uint64(1); got != want {
-		t.Errorf("plan hits = %d, want %d", got, want)
-	}
-	if got, want := at(misses, "compiled"), uint64(2); got != want {
-		t.Errorf("compiled misses = %d, want %d", got, want)
+	fams := scrape(t, reg)
+	for _, name := range []string{"cqla_evalcache_hits_total", "cqla_evalcache_misses_total"} {
+		f := fams[name]
+		if f == nil {
+			t.Fatalf("%s is not registered", name)
+		}
+		for _, s := range f.Samples {
+			if kind := s.Labels["kind"]; kind != "plan" {
+				t.Errorf("%s has a kind=%q series; plans are the only tier", name, kind)
+			}
+		}
 	}
 }
 

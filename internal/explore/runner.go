@@ -49,11 +49,11 @@ type Options struct {
 	Progress func(done, total int)
 	// Obs, if non-nil, receives run metrics: per-point evaluation latency
 	// (cqla_point_eval_seconds, labeled by sweep and engine) and
-	// evaluation-cache hits/misses (cqla_evalcache_{hits,misses}_total,
-	// labeled by sweep and kind). Instrument handles resolve once per Run;
-	// the per-point cost is one clock read and a few atomic adds, and nil
-	// disables everything at zero cost — sweep output is byte-identical
-	// either way.
+	// kernel-plan cache hits/misses (cqla_evalcache_{hits,misses}_total,
+	// labeled by sweep and kind="plan"). Instrument handles resolve once
+	// per Run; the per-point cost is one clock read and a few atomic adds,
+	// and nil disables everything at zero cost — sweep output is
+	// byte-identical either way.
 	Obs *obs.Registry
 }
 
@@ -110,9 +110,8 @@ func Run(ctx context.Context, exp *Experiment, opt Options) ([]Point, error) {
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	// One evaluation cache per sweep: machines keyed on their resolved
-	// options, compiled workloads shared across every point and worker.
-	// Deterministic and byte-transparent — see evalCache.
+	// One evaluation cache per sweep: kernel plans shared across every
+	// point and worker. Deterministic and byte-transparent — see evalCache.
 	cache := newEvalCache(opt.Obs, exp.Name)
 
 	// Observability handles resolve once here; nil stays nil all the way

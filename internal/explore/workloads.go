@@ -87,8 +87,8 @@ func workloadBlocksExp() *Experiment {
 // CircuitExperiment builds an unregistered experiment evaluating one custom
 // circuit — typically parsed from the text format by circuit.Parse — on the
 // reference machine across the block-budget axis. The circuit compiles once
-// (arch.PlanCircuit); every point binds the one plan to its machine through
-// the per-sweep cache, exactly as registry kernels do. Callers run it
+// (arch.PlanCircuit); every point binds the one plan to its machine with
+// In.EvaluatePlan, exactly as registry kernels are bound. Callers run it
 // directly (`cqla sweep -circuit file.qc`, the serve API's circuit field);
 // it is never registered, so its name cannot collide with built-ins.
 func CircuitExperiment(name string, c *circuit.Circuit) (*Experiment, error) {

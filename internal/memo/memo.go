@@ -3,9 +3,9 @@
 // outside it, and share the built value with every caller. Builds are
 // single-flight: the first caller of a cold key builds it while later
 // callers wait for that build, so each key is built once however many
-// workers ask for it at the same time. Machine caches, kernel plans and
-// schedule memos across explore, sched and arch are all instances of this
-// Map.
+// workers ask for it at the same time. The explore runner's per-sweep
+// kernel-plan cache and sched's per-plan makespan memo are both instances
+// of this Map.
 package memo
 
 import (
@@ -80,11 +80,4 @@ func (c *Map[K, V]) Do(k K, build func() (V, error)) (V, error) {
 func (c *Map[K, V]) Get(k K, build func() V) V {
 	v, _ := c.Do(k, func() (V, error) { return build(), nil })
 	return v
-}
-
-// Seed stores v for k unless a value is already memoized or being built
-// (first wins, matching Do). It returns the value that ended up in the
-// table.
-func (c *Map[K, V]) Seed(k K, v V) V {
-	return c.Get(k, func() V { return v })
 }

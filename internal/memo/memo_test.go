@@ -35,19 +35,6 @@ func TestDoErrorNotCached(t *testing.T) {
 	}
 }
 
-func TestSeedFirstWins(t *testing.T) {
-	var c Map[int, string]
-	if got := c.Seed(1, "a"); got != "a" {
-		t.Fatalf("Seed on empty = %q", got)
-	}
-	if got := c.Seed(1, "b"); got != "a" {
-		t.Errorf("Seed did not keep the first value: %q", got)
-	}
-	if got := c.Get(1, func() string { return "c" }); got != "a" {
-		t.Errorf("Get after Seed = %q, want a", got)
-	}
-}
-
 // TestConcurrentConverges proves racing callers of a cold key run exactly
 // one build and all observe its instance.
 func TestConcurrentConverges(t *testing.T) {

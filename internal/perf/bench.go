@@ -71,10 +71,6 @@ func (b *B) ResetTimer() {
 	b.netBytes = 0
 }
 
-// ReportAllocs is accepted for testing.B compatibility; the harness always
-// tracks allocations.
-func (b *B) ReportAllocs() {}
-
 // ReportMetric records a custom metric carried into the report, keyed by
 // unit. The last run's value wins, matching testing.B.
 func (b *B) ReportMetric(v float64, unit string) {

@@ -15,10 +15,3 @@ import (
 func StageCircuit(n int) *circuit.Circuit {
 	return gen.ControlledCarryLookahead(n).Circuit
 }
-
-// StageCalls returns how many times the stage runs in one full n-bit
-// modular exponentiation (2n controlled multiplications of n additions
-// each), for scaling per-stage metrics up to the whole algorithm.
-func StageCalls(n int) int {
-	return gen.NewModExp(n).AdderCalls()
-}
