@@ -150,11 +150,11 @@ type Machine struct {
 }
 
 // resolve applies the options to the paper-default working point and
-// validates the result.
+// validates the result. The default Steane code is built only when no
+// option chose a code.
 func resolve(opts []Option) (settings, error) {
 	s := settings{
 		cq: cqla.Config{
-			Code:              ecc.Steane(),
 			Params:            phys.Projected(),
 			ComputeBlocks:     36,
 			ParallelTransfers: 10,
@@ -168,6 +168,9 @@ func resolve(opts []Option) (settings, error) {
 	}
 	if s.codeErr != nil {
 		return settings{}, s.codeErr
+	}
+	if s.cq.Code == nil {
+		s.cq.Code = ecc.Steane()
 	}
 	if err := s.cq.Validate(); err != nil {
 		return settings{}, err

@@ -82,6 +82,11 @@ type bitDecoder struct {
 	// level-1 logical rate polynomial (weightHist.rate), recorded by the
 	// one-time build once the table is complete.
 	faults weightHist
+	// faultSet is the whole mask->fault function as a bitset: bit e is
+	// set when the error mask e decodes to a logical fault (2^n bits, so
+	// 16 B for Steane and 64 B for Bacon-Shor). The naive sampler decodes
+	// by one lookup into it.
+	faultSet []uint64
 }
 
 // maxDecoderQubits caps the physical qubits a decoder enumerates: building
@@ -96,7 +101,7 @@ const maxDecoderQubits = 20
 // syndromes (rank(h) can equal the row count, as for Bacon-Shor's six
 // Z-generators, where some syndromes require weight-3 corrections). A
 // second pass over the finished table records the fault weight
-// enumerator.
+// enumerator and the fault bitset.
 func newBitDecoder(h *gf2.Matrix, logical gf2.Vec) *bitDecoder {
 	n := h.Cols()
 	if n > maxDecoderQubits {
@@ -130,9 +135,11 @@ func newBitDecoder(h *gf2.Matrix, logical gf2.Vec) *bitDecoder {
 			d.flipCompl = true
 		}
 	}
+	d.faultSet = make([]uint64, (1<<uint(n)+63)/64)
 	for e := uint64(0); e < 1<<uint(n); e++ {
 		if d.fault(e) {
 			d.faults[bits.OnesCount64(e)]++
+			d.faultSet[e>>6] |= 1 << (e & 63)
 		}
 	}
 	return d

@@ -23,8 +23,11 @@ const (
 type Estimator uint8
 
 const (
-	// Naive is the scalar path: one trial per decode, one rand.Rand stream
-	// per 4096-trial shard. Its streams and counts are frozen.
+	// Naive is the scalar path: one trial per decode on one math/rand
+	// stream per 4096-trial shard, continued in place after seeding
+	// (lfgStream), drawn against an integer threshold equivalent to
+	// rand.Float64() < p, and decoded by one lookup into the fault bitset.
+	// Its streams and counts are frozen.
 	Naive Estimator = iota
 	// BitSliced runs the same experiment 64 trials per word operation on
 	// per-block splitmix64 streams (bitslice.go).
@@ -152,26 +155,125 @@ func (c *Code) decoder(b Basis) *bitDecoder {
 	return c.bitX
 }
 
-// sample runs trials independent injection+decode rounds on one rng stream
+// sample runs trials independent injection+decode rounds on the stream s
 // and returns the logical-fault count. It is the naive inner loop: error
-// masks are built bit by bit (one Float64 per qubit, preserving the
-// historical stream consumption) and decoded without allocating.
+// masks are built bit by bit, one draw per qubit in the order
+// rand.Float64 would consume them, and decoded by one fault-bitset lookup
+// without allocating.
 //
 //cqla:noalloc
-func (d *bitDecoder) sample(n int, p float64, trials int, rng *rand.Rand) int {
+func (d *bitDecoder) sample(n int, p float64, trials int, s *lfgStream) int {
+	thr := below(p)
+	pos := s.pos
 	faults := 0
 	for t := 0; t < trials; t++ {
 		var e uint64
-		for q := 0; q < n; q++ {
-			if rng.Float64() < p {
-				e |= 1 << uint(q)
+		// Fast path: the trial's n draws are buffered and none is one
+		// rand.Float64 resamples (x >= roundsToOne carries into bit 63 of
+		// x + 2^63 - roundsToOne). x and thr are at most 2^63, so x - thr
+		// wraps into bit 63 exactly when x < thr.
+		if pos <= lfgLen-n {
+			var resample uint64
+			for q, v := range s.buf[pos : pos+n] {
+				x := v & int63Mask
+				resample |= x + (1<<63 - roundsToOne)
+				e |= (x - thr) >> 63 << (uint(q) & 63)
 			}
+			if resample>>63 == 0 {
+				pos += n
+				faults += int(d.faultSet[e>>6] >> (e & 63) & 1)
+				continue
+			}
+			e = 0
 		}
-		if d.fault(e) {
-			faults++
+		// Slow path, draw by draw: refill at the buffer's end and skip
+		// the draws Float64 resamples.
+		for q := 0; q < n; {
+			if pos >= lfgLen {
+				s.refill()
+				pos = 0
+			}
+			x := s.buf[pos] & int63Mask
+			pos++
+			if x >= roundsToOne {
+				continue
+			}
+			e |= (x - thr) >> 63 << (uint(q) & 63)
+			q++
+		}
+		faults += int(d.faultSet[e>>6] >> (e & 63) & 1)
+	}
+	s.pos = pos
+	return faults
+}
+
+// The lags of math/rand's default source, an additive lagged-Fibonacci
+// generator: its k-th Uint64 is out[k] = out[k-607] + out[k-273] (mod
+// 2^64) once k >= 607.
+const (
+	lfgLen = 607
+	lfgTap = 273
+)
+
+// lfgStream continues a math/rand source in place: seed reads the first
+// lfgLen Uint64s of rand.NewSource, and each refill computes the next
+// lfgLen values of the same stream from the recurrence, so the stream
+// matches the source draw for draw without an interface call per draw.
+type lfgStream struct {
+	buf [lfgLen]uint64
+	pos int // next unread index into buf; lfgLen means refill first
+}
+
+// seed restarts s at the stream of rand.NewSource(seed).
+func (s *lfgStream) seed(seed int64) {
+	src := rand.NewSource(seed).(rand.Source64)
+	for i := range s.buf {
+		s.buf[i] = src.Uint64()
+	}
+	s.pos = 0
+}
+
+// refill replaces the buffer with the next lfgLen values. Value j of the
+// new block needs old value j+334 (not yet overwritten while j < 273) and
+// new value j-273 (already written once j >= 273).
+//
+//cqla:noalloc
+func (s *lfgStream) refill() {
+	b := &s.buf
+	for j := 0; j < lfgTap; j++ {
+		b[j] += b[j+lfgLen-lfgTap]
+	}
+	for j := lfgTap; j < lfgLen; j++ {
+		b[j] += b[j-lfgTap]
+	}
+}
+
+// int63Mask keeps the low 63 bits of a draw: rand.Float64 reads Int63,
+// which is Uint64 with the top bit cleared.
+const int63Mask = 1<<63 - 1
+
+// roundsToOne is the least 63-bit draw x whose rand.Float64 quotient
+// float64(x)/(1<<63) rounds to 1.0; Float64 discards such draws and
+// resamples. Above 2^62 float64 spacing is 2^10, so the quotient rounds up
+// from the midpoint 2^63 - 2^9 on (a tie, broken to the even 2^63).
+const roundsToOne = 1<<63 - 1<<9
+
+// below returns the number of 63-bit draws x whose rand.Float64 value
+// float64(x)/(1<<63) is < p. The quotient never decreases in x, so
+// rand.Float64() < p is exactly x < below(p). The binary search evaluates
+// the same expression Float64 does, which also settles NaN and p <= 0
+// (0) and p > 1 (2^63).
+func below(p float64) uint64 {
+	lo, hi := uint64(0), uint64(1)<<63
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if float64(int64(mid))/(1<<63) < p {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	return faults
+	return lo
 }
 
 // mcShardTrials is the naive estimator's shard size. The shard layout is a
@@ -216,10 +318,11 @@ type mcTally struct {
 func (k mcKernel) span(lo, hi int, t *mcTally) {
 	switch k.est {
 	case Naive:
+		var st lfgStream
 		for s := lo; s < hi; s++ {
 			size := min(mcShardTrials, k.trials-s*mcShardTrials)
-			rng := rand.New(rand.NewSource(shardSeed(k.seed, s)))
-			t.faults += k.d.sample(k.n, k.p, size, rng)
+			st.seed(shardSeed(k.seed, s))
+			t.faults += k.d.sample(k.n, k.p, size, &st)
 		}
 	case BitSliced:
 		t.faults += k.d.sampleBatch(k.n, k.p, lo, hi, k.trials, k.seed)

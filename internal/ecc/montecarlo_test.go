@@ -43,12 +43,14 @@ func TestBitDecoderMatchesLookup(t *testing.T) {
 // per trial (error vector, syndrome vector, two correction clones).
 func TestMonteCarloTrialLoopAllocationFree(t *testing.T) {
 	for _, c := range Codes() {
-		rng := rand.New(rand.NewSource(11))
+		var st lfgStream
+		st.seed(11)
 		if avg := testing.AllocsPerRun(50, func() {
-			c.bitX.sample(c.N, 0.01, 200, rng)
+			c.bitX.sample(c.N, 0.01, 200, &st)
 		}); avg != 0 {
 			t.Errorf("%s: the naive trial loop allocates %.1f times per 200-trial run, want 0", c.Name, avg)
 		}
+		rng := rand.New(rand.NewSource(11))
 		if avg := testing.AllocsPerRun(50, func() {
 			c.ConcatenatedMonteCarloX(2, 0.01, 20, rng)
 		}); avg != 0 {
@@ -124,4 +126,41 @@ func TestMonteCarloSeededDegenerateBudgets(t *testing.T) {
 // estimator value outside the enumeration.
 func TestMonteCarloUnknownEstimatorPanics(t *testing.T) {
 	mustPanic(t, "MonteCarlo(estimator 9)", func() { Steane().MonteCarlo(0.1, 10, 1, MC{Estimator: 9}) })
+}
+
+// TestNaiveCountsMatchFloat64Reference pins the naive estimator's fault
+// counts to the loop it replaced: per shard a rand.New stream seeded with
+// shardSeed, one rand.Float64() < p per qubit, then the table decode. It
+// covers both codes and bases, the montecarlo sweep's six rates plus a
+// high one, several shards with a ragged tail, and two worker counts.
+func TestNaiveCountsMatchFloat64Reference(t *testing.T) {
+	const trials, seed = 3*mcShardTrials + 517, 29
+	for _, c := range Codes() {
+		for _, b := range []Basis{BasisX, BasisZ} {
+			d := c.decoder(b)
+			for _, p := range []float64{1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.3} {
+				want := 0
+				for s := 0; s*mcShardTrials < trials; s++ {
+					rng := rand.New(rand.NewSource(shardSeed(seed, s)))
+					for range min(mcShardTrials, trials-s*mcShardTrials) {
+						var e uint64
+						for q := 0; q < c.N; q++ {
+							if rng.Float64() < p {
+								e |= 1 << uint(q)
+							}
+						}
+						if d.fault(e) {
+							want++
+						}
+					}
+				}
+				for _, w := range []int{1, 4} {
+					got := c.MonteCarlo(p, trials, seed, MC{Basis: b, Workers: w})
+					if got.FaultTrials != want {
+						t.Errorf("%s basis %d p=%g workers=%d: %d faulted trials, the Float64 reference counts %d", c.Name, b, p, w, got.FaultTrials, want)
+					}
+				}
+			}
+		}
+	}
 }

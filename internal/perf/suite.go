@@ -78,6 +78,17 @@ func init() {
 		},
 	})
 	mustRegister(Benchmark{
+		Name: "MonteCarloNaiveBaconShor",
+		Doc:  "20000 naive Monte Carlo trials on one worker, Bacon-Shor at p=3e-2 (about a quarter of the masks are non-zero)",
+		F: func(b *B) {
+			c := ecc.BaconShor()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.MonteCarlo(3e-2, 20000, 42, ecc.MC{Workers: 1})
+			}
+		},
+	})
+	mustRegister(Benchmark{
 		Name: "MonteCarloXSeeded",
 		Doc:  "20000 seeded Monte Carlo trials across the worker pool (scales with cores)",
 		F: func(b *B) {

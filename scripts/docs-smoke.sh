@@ -48,6 +48,7 @@ run go run ./cmd/cqla sweep montecarlo -estimator rare -format json -seed 7
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 run go run ./cmd/cqla bench -list
+run go run ./cmd/cqla bench -filter 'MonteCarlo(XSeededSerial|BitSliced)' -benchtime 10ms -out /dev/null
 run go run ./cmd/cqla bench -filter 'MonteCarlo|BuildDAG' -benchtime 10ms -out "$tmp/a.json"
 run go run ./cmd/cqla bench -filter 'MonteCarlo|BuildDAG' -benchtime 10ms -baseline "$tmp/a.json" -gate 1000 -out /dev/null
 
