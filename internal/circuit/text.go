@@ -7,14 +7,16 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // This file implements the repository's line-oriented text circuit format —
 // the "assembly language" the paper describes as its simulator input. The
 // normative specification (grammar, gate set, error cases, a worked
-// example) lives in docs/workload-format.md; Parse and Format are its
+// example) lives in docs/workload-format.md; ParseString and Format are its
 // reference implementation and every other entry point (FormatString,
-// ParseString, cmd/qcirc, the serve API's circuit field) delegates to them.
+// Parse, cmd/qcirc, the serve API's circuit field) delegates to them.
 //
 // The format, in brief:
 //
@@ -72,48 +74,82 @@ func FormatString(c *Circuit) string {
 	return sb.String()
 }
 
-// Parse reads one circuit from the text format. Every malformed input —
-// missing or duplicate header, unknown mnemonic, wrong operand count,
-// out-of-range or repeated operands, bad angle — returns a *ParseError
-// naming the offending line; Parse never panics on untrusted input. The
-// returned circuit additionally satisfies Validate.
+// MaxQubits is the largest register a document may declare. The layers a
+// parsed circuit feeds size per-qubit tables from the header (the DAG
+// builder's scratch, the des engine's residency and waiter tables), so a
+// header above it is a parse error: a 20-byte document must not be able
+// to claim gigabytes downstream.
+const MaxQubits = 1 << 20
+
+// maxLineBytes bounds one line of a document; a longer line is a parse
+// error rather than an unbounded token.
+const maxLineBytes = 1 << 24
+
+// maxFields is the most fields any valid line has (cphase and toffoli:
+// mnemonic plus three). Longer lines are counted, not stored, since they
+// are errors.
+const maxFields = 4
+
+// Parse reads the whole document from r and parses it as ParseString
+// does. Every malformed input — missing or duplicate header, a qubit
+// count above MaxQubits, unknown mnemonic, wrong operand count,
+// out-of-range or repeated operands, bad angle, a line over 16 MiB —
+// returns a *ParseError naming the offending line; a read error from r is
+// returned as is. Parse never panics on untrusted input. The returned
+// circuit additionally satisfies Validate.
 func Parse(r io.Reader) (*Circuit, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	var sb strings.Builder
+	if _, err := io.Copy(&sb, r); err != nil {
+		return nil, err
+	}
+	return ParseString(sb.String())
+}
+
+// ParseString parses the text format from a string: one pass over its
+// lines that slices fields out of the document in place, so a valid
+// document costs the circuit and its instruction slice, reserved up
+// front from the line count, and nothing per line.
+func ParseString(s string) (*Circuit, error) {
 	var c *Circuit
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+	var f [maxFields]string
+	for lineNo := 1; s != ""; lineNo++ {
+		var line string
+		line, s, _ = strings.Cut(s, "\n")
+		if len(line) > maxLineBytes {
+			return nil, parseErrorf(lineNo, "line longer than %d bytes", maxLineBytes)
+		}
+		n := splitFields(line, &f)
+		if n == 0 || f[0][0] == '#' {
 			continue
 		}
-		fields := strings.Fields(line)
-		if fields[0] == "qubits" {
+		if f[0] == "qubits" {
 			if c != nil {
 				return nil, parseErrorf(lineNo, "duplicate qubits header")
 			}
-			if len(fields) != 2 {
+			if n != 2 {
 				return nil, parseErrorf(lineNo, "malformed qubits header")
 			}
-			n, err := strconv.Atoi(fields[1])
-			if err != nil || n < 0 {
-				return nil, parseErrorf(lineNo, "invalid qubit count %q", fields[1])
+			nq, err := strconv.Atoi(f[1])
+			if err != nil || nq < 0 {
+				return nil, parseErrorf(lineNo, "invalid qubit count %q", f[1])
 			}
-			c = New(n)
+			if nq > MaxQubits {
+				return nil, parseErrorf(lineNo, "qubit count %d exceeds the limit %d", nq, MaxQubits)
+			}
+			c = New(nq)
+			// Every remaining line could be an instruction, and none is
+			// shorter than "x 0\n".
+			c.Grow(min(strings.Count(s, "\n")+1, (len(s)+1)/4))
 			continue
 		}
 		if c == nil {
 			return nil, parseErrorf(lineNo, "instruction before qubits header")
 		}
-		in, err := parseInstr(fields, c.NumQubits(), lineNo)
+		in, err := parseInstr(&f, n, c.NumQubits(), lineNo)
 		if err != nil {
 			return nil, err
 		}
 		c.Append(in)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
 	}
 	if c == nil {
 		return nil, &ParseError{Msg: "missing qubits header"}
@@ -121,53 +157,88 @@ func Parse(r io.Reader) (*Circuit, error) {
 	return c, nil
 }
 
-// parseInstr validates and decodes one instruction line. It performs every
-// check NewInstr would panic on — arity, operand range, operand
-// distinctness (a two-qubit gate wired back onto its own operand, like
-// "cnot 0 0", is a self-cycle, not a gate) — as positioned errors.
-func parseInstr(fields []string, numQubits, lineNo int) (Instr, error) {
-	kind, ok := kindByName(fields[0])
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// splitFields splits line around runs of white space exactly as
+// strings.Fields does (unicode.IsSpace, invalid UTF-8 bytes are not
+// space), storing the first maxFields fields in f as substrings of line.
+// It returns the total field count.
+func splitFields(line string, f *[maxFields]string) int {
+	n, start := 0, -1
+	for i := 0; i < len(line); {
+		space, size := asciiSpace[line[i]], 1
+		if line[i] >= utf8.RuneSelf {
+			var r rune
+			r, size = utf8.DecodeRuneInString(line[i:])
+			space = unicode.IsSpace(r)
+		}
+		switch {
+		case !space:
+			if start < 0 {
+				start = i
+			}
+		case start >= 0:
+			if n < maxFields {
+				f[n] = line[start:i]
+			}
+			n++
+			start = -1
+		}
+		i += size
+	}
+	if start >= 0 {
+		if n < maxFields {
+			f[n] = line[start:]
+		}
+		n++
+	}
+	return n
+}
+
+// parseInstr validates and decodes one instruction line of n fields, the
+// first of them in f. It performs every check NewInstr would panic on —
+// arity, operand range, operand distinctness (a two-qubit gate wired back
+// onto its own operand, like "cnot 0 0", is a self-cycle, not a gate) —
+// as positioned errors.
+func parseInstr(f *[maxFields]string, n, numQubits, lineNo int) (Instr, error) {
+	kind, ok := kindByName(f[0])
 	if !ok {
-		return Instr{}, parseErrorf(lineNo, "unknown mnemonic %q", fields[0])
+		return Instr{}, parseErrorf(lineNo, "unknown mnemonic %q", f[0])
 	}
 	wantOperands := kind.Arity()
 	wantFields := 1 + wantOperands
 	if kind == CPhase {
 		wantFields++
 	}
-	if len(fields) != wantFields {
-		return Instr{}, parseErrorf(lineNo, "%s takes %d fields, got %d", fields[0], wantFields-1, len(fields)-1)
+	if n != wantFields {
+		return Instr{}, parseErrorf(lineNo, "%s takes %d fields, got %d", f[0], wantFields-1, n-1)
 	}
 	var in Instr
 	in.Kind = kind
 	for i := 0; i < wantOperands; i++ {
-		q, err := strconv.Atoi(fields[1+i])
+		q, err := strconv.Atoi(f[1+i])
 		if err != nil || q < 0 {
-			return Instr{}, parseErrorf(lineNo, "invalid qubit %q", fields[1+i])
+			return Instr{}, parseErrorf(lineNo, "invalid qubit %q", f[1+i])
 		}
 		if q >= numQubits {
 			return Instr{}, parseErrorf(lineNo, "qubit %d outside the declared register [0,%d)", q, numQubits)
 		}
 		for j := 0; j < i; j++ {
 			if in.Qubits[j] == q {
-				return Instr{}, parseErrorf(lineNo, "%s operands must be distinct, got %s twice", fields[0], fields[1+i])
+				return Instr{}, parseErrorf(lineNo, "%s operands must be distinct, got %s twice", f[0], f[1+i])
 			}
 		}
 		in.Qubits[i] = q
 	}
 	if kind == CPhase {
-		angle, err := strconv.ParseFloat(fields[len(fields)-1], 64)
+		angle, err := strconv.ParseFloat(f[n-1], 64)
 		if err != nil || math.IsNaN(angle) || math.IsInf(angle, 0) {
-			return Instr{}, parseErrorf(lineNo, "invalid angle %q", fields[len(fields)-1])
+			return Instr{}, parseErrorf(lineNo, "invalid angle %q", f[n-1])
 		}
 		in.Angle = angle
 	}
 	return in, nil
-}
-
-// ParseString parses the text format from a string.
-func ParseString(s string) (*Circuit, error) {
-	return Parse(strings.NewReader(s))
 }
 
 func kindByName(name string) (Kind, bool) {

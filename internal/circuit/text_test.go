@@ -2,6 +2,7 @@ package circuit
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -23,6 +24,7 @@ func TestParseErrorPaths(t *testing.T) {
 		{"header extra field", "qubits 2 3\n", 1, "malformed qubits header"},
 		{"bad count", "qubits x\n", 1, `invalid qubit count "x"`},
 		{"negative count", "qubits -1\n", 1, `invalid qubit count "-1"`},
+		{"count over limit", "qubits 2000000000\nh 0\n", 1, "qubit count 2000000000 exceeds the limit 1048576"},
 		{"unknown mnemonic", "qubits 2\nbogus 0\n", 2, `unknown mnemonic "bogus"`},
 		{"arity short", "qubits 2\ncnot 0\n", 2, "cnot takes 2 fields, got 1"},
 		{"arity long", "qubits 2\nh 0 1\n", 2, "h takes 1 fields, got 2"},
@@ -53,6 +55,39 @@ func TestParseErrorPaths(t *testing.T) {
 				t.Errorf("msg = %q, want %q", pe.Msg, tc.wantMsg)
 			}
 		})
+	}
+}
+
+// TestParseQubitBound: the header may declare MaxQubits qubits and no
+// more, and the limit is checked before any instruction is read.
+func TestParseQubitBound(t *testing.T) {
+	c, err := ParseString(fmt.Sprintf("qubits %d\nh 0\n", MaxQubits))
+	if err != nil {
+		t.Fatalf("a MaxQubits header was rejected: %v", err)
+	}
+	if c.NumQubits() != MaxQubits {
+		t.Errorf("NumQubits = %d, want %d", c.NumQubits(), MaxQubits)
+	}
+	_, err = ParseString(fmt.Sprintf("# big\nqubits %d\n", MaxQubits+1))
+	var pe *ParseError
+	if !errors.As(err, &pe) || pe.Line != 2 {
+		t.Errorf("MaxQubits+1 header: %v, want a *ParseError on line 2", err)
+	}
+}
+
+// TestParseLongLine: a line over the 16 MiB limit is a positioned error,
+// through the reader entry point as through the string one.
+func TestParseLongLine(t *testing.T) {
+	src := "qubits 1\n" + strings.Repeat(" ", maxLineBytes+1) + "\nh 0\n"
+	for name, parse := range map[string]func(string) (*Circuit, error){
+		"ParseString": ParseString,
+		"Parse":       func(s string) (*Circuit, error) { return Parse(strings.NewReader(s)) },
+	} {
+		_, err := parse(src)
+		var pe *ParseError
+		if !errors.As(err, &pe) || pe.Line != 2 || pe.Msg != "line longer than 16777216 bytes" {
+			t.Errorf("%s: over-long line = %v, want a *ParseError on line 2", name, err)
+		}
 	}
 }
 
@@ -96,14 +131,18 @@ func TestFormatCanonical(t *testing.T) {
 
 // TestParseFormatFixedPoint checks that Format output is a fixed point:
 // parsing a canonical document and re-formatting reproduces it byte for
-// byte, and whitespace/comment variations normalize to the same bytes.
+// byte, and whitespace/comment variations (Unicode spaces included, as
+// strings.Fields splits on them) normalize to the same bytes.
 func TestParseFormatFixedPoint(t *testing.T) {
-	src := "# messy input\n\n  qubits 4  \n\th   0\n cnot 0 1\ncphase 2 3 3.1415926535897931\n"
+	src := "# messy input\n\n  qubits 4  \n\th   0\n cnot 0 1\ncphase 2 3 3.1415926535897931\n\u2003x\u00a03\u0085\n"
 	c, err := ParseString(src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	canonical := FormatString(c)
+	if !strings.HasSuffix(canonical, "\nx 3\n") {
+		t.Errorf("Unicode-spaced line did not normalize to \"x 3\": %q", canonical)
+	}
 	c2, err := ParseString(canonical)
 	if err != nil {
 		t.Fatalf("re-parsing canonical form: %v", err)

@@ -10,10 +10,10 @@
 // PseudoThresholdX solves the exact level-1 rate polynomial, which the
 // tests also use as the oracle for every sampled estimate.
 //
-// Each code's minimum-weight decoder tables are built once per process, on
-// the first Steane() or BaconShor() call, and shared read-only by every
-// Code value; the exported check matrices and logical operators stay
-// per-call copies.
+// Each code — check matrices, logical operators, resource profile and
+// minimum-weight decoder tables — is built once per process, on the first
+// Steane() or BaconShor() call, and every call returns that one *Code. It
+// is read-only: no caller may write its exported fields.
 package ecc
 
 import (
@@ -46,8 +46,8 @@ type Code struct {
 
 	profile resourceProfile
 
-	// The decoders are built once per process for each code and shared by
-	// every Code value the constructor returns; they are read-only.
+	// The decoders are built with the code, once per process; they are
+	// read-only.
 	bitX *bitDecoder // X-error decoding against HZ and LZ
 	bitZ *bitDecoder // Z-error decoding against HX and LX
 }
@@ -246,36 +246,29 @@ func (s syndromePhases) Total() int {
 // Steane returns the Steane [[7,1,3]] code: the smallest CSS code with
 // transversal implementations of every gate used in concatenated error
 // correction. Its check matrices are the Hamming(7,4) parity checks and its
-// logical operators act on all seven qubits. Each call returns fresh
-// exported fields over the process-wide decoder tables.
-func Steane() *Code {
-	c := steane()
-	c.bitX, c.bitZ = steaneDecoders()
-	return c
-}
+// logical operators act on all seven qubits. Every call returns the same
+// process-wide, read-only *Code.
+func Steane() *Code { return steaneCode() }
 
 // BaconShor returns the [[9,1,3]] code in its gauge-fixed (Shor) stabilizer
 // presentation: six weight-2 Z-type generators (adjacent pairs within each
 // row of the 3x3 qubit grid) and two weight-6 X-type generators (adjacent
 // row pairs). The subsystem structure is what makes its error correction
 // cheap — syndrome extraction needs only weight-2 gauge measurements and no
-// ancilla verification — and the resource profile reflects that. Each call
-// returns fresh exported fields over the process-wide decoder tables.
-func BaconShor() *Code {
-	c := baconShor()
-	c.bitX, c.bitZ = baconShorDecoders()
-	return c
-}
+// ancilla verification — and the resource profile reflects that. Every
+// call returns the same process-wide, read-only *Code.
+func BaconShor() *Code { return baconShorCode() }
 
 var (
-	steaneDecoders    = sync.OnceValues(func() (*bitDecoder, *bitDecoder) { return steane().buildDecoders() })
-	baconShorDecoders = sync.OnceValues(func() (*bitDecoder, *bitDecoder) { return baconShor().buildDecoders() })
+	steaneCode    = sync.OnceValue(func() *Code { return withDecoders(steane()) })
+	baconShorCode = sync.OnceValue(func() *Code { return withDecoders(baconShor()) })
 )
 
-// buildDecoders builds the X- and Z-error decoders from the code's check
+// withDecoders builds the code's X- and Z-error decoders from its check
 // matrices and logical operators.
-func (c *Code) buildDecoders() (x, z *bitDecoder) {
-	return newBitDecoder(c.HZ, c.LZ), newBitDecoder(c.HX, c.LX)
+func withDecoders(c *Code) *Code {
+	c.bitX, c.bitZ = newBitDecoder(c.HZ, c.LZ), newBitDecoder(c.HX, c.LX)
+	return c
 }
 
 // steane builds the Steane code's exported fields and resource profile,
@@ -291,10 +284,10 @@ func steane() *Code {
 		Name:  "Steane [[7,1,3]]",
 		Short: "[[7,1,3]]",
 		N:     7, K: 1, D: 3,
-		HX: h.Clone(),
-		HZ: h.Clone(),
-		LX: all.Clone(),
-		LZ: all.Clone(),
+		HX: h,
+		HZ: h,
+		LX: all,
+		LZ: all,
 		profile: resourceProfile{
 			// 155 cycles/syndrome -> 2x155x10µs = 3.1 ms level-1 EC (Table 2).
 			syndromeCycles: syndromePhases{

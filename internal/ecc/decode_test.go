@@ -214,31 +214,33 @@ func TestVectorFallbackPaths(t *testing.T) {
 	mustPanic(t, "DecodeZ(wrong-length syndrome)", func() { c.DecodeZ(bogus) })
 }
 
-// TestDecodersSharedAcrossCalls: the decoder tables are built once per
-// code and shared by every constructor call, while each call's exported
-// fields stay private copies — mutating one code's HZ leaves another's
-// decoding untouched.
+// TestDecodersSharedAcrossCalls: each code, decoder tables included, is
+// built once per process, and every constructor call returns that one
+// value. A caller that wants to vary a code works on a copy with cloned
+// fields, which leaves the shared code's decoding untouched.
 func TestDecodersSharedAcrossCalls(t *testing.T) {
 	a, b := Steane(), Steane()
-	if a.bitX != b.bitX || a.bitZ != b.bitZ {
-		t.Fatal("two Steane() calls built separate decoders")
+	if a != b || a.bitX != b.bitX || a.bitZ != b.bitZ {
+		t.Fatal("two Steane() calls built separate codes")
 	}
-	if bs := BaconShor(); bs.bitX == a.bitX || bs.bitX != BaconShor().bitX {
-		t.Fatal("Bacon-Shor decoders not shared per code")
+	if bs := BaconShor(); bs == a || bs != BaconShor() || bs.bitX == a.bitX {
+		t.Fatal("Bacon-Shor not shared per code")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { Steane(); BaconShor() }); allocs != 0 {
+		t.Errorf("Steane()+BaconShor() = %v allocs per call, want 0", allocs)
 	}
 	e := gf2.VecFromBits([]int{0, 1, 0, 0, 1, 0, 0})
-	wantRes, wantFault := b.CorrectX(e)
-	for j := 0; j < a.N; j++ {
-		a.HZ.Set(0, j, !a.HZ.At(0, j))
+	wantRes, wantFault := a.CorrectX(e)
+	mutant := *a
+	mutant.HZ = a.HZ.Clone()
+	for j := 0; j < mutant.N; j++ {
+		mutant.HZ.Set(0, j, !mutant.HZ.At(0, j))
 	}
-	if a.HZ.Row(0).Equal(b.HZ.Row(0)) {
-		t.Fatal("Steane() calls share an HZ matrix")
-	}
-	if res, fault := b.CorrectX(e); !res.Equal(wantRes) || fault != wantFault {
-		t.Errorf("CorrectX after mutating another code's HZ = (%s, %v), want (%s, %v)", res, fault, wantRes, wantFault)
+	if mutant.HZ.Row(0).Equal(Steane().HZ.Row(0)) {
+		t.Fatal("mutating a cloned HZ reached the shared code")
 	}
 	if res, fault := Steane().CorrectX(e); !res.Equal(wantRes) || fault != wantFault {
-		t.Errorf("fresh Steane().CorrectX = (%s, %v), want (%s, %v)", res, fault, wantRes, wantFault)
+		t.Errorf("Steane().CorrectX after mutating a copy = (%s, %v), want (%s, %v)", res, fault, wantRes, wantFault)
 	}
 }
 

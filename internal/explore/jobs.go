@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"strconv"
 	"sync"
 	"time"
 
@@ -43,8 +44,9 @@ const (
 
 // JobSpec identifies one run-to-completion sweep evaluation.
 type JobSpec struct {
-	// Sweep is the experiment name; Submit overwrites it from the
-	// experiment so the cache key cannot disagree with the evaluator.
+	// Sweep is the experiment name. Submit rejects a build whose
+	// experiment has another name, so the cache key cannot disagree with
+	// the evaluator.
 	Sweep string
 	// Phys is the technology point the sweep runs under.
 	Phys phys.Params
@@ -63,11 +65,24 @@ type JobSpec struct {
 
 // Key returns the spec's content address: a digest of every input the
 // report document depends on, including the envelope schema version so a
-// schema bump can never serve stale documents.
+// schema bump can never serve stale documents. The fields stream into the
+// hash ("v<schema>", then sweep, phys, seed, engine and circuit, 0x1f
+// between each), so hashing a large circuit allocates no copy of it.
 func (s JobSpec) Key() string {
-	sum := sha256.Sum256([]byte(fmt.Sprintf("v%d\x1f%s\x1f%s\x1f%d\x1f%s\x1f%s",
-		arch.SchemaVersion, s.Sweep, s.Phys.Name, s.Seed, s.Engine, s.Circuit)))
-	return hex.EncodeToString(sum[:12])
+	h := sha256.New()
+	var buf [512]byte
+	b := strconv.AppendInt(append(buf[:0], 'v'), int64(arch.SchemaVersion), 10)
+	b = append(append(b, '\x1f'), s.Sweep...)
+	b = append(append(b, '\x1f'), s.Phys.Name...)
+	b = strconv.AppendInt(append(b, '\x1f'), s.Seed, 10)
+	b = append(append(b, '\x1f'), s.Engine...)
+	h.Write(append(b, '\x1f'))
+	for c := s.Circuit; c != ""; {
+		n := copy(buf[:], c)
+		h.Write(buf[:n])
+		c = c[n:]
+	}
+	return hex.EncodeToString(h.Sum(buf[:0])[:12])
 }
 
 // Job is one admitted sweep evaluation. Every accessor is safe for
@@ -330,16 +345,21 @@ func newManager(cfg managerConfig) *Manager {
 	}
 }
 
-// Submit admits one evaluation of exp under spec. A request whose key is
-// already in flight attaches to the running job (coalescing); a key whose
-// document is cached returns an already-done job without evaluating, and
-// the bool reports that cache hit. Jobs run detached from any request
-// context: they are canceled only by Shutdown.
-func (m *Manager) Submit(exp *Experiment, spec JobSpec) (*Job, bool, error) {
-	if exp == nil {
-		return nil, false, fmt.Errorf("explore: Submit with nil experiment")
+// Submit admits one evaluation under spec, whose Sweep must already name
+// the experiment. The cache key is resolved before anything is built: a
+// key already in flight attaches to the running job (coalescing), and a
+// key whose document is cached returns an already-done job — the bool
+// reports that cache hit. Neither calls build. Only a miss calls build,
+// outside the manager's lock, then re-checks both tables, so a request
+// that raced an identical one while building still coalesces. A build
+// error is returned as is and nothing is cached or queued for it; a built
+// experiment whose Name differs from spec.Sweep is rejected, so the cache
+// key cannot disagree with the evaluator. Jobs run detached from any
+// request context: they are canceled only by Shutdown.
+func (m *Manager) Submit(spec JobSpec, build func() (*Experiment, error)) (*Job, bool, error) {
+	if spec.Sweep == "" || build == nil {
+		return nil, false, fmt.Errorf("explore: Submit needs a sweep name and a build function")
 	}
-	spec.Sweep = exp.Name
 	engine, err := arch.NormalizeEngine(spec.Engine)
 	if err != nil {
 		return nil, false, err
@@ -348,29 +368,27 @@ func (m *Manager) Submit(exp *Experiment, spec JobSpec) (*Job, bool, error) {
 	key := spec.Key()
 
 	m.mu.Lock()
+	j, hit, err := m.lookupLocked(spec, key)
+	m.mu.Unlock()
+	if j != nil || err != nil {
+		return j, hit, err
+	}
+	exp, err := build()
+	if err != nil {
+		return nil, false, err
+	}
+	if exp == nil || exp.Name != spec.Sweep {
+		return nil, false, fmt.Errorf("explore: Submit of sweep %q built a different experiment", spec.Sweep)
+	}
+
+	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.closed {
-		return nil, false, ErrShuttingDown
+	if j, hit, err := m.lookupLocked(spec, key); j != nil || err != nil {
+		return j, hit, err
 	}
 	m.met.submitted.Inc()
-	if j := m.inflight[key]; j != nil {
-		m.met.coalesced.Inc()
-		m.log.Debug("job coalesced", "job", j.ID, "sweep", spec.Sweep, "key", key)
-		return j, false, nil
-	}
-	if doc, ok := m.cache.get(key); ok {
-		m.met.cacheHits.Inc()
-		j := m.newJobLocked(spec, key, exp.Size())
-		j.state = JobDone
-		j.done = j.total
-		j.doc = doc
-		close(j.finished)
-		m.trimLocked()
-		m.log.Debug("job served from cache", "job", j.ID, "sweep", spec.Sweep, "key", key)
-		return j, true, nil
-	}
 	m.met.cacheMisses.Inc()
-	j := m.newJobLocked(spec, key, exp.Size())
+	j = m.newJobLocked(spec, key, exp.Size())
 	m.inflight[key] = j
 	m.met.queued.Inc()
 	m.wg.Add(1)
@@ -379,6 +397,34 @@ func (m *Manager) Submit(exp *Experiment, spec JobSpec) (*Job, bool, error) {
 	m.log.Info("job queued", "job", j.ID, "sweep", spec.Sweep, "engine", spec.Engine,
 		"phys", spec.Phys.Name, "seed", spec.Seed, "key", key)
 	return j, false, nil
+}
+
+// lookupLocked answers a submission from the in-flight table or the
+// result cache, or returns a nil job on a miss; m.mu must be held.
+func (m *Manager) lookupLocked(spec JobSpec, key string) (*Job, bool, error) {
+	if m.closed {
+		return nil, false, ErrShuttingDown
+	}
+	if j := m.inflight[key]; j != nil {
+		m.met.submitted.Inc()
+		m.met.coalesced.Inc()
+		m.log.Debug("job coalesced", "job", j.ID, "sweep", spec.Sweep, "key", key)
+		return j, false, nil
+	}
+	doc, total, ok := m.cache.get(key)
+	if !ok {
+		return nil, false, nil
+	}
+	m.met.submitted.Inc()
+	m.met.cacheHits.Inc()
+	j := m.newJobLocked(spec, key, total)
+	j.state = JobDone
+	j.done = total
+	j.doc = doc
+	close(j.finished)
+	m.trimLocked()
+	m.log.Debug("job served from cache", "job", j.ID, "sweep", spec.Sweep, "key", key)
+	return j, true, nil
 }
 
 // newJobLocked allocates and registers a job; m.mu must be held.
@@ -449,6 +495,7 @@ func (m *Manager) finish(j *Job, doc []byte, err error) {
 		j.doc = doc
 		j.done = j.total
 	}
+	total := j.total
 	j.mu.Unlock()
 	// A job that never won its slot (shutdown while queued) was still
 	// counted in the queued gauge; decrement whichever phase it left so the
@@ -468,7 +515,7 @@ func (m *Manager) finish(j *Job, doc []byte, err error) {
 		m.log.Info("job done", "job", j.ID, "sweep", j.Spec.Sweep, "run_s", ran.Seconds(), "bytes", len(doc))
 	}
 	if err == nil {
-		m.cache.put(j.Key, doc)
+		m.cache.put(j.Key, doc, total)
 	}
 	m.mu.Lock()
 	delete(m.inflight, j.Key) // failed jobs drop out too: the next request retries
@@ -549,7 +596,9 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 }
 
 // docCache is the content-addressed result cache: finished report
-// documents keyed by JobSpec.Key under an LRU byte budget.
+// documents keyed by JobSpec.Key under an LRU byte budget, each with its
+// sweep's point count, so a hit reports its job's total without the
+// experiment.
 type docCache struct {
 	mu     sync.Mutex
 	budget int64
@@ -559,31 +608,33 @@ type docCache struct {
 }
 
 type docEntry struct {
-	key string
-	doc []byte
+	key   string
+	doc   []byte
+	total int
 }
 
 func newDocCache(budget int64) *docCache {
 	return &docCache{budget: budget, order: list.New(), index: make(map[string]*list.Element)}
 }
 
-// get returns the cached document and refreshes its recency. The bytes
-// are shared and must not be modified.
-func (c *docCache) get(key string) ([]byte, bool) {
+// get returns the cached document and its point count and refreshes its
+// recency. The bytes are shared and must not be modified.
+func (c *docCache) get(key string) ([]byte, int, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.index[key]
 	if !ok {
-		return nil, false
+		return nil, 0, false
 	}
 	c.order.MoveToFront(e)
-	return e.Value.(*docEntry).doc, true
+	ent := e.Value.(*docEntry)
+	return ent.doc, ent.total, true
 }
 
 // put inserts the document, evicting least-recently-used entries until
 // the budget holds. Documents larger than the whole budget are not cached
 // at all — one oversized sweep must not flush every other result.
-func (c *docCache) put(key string, doc []byte) {
+func (c *docCache) put(key string, doc []byte, total int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if int64(len(doc)) > c.budget {
@@ -593,7 +644,7 @@ func (c *docCache) put(key string, doc []byte) {
 		c.order.MoveToFront(e) // racing jobs computed the same bytes; keep the first
 		return
 	}
-	c.index[key] = c.order.PushFront(&docEntry{key: key, doc: doc})
+	c.index[key] = c.order.PushFront(&docEntry{key: key, doc: doc, total: total})
 	c.used += int64(len(doc))
 	for c.used > c.budget {
 		back := c.order.Back()

@@ -74,13 +74,13 @@ func TestJobMetricsLifecycle(t *testing.T) {
 	}
 	spec := explore.JobSpec{Phys: phys.Projected(), Seed: 20601, Parallel: 1}
 
-	j1, hit, err := m.Submit(exp, spec)
+	j1, hit, err := submit(m, exp, spec)
 	if err != nil || hit {
 		t.Fatalf("first submit: hit=%v err=%v", hit, err)
 	}
 	spec2 := spec
 	spec2.Seed = 20602
-	j2, _, err := m.Submit(exp, spec2)
+	j2, _, err := submit(m, exp, spec2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestJobMetricsLifecycle(t *testing.T) {
 
 	// An identical third submission coalesces onto j1: no new evaluation,
 	// no result-cache hit.
-	j3, hit, err := m.Submit(exp, spec)
+	j3, hit, err := submit(m, exp, spec)
 	if err != nil || hit || j3 != j1 {
 		t.Fatalf("coalescing submit: job=%v hit=%v err=%v", j3 == j1, hit, err)
 	}

@@ -3,8 +3,11 @@ package explore_test
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/arch"
 	"repro/internal/explore"
 	"repro/internal/phys"
 )
@@ -83,6 +87,15 @@ func postRun(t *testing.T, srv *httptest.Server, sweep, body string) (*http.Resp
 		t.Fatal(err)
 	}
 	return resp, doc
+}
+
+// submit hands a prebuilt experiment to Submit under its own name.
+func submit(m *explore.Manager, exp *explore.Experiment, spec explore.JobSpec) (*explore.Job, bool, error) {
+	spec.Sweep = "nil-experiment"
+	if exp != nil {
+		spec.Sweep = exp.Name
+	}
+	return m.Submit(spec, func() (*explore.Experiment, error) { return exp, nil })
 }
 
 // TestServeCacheHit: the second identical run is served from the result
@@ -161,11 +174,11 @@ func TestJobsCoalesce(t *testing.T) {
 		m.Shutdown(ctx)
 	})
 	spec := explore.JobSpec{Phys: phys.Projected(), Seed: 1}
-	j1, hit1, err := m.Submit(exp, spec)
+	j1, hit1, err := submit(m, exp, spec)
 	if err != nil || hit1 {
 		t.Fatalf("first Submit: job=%v hit=%v err=%v", j1, hit1, err)
 	}
-	j2, hit2, err := m.Submit(exp, spec)
+	j2, hit2, err := submit(m, exp, spec)
 	if err != nil || hit2 {
 		t.Fatalf("second Submit: hit=%v err=%v", hit2, err)
 	}
@@ -184,7 +197,7 @@ func TestJobsCoalesce(t *testing.T) {
 	}
 	// After completion the key is cached: a third submission is an
 	// instantly-done job with the same bytes.
-	j3, hit3, err := m.Submit(exp, spec)
+	j3, hit3, err := submit(m, exp, spec)
 	if err != nil || !hit3 {
 		t.Fatalf("post-completion Submit: hit=%v err=%v", hit3, err)
 	}
@@ -226,7 +239,7 @@ func TestJobsCacheBudget(t *testing.T) {
 	defer cancel()
 	spec := explore.JobSpec{Phys: phys.Projected(), Seed: 1}
 	for want := int64(1); want <= 2; want++ {
-		j, hit, err := m.Submit(exp, spec)
+		j, hit, err := submit(m, exp, spec)
 		if err != nil || hit {
 			t.Fatalf("Submit %d: hit=%v err=%v", want, hit, err)
 		}
@@ -389,11 +402,11 @@ func TestJobsSemaphoreBounds(t *testing.T) {
 		defer cancel()
 		m.Shutdown(ctx)
 	})
-	j1, _, err := m.Submit(exp, explore.JobSpec{Phys: phys.Projected(), Seed: 1})
+	j1, _, err := submit(m, exp, explore.JobSpec{Phys: phys.Projected(), Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	j2, _, err := m.Submit(exp, explore.JobSpec{Phys: phys.Projected(), Seed: 2})
+	j2, _, err := submit(m, exp, explore.JobSpec{Phys: phys.Projected(), Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,11 +480,11 @@ func TestJobsHistoryCap(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	spec := explore.JobSpec{Phys: phys.Projected(), Seed: 1}
-	inflight, _, err := m.Submit(gated, spec)
+	inflight, _, err := submit(m, gated, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, _, err := m.Submit(quick, spec)
+	first, _, err := submit(m, quick, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,7 +494,7 @@ func TestJobsHistoryCap(t *testing.T) {
 	const runs, history = 300, 256
 	ids := make([]string, runs)
 	for i := range ids {
-		j, hit, err := m.Submit(quick, spec)
+		j, hit, err := submit(m, quick, spec)
 		if err != nil || !hit {
 			t.Fatalf("run %d: hit=%v err=%v, want a cache-served job", i, hit, err)
 		}
@@ -537,7 +550,7 @@ func TestJobsShutdownDrains(t *testing.T) {
 		},
 	}
 	m := explore.NewManager()
-	j, _, err := m.Submit(slow, explore.JobSpec{Phys: phys.Projected(), Seed: 1})
+	j, _, err := submit(m, slow, explore.JobSpec{Phys: phys.Projected(), Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -550,7 +563,7 @@ func TestJobsShutdownDrains(t *testing.T) {
 	// Submissions are rejected once shutdown has begun.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		_, _, err := m.Submit(quick, explore.JobSpec{Phys: phys.Projected(), Seed: time.Now().UnixNano() % 1000})
+		_, _, err := submit(m, quick, explore.JobSpec{Phys: phys.Projected(), Seed: time.Now().UnixNano() % 1000})
 		if errors.Is(err, explore.ErrShuttingDown) {
 			break
 		}
@@ -582,6 +595,17 @@ func TestJobSpecKey(t *testing.T) {
 	if base.Key() != base.Key() {
 		t.Fatal("Key is not deterministic")
 	}
+	// The digest is the one the key has always had: sha256 over the
+	// 0x1f-separated fields, first 12 bytes in hex.
+	withCircuit := base
+	withCircuit.Circuit = strings.Repeat("qubits 2\nh 0\ncnot 0 1\n", 100)
+	for _, s := range []explore.JobSpec{base, withCircuit} {
+		sum := sha256.Sum256([]byte(fmt.Sprintf("v%d\x1f%s\x1f%s\x1f%d\x1f%s\x1f%s",
+			arch.SchemaVersion, s.Sweep, s.Phys.Name, s.Seed, s.Engine, s.Circuit)))
+		if want := hex.EncodeToString(sum[:12]); s.Key() != want {
+			t.Errorf("Key() = %s, want %s (circuit of %d bytes)", s.Key(), want, len(s.Circuit))
+		}
+	}
 	same := base
 	same.Parallel = 8
 	if same.Key() != base.Key() {
@@ -602,21 +626,182 @@ func TestJobSpecKey(t *testing.T) {
 	}
 }
 
-// TestManagerSubmitValidation: nil experiments and bad engines are
-// rejected before a job exists.
+// TestManagerSubmitValidation: a spec without a sweep name, a missing or
+// failing build function, a build whose experiment has another name and a
+// bad engine are all rejected, and none of them leaves a job behind.
 func TestManagerSubmitValidation(t *testing.T) {
 	m := explore.NewManager()
-	if _, _, err := m.Submit(nil, explore.JobSpec{}); err == nil {
-		t.Error("Submit(nil) succeeded")
-	}
 	exp := &explore.Experiment{
 		Name:  "t-submit-bad",
 		Title: "validation fixture",
 		Axes:  []explore.Axis{explore.Ints("i", 1)},
 		Eval:  nopEval,
 	}
-	if _, _, err := m.Submit(exp, explore.JobSpec{Engine: "abacus"}); err == nil {
+	built := func() (*explore.Experiment, error) { return exp, nil }
+	if _, _, err := m.Submit(explore.JobSpec{}, built); err == nil {
+		t.Error("Submit without a sweep name succeeded")
+	}
+	if _, _, err := m.Submit(explore.JobSpec{Sweep: exp.Name}, nil); err == nil {
+		t.Error("Submit without a build function succeeded")
+	}
+	if _, _, err := submit(m, nil, explore.JobSpec{}); err == nil {
+		t.Error("Submit of a nil experiment succeeded")
+	}
+	if _, _, err := m.Submit(explore.JobSpec{Sweep: "t-submit-other"}, built); err == nil {
+		t.Error("Submit accepted an experiment whose name differs from the spec's sweep")
+	}
+	boom := errors.New("boom")
+	if _, _, err := m.Submit(explore.JobSpec{Sweep: exp.Name}, func() (*explore.Experiment, error) { return nil, boom }); !errors.Is(err, boom) {
+		t.Errorf("failing build: Submit error = %v, want the build's error", err)
+	}
+	unbuilt := func() (*explore.Experiment, error) {
+		t.Error("Submit built an experiment for a spec with an unknown engine")
+		return exp, nil
+	}
+	if _, _, err := m.Submit(explore.JobSpec{Sweep: exp.Name, Engine: "abacus"}, unbuilt); err == nil {
 		t.Error("Submit with unknown engine succeeded")
+	}
+	if jobs := m.Jobs(); len(jobs) != 0 {
+		t.Errorf("rejected submissions left %d jobs", len(jobs))
+	}
+}
+
+// TestSubmitBuildsOnlyOnMiss: Submit resolves the cache key before it
+// builds anything. A key in flight coalesces and a cached key is served
+// without calling build; a failed build caches nothing, so the next
+// submission of its key builds again.
+func TestSubmitBuildsOnlyOnMiss(t *testing.T) {
+	gate := make(chan struct{})
+	exp := &explore.Experiment{
+		Name:  "t-build-once",
+		Title: "build-on-miss fixture",
+		Axes:  []explore.Axis{explore.Ints("i", 1, 2, 3)},
+		Eval: func(ctx context.Context, in explore.In) ([]explore.Metric, error) {
+			select {
+			case <-gate:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+			return []explore.Metric{{Name: "v", Value: float64(in.Int("i"))}}, nil
+		},
+	}
+	m := explore.NewManager()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		m.Shutdown(ctx)
+	})
+	spec := explore.JobSpec{Sweep: exp.Name, Phys: phys.Projected(), Seed: 1}
+	var builds atomic.Int64
+	build := func() (*explore.Experiment, error) {
+		builds.Add(1)
+		return exp, nil
+	}
+	mustNotBuild := func() (*explore.Experiment, error) {
+		t.Error("Submit built an experiment for a key in flight or cached")
+		return exp, nil
+	}
+
+	j1, hit, err := m.Submit(spec, build)
+	if err != nil || hit || builds.Load() != 1 {
+		t.Fatalf("first Submit: hit=%v err=%v builds=%d", hit, err, builds.Load())
+	}
+	j2, hit, err := m.Submit(spec, mustNotBuild)
+	if err != nil || hit || j2 != j1 {
+		t.Fatalf("in-flight Submit: same job=%v hit=%v err=%v", j2 == j1, hit, err)
+	}
+	close(gate)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	doc, err := j1.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j3, hit, err := m.Submit(spec, mustNotBuild)
+	if err != nil || !hit {
+		t.Fatalf("cached Submit: hit=%v err=%v", hit, err)
+	}
+	if doc3, _ := j3.Document(); !bytes.Equal(doc3, doc) {
+		t.Error("cache hit served different bytes")
+	}
+	if st := j3.Status(); st.Total != exp.Size() || st.Done != exp.Size() {
+		t.Errorf("cache-hit job progress %d/%d, want %d/%d from the cached point count", st.Done, st.Total, exp.Size(), exp.Size())
+	}
+
+	// A failed build is not remembered: the same key builds again.
+	bad := spec
+	bad.Seed = 2
+	boom := errors.New("boom")
+	for i := 0; i < 2; i++ {
+		if _, _, err := m.Submit(bad, func() (*explore.Experiment, error) { return nil, boom }); !errors.Is(err, boom) {
+			t.Fatalf("failing build %d: err = %v, want the build's error", i, err)
+		}
+	}
+	if _, hit, err := m.Submit(bad, build); err != nil || hit || builds.Load() != 2 {
+		t.Errorf("Submit after failed builds: hit=%v err=%v builds=%d, want a fresh build", hit, err, builds.Load())
+	}
+}
+
+// TestSubmitRaceCoalesces: two submissions of one new key that both miss
+// and build still end on one job. The first build is held until the
+// second submission has queued its job; its re-check then finds that job
+// in flight.
+func TestSubmitRaceCoalesces(t *testing.T) {
+	var calls atomic.Int64
+	gate := make(chan struct{})
+	exp := &explore.Experiment{
+		Name:  "t-build-race",
+		Title: "build race fixture",
+		Axes:  []explore.Axis{explore.Ints("i", 1)},
+		Eval: func(ctx context.Context, in explore.In) ([]explore.Metric, error) {
+			calls.Add(1)
+			select {
+			case <-gate:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+			return []explore.Metric{{Name: "v", Value: 1}}, nil
+		},
+	}
+	m := explore.NewManager()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		m.Shutdown(ctx)
+	})
+	spec := explore.JobSpec{Sweep: exp.Name, Phys: phys.Projected(), Seed: 1}
+	building, release := make(chan struct{}), make(chan struct{})
+	type result struct {
+		j   *explore.Job
+		err error
+	}
+	first := make(chan result, 1)
+	go func() {
+		j, _, err := m.Submit(spec, func() (*explore.Experiment, error) {
+			close(building)
+			<-release
+			return exp, nil
+		})
+		first <- result{j, err}
+	}()
+	<-building
+	j2, hit, err := submit(m, exp, spec)
+	if err != nil || hit {
+		t.Fatalf("second Submit: hit=%v err=%v", hit, err)
+	}
+	close(release)
+	r := <-first
+	if r.err != nil || r.j != j2 {
+		t.Fatalf("racing Submit: err=%v, same job=%v", r.err, r.j == j2)
+	}
+	close(gate)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, err := j2.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Errorf("racing submissions evaluated %d times, want 1", n)
 	}
 }
 

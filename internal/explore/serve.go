@@ -39,7 +39,10 @@ import (
 // block budgets exactly like `cqla sweep -circuit file.qc`. Runs are
 // jobs: identical requests — same (sweep, phys, seed, engine, circuit)
 // at any parallelism — coalesce onto one evaluation and repeat ones are
-// served from the result cache (the X-Cache header says which). A synchronous run streams the
+// served from the result cache (the X-Cache header says which). Both are
+// decided from the content key before the circuit is parsed, so a repeated
+// circuit costs no parse or plan, and a circuit that fails to parse is a
+// 400 on every attempt, never cached. A synchronous run streams the
 // finished document; an async one returns 202 with a job id to poll.
 // Jobs run detached from the request context, so a disconnecting client
 // no longer wastes the computation: the result still lands in the cache.
@@ -228,7 +231,14 @@ func (s *Server) handleRunSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("trailing data after request body"))
 		return
 	}
-	var exp *Experiment
+	// The sweep name and the build function are resolved here; the build
+	// runs inside Submit, and only on a cache miss, so a repeated circuit
+	// is answered by its content key without being parsed or planned.
+	var (
+		sweep    string
+		build    func() (*Experiment, error)
+		badBuild bool
+	)
 	switch {
 	case strings.EqualFold(name, circuitSweepName):
 		if req.Circuit == "" {
@@ -236,26 +246,31 @@ func (s *Server) handleRunSweep(w http.ResponseWriter, r *http.Request) {
 				fmt.Errorf("the %s operation requires a circuit field (text format, see docs/workload-format.md)", circuitSweepName))
 			return
 		}
-		c, err := circuit.ParseString(req.Circuit)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad circuit: %w", err))
-			return
-		}
-		if exp, err = CircuitExperiment("request", c); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad circuit: %w", err))
-			return
+		sweep = circuitSweepName
+		build = func() (*Experiment, error) {
+			c, err := circuit.ParseString(req.Circuit)
+			var exp *Experiment
+			if err == nil {
+				exp, err = CircuitExperiment("request", c)
+			}
+			if err != nil {
+				badBuild = true
+				return nil, fmt.Errorf("bad circuit: %w", err)
+			}
+			return exp, nil
 		}
 	case req.Circuit != "":
 		writeError(w, http.StatusBadRequest,
 			fmt.Errorf("the circuit field is only valid on the %s operation, not %q", circuitSweepName, name))
 		return
 	default:
-		var err error
-		exp, err = Lookup(name) // case-insensitive, matching the CLI
+		exp, err := Lookup(name) // case-insensitive, matching the CLI
 		if err != nil {
 			writeError(w, http.StatusNotFound, err)
 			return
 		}
+		sweep = exp.Name
+		build = func() (*Experiment, error) { return exp, nil }
 	}
 	p, err := physByName(req.Phys)
 	if err != nil {
@@ -267,16 +282,20 @@ func (s *Server) handleRunSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	job, hit, err := s.jobs.Submit(exp, JobSpec{
+	job, hit, err := s.jobs.Submit(JobSpec{
+		Sweep:    sweep,
 		Phys:     p,
 		Seed:     req.Seed,
 		Engine:   engine,
 		Parallel: req.Parallel,
 		Circuit:  req.Circuit,
-	})
+	}, build)
 	if err != nil {
 		status := http.StatusInternalServerError
-		if errors.Is(err, ErrShuttingDown) {
+		switch {
+		case badBuild:
+			status = http.StatusBadRequest
+		case errors.Is(err, ErrShuttingDown):
 			status = http.StatusServiceUnavailable
 		}
 		writeError(w, status, err)

@@ -241,6 +241,19 @@ func init() {
 		},
 	})
 	mustRegister(Benchmark{
+		Name: "ParseCircuitQFT32",
+		Doc:  "one parse of the 32-qubit QFT's canonical text (528 instructions), the serve circuit route's miss cost before planning",
+		F: func(b *B) {
+			src := circuit.FormatString(gen.QFT(32, false))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := circuit.ParseString(src); err != nil {
+					b.Fatal(err)
+				}
+			}
+		},
+	})
+	mustRegister(Benchmark{
 		Name: "BuildDAGInto",
 		Doc:  "rebuilding the 64-bit adder DAG into a reused arena (zero allocations)",
 		F: func(b *B) {
