@@ -17,7 +17,6 @@ import (
 	"repro/internal/mesh"
 	"repro/internal/phys"
 	"repro/internal/sched"
-	"repro/internal/transfer"
 )
 
 // BenchmarkTable1Params regenerates the physical-parameter table.
@@ -128,14 +127,4 @@ func BenchmarkAblationTransferWidth(b *testing.B) {
 	b.ReportMetric(s5, "L1-speedup-xfer5")
 	b.ReportMetric(s10, "L1-speedup-xfer10")
 	b.ReportMetric(s20, "L1-speedup-xfer20")
-}
-
-// BenchmarkTransferBatch measures the transfer-network batch model.
-func BenchmarkTransferBatch(b *testing.B) {
-	nw := transfer.NewNetwork(10)
-	from := transfer.Encoding{Code: "[[9,1,3]]", Level: 2}
-	to := transfer.Encoding{Code: "[[9,1,3]]", Level: 1}
-	for i := 0; i < b.N; i++ {
-		nw.BatchTime(648, from, to)
-	}
 }

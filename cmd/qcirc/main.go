@@ -25,7 +25,6 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/gen"
 	"repro/internal/sched"
-	"repro/internal/shor"
 )
 
 func main() {
@@ -84,7 +83,7 @@ func buildCircuit(kind string, n int) (*circuit.Circuit, error) {
 	case "qftcomm":
 		return gen.QFT(n, true), nil
 	case "shor-stage":
-		return shor.StageCircuit(n), nil
+		return gen.ControlledCarryLookahead(n).Circuit, nil
 	default:
 		return nil, fmt.Errorf("unknown kind %q", kind)
 	}

@@ -214,14 +214,8 @@ func New(opts ...Option) (*Machine, error) {
 	return &Machine{cfg: s.config(), cq: cq}, nil
 }
 
-// Config returns the resolved configuration echoed into Result envelopes.
-func (m *Machine) Config() Config { return m.cfg }
-
 // Code returns the machine's error-correction code.
 func (m *Machine) Code() *ecc.Code { return m.cq.Config().Code }
-
-// Params returns the machine's technology point.
-func (m *Machine) Params() phys.Params { return m.cq.Config().Params }
 
 // Analytic exposes the underlying closed-form cqla model for callers that
 // need methods the engine metrics do not cover (figure drivers, the

@@ -27,7 +27,15 @@ func TestNewDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := m.Config()
+	eng, err := m.Engine(arch.EngineAnalytic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := evaluate(context.Background(), m, eng, arch.NewAdder(8, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := res.Config
 	if cfg.Code != "steane" || cfg.Phys != "projected" {
 		t.Errorf("default code/phys = %q/%q", cfg.Code, cfg.Phys)
 	}

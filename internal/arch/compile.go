@@ -163,12 +163,6 @@ func (cw *CompiledWorkload) runner(ctx context.Context) *des.Runner {
 	return r
 }
 
-// Machine returns the machine the workload was compiled for.
-func (cw *CompiledWorkload) Machine() *Machine { return cw.m }
-
-// Workload returns the workload description.
-func (cw *CompiledWorkload) Workload() Workload { return cw.w }
-
 // Plan returns the underlying machine-independent plan.
 func (cw *CompiledWorkload) Plan() *WorkloadPlan { return cw.plan }
 

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/gen"
-	"repro/internal/shor"
 )
 
 // Kind names a workload family the engines know how to evaluate.
@@ -27,8 +26,9 @@ const (
 	// cascade.
 	KindQFTComm Kind = "qftcomm"
 	// KindShorStage is one controlled addition — the repeated stage of
-	// Shor's modular exponentiation (shor.StageCircuit), with conditioned
-	// sum writes and control fan-out on top of the carry network.
+	// Shor's modular exponentiation (gen.ControlledCarryLookahead), with
+	// conditioned sum writes and control fan-out on top of the carry
+	// network.
 	KindShorStage Kind = "shor-stage"
 	// KindCustom is a user-supplied circuit ingested via circuit.Parse;
 	// custom workloads carry a Name and are compiled with PlanCircuit
@@ -46,7 +46,7 @@ var kernelCircuits = map[Kind]func(bits int) *circuit.Circuit{
 	KindModExp:    claAdder,
 	KindQFT:       func(bits int) *circuit.Circuit { return gen.QFT(bits, false) },
 	KindQFTComm:   func(bits int) *circuit.Circuit { return gen.QFT(bits, true) },
-	KindShorStage: shor.StageCircuit,
+	KindShorStage: func(bits int) *circuit.Circuit { return gen.ControlledCarryLookahead(bits).Circuit },
 }
 
 func claAdder(bits int) *circuit.Circuit { return gen.CarryLookahead(bits).Circuit }

@@ -76,9 +76,6 @@ func (r Result) HitRate() float64 {
 	return float64(r.Hits) / float64(r.Accesses)
 }
 
-// Misses returns operand accesses that went to level-2 memory.
-func (r Result) Misses() int { return r.Accesses - r.Hits }
-
 // count records one issued instruction's operand accesses and hits.
 func (r *Result) count(accesses, hits int) {
 	r.Accesses += accesses
@@ -339,16 +336,4 @@ func (f *fetcher) down(j int) {
 		f.swap(j, m)
 		j = m
 	}
-}
-
-// Sweep runs the cache experiment over several capacities and both
-// policies — one adder size's worth of Figure 7 bars.
-func Sweep(c *circuit.Circuit, capacities []int) []Result {
-	var out []Result
-	for _, cap := range capacities {
-		for _, pol := range []Policy{Naive, Optimized} {
-			out = append(out, Simulate(c, Config{CacheQubits: cap, Policy: pol}))
-		}
-	}
-	return out
 }

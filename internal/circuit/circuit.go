@@ -121,16 +121,6 @@ func (in Instr) Operands() []int {
 // Slots returns the instruction's duration in two-qubit-gate slots.
 func (in Instr) Slots() int { return in.Kind.Slots() }
 
-// Touches reports whether the instruction reads or writes qubit q.
-func (in Instr) Touches(q int) bool {
-	for _, o := range in.Operands() {
-		if o == q {
-			return true
-		}
-	}
-	return false
-}
-
 // String renders the instruction in the text format ("toffoli 0 1 2").
 func (in Instr) String() string {
 	s := in.Kind.String()

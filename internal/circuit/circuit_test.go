@@ -19,9 +19,6 @@ func TestInstrConstruction(t *testing.T) {
 	if NewInstr(CNOT, 0, 1).Slots() != 1 {
 		t.Error("cnot should take one slot")
 	}
-	if !in.Touches(2) || in.Touches(0) {
-		t.Error("Touches wrong")
-	}
 }
 
 func TestInstrPanics(t *testing.T) {
@@ -154,30 +151,6 @@ func TestProfileConservesWork(t *testing.T) {
 	}
 	if sum != d.TotalSlots() {
 		t.Errorf("profile area %d != total slots %d", sum, d.TotalSlots())
-	}
-}
-
-func TestGateLevelProfile(t *testing.T) {
-	c := New(3)
-	c.AddH(0)
-	c.AddH(1)
-	c.AddCNOT(0, 1)
-	d := BuildDAG(c)
-	prof := d.GateLevelProfile()
-	if len(prof) != 2 || prof[0] != 2 || prof[1] != 1 {
-		t.Errorf("gate-level profile = %v", prof)
-	}
-}
-
-func TestReadySets(t *testing.T) {
-	c := New(4)
-	c.AddH(0)
-	c.AddCNOT(0, 1)
-	c.AddH(2)
-	d := BuildDAG(c)
-	sets := d.ReadySets()
-	if len(sets) != 2 || len(sets[0]) != 2 || len(sets[1]) != 1 {
-		t.Errorf("ready sets = %v", sets)
 	}
 }
 

@@ -205,54 +205,3 @@ func (d *DAG) Profile() []int {
 	}
 	return prof
 }
-
-// GateLevelProfile buckets instructions by dependency level rather than by
-// slot time: level(i) = 1 + max level of dependencies. It returns the
-// number of gates at each level. This is the application-parallelism view
-// in which a Toffoli counts as one gate.
-func (d *DAG) GateLevelProfile() []int {
-	level := make([]int, d.c.Len())
-	maxLevel := 0
-	for i := range d.c.Instrs() {
-		l := 0
-		for _, p := range d.Deps(i) {
-			if level[p]+1 > l {
-				l = level[p] + 1
-			}
-		}
-		level[i] = l
-		if l > maxLevel {
-			maxLevel = l
-		}
-	}
-	prof := make([]int, maxLevel+1)
-	for _, l := range level {
-		prof[l]++
-	}
-	return prof
-}
-
-// ReadySets returns the instructions grouped by dependency level; level 0
-// instructions are initially ready. Used by the cache simulator's
-// dependency-aware fetch.
-func (d *DAG) ReadySets() [][]int {
-	level := make([]int, d.c.Len())
-	maxLevel := 0
-	for i := range d.c.Instrs() {
-		l := 0
-		for _, p := range d.Deps(i) {
-			if level[p]+1 > l {
-				l = level[p] + 1
-			}
-		}
-		level[i] = l
-		if l > maxLevel {
-			maxLevel = l
-		}
-	}
-	sets := make([][]int, maxLevel+1)
-	for i, l := range level {
-		sets[l] = append(sets[l], i)
-	}
-	return sets
-}

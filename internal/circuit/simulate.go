@@ -26,20 +26,6 @@ func Simulate(c *Circuit, initial uint64, rng *rand.Rand) (*quantum.State, error
 	return s, nil
 }
 
-// SimulateState applies the circuit to an existing state in place.
-func SimulateState(c *Circuit, s *quantum.State, rng *rand.Rand) error {
-	if err := c.Validate(); err != nil {
-		return err
-	}
-	if s.NumQubits() < c.NumQubits() {
-		return fmt.Errorf("circuit: state has %d qubits, circuit needs %d", s.NumQubits(), c.NumQubits())
-	}
-	for _, in := range c.Instrs() {
-		applyInstr(s, in, rng)
-	}
-	return nil
-}
-
 func applyInstr(s *quantum.State, in Instr, rng *rand.Rand) {
 	q := in.Qubits
 	switch in.Kind {

@@ -46,10 +46,10 @@ type Code struct {
 
 	profile resourceProfile
 
-	// The decoders are built with the code, once per process; they are
-	// read-only.
-	bitX *bitDecoder // X-error decoding against HZ and LZ
-	bitZ *bitDecoder // Z-error decoding against HX and LX
+	// bitX decodes X errors against HZ and LZ. It is built with the code,
+	// once per process, and is read-only. Every Monte Carlo estimator
+	// injects X errors, so no Z-error decoder is built.
+	bitX *bitDecoder
 }
 
 // bitDecoder is the decoding engine for one error type: the parity-check
@@ -113,7 +113,7 @@ func newBitDecoder(h *gf2.Matrix, logical gf2.Vec) *bitDecoder {
 	}
 	// Unachievable syndromes stay zero in the dense table; they cannot be
 	// produced by any error pattern, so the hot path never indexes them.
-	// The validity bitset exists for DecodeX/DecodeZ, whose contract is to
+	// The validity bitset exists for DecodeX, whose contract is to
 	// fail loudly on a syndrome outside the table's domain rather than
 	// return a zero correction.
 	d.table = make([]uint64, 1<<uint(len(d.rows)))
@@ -158,7 +158,7 @@ func (d *bitDecoder) syndromeBits(e uint64) uint64 {
 
 // correct decodes the error mask e and returns the residual after applying
 // the minimum-weight correction, plus whether that residual is a logical
-// fault. It is the packed equivalent of Code.CorrectX/CorrectZ.
+// fault. It is the packed equivalent of Code.CorrectX.
 //
 //cqla:noalloc
 func (d *bitDecoder) correct(e uint64) (residual uint64, logicalFault bool) {
@@ -216,11 +216,6 @@ type resourceProfile struct {
 	// higher threshold).
 	threshold float64
 
-	// teleportDataQubits is the number of lower-level qubits that must be
-	// teleported to move one logical qubit (only data qubits move; the
-	// paper notes Bacon-Shor needs more bandwidth for exactly this reason).
-	teleportDataQubits int
-
 	// channelsRequired is the interconnect bandwidth, in channels, needed
 	// to fully overlap communication with error correction (1 for Steane,
 	// 3 for Bacon-Shor; Section 5.1 of the paper).
@@ -260,19 +255,19 @@ func Steane() *Code { return steaneCode() }
 func BaconShor() *Code { return baconShorCode() }
 
 var (
-	steaneCode    = sync.OnceValue(func() *Code { return withDecoders(steane()) })
-	baconShorCode = sync.OnceValue(func() *Code { return withDecoders(baconShor()) })
+	steaneCode    = sync.OnceValue(func() *Code { return withDecoder(steane()) })
+	baconShorCode = sync.OnceValue(func() *Code { return withDecoder(baconShor()) })
 )
 
-// withDecoders builds the code's X- and Z-error decoders from its check
-// matrices and logical operators.
-func withDecoders(c *Code) *Code {
-	c.bitX, c.bitZ = newBitDecoder(c.HZ, c.LZ), newBitDecoder(c.HX, c.LX)
+// withDecoder builds the code's X-error decoder from its Z-type check
+// matrix and logical operator.
+func withDecoder(c *Code) *Code {
+	c.bitX = newBitDecoder(c.HZ, c.LZ)
 	return c
 }
 
 // steane builds the Steane code's exported fields and resource profile,
-// without decoders.
+// without a decoder.
 func steane() *Code {
 	h := gf2.MustMatrix(
 		"1010101",
@@ -293,20 +288,19 @@ func steane() *Code {
 			syndromeCycles: syndromePhases{
 				Prepare: 30, Verify: 40, Interact: 14, Measure: 1, Shuttle: 70,
 			},
-			upperECSteps:       24, // EC(2) = 2x24xTG(1) = 0.2976 s ~ 0.3 s
-			upperGateSteps:     32, // TG(2) = 32xTG(1) + EC(2) ~ 0.5 s
-			ancillaL1:          21,
-			ancillaGrowth:      21,
-			layoutFactor:       2.8,
-			threshold:          7.5e-5,
-			teleportDataQubits: 7,
-			channelsRequired:   1,
+			upperECSteps:     24, // EC(2) = 2x24xTG(1) = 0.2976 s ~ 0.3 s
+			upperGateSteps:   32, // TG(2) = 32xTG(1) + EC(2) ~ 0.5 s
+			ancillaL1:        21,
+			ancillaGrowth:    21,
+			layoutFactor:     2.8,
+			threshold:        7.5e-5,
+			channelsRequired: 1,
 		},
 	}
 }
 
 // baconShor builds the Bacon-Shor code's exported fields and resource
-// profile, without decoders.
+// profile, without a decoder.
 func baconShor() *Code {
 	hz := gf2.MustMatrix(
 		"110000000",
@@ -328,9 +322,8 @@ func baconShor() *Code {
 		HZ: hz,
 		// Logical X is Z-type for the Shor code (one Z per row);
 		// logical Z is X-type (X across the first row). What the decoder
-		// needs is the support of the operator each error type must
-		// commute with: X errors against LZ's support, Z errors against
-		// LX's support.
+		// needs is the support of the operator X errors must commute
+		// with: LZ's.
 		LZ: gf2.VecFromBits([]int{1, 0, 0, 1, 0, 0, 1, 0, 0}),
 		LX: gf2.VecFromBits([]int{1, 1, 1, 0, 0, 0, 0, 0, 0}),
 		profile: resourceProfile{
@@ -340,14 +333,13 @@ func baconShor() *Code {
 			syndromeCycles: syndromePhases{
 				Prepare: 12, Verify: 0, Interact: 18, Measure: 1, Shuttle: 29,
 			},
-			upperECSteps:       21, // EC(2) = 2x21xTG(1) = 0.1008 s ~ 0.1 s
-			upperGateSteps:     42, // TG(2) = 42xTG(1) + EC(2) ~ 0.2 s
-			ancillaL1:          12,
-			ancillaGrowth:      18, // total ions scale x18 per level
-			layoutFactor:       2.5,
-			threshold:          1.25e-4,
-			teleportDataQubits: 9,
-			channelsRequired:   3,
+			upperECSteps:     21, // EC(2) = 2x21xTG(1) = 0.1008 s ~ 0.1 s
+			upperGateSteps:   42, // TG(2) = 42xTG(1) + EC(2) ~ 0.2 s
+			ancillaL1:        12,
+			ancillaGrowth:    18, // total ions scale x18 per level
+			layoutFactor:     2.5,
+			threshold:        1.25e-4,
+			channelsRequired: 3,
 		},
 	}
 }
@@ -365,7 +357,7 @@ func Codes() []*Code {
 // one worker call plus one gf2.RawWord construction. Since gf2.Vec stores
 // small vectors in an inline word, RawWord is a plain struct literal —
 // nothing to heap-allocate even when a shim's result escapes — so the
-// whole public decode path, CorrectX/CorrectZ included, runs at zero
+// whole public decode path, CorrectX included, runs at zero
 // allocations (TestPublicDecodeAllocationFree pins this). The workers are
 // marked go:noinline so the shims pay a fixed call, not the worker's
 // inlined body.
@@ -374,15 +366,7 @@ func Codes() []*Code {
 //
 //cqla:noalloc
 func (c *Code) SyndromeX(e gf2.Vec) gf2.Vec {
-	m, n := c.syndromePacked(e, c.bitX)
-	return gf2.RawWord(n, m)
-}
-
-// SyndromeZ returns the syndrome of a Z-error support vector.
-//
-//cqla:noalloc
-func (c *Code) SyndromeZ(e gf2.Vec) gf2.Vec {
-	m, n := c.syndromePacked(e, c.bitZ)
+	m, n := c.syndromePacked(e)
 	return gf2.RawWord(n, m)
 }
 
@@ -390,15 +374,7 @@ func (c *Code) SyndromeZ(e gf2.Vec) gf2.Vec {
 //
 //cqla:noalloc
 func (c *Code) DecodeX(syndrome gf2.Vec) gf2.Vec {
-	m, n := c.decodePacked(syndrome, c.bitX, "X")
-	return gf2.RawWord(n, m)
-}
-
-// DecodeZ returns the minimum-weight Z correction for an X-syndrome.
-//
-//cqla:noalloc
-func (c *Code) DecodeZ(syndrome gf2.Vec) gf2.Vec {
-	m, n := c.decodePacked(syndrome, c.bitZ, "Z")
+	m, n := c.decodePacked(syndrome)
 	return gf2.RawWord(n, m)
 }
 
@@ -408,26 +384,19 @@ func (c *Code) DecodeZ(syndrome gf2.Vec) gf2.Vec {
 //
 //cqla:noalloc
 func (c *Code) CorrectX(e gf2.Vec) (residual gf2.Vec, logicalFault bool) {
-	m, fault := c.correctPacked(e, c.bitX)
-	return gf2.RawWord(c.N, m), fault
-}
-
-// CorrectZ is CorrectX for phase-flip errors.
-//
-//cqla:noalloc
-func (c *Code) CorrectZ(e gf2.Vec) (residual gf2.Vec, logicalFault bool) {
-	m, fault := c.correctPacked(e, c.bitZ)
+	m, fault := c.correctPacked(e)
 	return gf2.RawWord(c.N, m), fault
 }
 
 //go:noinline
-func (c *Code) syndromePacked(e gf2.Vec, d *bitDecoder) (uint64, int) {
+func (c *Code) syndromePacked(e gf2.Vec) (uint64, int) {
 	c.checkLen("error", e, c.N)
-	return d.syndromeBits(e.Uint64()), len(d.rows)
+	return c.bitX.syndromeBits(e.Uint64()), len(c.bitX.rows)
 }
 
 //go:noinline
-func (c *Code) decodePacked(syndrome gf2.Vec, d *bitDecoder, kind string) (uint64, int) {
+func (c *Code) decodePacked(syndrome gf2.Vec) (uint64, int) {
+	d := c.bitX
 	c.checkLen("syndrome", syndrome, len(d.rows))
 	s := syndrome.Uint64()
 	if !d.valid[s] {
@@ -435,15 +404,15 @@ func (c *Code) decodePacked(syndrome gf2.Vec, d *bitDecoder, kind string) (uint6
 		// matrix leaves syndromes no error produces. Stringify eagerly: passing the vector itself into the panic
 		// would make the parameter escape and cost the warm path its
 		// allocation-freedom.
-		panic(fmt.Sprintf("ecc: %s has no %s correction for syndrome %s", c.Name, kind, syndrome.String()))
+		panic(fmt.Sprintf("ecc: %s has no X correction for syndrome %s", c.Name, syndrome.String()))
 	}
 	return d.table[s], c.N
 }
 
 //go:noinline
-func (c *Code) correctPacked(e gf2.Vec, d *bitDecoder) (uint64, bool) {
+func (c *Code) correctPacked(e gf2.Vec) (uint64, bool) {
 	c.checkLen("error", e, c.N)
-	return d.correct(e.Uint64())
+	return c.bitX.correct(e.Uint64())
 }
 
 // checkLen panics unless v has want bits.
@@ -494,7 +463,3 @@ func (c *Code) Threshold() float64 { return c.profile.threshold }
 // ChannelsRequired returns the interconnect bandwidth, in channels, needed
 // to overlap this code's communication with its error correction.
 func (c *Code) ChannelsRequired() int { return c.profile.channelsRequired }
-
-// TeleportDataQubits returns how many sub-block qubits must be teleported
-// to move one logical qubit of this code between regions.
-func (c *Code) TeleportDataQubits() int { return c.profile.teleportDataQubits }

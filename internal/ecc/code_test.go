@@ -28,15 +28,13 @@ func TestCodeParameters(t *testing.T) {
 	}
 }
 
-// TestDistanceThreeCorrectsAllWeight1 checks A_1 = 0 in both bases: every
-// single-qubit X and Z error is corrected without a logical fault — the
+// TestDistanceThreeCorrectsAllWeight1 checks A_1 = 0: every single-qubit X
+// error is corrected without a logical fault — the
 // operational meaning of distance 3.
 func TestDistanceThreeCorrectsAllWeight1(t *testing.T) {
 	for _, c := range Codes() {
-		for _, b := range []Basis{BasisX, BasisZ} {
-			if a := c.decoder(b).faults; a[0] != 0 || a[1] != 0 {
-				t.Errorf("%s basis %d: A_0=%d A_1=%d logical faults, want none", c.Name, b, a[0], a[1])
-			}
+		if a := c.bitX.faults; a[0] != 0 || a[1] != 0 {
+			t.Errorf("%s: A_0=%d A_1=%d logical faults, want none", c.Name, a[0], a[1])
 		}
 	}
 }
@@ -46,10 +44,8 @@ func TestDistanceThreeCorrectsAllWeight1(t *testing.T) {
 // its C(7,2) = 21 weight-2 patterns into a weight-3 logical operator.
 func TestSomeWeight2ErrorsFail(t *testing.T) {
 	for _, c := range Codes() {
-		for _, b := range []Basis{BasisX, BasisZ} {
-			if a := c.decoder(b).faults; a[2] == 0 {
-				t.Errorf("%s basis %d corrected every weight-2 error; distance would be >= 5", c.Name, b)
-			}
+		if a := c.bitX.faults; a[2] == 0 {
+			t.Errorf("%s corrected every weight-2 error; distance would be >= 5", c.Name)
 		}
 	}
 	if a := Steane().bitX.faults; a[2] != 21 {
@@ -64,14 +60,12 @@ func TestSomeWeight2ErrorsFail(t *testing.T) {
 // 2^(n-1). It also pins both codes' X-error enumerators.
 func TestFaultEnumeratorHalvesPatterns(t *testing.T) {
 	for _, c := range Codes() {
-		for _, b := range []Basis{BasisX, BasisZ} {
-			var sum int64
-			for _, a := range c.decoder(b).faults {
-				sum += a
-			}
-			if sum != 1<<(c.N-1) {
-				t.Errorf("%s basis %d: %d fault patterns, want 2^%d", c.Name, b, sum, c.N-1)
-			}
+		var sum int64
+		for _, a := range c.bitX.faults {
+			sum += a
+		}
+		if sum != 1<<(c.N-1) {
+			t.Errorf("%s: %d fault patterns, want 2^%d", c.Name, sum, c.N-1)
 		}
 	}
 	for _, tc := range []struct {
@@ -94,10 +88,6 @@ func TestZeroSyndromeZeroCorrection(t *testing.T) {
 		if !c.DecodeX(zero).IsZero() {
 			t.Errorf("%s: trivial syndrome got nonzero X correction", c.Name)
 		}
-		zeroX := gf2.NewVec(c.HX.Rows())
-		if !c.DecodeZ(zeroX).IsZero() {
-			t.Errorf("%s: trivial syndrome got nonzero Z correction", c.Name)
-		}
 	}
 }
 
@@ -105,12 +95,6 @@ func TestStabilizerErrorsAreHarmless(t *testing.T) {
 	// An "error" equal to a stabilizer generator is not an error at all:
 	// the decoder must return a residual that is not a logical fault.
 	for _, c := range Codes() {
-		for i := 0; i < c.HZ.Rows(); i++ {
-			// Z-type generator as a Z error.
-			if _, fault := c.CorrectZ(c.HZ.Row(i).Clone()); fault {
-				t.Errorf("%s: Z-stabilizer %d decoded to a logical fault", c.Name, i)
-			}
-		}
 		for i := 0; i < c.HX.Rows(); i++ {
 			if _, fault := c.CorrectX(c.HX.Row(i).Clone()); fault {
 				t.Errorf("%s: X-stabilizer %d decoded to a logical fault", c.Name, i)
@@ -128,12 +112,6 @@ func TestLogicalOperatorIsDetectedAsFault(t *testing.T) {
 		}
 		if _, fault := c.CorrectX(c.LX.Clone()); !fault {
 			t.Errorf("%s: logical X not flagged as fault", c.Name)
-		}
-		if !c.SyndromeZ(c.LZ).IsZero() {
-			t.Errorf("%s: logical Z has nonzero syndrome", c.Name)
-		}
-		if _, fault := c.CorrectZ(c.LZ.Clone()); !fault {
-			t.Errorf("%s: logical Z not flagged as fault", c.Name)
 		}
 	}
 }
@@ -203,7 +181,7 @@ func TestMonteCarloZeroErrorRate(t *testing.T) {
 	for _, c := range Codes() {
 		for _, est := range []Estimator{Naive, BitSliced, Rare} {
 			// Rare still sees faults at its tilt, but weighs them by zero.
-			res := c.MonteCarlo(0, 1000, 1, MC{Basis: BasisZ, Estimator: est})
+			res := c.MonteCarlo(0, 1000, 1, MC{Estimator: est})
 			if res.LogicalRate != 0 || (est != Rare && res.FaultTrials != 0) {
 				t.Errorf("%s estimator %d: faults with zero physical error rate: %+v", c.Name, est, res)
 			}
@@ -218,11 +196,5 @@ func TestChannelsRequired(t *testing.T) {
 	}
 	if got := BaconShor().ChannelsRequired(); got != 3 {
 		t.Errorf("Bacon-Shor channels = %d, want 3", got)
-	}
-}
-
-func TestTeleportDataQubits(t *testing.T) {
-	if Steane().TeleportDataQubits() != 7 || BaconShor().TeleportDataQubits() != 9 {
-		t.Error("teleport data-qubit counts do not match block sizes")
 	}
 }

@@ -32,7 +32,7 @@ func TestConcatenationDoubleExponentialScaling(t *testing.T) {
 	p := 0.02
 	for level := 1; level <= 2; level++ {
 		r := c.ConcatenatedMonteCarloX(level, p, 300000, rng)
-		want := exactRate(c, BasisX, level, p)
+		want := exactRate(c, level, p)
 		if r.FaultTrials == 0 {
 			t.Fatalf("level %d: no faults over %d trials", level, r.Trials)
 		}
@@ -41,7 +41,7 @@ func TestConcatenationDoubleExponentialScaling(t *testing.T) {
 				level, r.LogicalRate, z, want)
 		}
 	}
-	if l1, l2 := exactRate(c, BasisX, 1, p), exactRate(c, BasisX, 2, p); l2 >= l1*l1*21 || l2 <= l1*l1*21/2 {
+	if l1, l2 := exactRate(c, 1, p), exactRate(c, 2, p); l2 >= l1*l1*21 || l2 <= l1*l1*21/2 {
 		t.Errorf("exact level-2 rate %.3g is not ~21·l1² = %.3g", l2, 21*l1*l1)
 	}
 }
@@ -69,15 +69,15 @@ func TestPseudoThreshold(t *testing.T) {
 			t.Errorf("%s: pseudo-threshold %.4f outside plausible range", c.Short, th)
 		}
 		// It is the root of f(p) = p, to float64 resolution.
-		if f := exactRate(c, BasisX, 1, th); math.Abs(f-th) > 1e-12 {
+		if f := exactRate(c, 1, th); math.Abs(f-th) > 1e-12 {
 			t.Errorf("%s: f(%.6g) = %.6g, not a fixed point", c.Short, th, f)
 		}
 		// Below it, encoding helps; above it, encoding hurts — per the
 		// exact polynomial and per a sampled estimate.
-		if f := exactRate(c, BasisX, 1, th/4); f >= th/4 {
+		if f := exactRate(c, 1, th/4); f >= th/4 {
 			t.Errorf("%s: exact f(%.4f) = %.4g, encoding should help", c.Short, th/4, f)
 		}
-		if f := exactRate(c, BasisX, 1, 1.5*th); f <= 1.5*th {
+		if f := exactRate(c, 1, 1.5*th); f <= 1.5*th {
 			t.Errorf("%s: exact f(%.4f) = %.4g, encoding should hurt", c.Short, 1.5*th, f)
 		}
 		if below := c.MonteCarlo(th/4, 100000, 31, MC{Estimator: BitSliced}); below.LogicalRate >= th/4 {

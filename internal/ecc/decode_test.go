@@ -1,7 +1,6 @@
 package ecc
 
 import (
-	"math"
 	"sort"
 	"testing"
 
@@ -47,49 +46,35 @@ func sortedLookup(h *gf2.Matrix) map[uint64]gf2.Vec {
 }
 
 // TestPublicDecodeMatchesVectorPath exhaustively checks, over every one of
-// the 2^N error patterns of both codes and both error types, that the
-// bitmask-backed public API returns bit-identical syndromes, corrections,
+// the 2^N X-error patterns of both codes, that the bitmask-backed public
+// API returns bit-identical syndromes, corrections,
 // residuals and fault verdicts to the plain vector-algebra expressions
 // over the sort-based lookup oracle.
 func TestPublicDecodeMatchesVectorPath(t *testing.T) {
 	for _, c := range Codes() {
-		type side struct {
-			name    string
-			h       *gf2.Matrix
-			lookup  map[uint64]gf2.Vec
-			logical gf2.Vec
-			syn     func(gf2.Vec) gf2.Vec
-			dec     func(gf2.Vec) gf2.Vec
-			cor     func(gf2.Vec) (gf2.Vec, bool)
-		}
-		sides := []side{
-			{"X", c.HZ, sortedLookup(c.HZ), c.LZ, c.SyndromeX, c.DecodeX, c.CorrectX},
-			{"Z", c.HX, sortedLookup(c.HX), c.LX, c.SyndromeZ, c.DecodeZ, c.CorrectZ},
-		}
-		for _, s := range sides {
-			for mask := uint64(0); mask < 1<<uint(c.N); mask++ {
-				e := vecFromMask(c.N, mask)
-				wantSyn := s.h.MulVec(e)
-				gotSyn := s.syn(e)
-				if !gotSyn.Equal(wantSyn) {
-					t.Fatalf("%s Syndrome%s(%s) = %s, want %s", c.Short, s.name, e, gotSyn, wantSyn)
-				}
-				wantCor, ok := s.lookup[wantSyn.Uint64()]
-				if !ok {
-					t.Fatalf("%s: lookup table not total at syndrome %s", c.Short, wantSyn)
-				}
-				gotCor := s.dec(gotSyn)
-				if !gotCor.Equal(wantCor) {
-					t.Fatalf("%s Decode%s(%s) = %s, want %s", c.Short, s.name, gotSyn, gotCor, wantCor)
-				}
-				wantRes := e.Clone()
-				wantRes.Xor(wantCor)
-				wantFault := wantRes.Dot(s.logical)
-				gotRes, gotFault := s.cor(e)
-				if !gotRes.Equal(wantRes) || gotFault != wantFault {
-					t.Fatalf("%s Correct%s(%s) = (%s, %v), want (%s, %v)",
-						c.Short, s.name, e, gotRes, gotFault, wantRes, wantFault)
-				}
+		lookup := sortedLookup(c.HZ)
+		for mask := uint64(0); mask < 1<<uint(c.N); mask++ {
+			e := vecFromMask(c.N, mask)
+			wantSyn := c.HZ.MulVec(e)
+			gotSyn := c.SyndromeX(e)
+			if !gotSyn.Equal(wantSyn) {
+				t.Fatalf("%s SyndromeX(%s) = %s, want %s", c.Short, e, gotSyn, wantSyn)
+			}
+			wantCor, ok := lookup[wantSyn.Uint64()]
+			if !ok {
+				t.Fatalf("%s: lookup table not total at syndrome %s", c.Short, wantSyn)
+			}
+			gotCor := c.DecodeX(gotSyn)
+			if !gotCor.Equal(wantCor) {
+				t.Fatalf("%s DecodeX(%s) = %s, want %s", c.Short, gotSyn, gotCor, wantCor)
+			}
+			wantRes := e.Clone()
+			wantRes.Xor(wantCor)
+			wantFault := wantRes.Dot(c.LZ)
+			gotRes, gotFault := c.CorrectX(e)
+			if !gotRes.Equal(wantRes) || gotFault != wantFault {
+				t.Fatalf("%s CorrectX(%s) = (%s, %v), want (%s, %v)",
+					c.Short, e, gotRes, gotFault, wantRes, wantFault)
 			}
 		}
 	}
@@ -97,8 +82,8 @@ func TestPublicDecodeMatchesVectorPath(t *testing.T) {
 
 // TestPublicDecodeAllocationFree is the tentpole assertion: the public
 // decode path — syndrome extraction, table decode, and the full
-// CorrectX/CorrectZ round — performs zero allocations when its results
-// stay on the caller's stack, for both error types. gf2.Vec's inline-word
+// CorrectX round — performs zero allocations when its results stay on the
+// caller's stack. gf2.Vec's inline-word
 // representation is what closes the last gap: a small vector is a value,
 // so even the (vector, bool) pair CorrectX returns costs nothing.
 func TestPublicDecodeAllocationFree(t *testing.T) {
@@ -115,25 +100,11 @@ func TestPublicDecodeAllocationFree(t *testing.T) {
 			t.Errorf("%s SyndromeX+DecodeX: %v allocs/run, want 0", c.Short, n)
 		}
 		if n := testing.AllocsPerRun(200, func() {
-			s := c.SyndromeZ(e)
-			cor := c.DecodeZ(s)
-			sink += cor.Weight()
-		}); n != 0 {
-			t.Errorf("%s SyndromeZ+DecodeZ: %v allocs/run, want 0", c.Short, n)
-		}
-		if n := testing.AllocsPerRun(200, func() {
 			if _, fault := c.CorrectX(e); fault {
 				sink++
 			}
 		}); n != 0 {
 			t.Errorf("%s CorrectX: %v allocs/run, want 0", c.Short, n)
-		}
-		if n := testing.AllocsPerRun(200, func() {
-			if _, fault := c.CorrectZ(e); fault {
-				sink++
-			}
-		}); n != 0 {
-			t.Errorf("%s CorrectZ: %v allocs/run, want 0", c.Short, n)
 		}
 	}
 }
@@ -146,16 +117,10 @@ func TestPublicDecodeAllocationFree(t *testing.T) {
 // the unachievable syndromes.
 func TestDecodePanicsOnUnachievableSyndrome(t *testing.T) {
 	for _, c := range Codes() {
-		for _, side := range []struct {
-			name string
-			d    *bitDecoder
-			h    *gf2.Matrix
-		}{{"X", c.bitX, c.HZ}, {"Z", c.bitZ, c.HX}} {
-			oracle := sortedLookup(side.h)
-			for s := range side.d.table {
-				if _, inMap := oracle[uint64(s)]; side.d.valid[s] != inMap {
-					t.Fatalf("%s %s: valid[%d] = %v, oracle has it: %v", c.Short, side.name, s, side.d.valid[s], inMap)
-				}
+		oracle := sortedLookup(c.HZ)
+		for s := range c.bitX.table {
+			if _, inMap := oracle[uint64(s)]; c.bitX.valid[s] != inMap {
+				t.Fatalf("%s: valid[%d] = %v, oracle has it: %v", c.Short, s, c.bitX.valid[s], inMap)
 			}
 		}
 	}
@@ -164,7 +129,7 @@ func TestDecodePanicsOnUnachievableSyndrome(t *testing.T) {
 	// 3-bit syndromes are achievable.
 	h := gf2.MustMatrix("110", "011", "101")
 	d := newBitDecoder(h, gf2.VecFromBits([]int{1, 1, 1}))
-	c := &Code{Name: "rank-deficient", N: 3, bitX: d, bitZ: d}
+	c := &Code{Name: "rank-deficient", N: 3, bitX: d}
 	oracle := sortedLookup(h)
 	for s := uint64(0); s < 8; s++ {
 		syn := gf2.Word(3, s)
@@ -175,7 +140,6 @@ func TestDecodePanicsOnUnachievableSyndrome(t *testing.T) {
 			continue
 		}
 		mustPanic(t, "DecodeX(unachievable "+syn.String()+")", func() { c.DecodeX(syn) })
-		mustPanic(t, "DecodeZ(unachievable "+syn.String()+")", func() { c.DecodeZ(syn) })
 	}
 }
 
@@ -191,36 +155,32 @@ func mustPanic(t *testing.T, what string, f func()) {
 }
 
 // TestVectorFallbackPaths pins the length checks in front of the packed
-// decoders: every wrong-length operand — error vector or syndrome, either
-// basis — panics instead of being decoded by its packed value.
+// decoders: every wrong-length operand — error vector or syndrome —
+// panics instead of being decoded by its packed value.
 func TestVectorFallbackPaths(t *testing.T) {
 	c := Steane()
 	wrong := gf2.NewVec(c.N + 1)
 	mustPanic(t, "SyndromeX(wrong length)", func() { c.SyndromeX(wrong) })
-	mustPanic(t, "SyndromeZ(wrong length)", func() { c.SyndromeZ(wrong) })
 	mustPanic(t, "CorrectX(wrong length)", func() { c.CorrectX(wrong) })
-	mustPanic(t, "CorrectZ(wrong length)", func() { c.CorrectZ(wrong) })
 
 	// A 5-bit zero syndrome packs to 0, a real syndrome; it must still be
 	// refused, as must a 10-bit one whose packed value no syndrome uses.
 	odd := gf2.NewVec(5)
 	mustPanic(t, "DecodeX(odd-length zero syndrome)", func() { c.DecodeX(odd) })
-	mustPanic(t, "DecodeZ(odd-length zero syndrome)", func() { c.DecodeZ(odd) })
 	bogus := gf2.NewVec(10)
 	for i := 0; i < 10; i++ {
 		bogus.Set(i, true)
 	}
 	mustPanic(t, "DecodeX(wrong-length syndrome)", func() { c.DecodeX(bogus) })
-	mustPanic(t, "DecodeZ(wrong-length syndrome)", func() { c.DecodeZ(bogus) })
 }
 
 // TestDecodersSharedAcrossCalls: each code, decoder tables included, is
 // built once per process, and every constructor call returns that one
-// value. A caller that wants to vary a code works on a copy with cloned
-// fields, which leaves the shared code's decoding untouched.
+// value. A caller that wants to vary a code works on a copy with fields of
+// its own, which leaves the shared code's decoding untouched.
 func TestDecodersSharedAcrossCalls(t *testing.T) {
 	a, b := Steane(), Steane()
-	if a != b || a.bitX != b.bitX || a.bitZ != b.bitZ {
+	if a != b || a.bitX != b.bitX {
 		t.Fatal("two Steane() calls built separate codes")
 	}
 	if bs := BaconShor(); bs == a || bs != BaconShor() || bs.bitX == a.bitX {
@@ -232,31 +192,11 @@ func TestDecodersSharedAcrossCalls(t *testing.T) {
 	e := gf2.VecFromBits([]int{0, 1, 0, 0, 1, 0, 0})
 	wantRes, wantFault := a.CorrectX(e)
 	mutant := *a
-	mutant.HZ = a.HZ.Clone()
-	for j := 0; j < mutant.N; j++ {
-		mutant.HZ.Set(0, j, !mutant.HZ.At(0, j))
-	}
+	mutant.HZ = gf2.MustMatrix("0101010", "0110011", "0001111")
 	if mutant.HZ.Row(0).Equal(Steane().HZ.Row(0)) {
-		t.Fatal("mutating a cloned HZ reached the shared code")
+		t.Fatal("replacing a copy's HZ reached the shared code")
 	}
 	if res, fault := Steane().CorrectX(e); !res.Equal(wantRes) || fault != wantFault {
 		t.Errorf("Steane().CorrectX after mutating a copy = (%s, %v), want (%s, %v)", res, fault, wantRes, wantFault)
-	}
-}
-
-// TestMonteCarloZSeededMatchesParallel covers the Z basis of the naive
-// estimator and its worker-count contract.
-func TestMonteCarloZSeededMatchesParallel(t *testing.T) {
-	c := BaconShor()
-	serial := c.MonteCarlo(0.02, 9000, 3, MC{Basis: BasisZ, Workers: 1})
-	pooled := c.MonteCarlo(0.02, 9000, 3, MC{Basis: BasisZ})
-	if serial != pooled {
-		t.Errorf("Z-side seeded counts differ: serial %+v, pooled %+v", serial, pooled)
-	}
-	if serial.LogicalRate < 0 || serial.LogicalRate > 1 {
-		t.Errorf("logical rate %v outside [0,1]", serial.LogicalRate)
-	}
-	if r := (MonteCarloResult{}); r.LogicalRate != 0 || !math.IsInf(r.RelCI(), 1) || r.Resolved(1) {
-		t.Errorf("zero-trial result %+v should read as unresolved rate 0", r)
 	}
 }

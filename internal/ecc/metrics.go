@@ -32,9 +32,6 @@ type Metrics struct {
 	AncillaIons int
 }
 
-// TotalIons returns data plus ancilla physical qubits.
-func (m Metrics) TotalIons() int { return m.DataIons + m.AncillaIons }
-
 // ECTime returns the duration of one full error-correction round (both
 // syndromes) at the given concatenation level under the given technology.
 //
@@ -148,13 +145,6 @@ func (c *Code) LogicalFailureRate(level int, p0 float64, r float64) float64 {
 // DefaultCommDistance is the average communication distance, in cells,
 // between level-1 blocks in the QLA floorplan (the r of Equation 1).
 const DefaultCommDistance = 12.0
-
-// BelowThreshold reports whether the physical failure rate is under this
-// code's fault-tolerance threshold, the precondition for concatenation to
-// help at all.
-func (c *Code) BelowThreshold(p0 float64) bool {
-	return p0 < c.profile.threshold
-}
 
 // MinLevelFor returns the smallest concatenation level whose logical
 // failure rate meets the target (e.g. 1/KQ for an application with K time

@@ -143,8 +143,8 @@ func TestMetricsBundle(t *testing.T) {
 	if m.Code != "[[7,1,3]]" || m.Level != 2 {
 		t.Errorf("metrics identity wrong: %+v", m)
 	}
-	if m.TotalIons() != 490 {
-		t.Errorf("Steane L2 total ions = %d, want 490", m.TotalIons())
+	if total := m.DataIons + m.AncillaIons; total != 490 {
+		t.Errorf("Steane L2 total ions = %d, want 490", total)
 	}
 	if m.ECTime <= 0 || m.TransversalGateTime <= m.ECTime {
 		t.Errorf("inconsistent times: %+v", m)
@@ -186,10 +186,10 @@ func TestFailureRateDoubleExponentialSuppression(t *testing.T) {
 func TestBelowThreshold(t *testing.T) {
 	p0 := phys.Projected().AverageFailure()
 	for _, c := range Codes() {
-		if !c.BelowThreshold(p0) {
+		if p0 >= c.Threshold() {
 			t.Errorf("%s: projected parameters should be below threshold", c.Short)
 		}
-		if c.BelowThreshold(1e-2) {
+		if 1e-2 < c.Threshold() {
 			t.Errorf("%s: 1%% failure should be above threshold", c.Short)
 		}
 	}

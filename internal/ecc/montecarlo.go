@@ -9,16 +9,6 @@ import (
 	"sync/atomic"
 )
 
-// Basis selects the error type a Monte Carlo campaign injects.
-type Basis uint8
-
-const (
-	// BasisX injects bit-flip errors, decoded against the Z-type logical.
-	BasisX Basis = iota
-	// BasisZ injects phase-flip errors, decoded against the X-type logical.
-	BasisZ
-)
-
 // Estimator selects the Monte Carlo sampler.
 type Estimator uint8
 
@@ -39,10 +29,10 @@ const (
 	Rare
 )
 
-// MC configures one Monte Carlo campaign. The zero value is the naive
-// X-error estimator on GOMAXPROCS workers.
+// MC configures one Monte Carlo campaign. Every campaign injects bit-flip
+// (X) errors, decoded against the Z-type logical. The zero value is the
+// naive estimator on GOMAXPROCS workers.
 type MC struct {
-	Basis     Basis
 	Estimator Estimator
 	// Workers bounds the shard pool (0 or less selects GOMAXPROCS). Every
 	// estimator returns the identical result at any setting.
@@ -117,12 +107,12 @@ func binomialResult(p float64, trials, faults int) MonteCarloResult {
 // of logical errors below threshold that the concatenation math of the
 // architecture model relies on.
 //
-// The same (p, trials, seed, Basis, Estimator) always returns the same
+// The same (p, trials, seed, Estimator) always returns the same
 // result, at any Workers: every estimator splits its trials into units
 // whose streams are keyed by (seed, unit index) alone, and the shard pool
 // only ever adds integers.
 func (c *Code) MonteCarlo(p float64, trials int, seed int64, o MC) MonteCarloResult {
-	d := c.decoder(o.Basis)
+	d := c.bitX
 	workers := o.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -145,14 +135,6 @@ func (c *Code) MonteCarlo(p float64, trials int, seed int64, o MC) MonteCarloRes
 		return c.monteCarloRare(k, workers)
 	}
 	panic(fmt.Sprintf("ecc: unknown Monte Carlo estimator %d", o.Estimator))
-}
-
-// decoder returns the bit decoder for errors of basis b.
-func (c *Code) decoder(b Basis) *bitDecoder {
-	if b == BasisZ {
-		return c.bitZ
-	}
-	return c.bitX
 }
 
 // sample runs trials independent injection+decode rounds on the stream s

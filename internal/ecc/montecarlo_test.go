@@ -1,6 +1,7 @@
 package ecc
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -10,9 +11,8 @@ import (
 
 // TestBitDecoderMatchesLookup pins the hot-path bit decoder to the
 // reference vector implementation over the complete error space: for every
-// one of the 2^N X- and Z-error patterns of both codes, the packed decode
-// must agree with CorrectX/CorrectZ on whether the pattern is a logical
-// fault. This is the exhaustive guarantee that the Monte Carlo rework
+// one of the 2^N X-error patterns of both codes, the packed decode must
+// agree with CorrectX on whether the pattern is a logical fault. This is the exhaustive guarantee that the Monte Carlo rework
 // changed the speed of decoding, not its meaning.
 func TestBitDecoderMatchesLookup(t *testing.T) {
 	for _, c := range Codes() {
@@ -26,10 +26,6 @@ func TestBitDecoderMatchesLookup(t *testing.T) {
 			_, wantX := c.CorrectX(v)
 			if got := c.bitX.fault(e); got != wantX {
 				t.Fatalf("%s: bitX.fault(%0*b) = %v, CorrectX says %v", c.Name, c.N, e, got, wantX)
-			}
-			_, wantZ := c.CorrectZ(v)
-			if got := c.bitZ.fault(e); got != wantZ {
-				t.Fatalf("%s: bitZ.fault(%0*b) = %v, CorrectZ says %v", c.Name, c.N, e, got, wantZ)
 			}
 		}
 	}
@@ -62,21 +58,19 @@ func TestMonteCarloTrialLoopAllocationFree(t *testing.T) {
 // checkWorkerDeterminism is the contract the explore runner's
 // byte-identical-JSON guarantee rests on: the same (p, trials, seed) must
 // produce the identical result, floats included, at 1, 4 and NumCPU
-// workers and at the GOMAXPROCS default, for both bases. CI runs the
+// workers and at the GOMAXPROCS default. CI runs the
 // callers under -race, which also vets the shard pool's sharing
 // discipline.
 func checkWorkerDeterminism(t *testing.T, est Estimator, p float64, trials int, seed int64) {
 	t.Helper()
 	for _, c := range Codes() {
-		for _, b := range []Basis{BasisX, BasisZ} {
-			base := c.MonteCarlo(p, trials, seed, MC{Basis: b, Estimator: est, Workers: 1})
-			if base.FaultTrials == 0 {
-				t.Errorf("%s basis %d: no faults at p=%g over %d trials; the test is vacuous", c.Name, b, p, base.Trials)
-			}
-			for _, w := range []int{4, runtime.NumCPU(), 0} {
-				if got := c.MonteCarlo(p, trials, seed, MC{Basis: b, Estimator: est, Workers: w}); got != base {
-					t.Errorf("%s basis %d: result differs at %d workers: %+v vs %+v", c.Name, b, w, got, base)
-				}
+		base := c.MonteCarlo(p, trials, seed, MC{Estimator: est, Workers: 1})
+		if base.FaultTrials == 0 {
+			t.Errorf("%s: no faults at p=%g over %d trials; the test is vacuous", c.Name, p, base.Trials)
+		}
+		for _, w := range []int{4, runtime.NumCPU(), 0} {
+			if got := c.MonteCarlo(p, trials, seed, MC{Estimator: est, Workers: w}); got != base {
+				t.Errorf("%s: result differs at %d workers: %+v vs %+v", c.Name, w, got, base)
 			}
 		}
 	}
@@ -104,6 +98,9 @@ func TestMonteCarloSeededSeedSensitivity(t *testing.T) {
 // zero or negative budget, a sub-shard budget and an exact multiple of the
 // shard size.
 func TestMonteCarloSeededDegenerateBudgets(t *testing.T) {
+	if r := (MonteCarloResult{}); r.LogicalRate != 0 || !math.IsInf(r.RelCI(), 1) || r.Resolved(1) {
+		t.Errorf("zero-trial result %+v should read as unresolved rate 0", r)
+	}
 	c := BaconShor()
 	for _, trials := range []int{0, -5} {
 		if got := c.MonteCarlo(0.1, trials, 5, MC{}); got.FaultTrials != 0 || got.Trials != 0 || got.LogicalRate != 0 {
@@ -131,34 +128,31 @@ func TestMonteCarloUnknownEstimatorPanics(t *testing.T) {
 // TestNaiveCountsMatchFloat64Reference pins the naive estimator's fault
 // counts to the loop it replaced: per shard a rand.New stream seeded with
 // shardSeed, one rand.Float64() < p per qubit, then the table decode. It
-// covers both codes and bases, the montecarlo sweep's six rates plus a
+// covers both codes, the montecarlo sweep's six rates plus a
 // high one, several shards with a ragged tail, and two worker counts.
 func TestNaiveCountsMatchFloat64Reference(t *testing.T) {
 	const trials, seed = 3*mcShardTrials + 517, 29
 	for _, c := range Codes() {
-		for _, b := range []Basis{BasisX, BasisZ} {
-			d := c.decoder(b)
-			for _, p := range []float64{1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.3} {
-				want := 0
-				for s := 0; s*mcShardTrials < trials; s++ {
-					rng := rand.New(rand.NewSource(shardSeed(seed, s)))
-					for range min(mcShardTrials, trials-s*mcShardTrials) {
-						var e uint64
-						for q := 0; q < c.N; q++ {
-							if rng.Float64() < p {
-								e |= 1 << uint(q)
-							}
+		for _, p := range []float64{1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.3} {
+			want := 0
+			for s := 0; s*mcShardTrials < trials; s++ {
+				rng := rand.New(rand.NewSource(shardSeed(seed, s)))
+				for range min(mcShardTrials, trials-s*mcShardTrials) {
+					var e uint64
+					for q := 0; q < c.N; q++ {
+						if rng.Float64() < p {
+							e |= 1 << uint(q)
 						}
-						if d.fault(e) {
-							want++
-						}
+					}
+					if c.bitX.fault(e) {
+						want++
 					}
 				}
-				for _, w := range []int{1, 4} {
-					got := c.MonteCarlo(p, trials, seed, MC{Basis: b, Workers: w})
-					if got.FaultTrials != want {
-						t.Errorf("%s basis %d p=%g workers=%d: %d faulted trials, the Float64 reference counts %d", c.Name, b, p, w, got.FaultTrials, want)
-					}
+			}
+			for _, w := range []int{1, 4} {
+				got := c.MonteCarlo(p, trials, seed, MC{Workers: w})
+				if got.FaultTrials != want {
+					t.Errorf("%s p=%g workers=%d: %d faulted trials, the Float64 reference counts %d", c.Name, p, w, got.FaultTrials, want)
 				}
 			}
 		}

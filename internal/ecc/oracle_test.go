@@ -10,10 +10,10 @@ import (
 // ~6e-5 under the normal approximation.
 const oracleZ = 4
 
-// exactRate is the exact logical rate of c at the given concatenation level
-// for errors of basis b: the level-1 polynomial f applied level times.
-func exactRate(c *Code, b Basis, level int, p float64) float64 {
-	a := &c.decoder(b).faults
+// exactRate is the exact logical X-error rate of c at the given
+// concatenation level: the level-1 polynomial f applied level times.
+func exactRate(c *Code, level int, p float64) float64 {
+	a := &c.bitX.faults
 	for i := 0; i < level; i++ {
 		p = a.rate(c.N, p)
 	}
@@ -47,8 +47,8 @@ func TestAllowedMisses(t *testing.T) {
 }
 
 // TestExactOracleAcceptance checks every estimator against the exact
-// logical rate on the montecarlo sweep's grid: both codes, both bases, the
-// sweep's six physical rates and its 1M-trial budget, at fixed seeds. Each
+// logical rate on the montecarlo sweep's grid: both codes, the sweep's
+// six physical rates and its 1M-trial budget, at fixed seeds. Each
 // 95% interval [LogicalRate − CIZ·StdErr, RateBound] should contain the
 // exact rate; with one in twenty expected to miss, the test tolerates the
 // miss count a Binomial(N, 0.05) exceeds with probability at most 1e-3.
@@ -56,23 +56,20 @@ func TestExactOracleAcceptance(t *testing.T) {
 	const trials = 1000000
 	rates := []float64{1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2}
 	ests := []Estimator{Naive, BitSliced, Rare}
-	bases := []Basis{BasisX, BasisZ}
-	cells := len(Codes()) * len(bases) * len(ests) * len(rates)
+	cells := len(Codes()) * len(ests) * len(rates)
 	allowed := allowedMisses(cells, 0.05, 1e-3)
 	misses := 0
 	for ci, c := range Codes() {
-		for _, b := range bases {
-			for ei, est := range ests {
-				for pi, p := range rates {
-					seed := int64(1000*ci + 100*int(b) + 10*ei + pi)
-					r := c.MonteCarlo(p, trials, seed, MC{Basis: b, Estimator: est})
-					want := exactRate(c, b, 1, p)
-					lo := r.LogicalRate - CIZ*r.StdErr
-					if want < lo || want > r.RateBound {
-						misses++
-						t.Logf("%s basis %d estimator %d p=%g: exact %.4g outside [%.4g, %.4g] (%d trials)",
-							c.Short, b, est, p, want, lo, r.RateBound, r.Trials)
-					}
+		for ei, est := range ests {
+			for pi, p := range rates {
+				seed := int64(1000*ci + 10*ei + pi)
+				r := c.MonteCarlo(p, trials, seed, MC{Estimator: est})
+				want := exactRate(c, 1, p)
+				lo := r.LogicalRate - CIZ*r.StdErr
+				if want < lo || want > r.RateBound {
+					misses++
+					t.Logf("%s estimator %d p=%g: exact %.4g outside [%.4g, %.4g] (%d trials)",
+						c.Short, est, p, want, lo, r.RateBound, r.Trials)
 				}
 			}
 		}

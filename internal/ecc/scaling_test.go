@@ -45,7 +45,7 @@ func TestAreaScalesWithTrapSize(t *testing.T) {
 func TestCurrentParametersAreHopeless(t *testing.T) {
 	p0 := phys.Current().AverageFailure()
 	for _, c := range Codes() {
-		if c.BelowThreshold(p0) {
+		if p0 < c.Threshold() {
 			t.Errorf("%s: current p0=%.3g should exceed threshold %.3g", c.Short, p0, c.Threshold())
 		}
 		// Above threshold, "encoding" makes each level worse.

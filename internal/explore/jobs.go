@@ -98,6 +98,11 @@ type Job struct {
 	finished chan struct{} // closed once state is done or failed
 	created  time.Time     // when Submit admitted the job
 
+	// published is set, under Manager.mu, once the job's outcome is
+	// published: the record then counts toward Manager.finished and may be
+	// trimmed.
+	published bool
+
 	mu      sync.Mutex
 	state   JobState
 	started time.Time // when the job won an evaluation slot
@@ -186,12 +191,6 @@ func (j *Job) setProgress(done, total int) {
 	j.mu.Lock()
 	j.done, j.total = done, total
 	j.mu.Unlock()
-}
-
-func (j *Job) isFinished() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state == JobDone || j.state == JobFailed
 }
 
 // managerConfig carries the tunables shared by NewManager and NewServer.
@@ -311,6 +310,7 @@ type Manager struct {
 	seq      int
 	jobs     map[string]*Job
 	order    []*Job // creation order; oldest first
+	finished int    // records in order whose outcome is published
 	inflight map[string]*Job
 }
 
@@ -393,7 +393,6 @@ func (m *Manager) Submit(spec JobSpec, build func() (*Experiment, error)) (*Job,
 	m.met.queued.Inc()
 	m.wg.Add(1)
 	go m.run(j, exp)
-	m.trimLocked()
 	m.log.Info("job queued", "job", j.ID, "sweep", spec.Sweep, "engine", spec.Engine,
 		"phys", spec.Phys.Name, "seed", spec.Seed, "key", key)
 	return j, false, nil
@@ -422,7 +421,7 @@ func (m *Manager) lookupLocked(spec JobSpec, key string) (*Job, bool, error) {
 	j.done = total
 	j.doc = doc
 	close(j.finished)
-	m.trimLocked()
+	m.publishLocked(j)
 	m.log.Debug("job served from cache", "job", j.ID, "sweep", spec.Sweep, "key", key)
 	return j, true, nil
 }
@@ -519,7 +518,7 @@ func (m *Manager) finish(j *Job, doc []byte, err error) {
 	}
 	m.mu.Lock()
 	delete(m.inflight, j.Key) // failed jobs drop out too: the next request retries
-	m.trimLocked()
+	m.publishLocked(j)
 	m.mu.Unlock()
 	close(j.finished)
 }
@@ -547,27 +546,30 @@ func (m *Manager) Jobs() []JobStatus {
 // /v1/jobs. In-flight jobs are never evicted.
 const jobHistory = 256
 
-// trimLocked evicts the oldest finished job records beyond jobHistory;
-// m.mu must be held. Jobs still queued or running always survive.
-func (m *Manager) trimLocked() {
-	finished := 0
-	for _, j := range m.order {
-		if j.isFinished() {
-			finished++
-		}
-	}
-	if finished <= jobHistory {
+// publishLocked counts j's record as finished and evicts the oldest
+// finished records beyond jobHistory; m.mu must be held. Jobs still queued
+// or running always survive. Under the cap it returns without walking the
+// records, and over it the walk stops at the last eviction.
+func (m *Manager) publishLocked(j *Job) {
+	j.published = true
+	m.finished++
+	if m.finished <= jobHistory {
 		return
 	}
 	keep := m.order[:0]
-	for _, j := range m.order {
-		if finished > jobHistory && j.isFinished() {
-			delete(m.jobs, j.ID)
-			finished--
+	for i, o := range m.order {
+		if m.finished <= jobHistory {
+			keep = append(keep, m.order[i:]...)
+			break
+		}
+		if o.published {
+			delete(m.jobs, o.ID)
+			m.finished--
 			continue
 		}
-		keep = append(keep, j)
+		keep = append(keep, o)
 	}
+	clear(m.order[len(keep):]) // drop evicted records for the collector
 	m.order = keep
 }
 

@@ -524,6 +524,108 @@ func TestJobsHistoryCap(t *testing.T) {
 	}
 }
 
+// TestJobsHistoryTrimsOldestFinished: with in-flight jobs admitted at the
+// start, middle and end of a run of 256+k finished ones (one of them
+// failed), exactly the oldest k finished records are evicted and every
+// in-flight job is retained; once those finish, the cap holds again.
+func TestJobsHistoryTrimsOldestFinished(t *testing.T) {
+	gate := make(chan struct{})
+	gated := &explore.Experiment{
+		Name:  "t-trim-gated",
+		Title: "trim fixture",
+		Axes:  []explore.Axis{explore.Ints("i", 1)},
+		Eval: func(ctx context.Context, in explore.In) ([]explore.Metric, error) {
+			select {
+			case <-gate:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+			return []explore.Metric{{Name: "v", Value: 1}}, nil
+		},
+	}
+	quick := &explore.Experiment{
+		Name:  "t-trim-quick",
+		Title: "trim fixture",
+		Axes:  []explore.Axis{explore.Ints("i", 1)},
+		Eval: func(ctx context.Context, in explore.In) ([]explore.Metric, error) {
+			return []explore.Metric{{Name: "v", Value: 2}}, nil
+		},
+	}
+	failing := &explore.Experiment{
+		Name:  "t-trim-failing",
+		Title: "trim fixture",
+		Axes:  []explore.Axis{explore.Ints("i", 1)},
+		Eval: func(ctx context.Context, in explore.In) ([]explore.Metric, error) {
+			return nil, errors.New("fixture failure")
+		},
+	}
+	// Four slots: three gated jobs hold three while the quick and failing
+	// jobs run through the fourth.
+	m := explore.NewManager(explore.WithMaxEvaluations(4))
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		m.Shutdown(ctx)
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	const history, k = 256, 5
+	var finished []string
+	var inflight []*explore.Job
+	run := func(exp *explore.Experiment, seed int64) {
+		t.Helper()
+		j, _, err := submit(m, exp, explore.JobSpec{Phys: phys.Projected(), Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if exp == gated {
+			inflight = append(inflight, j)
+			return
+		}
+		j.Wait(ctx)
+		if st := j.Status().State; st != explore.JobDone && st != explore.JobFailed {
+			t.Fatalf("job %s is %s, want finished", j.ID, st)
+		}
+		finished = append(finished, j.ID)
+	}
+	run(quick, 1)
+	run(gated, 1)
+	run(failing, 1)
+	for len(finished) < history+k {
+		switch len(finished) {
+		case 100:
+			run(gated, 2)
+		case history + k - 1:
+			run(gated, 3)
+		}
+		run(quick, 1)
+	}
+	for i, id := range finished {
+		if _, ok := m.Job(id); ok != (i >= k) {
+			t.Errorf("finished job %d (%s): retained=%v, want only the oldest %d evicted", i, id, ok, k)
+		}
+	}
+	for _, j := range inflight {
+		if _, ok := m.Job(j.ID); !ok {
+			t.Errorf("in-flight job %s was evicted", j.ID)
+		}
+	}
+	if n := len(m.Jobs()); n != history+len(inflight) {
+		t.Errorf("retained %d jobs, want %d finished plus %d in flight", n, history, len(inflight))
+	}
+	// Each gated job that finishes pushes out the oldest finished record
+	// left; the cap still holds.
+	close(gate)
+	for _, j := range inflight {
+		if _, err := j.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(m.Jobs()); n != history {
+		t.Errorf("retained %d jobs once everything finished, want %d", n, history)
+	}
+}
+
 // TestJobsShutdownDrains: Shutdown rejects new work but lets the running
 // job finish, and reports a clean drain.
 func TestJobsShutdownDrains(t *testing.T) {

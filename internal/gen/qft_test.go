@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
-	"repro/internal/quantum"
 )
 
 // dftAmplitudes returns the exact DFT of the basis state |x⟩ over n qubits.
@@ -93,11 +92,13 @@ func TestQFTOnSuperposition(t *testing.T) {
 	// QFT of the uniform superposition is |0...0⟩.
 	rng := rand.New(rand.NewSource(19))
 	n := 4
-	st := quantum.NewState(n)
+	c := circuit.New(n)
 	for q := 0; q < n; q++ {
-		st.H(q)
+		c.AddH(q)
 	}
-	if err := circuit.SimulateState(InverseQFT(n, true), st, rng); err != nil {
+	c.AppendAll(InverseQFT(n, true))
+	st, err := circuit.Simulate(c, 0, rng)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if p := st.Probability(0); math.Abs(p-1) > 1e-9 {

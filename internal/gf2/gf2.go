@@ -1,7 +1,7 @@
 // Package gf2 provides dense linear algebra over GF(2), the two-element
 // field. It is the substrate for the stabilizer-code machinery in
-// internal/ecc: parity-check matrices, syndrome computation, rank and
-// null-space calculations all reduce to GF(2) row operations.
+// internal/ecc: parity-check matrices, syndrome computation and rank
+// calculations all reduce to GF(2) row operations.
 //
 // Vectors and matrices are stored as packed 64-bit words, so the row
 // operations used by Gaussian elimination are word-parallel.
@@ -19,8 +19,8 @@ import (
 // copying or returning one never allocates. Wider vectors spill into a
 // heap-backed word slice.
 //
-// The small-vector representation makes mutation methods (Set, Flip, Xor,
-// And) pointer-receiver methods: a value copy of a small vector is an
+// The small-vector representation makes the mutation methods (Set, Xor)
+// pointer-receiver methods: a value copy of a small vector is an
 // independent vector, so mutating a copy could never write back. Wide
 // vectors share their backing slice across value copies; treat copies as
 // read-only views and use Clone for an independent wide vector.
@@ -129,9 +129,6 @@ func (v *Vec) Set(i int, b bool) {
 	}
 }
 
-// Flip toggles the bit at index i.
-func (v *Vec) Flip(i int) { v.Set(i, !v.Bit(i)) }
-
 // Clone returns an independent copy of v.
 func (v Vec) Clone() Vec {
 	if v.small() {
@@ -153,20 +150,6 @@ func (v *Vec) Xor(u Vec) {
 	}
 	for i := range v.ext {
 		v.ext[i] ^= u.ext[i]
-	}
-}
-
-// And sets v = v AND u in place; the lengths must match.
-func (v *Vec) And(u Vec) {
-	if v.n != u.n {
-		panic(fmt.Sprintf("gf2: length mismatch %d vs %d", v.n, u.n))
-	}
-	if v.small() {
-		v.word &= u.word
-		return
-	}
-	for i := range v.ext {
-		v.ext[i] &= u.ext[i]
 	}
 }
 
@@ -225,17 +208,6 @@ func (v Vec) Equal(u Vec) bool {
 		}
 	}
 	return true
-}
-
-// Support returns the indices of the set bits, in increasing order.
-func (v Vec) Support() []int {
-	var idx []int
-	for i := 0; i < v.n; i++ {
-		if v.Bit(i) {
-			idx = append(idx, i)
-		}
-	}
-	return idx
 }
 
 // Uint64 packs the first min(64, Len) bits of v into a uint64, bit i of the
@@ -334,8 +306,7 @@ func (m *Matrix) Cols() int { return m.cols }
 
 // Row returns the i-th row vector. Treat it as read-only: a row of at
 // most 64 columns is an independent value copy (mutations never write
-// back), while a wider row still shares the matrix's storage. Mutate
-// through Matrix.Set instead.
+// back), while a wider row still shares the matrix's storage.
 func (m *Matrix) Row(i int) Vec {
 	if i < 0 || i >= m.rows {
 		panic(fmt.Sprintf("gf2: row index %d out of range [0,%d)", i, m.rows))
@@ -345,14 +316,6 @@ func (m *Matrix) Row(i int) Vec {
 
 // At returns the bit at (row i, column j).
 func (m *Matrix) At(i, j int) bool { return m.Row(i).Bit(j) }
-
-// Set assigns the bit at (row i, column j).
-func (m *Matrix) Set(i, j int, b bool) {
-	if i < 0 || i >= m.rows {
-		panic(fmt.Sprintf("gf2: row index %d out of range [0,%d)", i, m.rows))
-	}
-	m.data[i].Set(j, b)
-}
 
 // Clone returns a deep copy of the matrix.
 func (m *Matrix) Clone() *Matrix {
@@ -403,54 +366,6 @@ func (m *Matrix) Rank() int {
 		rank++
 	}
 	return rank
-}
-
-// NullSpace returns a basis of the right null space of m: every returned
-// vector x satisfies m·x = 0. For a stabilizer parity-check matrix the null
-// space spans the code (up to logical operators).
-func (m *Matrix) NullSpace() []Vec {
-	work := m.Clone()
-	pivotCol := make([]int, 0, work.rows)
-	rank := 0
-	for col := 0; col < work.cols && rank < work.rows; col++ {
-		pivot := -1
-		for r := rank; r < work.rows; r++ {
-			if work.data[r].Bit(col) {
-				pivot = r
-				break
-			}
-		}
-		if pivot < 0 {
-			continue
-		}
-		work.data[rank], work.data[pivot] = work.data[pivot], work.data[rank]
-		for r := 0; r < work.rows; r++ {
-			if r != rank && work.data[r].Bit(col) {
-				work.data[r].Xor(work.data[rank])
-			}
-		}
-		pivotCol = append(pivotCol, col)
-		rank++
-	}
-	isPivot := make([]bool, work.cols)
-	for _, c := range pivotCol {
-		isPivot[c] = true
-	}
-	var basis []Vec
-	for free := 0; free < work.cols; free++ {
-		if isPivot[free] {
-			continue
-		}
-		x := NewVec(work.cols)
-		x.Set(free, true)
-		for r, pc := range pivotCol {
-			if work.data[r].Bit(free) {
-				x.Set(pc, true)
-			}
-		}
-		basis = append(basis, x)
-	}
-	return basis
 }
 
 // String renders the matrix one row per line.

@@ -118,16 +118,6 @@ func (f *Floorplan) TotalAreaMM2() float64 {
 	return sum
 }
 
-// Region returns the placed rectangle of a kind, if present.
-func (f *Floorplan) Region(kind RegionKind) (Region, bool) {
-	for _, r := range f.Regions {
-		if r.Kind == kind {
-			return r, true
-		}
-	}
-	return Region{}, false
-}
-
 // Validate checks structural soundness: positive dimensions, regions within
 // the die, and no pairwise overlap.
 func (f *Floorplan) Validate() error {

@@ -11,6 +11,16 @@ import (
 	"repro/internal/gen"
 )
 
+// Region returns the placed rectangle of a kind, if present.
+func (f *Floorplan) Region(kind RegionKind) (Region, bool) {
+	for _, r := range f.Regions {
+		if r.Kind == kind {
+			return r, true
+		}
+	}
+	return Region{}, false
+}
+
 // machine is the paper's working point with the given code and block
 // budget.
 func machine(t *testing.T, code string, blocks int) *cqla.Machine {
@@ -133,6 +143,21 @@ func TestASCIIRendering(t *testing.T) {
 	// Tiny width still renders.
 	if f.ASCII(3) == "" {
 		t.Error("clamped width should render")
+	}
+}
+
+// TestASCIIEdgeColumns: a region narrower than one column still gets one
+// column of its glyph, and a region overhanging the die is clipped at its
+// right edge.
+func TestASCIIEdgeColumns(t *testing.T) {
+	f := &Floorplan{WidthMM: 100, HeightMM: 10, Regions: []Region{
+		{Kind: Memory, X: 0, W: 50, H: 10},
+		{Kind: Cache, X: 50, W: 0.1, H: 10},
+		{Kind: Transfer, X: 80, W: 40, H: 10},
+	}}
+	rows := strings.Split(f.ASCII(10), "\n")
+	if got := rows[1]; got != "MMMMM$..TT" {
+		t.Errorf("first grid row = %q, want MMMMM$..TT", got)
 	}
 }
 

@@ -72,7 +72,7 @@ func TestFixRoundTrip(t *testing.T) {
 	cfg := Config{DeterminismPkgs: map[string]bool{"fixmod": true}}
 
 	load := func() []*Package {
-		pkgs, err := Load(dir, "./...")
+		pkgs, err := LoadTags(dir, "", "./...")
 		if err != nil {
 			t.Fatalf("loading the temp module: %v", err)
 		}

@@ -26,7 +26,7 @@ func loadFixtures(t *testing.T, names ...string) []*Package {
 	for i, n := range names {
 		patterns[i] = "./testdata/src/" + n
 	}
-	pkgs, err := Load(".", patterns...)
+	pkgs, err := LoadTags(".", "", patterns...)
 	if err != nil {
 		t.Fatalf("loading fixtures %v: %v", names, err)
 	}
@@ -396,13 +396,13 @@ func TestStringRelative(t *testing.T) {
 }
 
 func TestLoadErrors(t *testing.T) {
-	if _, err := Load(".", "./testdata/src/nosuchpkg"); err == nil {
+	if _, err := LoadTags(".", "", "./testdata/src/nosuchpkg"); err == nil {
 		t.Error("loading a nonexistent package succeeded")
 	}
 
 	// A package that fails to type-check comes back as a LoadError whose
 	// diagnostics carry file:line positions — the exit-2 path CI logs.
-	_, err := Load(".", "./testdata/src/brokenfix")
+	_, err := LoadTags(".", "", "./testdata/src/brokenfix")
 	le, ok := err.(*LoadError)
 	if !ok {
 		t.Fatalf("broken package returned %T (%v), want *LoadError", err, err)

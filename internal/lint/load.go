@@ -72,19 +72,14 @@ func (e *LoadError) Error() string {
 	return fmt.Sprintf("lint: %d load errors:\n  %s", len(e.Diags), strings.Join(e.Diags, "\n  "))
 }
 
-// Load resolves the patterns with the go tool and returns the matched
-// packages parsed and type-checked. Dependencies — including the standard
-// library — are imported from compiler export data produced by
-// `go list -export`, so only the matched packages themselves are parsed;
-// the loader needs nothing beyond the standard library and an installed
-// go toolchain.
-func Load(dir string, patterns ...string) ([]*Package, error) {
-	return LoadTags(dir, "", patterns...)
-}
-
-// LoadTags is Load with a build-tag list (comma-separated, as the go
-// tool's -tags flag takes it) applied to package resolution, so trees
-// with tag-gated files lint the same configuration they build.
+// LoadTags resolves the patterns with the go tool and returns the matched
+// packages parsed and type-checked. The build-tag list (comma-separated,
+// as the go tool's -tags flag takes it; empty for none) applies to package
+// resolution, so trees with tag-gated files lint the same configuration
+// they build. Dependencies — including the standard library — are
+// imported from compiler export data produced by `go list -export`, so
+// only the matched packages themselves are parsed; the loader needs
+// nothing beyond the standard library and an installed go toolchain.
 func LoadTags(dir, tags string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}

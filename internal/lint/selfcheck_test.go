@@ -17,7 +17,7 @@ func TestRepositoryClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the whole module")
 	}
-	pkgs, err := Load("../..", "./...")
+	pkgs, err := LoadTags("../..", "", "./...")
 	if err != nil {
 		t.Fatalf("loading the repository: %v", err)
 	}
@@ -58,7 +58,7 @@ func TestRepositoryClean(t *testing.T) {
 // the purity walk must start from the evaluation method of each one, so
 // renaming that method cannot silently shrink what the analyzer checks.
 func TestPurityRootsEveryEngine(t *testing.T) {
-	pkgs, err := Load("../..", "./internal/arch")
+	pkgs, err := LoadTags("../..", "", "./internal/arch")
 	if err != nil {
 		t.Fatalf("loading internal/arch: %v", err)
 	}

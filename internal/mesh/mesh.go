@@ -32,25 +32,6 @@ func NewMeshFor(sites int) Mesh {
 	return Mesh{Rows: r, Cols: c}
 }
 
-// Sites returns the total number of grid sites.
-func (m Mesh) Sites() int { return m.Rows * m.Cols }
-
-// Distance returns the Manhattan hop count between two sites given by
-// linear index.
-func (m Mesh) Distance(a, b int) int {
-	ar, ac := a/m.Cols, a%m.Cols
-	br, bc := b/m.Cols, b%m.Cols
-	return abs(ar-br) + abs(ac-bc)
-}
-
-// AvgDistance returns the exact mean Manhattan distance between two
-// uniformly random distinct sites: (rows+cols)/3 for large grids.
-func (m Mesh) AvgDistance() float64 {
-	// E|x1-x2| over uniform pairs on {0..k-1} is (k²-1)/(3k).
-	ed := func(k int) float64 { return (float64(k)*float64(k) - 1) / (3 * float64(k)) }
-	return ed(m.Rows) + ed(m.Cols)
-}
-
 // Bisection returns the bisection width in links (the smaller grid
 // dimension) — the mesh's hard bandwidth ceiling for all-to-all traffic.
 func (m Mesh) Bisection() int {
@@ -58,13 +39,6 @@ func (m Mesh) Bisection() int {
 		return m.Rows
 	}
 	return m.Cols
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // PurifyFidelity applies one round of entanglement purification to an EPR

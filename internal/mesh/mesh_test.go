@@ -23,38 +23,9 @@ func TestNewMeshFor(t *testing.T) {
 		if m.Rows != c.rows || m.Cols != c.cols {
 			t.Errorf("NewMeshFor(%d) = %dx%d, want %dx%d", c.sites, m.Rows, m.Cols, c.rows, c.cols)
 		}
-		if m.Sites() < c.sites {
-			t.Errorf("mesh for %d sites holds only %d", c.sites, m.Sites())
+		if m.Rows*m.Cols < c.sites {
+			t.Errorf("mesh for %d sites holds only %d", c.sites, m.Rows*m.Cols)
 		}
-	}
-}
-
-func TestDistance(t *testing.T) {
-	m := Mesh{Rows: 4, Cols: 5}
-	if d := m.Distance(0, 0); d != 0 {
-		t.Errorf("self distance = %d", d)
-	}
-	// Site 0 = (0,0); site 19 = (3,4): distance 7.
-	if d := m.Distance(0, 19); d != 7 {
-		t.Errorf("corner distance = %d, want 7", d)
-	}
-	if m.Distance(0, 19) != m.Distance(19, 0) {
-		t.Error("distance not symmetric")
-	}
-}
-
-func TestAvgDistanceMatchesBruteForce(t *testing.T) {
-	m := Mesh{Rows: 3, Cols: 4}
-	sum := 0
-	n := m.Sites()
-	for a := 0; a < n; a++ {
-		for b := 0; b < n; b++ {
-			sum += m.Distance(a, b)
-		}
-	}
-	brute := float64(sum) / float64(n*n)
-	if math.Abs(m.AvgDistance()-brute) > 1e-9 {
-		t.Errorf("AvgDistance = %g, brute force %g", m.AvgDistance(), brute)
 	}
 }
 

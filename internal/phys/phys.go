@@ -87,10 +87,6 @@ type Params struct {
 	// ops holds duration and failure rate per fundamental operation.
 	ops [numOps]OpParams
 
-	// MoveFailurePerMicron is the per-micron failure probability of
-	// ballistic transport; Table 1 quotes movement failure this way.
-	MoveFailurePerMicron float64
-
 	// MemoryTime is the idle coherence lifetime of a trapped-ion qubit.
 	MemoryTime time.Duration
 
@@ -111,16 +107,16 @@ type Params struct {
 // Table 1 (NIST, 9Be+ data ions with 24Mg+ sympathetic cooling).
 func Current() Params {
 	p := Params{
-		Name:                 "current",
-		MoveFailurePerMicron: 0.005,
-		MemoryTime:           10 * time.Second,
-		TrapSizeMicron:       200,
-		ElectrodesPerRegion:  10,
-		CycleTime:            200 * time.Microsecond,
+		Name:                "current",
+		MemoryTime:          10 * time.Second,
+		TrapSizeMicron:      200,
+		ElectrodesPerRegion: 10,
+		CycleTime:           200 * time.Microsecond,
 	}
 	p.ops[SingleGate] = OpParams{1 * time.Microsecond, 1e-4}
 	p.ops[DoubleGate] = OpParams{10 * time.Microsecond, 0.03}
 	p.ops[Measure] = OpParams{200 * time.Microsecond, 0.01}
+	// Table 1 quotes movement failure per micron: 0.005 over a 200 µm trap.
 	p.ops[Move] = OpParams{20 * time.Microsecond, 0.005 * 200}
 	p.ops[Split] = OpParams{200 * time.Microsecond, 0}
 	p.ops[Cool] = OpParams{200 * time.Microsecond, 0}
@@ -133,12 +129,11 @@ func Current() Params {
 // 1e-6 per fundamental move across a 5 µm trap.
 func Projected() Params {
 	p := Params{
-		Name:                 "projected",
-		MoveFailurePerMicron: 5e-8,
-		MemoryTime:           100 * time.Second,
-		TrapSizeMicron:       5,
-		ElectrodesPerRegion:  10,
-		CycleTime:            10 * time.Microsecond,
+		Name:                "projected",
+		MemoryTime:          100 * time.Second,
+		TrapSizeMicron:      5,
+		ElectrodesPerRegion: 10,
+		CycleTime:           10 * time.Microsecond,
 	}
 	p.ops[SingleGate] = OpParams{1 * time.Microsecond, 1e-8}
 	p.ops[DoubleGate] = OpParams{10 * time.Microsecond, 1e-7}
@@ -181,32 +176,9 @@ func (p Params) RegionAreaMM2() float64 {
 	return pitch * pitch
 }
 
-// Cycles converts a duration to a whole number of fundamental clock cycles,
-// rounding up; every physical operation occupies at least one cycle.
-func (p Params) Cycles(d time.Duration) int {
-	if d <= 0 {
-		return 0
-	}
-	n := int((d + p.CycleTime - 1) / p.CycleTime)
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// Duration converts a cycle count back to wall-clock time.
+// Duration converts a cycle count to wall-clock time.
 func (p Params) Duration(cycles int) time.Duration {
 	return time.Duration(cycles) * p.CycleTime
-}
-
-// MoveFailure returns the failure probability of transporting an ion over
-// the given distance in microns, from the per-micron rate.
-func (p Params) MoveFailure(distanceMicron float64) float64 {
-	f := p.MoveFailurePerMicron * distanceMicron
-	if f > 1 {
-		f = 1
-	}
-	return f
 }
 
 // AverageFailure returns the arithmetic mean of the failure probabilities of

@@ -58,43 +58,13 @@ func TestRegionGeometry(t *testing.T) {
 	}
 }
 
-func TestCyclesRounding(t *testing.T) {
-	p := Projected()
-	cases := []struct {
-		d    time.Duration
-		want int
-	}{
-		{0, 0},
-		{1 * time.Nanosecond, 1},
-		{10 * time.Microsecond, 1},
-		{11 * time.Microsecond, 2},
-		{100 * time.Microsecond, 10},
-		{1540 * time.Microsecond, 154},
-	}
-	for _, c := range cases {
-		if got := p.Cycles(c.d); got != c.want {
-			t.Errorf("Cycles(%v) = %d, want %d", c.d, got, c.want)
-		}
-	}
-}
-
 func TestDurationRoundTrip(t *testing.T) {
 	p := Projected()
 	for _, cycles := range []int{1, 10, 154, 30000} {
 		d := p.Duration(cycles)
-		if got := p.Cycles(d); got != cycles {
-			t.Errorf("Cycles(Duration(%d)) = %d", cycles, got)
+		if got := int(d / (10 * time.Microsecond)); got != cycles || d%(10*time.Microsecond) != 0 {
+			t.Errorf("Duration(%d) = %v, not %d cycles of 10µs", cycles, d, cycles)
 		}
-	}
-}
-
-func TestMoveFailureScalesWithDistance(t *testing.T) {
-	p := Projected()
-	if got, want := p.MoveFailure(50), 50*5e-8; math.Abs(got-want) > 1e-18 {
-		t.Errorf("MoveFailure(50) = %g, want %g", got, want)
-	}
-	if got := p.MoveFailure(1e12); got != 1 {
-		t.Errorf("MoveFailure should clamp to 1, got %g", got)
 	}
 }
 

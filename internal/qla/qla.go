@@ -31,11 +31,8 @@ type Model struct {
 	Params phys.Params
 }
 
-// New returns the paper's baseline: Steane [[7,1,3]] at level 2 on
-// projected ion-trap parameters.
-func New() Model { return NewWith(phys.Projected()) }
-
-// NewWith returns the baseline at the given technology point, so a CQLA
+// NewWith returns the paper's baseline, Steane [[7,1,3]] at level 2, at
+// the given technology point (the paper uses phys.Projected()), so a CQLA
 // evaluated on currently demonstrated parameters is normalized against a
 // QLA built from the same technology rather than always the projected one.
 func NewWith(p phys.Params) Model {

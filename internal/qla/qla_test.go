@@ -3,17 +3,19 @@ package qla
 import (
 	"testing"
 	"time"
+
+	"repro/internal/phys"
 )
 
 func TestBaselineIdentity(t *testing.T) {
-	m := New()
+	m := NewWith(phys.Projected())
 	if m.Code.Short != "[[7,1,3]]" || m.Level != 2 {
 		t.Errorf("baseline should be Steane at level 2, got %s L%d", m.Code.Short, m.Level)
 	}
 }
 
 func TestSlotTimeIsLevel2EC(t *testing.T) {
-	m := New()
+	m := NewWith(phys.Projected())
 	want := m.Code.ECTime(2, m.Params)
 	if m.SlotTime() != want {
 		t.Errorf("slot time %v, want %v", m.SlotTime(), want)
@@ -25,7 +27,7 @@ func TestSlotTimeIsLevel2EC(t *testing.T) {
 }
 
 func TestAreaScalesLinearly(t *testing.T) {
-	m := New()
+	m := NewWith(phys.Projected())
 	a1 := m.AreaMM2(100)
 	a2 := m.AreaMM2(200)
 	if a2 != 2*a1 {
@@ -42,7 +44,7 @@ func TestQLAFactorsOneSquareMeter(t *testing.T) {
 	// The paper's motivating number: ~1 m² to factor a 1024-bit number.
 	// With Q = 5n+3 logical qubits the homogeneous QLA floorplan lands at
 	// that order of magnitude.
-	m := New()
+	m := NewWith(phys.Projected())
 	area := m.AreaMM2(5*1024 + 3)
 	square := area / 1e6 // m²
 	if square < 0.1 || square > 1.0 {
@@ -51,7 +53,7 @@ func TestQLAFactorsOneSquareMeter(t *testing.T) {
 }
 
 func TestAdderTime(t *testing.T) {
-	m := New()
+	m := NewWith(phys.Projected())
 	if got := m.AdderTime(100); got != 100*m.SlotTime() {
 		t.Errorf("adder time = %v", got)
 	}

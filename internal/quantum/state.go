@@ -1,8 +1,9 @@
 // Package quantum is a dense state-vector simulator for small quantum
-// registers. The CQLA reproduction uses it as ground truth: circuits emitted
-// by internal/gen (the Draper carry-lookahead adder, the ripple-carry adder,
-// the QFT) are executed here to prove they compute the right function before
-// their schedules are fed to the architecture model.
+// registers. Its one caller is circuit.Simulate, behind `qcirc sim`: the
+// CQLA reproduction uses it as ground truth, executing circuits emitted by
+// internal/gen (the Draper carry-lookahead adder, the ripple-carry adder,
+// the QFT) to prove they compute the right function before their schedules
+// are fed to the architecture model.
 //
 // The simulator is deliberately simple — a complex128 amplitude per basis
 // state, gates applied by direct index arithmetic — because the circuits it
@@ -45,46 +46,15 @@ func NewBasisState(n int, value uint64) *State {
 	return s
 }
 
-// NumQubits returns the register width.
-func (s *State) NumQubits() int { return s.n }
-
 // Amplitude returns the amplitude of basis state |i⟩.
 func (s *State) Amplitude(i uint64) complex128 {
 	return s.amp[i]
-}
-
-// Clone returns an independent copy of the state.
-func (s *State) Clone() *State {
-	c := &State{n: s.n, amp: make([]complex128, len(s.amp))}
-	copy(c.amp, s.amp)
-	return c
-}
-
-// Norm returns the 2-norm of the state vector; 1 for any valid state.
-func (s *State) Norm() float64 {
-	sum := 0.0
-	for _, a := range s.amp {
-		sum += real(a)*real(a) + imag(a)*imag(a)
-	}
-	return math.Sqrt(sum)
 }
 
 // Probability returns |⟨i|ψ⟩|².
 func (s *State) Probability(i uint64) float64 {
 	a := s.amp[i]
 	return real(a)*real(a) + imag(a)*imag(a)
-}
-
-// Fidelity returns |⟨ψ|φ⟩|² between two states of equal width.
-func (s *State) Fidelity(o *State) float64 {
-	if s.n != o.n {
-		panic("quantum: fidelity between different register widths")
-	}
-	var ip complex128
-	for i := range s.amp {
-		ip += cmplx.Conj(s.amp[i]) * o.amp[i]
-	}
-	return real(ip)*real(ip) + imag(ip)*imag(ip)
 }
 
 func (s *State) checkQubit(q int) {
@@ -138,11 +108,6 @@ func (s *State) T(q int) {
 // Tdg applies the inverse of T.
 func (s *State) Tdg(q int) {
 	s.Apply1Q(q, 1, 0, 0, cmplx.Exp(complex(0, -math.Pi/4)))
-}
-
-// Phase applies diag(1, e^{iθ}) to qubit q.
-func (s *State) Phase(q int, theta float64) {
-	s.Apply1Q(q, 1, 0, 0, cmplx.Exp(complex(0, theta)))
 }
 
 // CNOT applies a controlled-NOT with the given control and target.
@@ -214,23 +179,6 @@ func (s *State) Toffoli(c1, c2, target int) {
 	}
 }
 
-// Swap exchanges qubits a and b.
-func (s *State) Swap(a, b int) {
-	s.checkQubit(a)
-	s.checkQubit(b)
-	if a == b {
-		return
-	}
-	abit := uint64(1) << uint(a)
-	bbit := uint64(1) << uint(b)
-	for i := uint64(0); i < uint64(len(s.amp)); i++ {
-		if i&abit != 0 && i&bbit == 0 {
-			j := (i &^ abit) | bbit
-			s.amp[i], s.amp[j] = s.amp[j], s.amp[i]
-		}
-	}
-}
-
 // Measure performs a projective measurement of qubit q in the computational
 // basis using the supplied random source, collapses the state, and returns
 // the observed bit.
@@ -269,17 +217,6 @@ func (s *State) Measure(q int, rng *rand.Rand) int {
 		}
 	}
 	return outcome
-}
-
-// MeasureAll measures every qubit and returns the observed basis value.
-func (s *State) MeasureAll(rng *rand.Rand) uint64 {
-	var v uint64
-	for q := 0; q < s.n; q++ {
-		if s.Measure(q, rng) == 1 {
-			v |= 1 << uint(q)
-		}
-	}
-	return v
 }
 
 // DominantBasisState returns the basis index with the largest probability

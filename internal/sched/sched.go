@@ -51,18 +51,6 @@ func (r Result) Profile(c *circuit.Circuit) []int {
 	return prof
 }
 
-// PeakParallelism returns the maximum number of concurrently executing
-// instructions in the schedule.
-func (r Result) PeakParallelism(c *circuit.Circuit) int {
-	peak := 0
-	for _, w := range r.Profile(c) {
-		if w > peak {
-			peak = w
-		}
-	}
-	return peak
-}
-
 // ListSchedule runs critical-path-first list scheduling of the circuit onto
 // the given number of compute blocks; blocks <= 0 means unlimited (the
 // schedule then equals the ASAP schedule). Instructions become ready when
@@ -205,17 +193,6 @@ func UtilizationSweep(d *circuit.DAG, blockCounts []int) []float64 {
 		out[i] = ListSchedule(d, k).Utilization()
 	}
 	return out
-}
-
-// SpeedupVsUnlimited returns makespan(unlimited)/makespan(blocks): 1.0 when
-// the block budget captures all available parallelism. Figure 2's message
-// is that 15 blocks suffice for the 64-qubit adder.
-func SpeedupVsUnlimited(d *circuit.DAG, blocks int) float64 {
-	limited := ListSchedule(d, blocks)
-	if limited.MakespanSlots == 0 {
-		return 1
-	}
-	return float64(d.Depth()) / float64(limited.MakespanSlots)
 }
 
 // KneeBlocks returns the smallest block count whose makespan is within

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -96,6 +97,18 @@ func TestUtilizationDecreasesWithBlocks(t *testing.T) {
 	}
 }
 
+// speedup returns makespan(unlimited)/makespan(blocks) for a non-empty
+// circuit: 1.0 when the block budget captures all available parallelism.
+func speedup(d *circuit.DAG, blocks int) float64 {
+	return float64(d.Depth()) / float64(ListSchedule(d, blocks).MakespanSlots)
+}
+
+// peak returns the maximum number of concurrently executing instructions
+// in the schedule.
+func peak(r Result, c *circuit.Circuit) int {
+	return slices.Max(r.Profile(c))
+}
+
 func TestFigure2FewBlocksSuffice(t *testing.T) {
 	// The paper's Figure 2 claim: limiting the 64-qubit adder to a small
 	// fixed number of compute blocks (15 in the paper) leaves the total
@@ -104,14 +117,14 @@ func TestFigure2FewBlocksSuffice(t *testing.T) {
 	// variant), so its knee sits slightly higher: 15 blocks still reach
 	// ~80% of unlimited speed and ~25 blocks reach parity.
 	d := circuit.BuildDAG(gen.CarryLookahead(64).Circuit)
-	if s := SpeedupVsUnlimited(d, 15); s < 0.75 {
+	if s := speedup(d, 15); s < 0.75 {
 		t.Errorf("15 blocks reach only %.2f of unlimited speed", s)
 	}
-	if s := SpeedupVsUnlimited(d, 25); s < 0.98 {
+	if s := speedup(d, 25); s < 0.98 {
 		t.Errorf("25 blocks reach only %.2f of unlimited speed", s)
 	}
 	// And with far fewer blocks the adder does slow down.
-	if s2 := SpeedupVsUnlimited(d, 2); s2 > 0.5 {
+	if s2 := speedup(d, 2); s2 > 0.5 {
 		t.Errorf("2 blocks should clearly hurt, got %.2f", s2)
 	}
 }
@@ -132,12 +145,12 @@ func TestFig2Shape(t *testing.T) {
 		t.Errorf("15 blocks: %d slots vs %d unlimited", limited.MakespanSlots, unlimited.MakespanSlots)
 	}
 	// Peak unlimited parallelism is tens of gates (Figure 2 peaks ~55).
-	if peak := unlimited.PeakParallelism(d.Circuit()); peak < 20 {
-		t.Errorf("peak parallelism %d, expected tens of gates", peak)
+	if p := peak(unlimited, d.Circuit()); p < 20 {
+		t.Errorf("peak parallelism %d, expected tens of gates", p)
 	}
 	// Limited profile never exceeds the block budget.
-	if peak := limited.PeakParallelism(d.Circuit()); peak > 15 {
-		t.Errorf("limited profile exceeds 15 blocks: %d", peak)
+	if p := peak(limited, d.Circuit()); p > 15 {
+		t.Errorf("limited profile exceeds 15 blocks: %d", p)
 	}
 }
 
@@ -177,7 +190,7 @@ func TestPeakParallelismRespectsBudget(t *testing.T) {
 	d := circuit.BuildDAG(gen.CarryLookahead(32).Circuit)
 	for _, k := range []int{1, 3, 7, 15} {
 		r := ListSchedule(d, k)
-		if p := r.PeakParallelism(d.Circuit()); p > k {
+		if p := peak(r, d.Circuit()); p > k {
 			t.Errorf("peak %d exceeds budget %d", p, k)
 		}
 	}
@@ -285,12 +298,14 @@ func TestValidateRejectsBrokenSchedules(t *testing.T) {
 	if u := ListSchedule(empty, 3).Utilization(); u != 0 {
 		t.Errorf("empty schedule utilization = %v, want 0", u)
 	}
-	if s := SpeedupVsUnlimited(empty, 3); s != 1 {
-		t.Errorf("empty schedule speedup = %v, want 1", s)
-	}
-	// A negative tolerance puts the target below the unlimited makespan:
-	// no budget meets it, so the search caps at one block per instruction.
+	// The target rounds up to whole slots: at depth 1 a tolerance of -0.5
+	// still targets one slot, which only one block per instruction meets.
 	if k := KneeBlocks(ind, -0.5); k != 4 {
+		t.Errorf("KneeBlocks(one-slot target) = %d, want 4", k)
+	}
+	// A tolerance of -1 targets zero slots, which no budget meets: the
+	// doubling search passes the instruction count and caps there.
+	if k := KneeBlocks(ind, -1); k != 4 {
 		t.Errorf("KneeBlocks(unreachable target) = %d, want 4", k)
 	}
 }

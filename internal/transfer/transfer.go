@@ -76,24 +76,6 @@ var table3 = [4][4]float64{
 	{0.4, 0.9, 0.4, 0},
 }
 
-// Network is the code-transfer fabric between the CQLA's memory, cache and
-// compute regions.
-type Network struct {
-	// ParallelTransfers is the number of logical qubits that can be in
-	// flight simultaneously between memory and cache (the "Par Xfer"
-	// parameter of Table 5).
-	ParallelTransfers int
-}
-
-// NewNetwork returns a transfer network supporting the given number of
-// simultaneous transfers; the paper studies 5 and 10.
-func NewNetwork(parallel int) *Network {
-	if parallel < 1 {
-		panic("transfer: need at least one transfer channel")
-	}
-	return &Network{ParallelTransfers: parallel}
-}
-
 // Latency returns the time to teleport one logical qubit from one encoding
 // to another. Transfers within the same encoding are free at this
 // granularity (ordinary data teleportation handles them and is overlapped
@@ -124,18 +106,6 @@ func MustLatency(from, to Encoding) time.Duration {
 // fast level-1 region.
 func RoundTrip(high, low Encoding) time.Duration {
 	return MustLatency(high, low) + MustLatency(low, high)
-}
-
-// BatchTime returns the time to move n logical qubits from one encoding to
-// another through this network, with ParallelTransfers qubits in flight at
-// once.
-func (nw *Network) BatchTime(n int, from, to Encoding) time.Duration {
-	if n <= 0 {
-		return 0
-	}
-	lat := MustLatency(from, to)
-	batches := (n + nw.ParallelTransfers - 1) / nw.ParallelTransfers
-	return time.Duration(batches) * lat
 }
 
 // Encodings lists the four encodings of Table 3, in table order.

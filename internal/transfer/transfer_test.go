@@ -99,33 +99,3 @@ func TestLatencyUnsupportedEncoding(t *testing.T) {
 		t.Error("expected error for unsupported level")
 	}
 }
-
-func TestBatchTimeParallelism(t *testing.T) {
-	from := Encoding{Code: "[[7,1,3]]", Level: 2}
-	to := Encoding{Code: "[[7,1,3]]", Level: 1}
-	nw5 := NewNetwork(5)
-	nw10 := NewNetwork(10)
-	// 20 qubits: 4 batches at width 5, 2 batches at width 10.
-	if got := nw5.BatchTime(20, from, to); got != 4*sec(1.3) {
-		t.Errorf("width-5 batch time = %v", got)
-	}
-	if got := nw10.BatchTime(20, from, to); got != 2*sec(1.3) {
-		t.Errorf("width-10 batch time = %v", got)
-	}
-	if nw10.BatchTime(0, from, to) != 0 {
-		t.Error("zero qubits should take zero time")
-	}
-	// Ceiling behaviour.
-	if got := nw10.BatchTime(11, from, to); got != 2*sec(1.3) {
-		t.Errorf("11 qubits over 10 channels = %v, want 2 batches", got)
-	}
-}
-
-func TestNewNetworkPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	NewNetwork(0)
-}
