@@ -39,7 +39,7 @@ func TestPlanCircuit(t *testing.T) {
 	}
 
 	bad := circuit.New(2)
-	bad.Append(circuit.Instr{Kind: circuit.X, Qubits: [3]int{-1}})
+	bad.Append(circuit.Instr{Kind: circuit.X, Qubits: [3]int32{-1}})
 	for _, tc := range []struct {
 		name string
 		c    *circuit.Circuit

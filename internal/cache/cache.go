@@ -107,27 +107,27 @@ func newLRU(numQubits, capacity int) *lru {
 }
 
 // contains reports residency without changing recency.
-func (l *lru) contains(q int) bool { return l.resident[q>>6]&(1<<(q&63)) != 0 }
+func (l *lru) contains(q int32) bool { return l.resident[q>>6]&(1<<(q&63)) != 0 }
 
 // touch makes q resident and most recent, evicting the LRU entry if needed.
 // It reports whether q was already resident and the qubit evicted to make
 // room for it, or -1.
-func (l *lru) touch(q int) (hit bool, evicted int) {
+func (l *lru) touch(q int32) (hit bool, evicted int32) {
 	if l.contains(q) {
-		if l.head != int32(q) {
-			l.unlink(int32(q))
-			l.pushFront(int32(q))
+		if l.head != q {
+			l.unlink(q)
+			l.pushFront(q)
 		}
 		return true, -1
 	}
 	evicted = -1
 	if l.size >= l.capacity {
-		evicted = int(l.tail)
+		evicted = l.tail
 		l.unlink(l.tail)
 		l.resident[evicted>>6] &^= 1 << (evicted & 63)
 		l.size--
 	}
-	l.pushFront(int32(q))
+	l.pushFront(q)
 	l.resident[q>>6] |= 1 << (q & 63)
 	l.size++
 	return false, evicted
@@ -241,7 +241,7 @@ func simulateOptimized(c *circuit.Circuit, cfg Config) Result {
 		for _, s := range d.Succs(i) {
 			remaining[s]--
 			if remaining[s] == 0 {
-				f.push(s)
+				f.push(int(s))
 			}
 		}
 	}

@@ -280,7 +280,7 @@ func refSimulateOrder(c *circuit.Circuit, cfg Config, order []int) Result {
 		full := true
 		for _, q := range in.Operands() {
 			res.Accesses++
-			if l.touch(q) {
+			if l.touch(int(q)) {
 				res.Hits++
 			} else {
 				full = false
@@ -318,7 +318,7 @@ func refSimulateOptimized(c *circuit.Circuit, cfg Config) Result {
 			cached := 0
 			ops := c.Instr(i).Operands()
 			for _, q := range ops {
-				if l.contains(q) {
+				if l.contains(int(q)) {
 					cached++
 				}
 			}
@@ -336,7 +336,7 @@ func refSimulateOptimized(c *circuit.Circuit, cfg Config) Result {
 		full := true
 		for _, q := range in.Operands() {
 			res.Accesses++
-			if l.touch(q) {
+			if l.touch(int(q)) {
 				res.Hits++
 			} else {
 				full = false
@@ -348,7 +348,7 @@ func refSimulateOptimized(c *circuit.Circuit, cfg Config) Result {
 		for _, s := range d.Succs(i) {
 			remaining[s]--
 			if remaining[s] == 0 {
-				ready = append(ready, s)
+				ready = append(ready, int(s))
 			}
 		}
 	}

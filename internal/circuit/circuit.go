@@ -15,8 +15,9 @@ import (
 	"slices"
 )
 
-// Kind enumerates logical gate kinds.
-type Kind int
+// Kind enumerates logical gate kinds. It is one byte, so an Instr packs
+// into 24.
+type Kind uint8
 
 const (
 	// X is the logical bit-flip.
@@ -72,7 +73,7 @@ const ToffoliSlots = 15
 
 // String returns the lower-case mnemonic of the kind.
 func (k Kind) String() string {
-	if k < 0 || k >= numKinds {
+	if k >= numKinds {
 		return fmt.Sprintf("circuit.Kind(%d)", int(k))
 	}
 	return kindInfo[k].name
@@ -85,14 +86,18 @@ func (k Kind) Arity() int { return kindInfo[k].arity }
 func (k Kind) Slots() int { return kindInfo[k].slots }
 
 // Instr is one logical instruction. Qubits is Arity() logical qubit
-// indices; Angle is used only by CPhase.
+// indices; Angle is used only by CPhase. The layout is 24 bytes: a one-byte
+// Kind, three int32 operands (so a qubit index is at most math.MaxInt32)
+// and the float64 angle. A QFT(1000)'s 500,500 gates fill 12 MB.
 type Instr struct {
 	Kind   Kind
-	Qubits [3]int
+	Qubits [3]int32
 	Angle  float64
 }
 
-// NewInstr builds an instruction, validating arity and operand distinctness.
+// NewInstr builds an instruction, validating arity, operand range (0 to
+// math.MaxInt32) and operand distinctness. It does not retain qubits, so
+// the variadic argument list of a call stays on the caller's stack.
 func NewInstr(k Kind, qubits ...int) Instr {
 	if len(qubits) != k.Arity() {
 		panic(fmt.Sprintf("circuit: %v takes %d operands, got %d", k, k.Arity(), len(qubits)))
@@ -103,18 +108,32 @@ func NewInstr(k Kind, qubits ...int) Instr {
 		if q < 0 {
 			panic(fmt.Sprintf("circuit: negative qubit %d", q))
 		}
+		if q > math.MaxInt32 {
+			panic(fmt.Sprintf("circuit: qubit %d exceeds the operand limit %d", q, math.MaxInt32))
+		}
 		for j := 0; j < i; j++ {
 			if qubits[j] == q {
-				panic(fmt.Sprintf("circuit: %v operands must be distinct, got %v", k, qubits))
+				var ops [3]int
+				copy(ops[:], qubits)
+				panicDuplicate(k, ops, len(qubits))
 			}
 		}
-		in.Qubits[i] = q
+		in.Qubits[i] = int32(q)
 	}
 	return in
 }
 
+// panicDuplicate reports repeated operands with the first n of ops, the
+// whole operand list. It takes them by value and is never inlined, so
+// formatting the message cannot make NewInstr's argument list escape.
+//
+//go:noinline
+func panicDuplicate(k Kind, ops [3]int, n int) {
+	panic(fmt.Sprintf("circuit: %v operands must be distinct, got %v", k, ops[:n]))
+}
+
 // Operands returns the active qubit operands as a slice.
-func (in Instr) Operands() []int {
+func (in Instr) Operands() []int32 {
 	return in.Qubits[:in.Kind.Arity()]
 }
 
@@ -164,8 +183,8 @@ func (c *Circuit) Instrs() []Instr { return c.instrs }
 // Append adds an instruction, growing the register if an operand exceeds it.
 func (c *Circuit) Append(in Instr) {
 	for _, q := range in.Operands() {
-		if q >= c.numQubits {
-			c.numQubits = q + 1
+		if int(q) >= c.numQubits {
+			c.numQubits = int(q) + 1
 		}
 	}
 	c.instrs = append(c.instrs, in)
@@ -258,6 +277,7 @@ func (c *Circuit) Stats() Stats {
 // each gate inverted. Panics if the circuit contains measurements.
 func (c *Circuit) Reversed() *Circuit {
 	r := New(c.numQubits)
+	r.Grow(len(c.instrs))
 	for i := len(c.instrs) - 1; i >= 0; i-- {
 		in := c.instrs[i]
 		switch in.Kind {
@@ -269,8 +289,8 @@ func (c *Circuit) Reversed() *Circuit {
 			in.Kind = T
 		case S:
 			// S† = Z·S (diag(1,i) composed with diag(1,-1) is diag(1,-i)).
-			r.AddZ(in.Qubits[0])
-			r.AddS(in.Qubits[0])
+			r.AddZ(int(in.Qubits[0]))
+			r.AddS(int(in.Qubits[0]))
 			continue
 		case CPhase:
 			in.Angle = -in.Angle
@@ -283,11 +303,11 @@ func (c *Circuit) Reversed() *Circuit {
 // Validate checks operand ranges and arities.
 func (c *Circuit) Validate() error {
 	for i, in := range c.instrs {
-		if in.Kind < 0 || in.Kind >= numKinds {
+		if in.Kind >= numKinds {
 			return fmt.Errorf("circuit: instruction %d has invalid kind %d", i, int(in.Kind))
 		}
 		for _, q := range in.Operands() {
-			if q < 0 || q >= c.numQubits {
+			if q < 0 || int(q) >= c.numQubits {
 				return fmt.Errorf("circuit: instruction %d operand %d out of range [0,%d)", i, q, c.numQubits)
 			}
 		}

@@ -1,11 +1,14 @@
 package circuit
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestInstrConstruction(t *testing.T) {
@@ -21,23 +24,80 @@ func TestInstrConstruction(t *testing.T) {
 	}
 }
 
-func TestInstrPanics(t *testing.T) {
-	cases := []func(){
-		func() { NewInstr(CNOT, 0) },       // wrong arity
-		func() { NewInstr(CNOT, 1, 1) },    // duplicate operands
-		func() { NewInstr(X, -1) },         // negative qubit
-		func() { NewInstr(Toffoli, 0, 1) }, // wrong arity
-		func() { NewInstr(Measure, 0, 1) }, // wrong arity
+// TestInstrLayout pins the compact instruction: a one-byte Kind, three
+// int32 operands and the float64 angle pack into 24 bytes.
+func TestInstrLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Instr{}); got != 24 {
+		t.Errorf("sizeof(Instr) = %d, want 24", got)
 	}
-	for i, f := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d: expected panic", i)
-				}
-			}()
-			f()
-		}()
+}
+
+// panicText runs f and returns the message it panics with, or "" if it
+// returns normally.
+func panicText(f func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	f()
+	return ""
+}
+
+// TestInstrPanics pins NewInstr's panic texts, the duplicate operand
+// message included: it formats the whole operand list, although the
+// operands reach it by value.
+func TestInstrPanics(t *testing.T) {
+	for _, tc := range []struct {
+		f    func()
+		want string
+	}{
+		{func() { NewInstr(CNOT, 0) }, "circuit: cnot takes 2 operands, got 1"},
+		{func() { NewInstr(Toffoli, 0, 1) }, "circuit: toffoli takes 3 operands, got 2"},
+		{func() { NewInstr(Measure, 0, 1) }, "circuit: measure takes 1 operands, got 2"},
+		{func() { NewInstr(X, -1) }, "circuit: negative qubit -1"},
+		{func() { NewInstr(CNOT, 4, -2) }, "circuit: negative qubit -2"},
+		{func() { NewInstr(CNOT, 1, 1) }, "circuit: cnot operands must be distinct, got [1 1]"},
+		{func() { NewInstr(Toffoli, 0, 0, 5) }, "circuit: toffoli operands must be distinct, got [0 0 5]"},
+		{func() { NewInstr(Toffoli, 4, 2, 4) }, "circuit: toffoli operands must be distinct, got [4 2 4]"},
+	} {
+		if got := panicText(tc.f); got != tc.want {
+			t.Errorf("panic %q, want %q", got, tc.want)
+		}
+	}
+	if strconv.IntSize == 64 {
+		var big int64 = math.MaxInt32 + 1
+		want := "circuit: qubit 2147483648 exceeds the operand limit 2147483647"
+		if got := panicText(func() { NewInstr(CNOT, 0, int(big)) }); got != want {
+			t.Errorf("panic %q, want %q", got, want)
+		}
+	}
+	if in := NewInstr(X, math.MaxInt32); in.Qubits[0] != math.MaxInt32 {
+		t.Errorf("operand %d, want the limit %d itself", in.Qubits[0], math.MaxInt32)
+	}
+}
+
+// TestCheckDAGBound: the int32 arena holds up to math.MaxInt32 of each
+// instruction index, edge offset and start slot, and one more of any
+// panics with the counts.
+func TestCheckDAGBound(t *testing.T) {
+	checkDAGBound(math.MaxInt32, math.MaxInt32, math.MaxInt32) // at the bound: no panic
+	if strconv.IntSize < 64 {
+		t.Skip("an int cannot exceed the bound")
+	}
+	var over int64 = math.MaxInt32 + 1
+	big := int(over)
+	for _, tc := range []struct {
+		n, edges, slots int
+		want            string
+	}{
+		{big, 0, 0, "circuit: 2147483648 instructions, 0 dependency edges and 0 slots exceed the DAG's int32 bound of 2147483647"},
+		{1, big, 0, "circuit: 1 instructions, 2147483648 dependency edges and 0 slots exceed the DAG's int32 bound of 2147483647"},
+		{1, 0, big, "circuit: 1 instructions, 0 dependency edges and 2147483648 slots exceed the DAG's int32 bound of 2147483647"},
+	} {
+		if got := panicText(func() { checkDAGBound(tc.n, tc.edges, tc.slots) }); got != tc.want {
+			t.Errorf("checkDAGBound(%d, %d, %d) panic %q, want %q", tc.n, tc.edges, tc.slots, got, tc.want)
+		}
 	}
 }
 
@@ -345,14 +405,23 @@ func TestTextRoundTripProperty(t *testing.T) {
 
 func TestValidateCatchesOutOfRange(t *testing.T) {
 	c := New(2)
-	c.instrs = append(c.instrs, Instr{Kind: CNOT, Qubits: [3]int{0, 5, 0}})
+	c.instrs = append(c.instrs, Instr{Kind: CNOT, Qubits: [3]int32{0, 5, 0}})
 	if err := c.Validate(); err == nil {
 		t.Error("expected range error")
 	}
 	c2 := New(2)
-	c2.instrs = append(c2.instrs, Instr{Kind: CPhase, Qubits: [3]int{0, 1, 0}, Angle: math.NaN()})
+	c2.instrs = append(c2.instrs, Instr{Kind: CPhase, Qubits: [3]int32{0, 1, 0}, Angle: math.NaN()})
 	if err := c2.Validate(); err == nil {
 		t.Error("expected angle error")
+	}
+	// Kind is unsigned, so an invalid kind is one at or above numKinds.
+	c3 := New(2)
+	c3.instrs = append(c3.instrs, Instr{Kind: Kind(200)})
+	if err := c3.Validate(); err == nil || err.Error() != "circuit: instruction 0 has invalid kind 200" {
+		t.Errorf("Validate() = %v, want the invalid-kind error", err)
+	}
+	if got := Kind(200).String(); got != "circuit.Kind(200)" {
+		t.Errorf("Kind(200).String() = %q", got)
 	}
 }
 

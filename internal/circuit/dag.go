@@ -1,5 +1,10 @@
 package circuit
 
+import (
+	"fmt"
+	"math"
+)
+
 // DAG is the data-dependency graph of a circuit: instruction j depends on
 // instruction i when they share a qubit and i precedes j in program order
 // (quantum gates on a common qubit never commute at this modeling
@@ -9,25 +14,28 @@ package circuit
 // window into one flat index slice addressed through an offset table, so a
 // build performs a fixed, small number of allocations regardless of circuit
 // size, and BuildDAGInto can rebuild into an existing DAG with none at all.
-// The accessor API (Deps, Succs, ASAPStart, Profile, ...) is unchanged from
-// the per-instruction-slice representation it replaced.
+//
+// Every index in the arena is an int32, half the bytes of an int: an
+// instruction index, an edge offset or a start slot. So a circuit's
+// instruction count, dependency-edge count and total slots must each be
+// at most math.MaxInt32; BuildDAGInto panics past that bound.
 type DAG struct {
 	c *Circuit
 
 	// arena is the single backing allocation all index slices below are
 	// carved from; it is retained so BuildDAGInto can reuse its capacity.
-	arena []int
+	arena []int32
 
-	deps    []int // flat dependency lists, deps[depOff[i]:depOff[i+1]]
-	succs   []int // flat successor lists, succs[succOff[i]:succOff[i+1]]
-	depOff  []int // len(c.Len())+1 offsets into deps
-	succOff []int // len(c.Len())+1 offsets into succs
-	asap    []int // earliest start slot of each instruction
-	depth   int   // critical path length in slots
+	deps    []int32 // flat dependency lists, deps[depOff[i]:depOff[i+1]]
+	succs   []int32 // flat successor lists, succs[succOff[i]:succOff[i+1]]
+	depOff  []int32 // len(c.Len())+1 offsets into deps
+	succOff []int32 // len(c.Len())+1 offsets into succs
+	asap    []int32 // earliest start slot of each instruction
+	depth   int     // critical path length in slots
 
 	// scratch holds the last-instruction-per-qubit table during builds; it
 	// is dead outside BuildDAGInto and retained only to amortize reuse.
-	scratch []int
+	scratch []int32
 }
 
 // BuildDAG constructs the dependency graph and ASAP schedule of c.
@@ -49,7 +57,7 @@ func BuildDAGInto(d *DAG, c *Circuit) *DAG {
 
 	if cap(d.scratch) < nq {
 		//lint:ignore-cqla noalloc arena growth on first build or a larger circuit; steady-state rebuilds reuse capacity
-		d.scratch = make([]int, nq)
+		d.scratch = make([]int32, nq)
 	}
 	last := d.scratch[:nq]
 	for q := range last {
@@ -60,10 +68,10 @@ func BuildDAGInto(d *DAG, c *Circuit) *DAG {
 	// distinct last-writers of its operands (arity <= 3, so deduplication is
 	// a couple of comparisons), and every dependency edge is also exactly
 	// one successor edge.
-	edges := 0
+	edges, slots := 0, 0
 	instrs := c.Instrs()
 	for i := range instrs {
-		d0, d1 := -1, -1
+		var d0, d1 int32 = -1, -1
 		for _, q := range instrs[i].Operands() {
 			if p := last[q]; p >= 0 && p != d0 && p != d1 {
 				if d0 < 0 {
@@ -73,16 +81,18 @@ func BuildDAGInto(d *DAG, c *Circuit) *DAG {
 				}
 				edges++
 			}
-			last[q] = i
+			last[q] = int32(i)
 		}
+		slots += instrs[i].Slots()
 	}
+	checkDAGBound(n, edges, slots)
 
 	// Carve every index slice from one arena: the two flat edge lists, the
 	// two offset tables and the ASAP schedule.
 	need := 2*edges + 2*(n+1) + n
 	if cap(d.arena) < need {
 		//lint:ignore-cqla noalloc arena growth on first build or a larger circuit; steady-state rebuilds reuse capacity
-		d.arena = make([]int, need)
+		d.arena = make([]int32, need)
 	}
 	a := d.arena[:need]
 	d.deps, a = a[:edges], a[edges:]
@@ -101,7 +111,7 @@ func BuildDAGInto(d *DAG, c *Circuit) *DAG {
 	for i := range d.succOff {
 		d.succOff[i] = 0
 	}
-	pos := 0
+	var pos int32
 	for i := range instrs {
 		d.depOff[i] = pos
 		for _, q := range instrs[i].Operands() {
@@ -110,16 +120,16 @@ func BuildDAGInto(d *DAG, c *Circuit) *DAG {
 				pos++
 				d.succOff[p+1]++
 			}
-			last[q] = i
+			last[q] = int32(i)
 		}
-		start := 0
+		var start int32
 		for _, p := range d.deps[d.depOff[i]:pos] {
-			if end := d.asap[p] + instrs[p].Slots(); end > start {
+			if end := d.asap[p] + int32(instrs[p].Slots()); end > start {
 				start = end
 			}
 		}
 		d.asap[i] = start
-		if end := start + instrs[i].Slots(); end > d.depth {
+		if end := int(start) + instrs[i].Slots(); end > d.depth {
 			d.depth = end
 		}
 	}
@@ -134,7 +144,7 @@ func BuildDAGInto(d *DAG, c *Circuit) *DAG {
 	}
 	for i := 0; i < n; i++ {
 		for _, p := range d.deps[d.depOff[i]:d.depOff[i+1]] {
-			d.succs[d.succOff[p]] = i
+			d.succs[d.succOff[p]] = int32(i)
 			d.succOff[p]++
 		}
 	}
@@ -143,9 +153,18 @@ func BuildDAGInto(d *DAG, c *Circuit) *DAG {
 	return d
 }
 
+// checkDAGBound panics when a circuit of n instructions, edges dependency
+// edges and slots total slots would overflow the int32 arena: instruction
+// indices, edge offsets and start slots (no start exceeds the total).
+func checkDAGBound(n, edges, slots int) {
+	if n > math.MaxInt32 || edges > math.MaxInt32 || slots > math.MaxInt32 {
+		panic(fmt.Sprintf("circuit: %d instructions, %d dependency edges and %d slots exceed the DAG's int32 bound of %d", n, edges, slots, math.MaxInt32))
+	}
+}
+
 // contains reports whether the (at most two-element) dependency window
 // already holds p.
-func contains(deps []int, p int) bool {
+func contains(deps []int32, p int32) bool {
 	for _, v := range deps {
 		if v == p {
 			return true
@@ -158,14 +177,14 @@ func contains(deps []int, p int) bool {
 func (d *DAG) Circuit() *Circuit { return d.c }
 
 // Deps returns the dependency list of instruction i.
-func (d *DAG) Deps(i int) []int { return d.deps[d.depOff[i]:d.depOff[i+1]] }
+func (d *DAG) Deps(i int) []int32 { return d.deps[d.depOff[i]:d.depOff[i+1]] }
 
 // Succs returns the successors of instruction i.
-func (d *DAG) Succs(i int) []int { return d.succs[d.succOff[i]:d.succOff[i+1]] }
+func (d *DAG) Succs(i int) []int32 { return d.succs[d.succOff[i]:d.succOff[i+1]] }
 
 // ASAPStart returns the earliest possible start slot of instruction i under
 // unlimited resources.
-func (d *DAG) ASAPStart(i int) int { return d.asap[i] }
+func (d *DAG) ASAPStart(i int) int { return int(d.asap[i]) }
 
 // Depth returns the critical-path length in two-qubit-gate slots: the
 // makespan achievable with unlimited compute resources. This is the
@@ -199,7 +218,7 @@ func (d *DAG) MaxParallelism() int {
 func (d *DAG) Profile() []int {
 	prof := make([]int, d.depth)
 	for i, in := range d.c.Instrs() {
-		for t := d.asap[i]; t < d.asap[i]+in.Slots(); t++ {
+		for t := int(d.asap[i]); t < int(d.asap[i])+in.Slots(); t++ {
 			prof[t]++
 		}
 	}

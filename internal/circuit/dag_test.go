@@ -3,6 +3,7 @@ package circuit
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -94,10 +95,10 @@ func equivalent(t *testing.T, name string, c *Circuit) {
 		t.Errorf("%s: depth %d, want %d", name, got.Depth(), want.depth)
 	}
 	for i := 0; i < c.Len(); i++ {
-		if g, w := got.Deps(i), want.deps[i]; !sameInts(g, w) {
+		if g, w := got.Deps(i), want.deps[i]; !sameIndices(g, w) {
 			t.Errorf("%s: Deps(%d) = %v, want %v", name, i, g, w)
 		}
-		if g, w := got.Succs(i), want.succs[i]; !sameInts(g, w) {
+		if g, w := got.Succs(i), want.succs[i]; !sameIndices(g, w) {
 			t.Errorf("%s: Succs(%d) = %v, want %v", name, i, g, w)
 		}
 		if got.ASAPStart(i) != want.asap[i] {
@@ -106,12 +107,14 @@ func equivalent(t *testing.T, name string, c *Circuit) {
 	}
 }
 
-func sameInts(a, b []int) bool {
+// sameIndices reports whether the arena's int32 index list a holds the
+// reference list b, element for element.
+func sameIndices(a []int32, b []int) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if a[i] != b[i] {
+		if int(a[i]) != b[i] {
 			return false
 		}
 	}
@@ -149,7 +152,7 @@ func TestBuildDAGIntoReuses(t *testing.T) {
 	BuildDAGInto(d, small)
 	fresh := BuildDAG(small)
 	for i := 0; i < small.Len(); i++ {
-		if !sameInts(d.Deps(i), fresh.Deps(i)) || !sameInts(d.Succs(i), fresh.Succs(i)) {
+		if !slices.Equal(d.Deps(i), fresh.Deps(i)) || !slices.Equal(d.Succs(i), fresh.Succs(i)) {
 			t.Fatalf("rebuilt DAG diverges from fresh build at instruction %d", i)
 		}
 	}

@@ -27,7 +27,7 @@ func Simulate(c *Circuit, initial uint64, rng *rand.Rand) (*quantum.State, error
 }
 
 func applyInstr(s *quantum.State, in Instr, rng *rand.Rand) {
-	q := in.Qubits
+	q := [3]int{int(in.Qubits[0]), int(in.Qubits[1]), int(in.Qubits[2])}
 	switch in.Kind {
 	case X:
 		s.X(q[0])

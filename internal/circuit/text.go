@@ -225,11 +225,11 @@ func parseInstr(f *[maxFields]string, n, numQubits, lineNo int) (Instr, error) {
 			return Instr{}, parseErrorf(lineNo, "qubit %d outside the declared register [0,%d)", q, numQubits)
 		}
 		for j := 0; j < i; j++ {
-			if in.Qubits[j] == q {
+			if int(in.Qubits[j]) == q {
 				return Instr{}, parseErrorf(lineNo, "%s operands must be distinct, got %s twice", f[0], f[1+i])
 			}
 		}
-		in.Qubits[i] = q
+		in.Qubits[i] = int32(q) // q < numQubits <= MaxQubits
 	}
 	if kind == CPhase {
 		angle, err := strconv.ParseFloat(f[n-1], 64)

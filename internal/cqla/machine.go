@@ -150,14 +150,18 @@ func (m *Machine) MemoryTileAreaMM2() float64 {
 	data := float64(c.DataIons(2))
 	anc := float64(c.AncillaIons(2))
 	total := data + anc
-	return full * (data + anc/MemoryShareRatio) / total
+	// anc/8 compiles to a multiply; float64(…) rounds it so that no GOARCH
+	// fuses it into the add (scripts/fma-check.sh).
+	return full * (data + float64(anc/MemoryShareRatio)) / total
 }
 
 // ComputeAreaMM2 returns the area of the level-2 compute region: blocks of
 // 9 data + 18 ancilla logical qubits with their interconnect.
 func (m *Machine) ComputeAreaMM2() float64 {
 	perBlock := float64(BlockDataQubits+BlockAncillaQubits) * m.cfg.Code.AreaMM2(2, m.cfg.Params)
-	return float64(m.cfg.ComputeBlocks) * perBlock * ComputeInterconnectFactor
+	// x*2 compiles to x+x; float64(…) keeps fusing GOARCHes from folding
+	// the product into that add (scripts/fma-check.sh).
+	return float64(float64(m.cfg.ComputeBlocks)*perBlock) * ComputeInterconnectFactor
 }
 
 // L1ComputeAreaMM2 returns the area of the level-1 compute region: blocks
@@ -168,7 +172,8 @@ func (m *Machine) ComputeAreaMM2() float64 {
 // disagree.
 func (m *Machine) L1ComputeAreaMM2() float64 {
 	l1Qubit := m.cfg.Code.AreaMM2(1, m.cfg.Params)
-	return float64(m.cfg.ComputeBlocks) * float64(BlockDataQubits+BlockAncillaQubits) * l1Qubit * ComputeInterconnectFactor
+	// float64(…): see ComputeAreaMM2.
+	return float64(float64(m.cfg.ComputeBlocks)*float64(BlockDataQubits+BlockAncillaQubits)*l1Qubit) * ComputeInterconnectFactor
 }
 
 // CacheAreaMM2 returns the area of the level-1 cache: CacheFactor times
@@ -199,7 +204,7 @@ func (m *Machine) HierarchyAreaMM2() float64 {
 // number of logical data qubits in memory; withHierarchy adds the level-1
 // tier.
 func (m *Machine) AreaMM2(logicalQubits int, withHierarchy bool) float64 {
-	area := float64(logicalQubits)*m.MemoryTileAreaMM2() + m.ComputeAreaMM2()
+	area := float64(float64(logicalQubits)*m.MemoryTileAreaMM2()) + m.ComputeAreaMM2() // float64: no fused multiply-add
 	if withHierarchy {
 		area += m.HierarchyAreaMM2()
 	}

@@ -68,7 +68,7 @@ func TestEveryQubitFetchedAtLeastOnce(t *testing.T) {
 	touched := map[int]bool{}
 	for _, in := range ad.Circuit.Instrs() {
 		for _, q := range in.Operands() {
-			touched[q] = true
+			touched[int(q)] = true
 		}
 	}
 	if s.Transports != len(touched) {

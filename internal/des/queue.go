@@ -1,23 +1,24 @@
 package des
 
-// intQueue is a FIFO of ints over a reusable backing slice. Pops advance a
+// intQueue is a FIFO of int32 indices (instructions and qubits, both below
+// 2^31 by circuit's bounds) over a reusable backing slice. Pops advance a
 // head index instead of reslicing away the prefix (the old `q = q[1:]`
 // idiom strands capacity and forces append to reallocate), and the dead
 // prefix is recycled when it outgrows the live region, so a queue sized at
 // construction never allocates again.
 type intQueue struct {
-	buf  []int
+	buf  []int32
 	head int
 }
 
 func newIntQueue(capacity int) *intQueue {
-	return &intQueue{buf: make([]int, 0, capacity)}
+	return &intQueue{buf: make([]int32, 0, capacity)}
 }
 
 func (q *intQueue) len() int { return len(q.buf) - q.head }
 
 //cqla:noalloc
-func (q *intQueue) push(v int) {
+func (q *intQueue) push(v int32) {
 	if q.head == len(q.buf) {
 		q.buf, q.head = q.buf[:0], 0
 	} else if q.head > len(q.buf)-q.head {
@@ -28,13 +29,13 @@ func (q *intQueue) push(v int) {
 }
 
 //cqla:noalloc
-func (q *intQueue) pop() int {
+func (q *intQueue) pop() int32 {
 	v := q.buf[q.head]
 	q.head++
 	return v
 }
 
-func (q *intQueue) peek() int { return q.buf[q.head] }
+func (q *intQueue) peek() int32 { return q.buf[q.head] }
 
 // eventLane is a fixed-capacity FIFO ring of events that all share one
 // duration. Events are pushed at the current simulated time plus that

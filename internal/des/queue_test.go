@@ -70,7 +70,7 @@ func TestEventLanesPopTotalOrder(t *testing.T) {
 // TestIntQueueFIFO checks ordering and the in-place compaction path.
 func TestIntQueueFIFO(t *testing.T) {
 	q := newIntQueue(4)
-	next, want := 0, 0
+	var next, want int32
 	rng := rand.New(rand.NewSource(5))
 	for round := 0; round < 5000; round++ {
 		if q.len() == 0 || rng.Intn(3) > 0 {
@@ -82,7 +82,7 @@ func TestIntQueueFIFO(t *testing.T) {
 			}
 			want++
 		}
-		if q.len() != next-want {
+		if q.len() != int(next-want) {
 			t.Fatalf("len = %d, want %d", q.len(), next-want)
 		}
 		if q.len() > 0 && q.peek() != want {

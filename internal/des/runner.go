@@ -129,7 +129,7 @@ func (r *Runner) reset() {
 	for i := 0; i < r.c.Len(); i++ {
 		r.remaining[i] = int32(len(r.d.Deps(i)))
 		if r.remaining[i] == 0 {
-			r.pending.push(i)
+			r.pending.push(int32(i))
 		}
 	}
 }
@@ -152,7 +152,8 @@ func (r *Runner) stage() {
 		i := r.pending.pop()
 		r.window++
 		var miss int32
-		for _, q := range r.c.Instr(i).Operands() {
+		for _, op := range r.c.Instr(int(i)).Operands() {
+			q := int(op)
 			r.res.pin(q)
 			if r.res.contains(q) {
 				r.res.touch(q)
@@ -160,10 +161,10 @@ func (r *Runner) stage() {
 			}
 			miss++
 			if len(r.waiters[q]) == 0 {
-				r.fetchQueue.push(q)
+				r.fetchQueue.push(op)
 			}
 			//lint:ignore-cqla noalloc waiter lists reach their high-water mark on the first run and reuse the backing array after
-			r.waiters[q] = append(r.waiters[q], int32(i))
+			r.waiters[q] = append(r.waiters[q], i)
 		}
 		r.missing[i] = miss
 		if miss == 0 {
@@ -175,7 +176,7 @@ func (r *Runner) stage() {
 //cqla:noalloc
 func (r *Runner) startFetches() {
 	for r.freeChannels > 0 && r.fetchQueue.len() > 0 {
-		q := r.fetchQueue.peek()
+		q := int(r.fetchQueue.peek())
 		if !r.res.admit(q) {
 			break // all residents pinned; retried after pins release
 		}
@@ -196,7 +197,7 @@ func (r *Runner) startInstrs() {
 		k := int(r.lane[i])
 		dur := r.laneTime[k]
 		r.stats.ComputeBusy += dur
-		r.pushEvent(k, r.now+dur, evInstrDone, i)
+		r.pushEvent(k, r.now+dur, evInstrDone, int(i))
 	}
 }
 
@@ -258,7 +259,7 @@ func (r *Runner) Run(ctx context.Context) (Stats, error) {
 			for _, i := range r.waiters[q] {
 				r.missing[i]--
 				if r.missing[i] == 0 {
-					r.readyRun.push(int(i))
+					r.readyRun.push(i)
 				}
 			}
 			r.waiters[q] = r.waiters[q][:0] // keep the backing array for refetches
@@ -267,7 +268,7 @@ func (r *Runner) Run(ctx context.Context) (Stats, error) {
 			r.done++
 			i := ev.id
 			for _, q := range r.c.Instr(i).Operands() {
-				r.res.unpin(q)
+				r.res.unpin(int(q))
 			}
 			for _, s := range r.d.Succs(i) {
 				r.remaining[s]--

@@ -118,7 +118,9 @@ func makeProb(p float64) mcProb {
 	}
 	frac, exp := math.Frexp(p) // p = frac * 2^exp, frac in [0.5, 1)
 	z := -exp                  // leading zero digits of the expansion
-	mant := uint64(frac * (1 << 53))
+	// float64(…) keeps riscv64 from fusing the product into the float to
+	// uint64 conversion's subtract (scripts/fma-check.sh).
+	mant := uint64(float64(frac * (1 << 53)))
 	tz := bits.TrailingZeros64(mant)
 	if nd := z + 53 - tz; nd <= 64 {
 		pr.digits = mant >> uint(tz) << uint(64-nd)

@@ -93,7 +93,7 @@ func binomialResult(p float64, trials, faults int) MonteCarloResult {
 	T := float64(trials)
 	res.LogicalRate = float64(faults) / T
 	res.StdErr = math.Sqrt(res.LogicalRate * (1 - res.LogicalRate) / T)
-	res.RateBound = res.LogicalRate + CIZ*res.StdErr
+	res.RateBound = res.LogicalRate + float64(CIZ*res.StdErr) // float64: no fused multiply-add (scripts/fma-check.sh)
 	if faults == 0 {
 		res.RateBound = 3 / T
 	}

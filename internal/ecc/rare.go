@@ -71,8 +71,11 @@ func rareFromHist(n, minFaultWeight int, p, q float64, trials int, hist *weightH
 		}
 		res.FaultTrials += int(cnt)
 		w := weightAt(n, k, p, q)
-		sumW += float64(cnt) * w
-		sumW2 += float64(cnt) * w * w
+		// Each float64(…) rounds a product before its add, so no GOARCH
+		// fuses the two and the estimate has the same bits everywhere
+		// (scripts/fma-check.sh).
+		sumW += float64(float64(cnt) * w)
+		sumW2 += float64(float64(cnt) * w * w)
 	}
 	if trials <= 0 {
 		return res
@@ -80,7 +83,7 @@ func rareFromHist(n, minFaultWeight int, p, q float64, trials int, hist *weightH
 	T := float64(trials)
 	mean := sumW / T
 	res.LogicalRate = mean
-	if v := sumW2/T - mean*mean; v > 0 {
+	if v := sumW2/T - float64(mean*mean); v > 0 {
 		res.StdErr = math.Sqrt(v / T)
 	}
 	if res.FaultTrials == 0 {
@@ -89,7 +92,7 @@ func rareFromHist(n, minFaultWeight int, p, q float64, trials int, hist *weightH
 		// least (d+1)/2 errors to fault, and w(k) decreases in k for p < q.
 		res.RateBound = weightAt(n, minFaultWeight, p, q) * 3 / T
 	} else {
-		res.RateBound = res.LogicalRate + CIZ*res.StdErr
+		res.RateBound = res.LogicalRate + float64(CIZ*res.StdErr)
 	}
 	return res
 }

@@ -69,7 +69,9 @@ func CarryLookahead(n int) *Adder {
 	p := alloc(n)
 	g := alloc(n)
 
-	var ancilla []int
+	// The tree has n-1 internal nodes, each allocating a (G, P) pair on the
+	// up-sweep and a carry on the down-sweep: 3(n-1) ancilla beyond p and g.
+	ancilla := make([]int, 0, 2*n+3*(n-1))
 	ancilla = append(ancilla, p...)
 	ancilla = append(ancilla, g...)
 	allocOne := func() int {
@@ -78,12 +80,25 @@ func CarryLookahead(n int) *Adder {
 		ancilla = append(ancilla, q)
 		return q
 	}
+	// Every node of the 2n-1 node tree lives in one backing array, which
+	// never regrows, so the node pointers stay valid.
+	nodes := make([]claNode, 0, 2*n-1)
+	newNode := func(v claNode) *claNode {
+		nodes = append(nodes, v)
+		return &nodes[len(nodes)-1]
+	}
 
 	// Phase circuits; the uncompute phases are their reverses (every gate
-	// involved is self-inverse).
-	gp := circuit.New(0)    // generate/propagate computation
+	// involved is self-inverse). Each reserves its gate count: 3 per bit
+	// for gp; per internal node, 3 on the up-sweep and at most 2 on the
+	// down-sweep; 2n for the sums (n-1 bits have a carry in, plus the
+	// carry out).
+	gp := circuit.New(0) // generate/propagate computation
+	gp.Grow(3 * n)
 	sweep := circuit.New(0) // tree up-sweep + carry down-sweep
-	sums := circuit.New(0)  // CNOTs into the sum register (not uncomputed)
+	sweep.Grow(5 * (n - 1))
+	sums := circuit.New(0) // CNOTs into the sum register (not uncomputed)
+	sums.Grow(2 * n)
 
 	for i := 0; i < n; i++ {
 		gp.AddCNOT(a[i], p[i])
@@ -97,12 +112,12 @@ func CarryLookahead(n int) *Adder {
 	var build func(lo, hi int) *claNode
 	build = func(lo, hi int) *claNode {
 		if hi-lo == 1 {
-			return &claNode{lo: lo, hi: hi, g: g[lo], p: p[lo], cmid: -1}
+			return newNode(claNode{lo: lo, hi: hi, g: g[lo], p: p[lo], cmid: -1})
 		}
 		mid := lo + (hi-lo+1)/2
 		left := build(lo, mid)
 		right := build(mid, hi)
-		node := &claNode{lo: lo, hi: hi, left: left, right: right, cmid: -1}
+		node := newNode(claNode{lo: lo, hi: hi, left: left, right: right, cmid: -1})
 		node.g = allocOne()
 		node.p = allocOne()
 		sweep.AddToffoli(right.p, left.g, node.g)
@@ -145,6 +160,7 @@ func CarryLookahead(n int) *Adder {
 	sums.AddCNOT(root.g, sum[n])
 
 	c := circuit.New(next)
+	c.Grow(2*gp.Len() + 2*sweep.Len() + sums.Len())
 	c.AppendAll(gp)
 	c.AppendAll(sweep)
 	c.AppendAll(sums)
@@ -188,6 +204,7 @@ func RippleCarry(n int) *Adder {
 	next++
 
 	c := circuit.New(next)
+	c.Grow(6*n + 1) // n MAJ and n UMA blocks of 3 gates, and the carry-out CNOT
 	maj := func(x, y, z int) {
 		c.AddCNOT(z, y)
 		c.AddCNOT(z, x)

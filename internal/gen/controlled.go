@@ -36,6 +36,7 @@ func ControlledCarryLookahead(n int) *ControlledAdder {
 		fan[i] = control + 1 + i
 	}
 	c := circuit.New(control + 1 + copies)
+	c.Grow(base.Circuit.Len() + 2*copies)
 	for _, f := range fan {
 		c.AddCNOT(control, f)
 	}
@@ -49,8 +50,8 @@ func ControlledCarryLookahead(n int) *ControlledAdder {
 	}
 	next := 0
 	for _, in := range base.Circuit.Instrs() {
-		if in.Kind.String() == "cnot" && inSum[in.Qubits[1]] {
-			c.AddToffoli(fan[next%copies], in.Qubits[0], in.Qubits[1])
+		if ctl, tgt := int(in.Qubits[0]), int(in.Qubits[1]); in.Kind == circuit.CNOT && inSum[tgt] {
+			c.AddToffoli(fan[next%copies], ctl, tgt)
 			next++
 			continue
 		}

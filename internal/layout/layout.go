@@ -113,7 +113,7 @@ func Build(m *cqla.Machine, inputBits int, hierarchy bool) (*Floorplan, error) {
 func (f *Floorplan) TotalAreaMM2() float64 {
 	sum := 0.0
 	for _, r := range f.Regions {
-		sum += r.AreaMM2()
+		sum += float64(r.AreaMM2()) // float64: no fused multiply-add (scripts/fma-check.sh)
 	}
 	return sum
 }

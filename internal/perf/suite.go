@@ -254,6 +254,15 @@ func init() {
 		},
 	})
 	mustRegister(Benchmark{
+		Name: "GenerateQFT256",
+		Doc:  "one generation of the 256-qubit QFT with bit reversal (33,280 gates), the per-gate cost every QFT point pays before its DAG",
+		F: func(b *B) {
+			for i := 0; i < b.N; i++ {
+				gen.QFT(256, true)
+			}
+		},
+	})
+	mustRegister(Benchmark{
 		Name: "BuildDAGInto",
 		Doc:  "rebuilding the 64-bit adder DAG into a reused arena (zero allocations)",
 		F: func(b *B) {

@@ -93,7 +93,7 @@ func oracleListSchedule(d *circuit.DAG, blocks int) sched.Result {
 			for _, s := range d.Succs(e.instr) {
 				remainingDeps[s]--
 				if remainingDeps[s] == 0 {
-					ready.Push(s)
+					ready.Push(int(s))
 				}
 			}
 		}

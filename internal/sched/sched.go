@@ -59,7 +59,9 @@ func (r Result) Profile(c *circuit.Circuit) []int {
 // the lower index. The circuit must respect the bound of the packed
 // schedule keys: fewer than 2^32 instructions and fewer than 2^32 busy
 // slots, which also caps the critical path and the makespan below 2^32.
-// ListSchedule panics past it.
+// ListSchedule panics past it. The DAG's int32 arena is the tighter bound
+// in practice: circuit.BuildDAG already panics above math.MaxInt32
+// (2^31-1) instructions, dependency edges or total slots.
 func ListSchedule(d *circuit.DAG, blocks int) Result {
 	c := d.Circuit()
 	n := c.Len()
@@ -114,7 +116,7 @@ func listSchedule(d *circuit.DAG, blocks int, start []int) (makespan, busy int) 
 	n := c.Len()
 	// The slot table holds each instruction's duration in one byte (no
 	// kind lasts longer than ToffoliSlots), so dispatch never reloads the
-	// 40-byte instruction.
+	// 24-byte instruction.
 	slots := make([]uint8, n)
 	var total uint64
 	for i, in := range c.Instrs() {
@@ -228,9 +230,9 @@ func (r Result) Validate(d *circuit.DAG) error {
 	c := d.Circuit()
 	for i := range c.Instrs() {
 		for _, p := range d.Deps(i) {
-			if r.Start[i] < r.Start[p]+c.Instr(p).Slots() {
+			if end := r.Start[p] + c.Instr(int(p)).Slots(); r.Start[i] < end {
 				return fmt.Errorf("sched: instr %d starts at %d before dep %d finishes at %d",
-					i, r.Start[i], p, r.Start[p]+c.Instr(p).Slots())
+					i, r.Start[i], p, end)
 			}
 		}
 	}
