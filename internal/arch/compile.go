@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/circuit"
@@ -27,16 +28,18 @@ import (
 // built when PlanCircuit constructs it. A plan is immutable once built
 // apart from its schedule memo, which is lock-guarded; it is safe for
 // concurrent use and intended to be shared — the explore runner plans each
-// (kernel, bits) pair once per sweep and binds the one plan to every
-// machine that evaluates it, on either engine.
+// (kernel, bits) pair once per plan cache (per sweep in the CLI, per
+// server in cqla serve) and binds the one plan to every machine that
+// evaluates it, on either engine.
 type WorkloadPlan struct {
 	kind  Kind
 	name  string // custom circuit name; "" for built-in kinds
 	bits  int
 	build func(bits int) *circuit.Circuit // kernel generator; nil for custom circuits
 
-	once   sync.Once
-	kernel *sched.Plan // set by once; read it through schedule
+	mu      sync.Mutex                 // serializes the build; guards runners
+	kernel  atomic.Pointer[sched.Plan] // nil until built; read it through schedule
+	runners map[des.Config]*sync.Pool  // des.Runner arenas per simulator config
 }
 
 // PlanWorkload describes the kernel plan for w without building it: the
@@ -79,21 +82,59 @@ func PlanCircuit(name string, c *circuit.Circuit) (*WorkloadPlan, error) {
 		return nil, fmt.Errorf("arch: custom circuit %q: %w", name, err)
 	}
 	p := &WorkloadPlan{kind: KindCustom, name: name, bits: c.NumQubits()}
-	p.once.Do(func() { p.kernel = sched.NewPlan(circuit.BuildDAG(c)) })
+	p.kernel.Store(sched.NewPlan(circuit.BuildDAG(c)))
 	return p, nil
 }
 
 // schedule returns the kernel's schedule plan, generating the circuit and
 // building its DAG on the first call. Concurrent first readers wait for
-// the one build. With a tracer in the first reader's ctx the build is
+// the one build; a build that panics stores nothing, so the next reader
+// builds afresh. With a tracer in the building reader's ctx the build is
 // recorded as a "dag-build" span.
 func (p *WorkloadPlan) schedule(ctx context.Context) *sched.Plan {
-	p.once.Do(func() {
-		_, sp := obs.StartSpan(ctx, "dag-build")
-		defer sp.End()
-		p.kernel = sched.NewPlan(circuit.BuildDAG(p.build(p.bits)))
-	})
-	return p.kernel
+	if k := p.kernel.Load(); k != nil {
+		return k
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if k := p.kernel.Load(); k != nil {
+		return k
+	}
+	_, sp := obs.StartSpan(ctx, "dag-build")
+	defer sp.End()
+	k := sched.NewPlan(circuit.BuildDAG(p.build(p.bits)))
+	p.kernel.Store(k)
+	return k
+}
+
+// runnerPool returns the pool of des.Runner arenas for cfg, which every
+// binding of the plan to a machine with that simulator config shares: a
+// runner depends only on the DAG and the config. Sharing it across
+// bindings, rather than pooling per CompiledWorkload, lets the per-point
+// bindings of a sweep reuse one another's arenas, and leaves one pool per
+// config for the garbage collector to drain instead of one per point.
+func (p *WorkloadPlan) runnerPool(cfg des.Config) *sync.Pool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	pool := p.runners[cfg]
+	if pool == nil {
+		if p.runners == nil {
+			p.runners = make(map[des.Config]*sync.Pool)
+		}
+		pool = new(sync.Pool)
+		p.runners[cfg] = pool
+	}
+	return pool
+}
+
+// Instructions returns the instruction count of the plan's kernel once it
+// is built, and 0 before that; it never builds the plan. A kernel plan
+// cache weighs what it retains by this count.
+func (p *WorkloadPlan) Instructions() int {
+	if k := p.kernel.Load(); k != nil {
+		return k.DAG().Circuit().Len()
+	}
+	return 0
 }
 
 // Bits returns the problem width the plan was compiled for.
@@ -136,12 +177,6 @@ type CompiledWorkload struct {
 	plan   *WorkloadPlan
 	desCfg des.Config
 
-	// runners pools des.Runner arenas for this (DAG, config) pair so
-	// concurrent evaluations each replay the event loop on a private,
-	// allocation-free arena. It starts empty: the first des evaluation
-	// builds the first arena, so analytic-only workloads never pay for one.
-	runners sync.Pool
-
 	// Modular-exponentiation constants for the adder/modexp metric decode,
 	// precomputed so the evaluation hot loop never rebuilds gen.ModExp.
 	adderQubits      int
@@ -149,11 +184,13 @@ type CompiledWorkload struct {
 	concurrentAdders int
 }
 
-// runner takes a simulation arena from the pool, building a fresh one when
-// the pool is empty. CompileWith validated the config, so construction
-// here cannot fail.
-func (cw *CompiledWorkload) runner(ctx context.Context) *des.Runner {
-	if r, ok := cw.runners.Get().(*des.Runner); ok {
+// runner takes a simulation arena from pool, the plan's pool for this
+// binding's config, building a fresh one when the pool is empty, so
+// concurrent evaluations each replay the event loop on a private,
+// allocation-free arena and analytic-only workloads never build one.
+// CompileWith validated the config, so construction here cannot fail.
+func (cw *CompiledWorkload) runner(ctx context.Context, pool *sync.Pool) *des.Runner {
+	if r, ok := pool.Get().(*des.Runner); ok {
 		return r
 	}
 	r, err := des.NewRunner(cw.plan.DAG(ctx), cw.desCfg)

@@ -38,7 +38,7 @@ func TestAnalyticQFTLeavesPlanUnbuilt(t *testing.T) {
 		if _, err := EvaluateCompiled(context.Background(), eng, cw); err != nil {
 			t.Fatal(err)
 		}
-		if got := cw.plan.kernel != nil; got != c.built {
+		if got := cw.plan.Instructions() > 0; got != c.built {
 			t.Errorf("analytic %s/%d: plan built = %v, want %v", c.w.Kind, c.w.Bits, got, c.built)
 		}
 	}
@@ -113,5 +113,34 @@ func TestPlanBuiltOnceByConcurrentReaders(t *testing.T) {
 	}
 	if builds != 1 {
 		t.Errorf("%d dag-build spans for one shared plan, want 1", builds)
+	}
+}
+
+// TestRunnerPoolSharedPerConfig: every binding of one plan to a machine
+// with the same simulator config draws des arenas from one pool, and a
+// different config gets its own, since a runner depends only on the DAG
+// and the config.
+func TestRunnerPoolSharedPerConfig(t *testing.T) {
+	plan, err := PlanWorkload(NewAdder(32, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := func(opts ...Option) *sync.Pool {
+		m, err := New(opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cw, err := m.CompileWith(plan.Workload(), plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cw.plan.runnerPool(cw.desCfg)
+	}
+	a, b, c := pool(WithBlocks(4)), pool(WithBlocks(4)), pool(WithBlocks(8))
+	if a != b {
+		t.Error("two bindings with one simulator config use different runner pools")
+	}
+	if a == c {
+		t.Error("bindings with different simulator configs share a runner pool")
 	}
 }

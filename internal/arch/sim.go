@@ -51,9 +51,10 @@ func (m *Machine) desConfig() des.Config {
 // evaluations pay only the event loop and allocate nothing.
 func (e simEngine) simulate(ctx context.Context, cw *CompiledWorkload) (des.Stats, time.Duration, error) {
 	runCtx, sp := obs.StartSpan(ctx, "sim-run")
-	r := cw.runner(runCtx)
+	pool := cw.plan.runnerPool(cw.desCfg)
+	r := cw.runner(runCtx, pool)
 	stats, err := r.Run(ctx)
-	cw.runners.Put(r)
+	pool.Put(r)
 	sp.End()
 	if err != nil {
 		return des.Stats{}, 0, err

@@ -1,36 +1,58 @@
 package explore
 
 import (
+	"container/list"
 	"context"
+	"sync"
 
 	"repro/internal/arch"
-	"repro/internal/memo"
 	"repro/internal/obs"
 )
 
-// evalCache is the per-sweep evaluation cache the runner threads through
-// every In: one kernel plan per (kernel, bits). A plan builds its circuit
-// and DAG only when an engine first reads it, and it memoizes the kernel's
-// list-scheduled makespans, so every point that evaluates the same kernel
-// — every pareto point runs the one 256-bit adder on a different machine —
-// shares that work. Plans are safe for concurrent use and deterministic:
-// two caches (or none at all) produce byte-identical sweeps, which
+// evalCache is the kernel-plan cache the runner threads through every In:
+// one plan per (kernel, bits). A plan builds its circuit and DAG only when
+// an engine first reads it, and it memoizes the kernel's list-scheduled
+// makespans, so every point that evaluates the same kernel — every pareto
+// point runs the one 256-bit adder on a different machine — shares that
+// work. Plans are safe for concurrent use and deterministic: two caches
+// (or none at all) produce byte-identical sweeps, which
 // TestCacheTransparency pins.
+//
+// The cache has two lifetimes. Run creates one per sweep and drops it with
+// the sweep, as the CLI does on every pass. A job Manager owns one for the
+// life of the server and hands it to every job's Run, so a job that misses
+// the result cache still reuses the plans that earlier jobs of any sweep,
+// seed, phys or engine built: a plan depends only on (kernel, bits).
+//
+// A run pins every plan it reads until it returns, so a plan in use is
+// never evicted and its build stays single-flight across concurrent runs.
+// When the last run using a plan returns, the plan is charged its built
+// instruction count (0 while unbuilt), and the least-recently used unpinned
+// plans are evicted until the charges fit the budget; a plan larger than
+// the whole budget is dropped as soon as its last run returns, so one
+// QFT(1000) never flushes the rest. Only a successfully planned workload
+// enters the cache. Keys stay finite because only registry kernels reach
+// In.Plan: custom circuits bring their own plan to In.EvaluatePlan.
 //
 // Machines and their compiled bindings are not cached: arch.New and
 // Machine.CompileWith are cheap next to a kernel's DAG, and the points of
 // a sweep almost never repeat a (machine, workload) pair.
-//
-// When the runner was given a metrics registry, the cache counts its hits
-// and misses (cqla_evalcache_{hits,misses}_total, labeled by sweep and
-// kind="plan"). The counters are nil — free — when observability is off.
-// memo.Map builds are single-flight, so concurrent first callers of a key
-// count one miss, for the caller that built it, and a hit for every
-// caller that waited on that build.
 type evalCache struct {
-	plans                memo.Map[planKey, *arch.WorkloadPlan]
-	planHits, planMisses *obs.Counter
+	budget int        // instructions retained plans may hold
+	held   *obs.Gauge // mirrors size; nil without metrics
+
+	mu    sync.Mutex
+	plans map[planKey]*planEntry
+	lru   list.List // every entry; front = most recently acquired
+	size  int       // sum of the entries' charges
 }
+
+// planBudget is the instruction budget of a long-lived evalCache: about
+// 14 MB at ~54 B per instruction with its DAG and makespan memo. It holds
+// every plan of the table4, table5, fig8a, pareto, overlap-sens, xval,
+// workloads and workload-blocks sweeps together (about 44k instructions)
+// but never the 500,500 of fig8b's QFT(1000).
+const planBudget = 1 << 18
 
 // planKey identifies a kernel plan by kernel identity × width: adder and
 // modexp workloads share the carry-lookahead kernel, every other kind has
@@ -40,17 +62,128 @@ type planKey struct {
 	bits   int
 }
 
-// newEvalCache returns the sweep's cache; reg may be nil (no metrics).
-func newEvalCache(reg *obs.Registry, sweep string) *evalCache {
-	c := &evalCache{}
+// planEntry is one cached plan and its bookkeeping, guarded by
+// evalCache.mu.
+type planEntry struct {
+	key    planKey
+	plan   *arch.WorkloadPlan
+	pins   int // runs that read the plan and have not returned
+	charge int // instructions counted against the budget
+	elem   *list.Element
+}
+
+// newEvalCache returns an empty cache under budget; held may be nil.
+func newEvalCache(budget int, held *obs.Gauge) *evalCache {
+	return &evalCache{budget: budget, held: held, plans: make(map[planKey]*planEntry)}
+}
+
+// acquire returns k's entry pinned once more, planning w into a new entry
+// on a miss (created reports that). A failed plan is returned uncached.
+func (c *evalCache) acquire(k planKey, w arch.Workload) (e *planEntry, created bool, err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e := c.plans[k]; e != nil {
+		e.pins++
+		c.lru.MoveToFront(e.elem)
+		return e, false, nil
+	}
+	p, err := arch.PlanWorkload(w)
+	if err != nil {
+		return nil, false, err
+	}
+	e = &planEntry{key: k, plan: p, pins: 1}
+	e.elem = c.lru.PushFront(e)
+	c.plans[k] = e
+	return e, true, nil
+}
+
+// release unpins a returning run's entries, charges each one no run uses
+// any more its built size, and evicts until the charges fit the budget.
+func (c *evalCache) release(used map[planKey]*planEntry) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, e := range used {
+		if e.pins--; e.pins > 0 {
+			continue
+		}
+		n := e.plan.Instructions()
+		c.size += n - e.charge
+		e.charge = n
+		if n > c.budget {
+			c.evict(e)
+		}
+	}
+	// Walk from the least-recently used end. Unbuilt plans charge nothing,
+	// so evicting one would free nothing.
+	for el := c.lru.Back(); el != nil && c.size > c.budget; {
+		e := el.Value.(*planEntry)
+		el = el.Prev()
+		if e.pins == 0 && e.charge > 0 {
+			c.evict(e)
+		}
+	}
+	c.held.Set(int64(c.size))
+}
+
+// evict removes e from the cache; c.mu must be held.
+func (c *evalCache) evict(e *planEntry) {
+	c.lru.Remove(e.elem)
+	delete(c.plans, e.key)
+	c.size -= e.charge
+}
+
+// runPlans is one run's view of an evalCache: the entries the run has
+// pinned and its hit and miss counters
+// (cqla_evalcache_{hits,misses}_total, labeled by the run's sweep and
+// kind="plan"). The counters are nil — free — when observability is off.
+// A run counts a miss for each plan it adds to the cache and a hit for
+// every other read, so a job that reuses an earlier job's plan counts the
+// hit under its own sweep.
+type runPlans struct {
+	cache        *evalCache
+	hits, misses *obs.Counter
+
+	mu   sync.Mutex
+	used map[planKey]*planEntry
+}
+
+// newRunPlans opens a run's view of c; reg may be nil (no metrics).
+func newRunPlans(c *evalCache, reg *obs.Registry, sweep string) *runPlans {
+	r := &runPlans{cache: c, used: make(map[planKey]*planEntry)}
 	if reg != nil {
-		c.planHits = reg.CounterVec("cqla_evalcache_hits_total",
+		r.hits = reg.CounterVec("cqla_evalcache_hits_total",
 			"Evaluation-cache hits by tier (plan).", "sweep", "kind").With(sweep, "plan")
-		c.planMisses = reg.CounterVec("cqla_evalcache_misses_total",
+		r.misses = reg.CounterVec("cqla_evalcache_misses_total",
 			"Evaluation-cache misses by tier (plan).", "sweep", "kind").With(sweep, "plan")
 	}
-	return c
+	return r
 }
+
+// plan returns the cached plan for w, pinning it for the rest of the run
+// on the run's first read.
+func (r *runPlans) plan(w arch.Workload) (*arch.WorkloadPlan, error) {
+	k := planKey{kernel: w.Kernel(), bits: w.Bits}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if e := r.used[k]; e != nil {
+		r.hits.Inc()
+		return e.plan, nil
+	}
+	e, created, err := r.cache.acquire(k, w)
+	if err != nil {
+		return nil, err
+	}
+	r.used[k] = e
+	if created {
+		r.misses.Inc()
+	} else {
+		r.hits.Inc()
+	}
+	return e.plan, nil
+}
+
+// release hands the run's pins back to the cache once the run is over.
+func (r *runPlans) release() { r.cache.release(r.used) }
 
 // Machine returns the unified-API machine at this design point, on the
 // sweep's technology point.
@@ -58,35 +191,23 @@ func (in In) Machine(opts ...arch.Option) (*arch.Machine, error) {
 	return arch.New(append([]arch.Option{arch.WithParams(in.Phys)}, opts...)...)
 }
 
-// Plan returns the machine-independent kernel plan for w, shared across the
-// sweep through the per-sweep cache when the runner provided one and
-// planned afresh otherwise. Its DAG is built on first read, recorded as a
-// "dag-build" span, so a kernel the sweep's engine never reads (the
-// analytic QFT) is never built.
+// Plan returns the machine-independent kernel plan for w from the run's
+// plan cache when the runner provided one — the sweep's own in the CLI,
+// the server's in a cqla serve job — and planned afresh otherwise. Its DAG
+// is built on first read, recorded as a "dag-build" span, so a kernel the
+// sweep's engine never reads (the analytic QFT) is never built. Only
+// registry kernels come through here; a custom circuit's plan goes to
+// EvaluatePlan and never enters the cache.
 func (in In) Plan(w arch.Workload) (*arch.WorkloadPlan, error) {
-	if in.cache == nil {
+	if in.plans == nil {
 		return arch.PlanWorkload(w)
 	}
-	c := in.cache
-	built := false
-	p, err := c.plans.Do(planKey{kernel: w.Kernel(), bits: w.Bits}, func() (*arch.WorkloadPlan, error) {
-		built = true
-		return arch.PlanWorkload(w)
-	})
-	if err != nil {
-		return nil, err
-	}
-	if built {
-		c.planMisses.Inc()
-	} else {
-		c.planHits.Inc()
-	}
-	return p, nil
+	return in.plans.plan(w)
 }
 
 // EvaluateOn routes a workload through the named engine: it binds the
-// sweep's shared plan for w to m and evaluates the binding. Results are
-// identical with or without the per-sweep cache. With a tracer in ctx
+// run's shared plan for w to m and evaluates the binding. Results are
+// identical with or without the plan cache. With a tracer in ctx
 // (cqla sweep -trace), the plan lookup and binding are recorded as a
 // "plan-compile" span, the evaluation as engine-level spans, and the
 // engine that first reads the kernel records its build as "dag-build".

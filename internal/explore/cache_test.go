@@ -1,12 +1,16 @@
 package explore
 
 import (
+	"bytes"
 	"context"
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
 	"repro/internal/arch"
 	"repro/internal/gen"
+	"repro/internal/obs"
 	"repro/internal/phys"
 )
 
@@ -106,4 +110,233 @@ func TestDESEngineDeterministicAcrossParallelism(t *testing.T) {
 			t.Errorf("%s: des-engine sweep differs between -parallel 1 and 8", name)
 		}
 	}
+}
+
+// submitPlanJob submits one sweep as a job of m.
+func submitPlanJob(t *testing.T, m *Manager, name, engine string, seed int64) *Job {
+	t.Helper()
+	exp, err := Lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := JobSpec{Sweep: name, Phys: phys.Projected(), Seed: seed, Engine: engine}
+	j, _, err := m.Submit(spec, func() (*Experiment, error) { return exp, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return j
+}
+
+// waitPlanJob returns j's document.
+func waitPlanJob(t *testing.T, j *Job) []byte {
+	t.Helper()
+	doc, err := j.Wait(context.Background())
+	if err != nil {
+		t.Fatalf("%s/%s seed %d: %v", j.Spec.Sweep, j.Spec.Engine, j.Spec.Seed, err)
+	}
+	return doc
+}
+
+// planJob runs one sweep as a job of m and returns its document.
+func planJob(t *testing.T, m *Manager, name, engine string, seed int64) []byte {
+	t.Helper()
+	return waitPlanJob(t, submitPlanJob(t, m, name, engine, seed))
+}
+
+// freshPlanDoc runs the sweep as the CLI does, with a plan cache of its
+// own, and returns its document and every plan key the sweep read. The
+// cache is unbounded only so that it still lists the plans too large to
+// retain; within one run no plan is ever evicted, bounded or not.
+func freshPlanDoc(t *testing.T, name, engine string, seed int64) ([]byte, map[planKey]bool) {
+	t.Helper()
+	exp, err := Lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newEvalCache(math.MaxInt, nil)
+	pts, err := Run(context.Background(), exp, Options{Phys: phys.Projected(), Seed: seed, Engine: engine, plans: c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := arch.NormalizeEngine(engine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	rep := &Report{Experiment: exp, Phys: phys.Projected().Name, Seed: seed, Engine: eng, Points: pts}
+	if err := rep.JSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), retainedPlans(c)
+}
+
+// retainedPlans lists the keys c holds.
+func retainedPlans(c *evalCache) map[planKey]bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	keys := make(map[planKey]bool, len(c.plans))
+	for k := range c.plans {
+		keys[k] = true
+	}
+	return keys
+}
+
+// checkPlanCache asserts the cache's bookkeeping at rest: no run holds a
+// pin, the entries' charges add up to size, size fits the budget, the
+// gauge mirrors it, and every retained plan is charged its built size.
+func checkPlanCache(t *testing.T, c *evalCache) {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	sum := 0
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*planEntry)
+		if e.pins != 0 {
+			t.Errorf("plan %v still pinned %d times with no job running", e.key, e.pins)
+		}
+		if n := e.plan.Instructions(); e.charge != n {
+			t.Errorf("plan %v charged %d instructions, built %d", e.key, e.charge, n)
+		}
+		if c.plans[e.key] != e {
+			t.Errorf("plan %v on the LRU list but not in the index", e.key)
+		}
+		sum += e.charge
+	}
+	if c.lru.Len() != len(c.plans) {
+		t.Errorf("LRU list holds %d plans, index %d", c.lru.Len(), len(c.plans))
+	}
+	if sum != c.size {
+		t.Errorf("charges add up to %d instructions, size says %d", sum, c.size)
+	}
+	if c.size > c.budget {
+		t.Errorf("cache retains %d instructions, over its %d budget", c.size, c.budget)
+	}
+	if c.held != nil && c.held.Value() != int64(c.size) {
+		t.Errorf("cqla_plan_cache_instructions = %d, cache holds %d", c.held.Value(), c.size)
+	}
+}
+
+// planCounters returns a sweep's plan hit and miss counters on reg.
+func planCounters(reg *obs.Registry, sweep string) (hits, misses uint64) {
+	r := newRunPlans(nil, reg, sweep)
+	return r.hits.Value(), r.misses.Value()
+}
+
+// TestWarmManagerPlanCacheTransparency runs one manager through sweeps of
+// both engines and several seeds. Every document must match the CLI's
+// (a fresh Run with its own plan cache) byte for byte, and from the
+// second job on each job must hit the plans earlier jobs left: it counts
+// a miss only for kernels the cache did not retain when it started.
+func TestWarmManagerPlanCacheTransparency(t *testing.T) {
+	reg := obs.NewRegistry()
+	m := NewManager(WithObservability(reg))
+	t.Cleanup(func() { m.Shutdown(context.Background()) })
+	for i, step := range []struct {
+		sweep, engine string
+		seed          int64
+	}{
+		{"table4", "analytic", 1},
+		{"table4", "des", 2},
+		{"pareto", "analytic", 1},
+		{"table5", "des", 1},
+		{"workload-blocks", "des", 1},
+		{"fig8b", "des", 1},
+		{"table4", "analytic", 3},
+	} {
+		name := fmt.Sprintf("%s/%s/seed%d", step.sweep, step.engine, step.seed)
+		retained := retainedPlans(m.plans)
+		hits0, misses0 := planCounters(reg, step.sweep)
+		got := planJob(t, m, step.sweep, step.engine, step.seed)
+		hits, misses := planCounters(reg, step.sweep)
+		want, read := freshPlanDoc(t, step.sweep, step.engine, step.seed)
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: the warm manager's document differs from a fresh run's", name)
+		}
+		checkPlanCache(t, m.plans)
+		if i == 0 {
+			continue
+		}
+		cold, warm := 0, 0
+		for k := range read {
+			if retained[k] {
+				warm++
+			} else {
+				cold++
+			}
+		}
+		if d := misses - misses0; d != uint64(cold) {
+			t.Errorf("%s: %d plan misses, want %d — one per kernel not retained (%d of its %d kernels were)",
+				name, d, cold, warm, len(read))
+		}
+		t.Logf("%s: %d of %d kernels retained, %d hits", name, warm, len(read), hits-hits0)
+		if warm > 0 && hits == hits0 {
+			t.Errorf("%s: no plan hits though %d of its kernels were retained", name, warm)
+		}
+	}
+	if got := retainedPlans(m.plans); len(got) == 0 {
+		t.Error("the manager retained no plan at all")
+	}
+}
+
+// TestPlanCacheBound: fig8b's QFT(1000) is larger than the whole budget,
+// so its job uses it and then drops it, leaving the cache within budget
+// and the smaller plans still retained; table4 jobs afterwards hit their
+// adders, rebuilding at most once.
+func TestPlanCacheBound(t *testing.T) {
+	reg := obs.NewRegistry()
+	m := NewManager(WithObservability(reg))
+	t.Cleanup(func() { m.Shutdown(context.Background()) })
+
+	planJob(t, m, "table4", "des", 1)
+	planJob(t, m, "fig8b", "des", 1)
+	checkPlanCache(t, m.plans)
+	if retainedPlans(m.plans)[planKey{kernel: string(arch.KindQFT), bits: 1000}] {
+		t.Error("QFT(1000) retained after its fig8b job, though it exceeds the budget")
+	}
+	if n := gen.QFT(1000, false).Len(); n <= planBudget {
+		t.Fatalf("QFT(1000) has %d instructions, within the %d budget: the test no longer probes the bound", n, planBudget)
+	}
+
+	_, misses0 := planCounters(reg, "table4")
+	planJob(t, m, "table4", "des", 2)
+	_, misses1 := planCounters(reg, "table4")
+	hits1, _ := planCounters(reg, "table4")
+	planJob(t, m, "table4", "des", 3)
+	hits2, misses2 := planCounters(reg, "table4")
+	checkPlanCache(t, m.plans)
+	if misses2 != misses1 {
+		t.Errorf("the second table4 job after fig8b rebuilt %d plans, want 0", misses2-misses1)
+	}
+	if hits2 == hits1 {
+		t.Error("the second table4 job after fig8b counted no plan hits")
+	}
+	t.Logf("table4 rebuilt %d plans after fig8b", misses1-misses0)
+}
+
+// TestPlanCacheSharedByConcurrentJobs: two evaluations at once read the
+// same kernels through the manager's cache. Their documents match fresh
+// runs, every kernel is planned once between them, and the cache is
+// consistent once both finish. Run it under -race.
+func TestPlanCacheSharedByConcurrentJobs(t *testing.T) {
+	reg := obs.NewRegistry()
+	m := NewManager(WithObservability(reg), WithMaxEvaluations(2))
+	t.Cleanup(func() { m.Shutdown(context.Background()) })
+	seeds := []int64{1, 2}
+	jobs := make([]*Job, len(seeds))
+	for i, seed := range seeds {
+		jobs[i] = submitPlanJob(t, m, "table5", "des", seed) // both run at once
+	}
+	var read map[planKey]bool
+	for i, seed := range seeds {
+		got := waitPlanJob(t, jobs[i])
+		want, r := freshPlanDoc(t, "table5", "des", seed)
+		read = r
+		if !bytes.Equal(got, want) {
+			t.Errorf("seed %d: the shared-cache document differs from a fresh run's", seed)
+		}
+	}
+	if _, misses := planCounters(reg, "table5"); misses != uint64(len(read)) {
+		t.Errorf("two concurrent jobs planned %d times, want once per kernel (%d)", misses, len(read))
+	}
+	checkPlanCache(t, m.plans)
 }

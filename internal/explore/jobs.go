@@ -293,12 +293,17 @@ func newJobMetrics(reg *obs.Registry) jobMetrics {
 
 // Manager runs sweep evaluations as jobs: admitted requests coalesce by
 // content address, queue on a global evaluation semaphore, publish
-// progress, and land their documents in an LRU result cache.
+// progress, and land their documents in an LRU result cache. Every job
+// reads its kernel plans from one bounded plan cache the manager keeps
+// for its whole life (see evalCache), so a job that misses the result
+// cache skips the circuit generation, DAG builds and list scheduling that
+// earlier jobs already did.
 type Manager struct {
 	ctx        context.Context
 	cancelJobs context.CancelFunc
 	sem        chan struct{}
 	cache      *docCache
+	plans      *evalCache    // kernel plans shared by every job's sweep
 	reg        *obs.Registry // threaded into every sweep evaluation
 	met        jobMetrics
 	log        *slog.Logger
@@ -332,11 +337,17 @@ func newManager(cfg managerConfig) *Manager {
 	if cfg.log == nil {
 		cfg.log = obs.NopLogger()
 	}
+	var planHeld *obs.Gauge
+	if cfg.obs != nil {
+		planHeld = cfg.obs.Gauge("cqla_plan_cache_instructions",
+			"Kernel-plan instructions the server's plan cache retains between jobs.")
+	}
 	return &Manager{
 		ctx:        ctx,
 		cancelJobs: cancel,
 		sem:        make(chan struct{}, cfg.maxEval),
 		cache:      newDocCache(cfg.cacheBytes),
+		plans:      newEvalCache(planBudget, planHeld),
 		reg:        cfg.obs,
 		met:        newJobMetrics(cfg.obs),
 		log:        cfg.log,
@@ -462,6 +473,7 @@ func (m *Manager) run(j *Job, exp *Experiment) {
 		Engine:   j.Spec.Engine,
 		Progress: j.setProgress,
 		Obs:      m.reg,
+		plans:    m.plans,
 	})
 	if err != nil {
 		m.finish(j, nil, err)

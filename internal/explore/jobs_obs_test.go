@@ -176,8 +176,8 @@ func TestServeCacheHitCounter(t *testing.T) {
 }
 
 // TestServeMetricsEndpoint: GET /metrics serves a valid Prometheus text
-// exposition that, after one sweep ran, includes the job, HTTP, and
-// per-sweep evaluation-latency families.
+// exposition that, after one sweep ran, includes the job, HTTP, plan-cache
+// and per-sweep evaluation-latency families.
 func TestServeMetricsEndpoint(t *testing.T) {
 	probeExperiments(t)
 	reg := obs.NewRegistry()
@@ -206,6 +206,7 @@ func TestServeMetricsEndpoint(t *testing.T) {
 		"cqla_jobs_running",
 		"cqla_point_eval_seconds",
 		"cqla_evalcache_misses_total",
+		"cqla_plan_cache_instructions",
 		"cqla_http_requests_total",
 		"cqla_http_request_seconds",
 	} {

@@ -33,7 +33,7 @@ type In struct {
 
 	exp    *Experiment
 	coords []Value
-	cache  *evalCache
+	plans  *runPlans
 }
 
 func (in In) value(axis string) Value {

@@ -55,6 +55,12 @@ type Options struct {
 	// and nil disables everything at zero cost — sweep output is
 	// byte-identical either way.
 	Obs *obs.Registry
+
+	// plans is the kernel-plan cache the run reads through. The job
+	// Manager passes its server-lifetime cache here; when it is nil, as
+	// for every other caller, Run plans into a fresh cache of its own that
+	// dies with the sweep, so no plan outlives a CLI pass.
+	plans *evalCache
 }
 
 // Run walks the experiment's cartesian product across a worker pool and
@@ -110,9 +116,15 @@ func Run(ctx context.Context, exp *Experiment, opt Options) ([]Point, error) {
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	// One evaluation cache per sweep: kernel plans shared across every
-	// point and worker. Deterministic and byte-transparent — see evalCache.
-	cache := newEvalCache(opt.Obs, exp.Name)
+	// Kernel plans shared across every point and worker: the caller's
+	// cache, or one for this sweep alone. Deterministic and
+	// byte-transparent — see evalCache.
+	cache := opt.plans
+	if cache == nil {
+		cache = newEvalCache(planBudget, nil)
+	}
+	plans := newRunPlans(cache, opt.Obs, exp.Name)
+	defer plans.release()
 
 	// Observability handles resolve once here; nil stays nil all the way
 	// down, so the disabled path costs a single pointer test per point.
@@ -147,7 +159,7 @@ func Run(ctx context.Context, exp *Experiment, opt Options) ([]Point, error) {
 					Obs:    opt.Obs,
 					exp:    exp,
 					coords: exp.coordsAt(g.rep),
-					cache:  cache,
+					plans:  plans,
 				}
 				// Span + latency sample per unique point. With no tracer in
 				// ctx and a nil registry both lines below are no-ops that

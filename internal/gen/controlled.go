@@ -44,7 +44,7 @@ func ControlledCarryLookahead(n int) *ControlledAdder {
 	// Rebuild with conditioned sum writes: every CNOT targeting the sum
 	// register becomes a Toffoli conjoined with a control copy; everything
 	// else is unchanged.
-	inSum := make(map[int]bool, len(base.Sum))
+	inSum := make([]bool, control)
 	for _, q := range base.Sum {
 		inSum[q] = true
 	}
@@ -61,7 +61,7 @@ func ControlledCarryLookahead(n int) *ControlledAdder {
 		c.AddCNOT(control, fan[i])
 	}
 
-	ancilla := append([]int(nil), base.Ancilla...)
+	ancilla := append(make([]int, 0, len(base.Ancilla)+copies), base.Ancilla...)
 	ancilla = append(ancilla, fan...)
 	return &ControlledAdder{
 		Adder: Adder{

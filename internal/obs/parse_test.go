@@ -103,6 +103,7 @@ func TestLintMetricsFile(t *testing.T) {
 		"cqla_jobs_submitted_total",
 		"cqla_jobs_running",
 		"cqla_point_eval_seconds",
+		"cqla_plan_cache_instructions",
 		"cqla_http_requests_total",
 	} {
 		if fams[name] == nil {

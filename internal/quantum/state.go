@@ -53,8 +53,24 @@ func (s *State) Amplitude(i uint64) complex128 {
 
 // Probability returns |⟨i|ψ⟩|².
 func (s *State) Probability(i uint64) float64 {
-	a := s.amp[i]
-	return real(a)*real(a) + imag(a)*imag(a)
+	return norm2(s.amp[i])
+}
+
+// The helpers below spell out complex arithmetic with every real product
+// rounded on its own by an explicit float64(…) conversion. The Go spec
+// lets arm64, ppc64le, s390x and riscv64 fuse x*y + z into one rounding;
+// the conversions forbid that, so the simulator returns on every GOARCH
+// the bits amd64 (which never fuses) computes from the plain operators.
+
+// norm2 returns |a|².
+func norm2(a complex128) float64 {
+	return float64(real(a)*real(a)) + float64(imag(a)*imag(a))
+}
+
+// cmul returns a*b, term for term as the compiler expands the operator.
+func cmul(a, b complex128) complex128 {
+	ar, ai, br, bi := real(a), imag(a), real(b), imag(b)
+	return complex(float64(ar*br)-float64(ai*bi), float64(ar*bi)+float64(ai*br))
 }
 
 func (s *State) checkQubit(q int) {
@@ -73,8 +89,8 @@ func (s *State) Apply1Q(q int, m00, m01, m10, m11 complex128) {
 		}
 		j := i | bit
 		a0, a1 := s.amp[i], s.amp[j]
-		s.amp[i] = m00*a0 + m01*a1
-		s.amp[j] = m10*a0 + m11*a1
+		s.amp[i] = cmul(m00, a0) + cmul(m01, a1)
+		s.amp[j] = cmul(m10, a0) + cmul(m11, a1)
 	}
 }
 
@@ -155,7 +171,7 @@ func (s *State) CPhase(control, target int, theta float64) {
 	ph := cmplx.Exp(complex(0, theta))
 	for i := uint64(0); i < uint64(len(s.amp)); i++ {
 		if i&cbit != 0 && i&tbit != 0 {
-			s.amp[i] *= ph
+			s.amp[i] = cmul(s.amp[i], ph)
 		}
 	}
 }
@@ -188,8 +204,7 @@ func (s *State) Measure(q int, rng *rand.Rand) int {
 	p1 := 0.0
 	for i := uint64(0); i < uint64(len(s.amp)); i++ {
 		if i&bit != 0 {
-			a := s.amp[i]
-			p1 += real(a)*real(a) + imag(a)*imag(a)
+			p1 += norm2(s.amp[i])
 		}
 	}
 	outcome := 0
@@ -211,7 +226,7 @@ func (s *State) Measure(q int, rng *rand.Rand) int {
 	for i := uint64(0); i < uint64(len(s.amp)); i++ {
 		match := (i&bit != 0) == (outcome == 1)
 		if match {
-			s.amp[i] *= norm
+			s.amp[i] = cmul(s.amp[i], norm)
 		} else {
 			s.amp[i] = 0
 		}

@@ -9,15 +9,14 @@
 # explicit float64(x*y) conversion rounds the product and prevents the
 # fusion (amd64, which does not fuse, compiles it to the same code).
 #
-# Run it from the repository root: it cross-compiles cmd/cqla, the binary
-# that emits every sweep document, for the four fusing architectures,
-# disassembles it with `go tool objdump` and lists every fused instruction
-# in a repro/ symbol with the source line it came from (an inlined
-# callee's line, when the product was inlined). It needs nothing beyond
-# the Go toolchain and works offline. Exit status 1 means at least one was
-# found. cmd/qcirc is not checked: its state-vector simulator
-# (internal/quantum) fuses complex arithmetic, and only `qcirc sim`'s
-# six-digit probabilities read it.
+# Run it from the repository root: it cross-compiles both binaries —
+# cmd/cqla, which emits every sweep document, and cmd/qcirc, whose `sim`
+# runs the state-vector simulator — for the four fusing architectures,
+# disassembles each with `go tool objdump` and lists every fused
+# instruction in a repro/ symbol with the source line it came from (an
+# inlined callee's line, when the product was inlined). It needs nothing
+# beyond the Go toolchain and works offline. Exit status 1 means at least
+# one was found.
 set -euo pipefail
 
 out=$(mktemp -d)
@@ -44,16 +43,18 @@ fused() {
 
 total=0
 while read -r arch re; do
-  bin="$out/cqla-$arch"
-  GOARCH=$arch go build -o "$bin" ./cmd/cqla
-  found=$(fused "$bin" "$re")
-  n=0
-  if [ -n "$found" ]; then
-    n=$(printf '%s\n' "$found" | wc -l)
-    printf '%s\n' "$found" | sed "s|^|$arch: |" >&2
-  fi
-  echo "$arch: $n fused multiply-add instructions in repro/ symbols of cmd/cqla"
-  total=$((total + n))
+  for cmd in cqla qcirc; do
+    bin="$out/$cmd-$arch"
+    GOARCH=$arch go build -o "$bin" "./cmd/$cmd"
+    found=$(fused "$bin" "$re")
+    n=0
+    if [ -n "$found" ]; then
+      n=$(printf '%s\n' "$found" | wc -l)
+      printf '%s\n' "$found" | sed "s|^|$arch $cmd: |" >&2
+    fi
+    echo "$arch: $n fused multiply-add instructions in repro/ symbols of cmd/$cmd"
+    total=$((total + n))
+  done
 done <<'EOF'
 arm64 ^FN?M(ADD|SUB)[DS]$
 ppc64le ^FN?M(ADD|SUB)S?$
