@@ -10,6 +10,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/des"
 	"repro/internal/gen"
+	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/sched"
 )
@@ -25,21 +26,23 @@ import (
 // A registry kernel's schedule plan is built on first read, exactly once:
 // an engine that never reads it (the analytic engine prices the QFT in
 // closed form) never generates the circuit. A custom circuit's plan is
-// built when PlanCircuit constructs it. A plan is immutable once built
-// apart from its schedule memo, which is lock-guarded; it is safe for
-// concurrent use and intended to be shared — the explore runner plans each
-// (kernel, bits) pair once per plan cache (per sweep in the CLI, per
-// server in cqla serve) and binds the one plan to every machine that
-// evaluates it, on either engine.
+// built when PlanCircuit constructs it. The plan also memoizes the des
+// statistics of its kernel per simulator config: they depend on nothing
+// else, so every binding to a machine with that config shares one
+// simulation. A plan is immutable once built apart from its two memos,
+// which are lock-guarded; it is safe for concurrent use and intended to be
+// shared — the explore runner plans each (kernel, bits) pair once per plan
+// cache (per sweep in the CLI, per server in cqla serve) and binds the one
+// plan to every machine that evaluates it, on either engine.
 type WorkloadPlan struct {
 	kind  Kind
 	name  string // custom circuit name; "" for built-in kinds
 	bits  int
 	build func(bits int) *circuit.Circuit // kernel generator; nil for custom circuits
 
-	mu      sync.Mutex                 // serializes the build; guards runners
-	kernel  atomic.Pointer[sched.Plan] // nil until built; read it through schedule
-	runners map[des.Config]*sync.Pool  // des.Runner arenas per simulator config
+	mu     sync.Mutex                      // serializes the build
+	kernel atomic.Pointer[sched.Plan]      // nil until built; read it through schedule
+	sims   memo.Map[des.Config, des.Stats] // simulated statistics per simulator config
 }
 
 // PlanWorkload describes the kernel plan for w without building it: the
@@ -107,26 +110,6 @@ func (p *WorkloadPlan) schedule(ctx context.Context) *sched.Plan {
 	return k
 }
 
-// runnerPool returns the pool of des.Runner arenas for cfg, which every
-// binding of the plan to a machine with that simulator config shares: a
-// runner depends only on the DAG and the config. Sharing it across
-// bindings, rather than pooling per CompiledWorkload, lets the per-point
-// bindings of a sweep reuse one another's arenas, and leaves one pool per
-// config for the garbage collector to drain instead of one per point.
-func (p *WorkloadPlan) runnerPool(cfg des.Config) *sync.Pool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	pool := p.runners[cfg]
-	if pool == nil {
-		if p.runners == nil {
-			p.runners = make(map[des.Config]*sync.Pool)
-		}
-		pool = new(sync.Pool)
-		p.runners[cfg] = pool
-	}
-	return pool
-}
-
 // Instructions returns the instruction count of the plan's kernel once it
 // is built, and 0 before that; it never builds the plan. A kernel plan
 // cache weighs what it retains by this count.
@@ -168,9 +151,9 @@ func (p *WorkloadPlan) compatible(w Workload) bool {
 // description. Compiling once and evaluating many times is the intended
 // hot-loop shape — Engine.EvaluateCompiledInto skips every per-evaluation
 // setup cost (circuit generation and DAG construction happen once, on the
-// plan's first read; scheduling is memoized in the plan) and reuses the
-// caller's result buffers and a pooled simulation arena, so a steady-state
-// des evaluation performs no allocations at all.
+// plan's first read; scheduling and simulation are memoized in the plan)
+// and reuses the caller's result buffers, so a repeated des evaluation
+// performs no allocations at all.
 type CompiledWorkload struct {
 	m      *Machine
 	w      Workload
@@ -182,22 +165,6 @@ type CompiledWorkload struct {
 	adderQubits      int
 	adderCalls       int
 	concurrentAdders int
-}
-
-// runner takes a simulation arena from pool, the plan's pool for this
-// binding's config, building a fresh one when the pool is empty, so
-// concurrent evaluations each replay the event loop on a private,
-// allocation-free arena and analytic-only workloads never build one.
-// CompileWith validated the config, so construction here cannot fail.
-func (cw *CompiledWorkload) runner(ctx context.Context, pool *sync.Pool) *des.Runner {
-	if r, ok := pool.Get().(*des.Runner); ok {
-		return r
-	}
-	r, err := des.NewRunner(cw.plan.DAG(ctx), cw.desCfg)
-	if err != nil {
-		panic("arch: compiled workload holds an invalid simulator config: " + err.Error())
-	}
-	return r
 }
 
 // Plan returns the underlying machine-independent plan.

@@ -218,13 +218,10 @@ func TestEvaluateCompiledIntoMatches(t *testing.T) {
 }
 
 // TestEvaluateCompiledIntoAllocationFree is the compile-once/evaluate-many
-// allocation contract at the engine level: with the arena pooled at compile
-// time and the metric buffer reused, a steady-state des evaluation of the
+// allocation contract at the engine level: with the simulation memoized in
+// the plan and the metric buffer reused, a repeated des evaluation of the
 // 64-bit adder performs zero allocations.
 func TestEvaluateCompiledIntoAllocationFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool allocates under the race detector; the count means nothing")
-	}
 	m, err := arch.New(arch.WithCodeName("bacon-shor"), arch.WithBlocks(9))
 	if err != nil {
 		t.Fatal(err)

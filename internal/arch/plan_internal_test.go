@@ -2,6 +2,7 @@ package arch
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"sync"
 	"testing"
@@ -105,42 +106,129 @@ func TestPlanBuiltOnceByConcurrentReaders(t *testing.T) {
 			t.Errorf("reader %d (%s) diverges from the serial evaluation", i, engines[i])
 		}
 	}
-	builds := 0
-	for _, sp := range tr.Spans() {
-		if sp.Name() == "dag-build" {
-			builds++
-		}
-	}
-	if builds != 1 {
+	if builds := spanCount(tr, "dag-build"); builds != 1 {
 		t.Errorf("%d dag-build spans for one shared plan, want 1", builds)
 	}
 }
 
-// TestRunnerPoolSharedPerConfig: every binding of one plan to a machine
-// with the same simulator config draws des arenas from one pool, and a
-// different config gets its own, since a runner depends only on the DAG
-// and the config.
-func TestRunnerPoolSharedPerConfig(t *testing.T) {
+// spanCount returns how many spans named name tr has recorded.
+func spanCount(tr *obs.Tracer, name string) int {
+	n := 0
+	for _, sp := range tr.Spans() {
+		if sp.Name() == name {
+			n++
+		}
+	}
+	return n
+}
+
+// desEvaluator binds plan to a machine built from opts and returns a
+// function that evaluates the binding on the des engine under ctx.
+func desEvaluator(t *testing.T, plan *WorkloadPlan, opts ...Option) func(context.Context) (Result, error) {
+	t.Helper()
+	m, err := New(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := m.Engine(EngineDES)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cw, err := m.CompileWith(plan.Workload(), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func(ctx context.Context) (Result, error) { return EvaluateCompiled(ctx, eng, cw) }
+}
+
+// TestSimulationMemoizedPerConfig: des statistics depend only on the
+// plan's DAG and the simulator config, so every binding of one plan to a
+// machine with the same config runs the event loop once ("sim-run"
+// spans), and a binding with another config runs it again. Eight
+// concurrent first evaluations share one run; a cancelled first
+// evaluation caches nothing. Run it under -race.
+func TestSimulationMemoizedPerConfig(t *testing.T) {
 	plan, err := PlanWorkload(NewAdder(32, true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := func(opts ...Option) *sync.Pool {
-		m, err := New(opts...)
+	tr := obs.NewTracer()
+	ctx := obs.WithTracer(context.Background(), tr)
+	a, err := desEvaluator(t, plan, WithBlocks(4))(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := desEvaluator(t, plan, WithBlocks(4))(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Error("two bindings with one simulator config disagree")
+	}
+	if n := spanCount(tr, "sim-run"); n != 1 {
+		t.Errorf("two bindings with one simulator config simulated %d times, want 1", n)
+	}
+	if _, err := desEvaluator(t, plan, WithBlocks(8))(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if n := spanCount(tr, "sim-run"); n != 2 {
+		t.Errorf("a binding with a second simulator config left %d simulations, want 2", n)
+	}
+
+	t.Run("concurrent", func(t *testing.T) {
+		eval := desEvaluator(t, plan, WithBlocks(9))
+		tr := obs.NewTracer()
+		ctx := obs.WithTracer(context.Background(), tr)
+		const readers = 8
+		results := make([]Result, readers)
+		errs := make([]error, readers)
+		var wg sync.WaitGroup
+		for i := range readers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				results[i], errs[i] = eval(ctx)
+			}()
+		}
+		wg.Wait()
+		for i := range readers {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			if !reflect.DeepEqual(results[i], results[0]) {
+				t.Errorf("reader %d disagrees with reader 0", i)
+			}
+		}
+		if n := spanCount(tr, "sim-run"); n != 1 {
+			t.Errorf("%d concurrent first evaluations simulated %d times, want 1", readers, n)
+		}
+	})
+
+	t.Run("cancelled", func(t *testing.T) {
+		eval := desEvaluator(t, plan, WithBlocks(16))
+		cancelled, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, err := eval(cancelled); !errors.Is(err, context.Canceled) {
+			t.Fatalf("evaluation under a cancelled ctx returned %v, want context.Canceled", err)
+		}
+		tr := obs.NewTracer()
+		got, err := eval(obs.WithTracer(context.Background(), tr))
 		if err != nil {
 			t.Fatal(err)
 		}
-		cw, err := m.CompileWith(plan.Workload(), plan)
+		if n := spanCount(tr, "sim-run"); n != 1 {
+			t.Errorf("the evaluation after a cancelled one simulated %d times, want 1", n)
+		}
+		fresh, err := PlanWorkload(plan.Workload())
 		if err != nil {
 			t.Fatal(err)
 		}
-		return cw.plan.runnerPool(cw.desCfg)
-	}
-	a, b, c := pool(WithBlocks(4)), pool(WithBlocks(4)), pool(WithBlocks(8))
-	if a != b {
-		t.Error("two bindings with one simulator config use different runner pools")
-	}
-	if a == c {
-		t.Error("bindings with different simulator configs share a runner pool")
-	}
+		want, err := desEvaluator(t, fresh, WithBlocks(16))(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Error("the evaluation after a cancelled one differs from a fresh plan's")
+		}
+	})
 }

@@ -42,20 +42,21 @@ func (m *Machine) desConfig() des.Config {
 	}
 }
 
-// simulate runs the compiled kernel once and returns its stats plus the
+// simulate returns the compiled kernel's simulated stats plus the
 // compute-only lower bound (the list-scheduled makespan at the same block
 // count, with communication free), which anchors the communication-hidden
-// metric. The first evaluation of a plan builds it (circuit generation and
-// DAG construction, a "dag-build" span under "sim-run") and the pooled
-// des.Runner arena, and scheduling is memoized in the plan, so repeated
-// evaluations pay only the event loop and allocate nothing.
+// metric. The stats depend only on the plan's DAG and the simulator
+// config, so the plan memoizes them per config: the first evaluation runs
+// the event loop, as a "sim-run" span (under which the plan's first read
+// records its "dag-build"), and every later binding with that config reads
+// the memo. A failed or cancelled run caches nothing. Scheduling is
+// memoized in the plan too, so a repeated evaluation allocates nothing.
 func (e simEngine) simulate(ctx context.Context, cw *CompiledWorkload) (des.Stats, time.Duration, error) {
-	runCtx, sp := obs.StartSpan(ctx, "sim-run")
-	pool := cw.plan.runnerPool(cw.desCfg)
-	r := cw.runner(runCtx, pool)
-	stats, err := r.Run(ctx)
-	pool.Put(r)
-	sp.End()
+	stats, err := cw.plan.sims.Do(cw.desCfg, func() (des.Stats, error) {
+		runCtx, sp := obs.StartSpan(ctx, "sim-run")
+		defer sp.End()
+		return des.RunDAG(runCtx, cw.plan.DAG(runCtx), cw.desCfg)
+	})
 	if err != nil {
 		return des.Stats{}, 0, err
 	}
@@ -77,9 +78,9 @@ func appendStatMetrics(dst []Metric, stats des.Stats, computeOnly time.Duration)
 }
 
 // EvaluateCompiledInto evaluates a precompiled workload into out, reusing
-// out's metric buffer across calls. With no tracer in ctx, a steady-state
-// evaluation — pooled simulation arena, precompiled DAG, precomputed
-// workload constants, recycled metrics — performs zero allocations.
+// out's metric buffer across calls. With no tracer in ctx, a repeated
+// evaluation — memoized simulation, precomputed workload constants,
+// recycled metrics — performs zero allocations.
 func (e simEngine) EvaluateCompiledInto(ctx context.Context, cw *CompiledWorkload, out *Result) error {
 	if cw == nil || cw.m != e.m {
 		return errForeignCompile

@@ -204,8 +204,8 @@ func (cfg Config) Validate() error {
 // built, avoiding a rebuild when the same DAG also feeds other analyses
 // (the arch des engine schedules the identical DAG for its compute-only
 // lower bound). It builds a single-use Runner; callers replaying the same
-// DAG many times should hold a Runner (or a pool of them) and call Run
-// directly, which amortizes the arena to zero steady-state allocations.
+// DAG many times should hold a Runner and call Run directly, which
+// amortizes the arena to zero steady-state allocations.
 func RunDAG(ctx context.Context, d *circuit.DAG, cfg Config) (Stats, error) {
 	r, err := NewRunner(d, cfg)
 	if err != nil {

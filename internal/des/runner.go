@@ -13,11 +13,11 @@ import (
 // dependency counters, the staging queues, the waiter lists, the residency
 // LRU and the event lanes — lives in the Runner and is rewound between runs.
 // The first Run grows the waiter backing arrays to the circuit's high-water
-// mark; after that a run performs no allocations at all, which is what the
-// compile-once/evaluate-many arch engine needs to replay a precompiled
-// workload allocation-free.
+// mark; after that a run performs no allocations at all.
 //
-// A Runner is not safe for concurrent use; the arch engine keeps a pool.
+// A Runner is not safe for concurrent use. The arch engine keeps none: it
+// simulates each (DAG, Config) pair once, through RunDAG, and memoizes the
+// Stats.
 type Runner struct {
 	d      *circuit.DAG
 	c      *circuit.Circuit

@@ -45,7 +45,7 @@ func TestRunnerMatchesRunDAG(t *testing.T) {
 }
 
 // TestRunnerRejectsInvalidConfig keeps validation at construction time, so
-// a pooled Runner can never be built around a config Run would refuse.
+// a Runner can never be built around a config Run would refuse.
 func TestRunnerRejectsInvalidConfig(t *testing.T) {
 	d := circuit.BuildDAG(gen.CarryLookahead(8).Circuit)
 	if _, err := NewRunner(d, Config{}); err == nil {

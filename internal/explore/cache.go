@@ -28,11 +28,13 @@ import (
 // never evicted and its build stays single-flight across concurrent runs.
 // When the last run using a plan returns, the plan is charged its built
 // instruction count (0 while unbuilt), and the least-recently used unpinned
-// plans are evicted until the charges fit the budget; a plan larger than
-// the whole budget is dropped as soon as its last run returns, so one
-// QFT(1000) never flushes the rest. Only a successfully planned workload
-// enters the cache. Keys stay finite because only registry kernels reach
-// In.Plan: custom circuits bring their own plan to In.EvaluatePlan.
+// plans are evicted until the charges fit the budget. A plan larger than
+// an eighth of the budget is dropped as soon as its last run returns, so
+// one fig8b job's large QFTs never flush the small kernels every other
+// miss sweep shares, nor the simulations memoized in them. Only a
+// successfully planned workload enters the cache. Keys stay finite because
+// only registry kernels reach In.Plan: custom circuits bring their own
+// plan to In.EvaluatePlan.
 //
 // Machines and their compiled bindings are not cached: arch.New and
 // Machine.CompileWith are cheap next to a kernel's DAG, and the points of
@@ -48,10 +50,12 @@ type evalCache struct {
 }
 
 // planBudget is the instruction budget of a long-lived evalCache: about
-// 14 MB at ~54 B per instruction with its DAG and makespan memo. It holds
-// every plan of the table4, table5, fig8a, pareto, overlap-sens, xval,
-// workloads and workload-blocks sweeps together (about 44k instructions)
-// but never the 500,500 of fig8b's QFT(1000).
+// 14 MB at ~54 B per instruction with its DAG and makespan memo. Plans of
+// at most planBudget/8 = 32,768 instructions are admitted: every plan of
+// the table4, table5, fig8a, pareto, overlap-sens, xval, workloads and
+// workload-blocks sweeps (16 plans, 44,048 instructions together; the
+// largest, the 1024-bit adder, has 18,402) and fig8b's QFT(100) and
+// QFT(200), but none of its QFT(300…1000), which a job builds and drops.
 const planBudget = 1 << 18
 
 // planKey identifies a kernel plan by kernel identity × width: adder and
@@ -109,7 +113,7 @@ func (c *evalCache) release(used map[planKey]*planEntry) {
 		n := e.plan.Instructions()
 		c.size += n - e.charge
 		e.charge = n
-		if n > c.budget {
+		if n > c.budget/8 {
 			c.evict(e)
 		}
 	}

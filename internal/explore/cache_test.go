@@ -154,7 +154,14 @@ func freshPlanDoc(t *testing.T, name, engine string, seed int64) ([]byte, map[pl
 		t.Fatal(err)
 	}
 	c := newEvalCache(math.MaxInt, nil)
-	pts, err := Run(context.Background(), exp, Options{Phys: phys.Projected(), Seed: seed, Engine: engine, plans: c})
+	return cachedPlanDoc(context.Background(), t, c, exp, engine, seed), retainedPlans(c)
+}
+
+// cachedPlanDoc runs exp through the plan cache c under ctx, as a job
+// does, and returns its document.
+func cachedPlanDoc(ctx context.Context, t *testing.T, c *evalCache, exp *Experiment, engine string, seed int64) []byte {
+	t.Helper()
+	pts, err := Run(ctx, exp, Options{Phys: phys.Projected(), Seed: seed, Engine: engine, plans: c})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +174,7 @@ func freshPlanDoc(t *testing.T, name, engine string, seed int64) ([]byte, map[pl
 	if err := rep.JSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes(), retainedPlans(c)
+	return buf.Bytes()
 }
 
 // retainedPlans lists the keys c holds.
@@ -278,10 +285,50 @@ func TestWarmManagerPlanCacheTransparency(t *testing.T) {
 	}
 }
 
-// TestPlanCacheBound: fig8b's QFT(1000) is larger than the whole budget,
-// so its job uses it and then drops it, leaving the cache within budget
-// and the smaller plans still retained; table4 jobs afterwards hit their
-// adders, rebuilding at most once.
+// TestSimulationsSharedAcrossSweeps: the plans a shared cache retains
+// carry their memoized des simulations from sweep to sweep, so on one
+// cache table5 simulates only the (kernel, machine) pairs table4 did not,
+// and fig8a and xval none at all ("sim-run" spans), while every document
+// matches a fresh run's byte for byte.
+func TestSimulationsSharedAcrossSweeps(t *testing.T) {
+	c := newEvalCache(planBudget, nil)
+	for _, step := range []struct {
+		sweep string
+		sims  int
+	}{
+		{"table4", 24},
+		{"table5", 6},
+		{"fig8a", 0},
+		{"xval", 0},
+	} {
+		exp, err := Lookup(step.sweep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := obs.NewTracer()
+		got := cachedPlanDoc(obs.WithTracer(context.Background(), tr), t, c, exp, "des", 1)
+		want, _ := freshPlanDoc(t, step.sweep, "des", 1)
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: the shared-cache document differs from a fresh run's", step.sweep)
+		}
+		sims := 0
+		for _, sp := range tr.Spans() {
+			if sp.Name() == "sim-run" {
+				sims++
+			}
+		}
+		if sims != step.sims {
+			t.Errorf("%s simulated %d times on the shared cache, want %d", step.sweep, sims, step.sims)
+		}
+	}
+	checkPlanCache(t, c)
+}
+
+// TestPlanCacheBound: fig8b's QFT(300…1000) are each larger than an
+// eighth of the budget, so its job uses them and then drops them, leaving
+// the cache within budget and the smaller plans, its own QFT(100) and
+// QFT(200) and table4's adders, still retained: the table4 jobs afterwards
+// rebuild nothing.
 func TestPlanCacheBound(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := NewManager(WithObservability(reg))
@@ -290,27 +337,28 @@ func TestPlanCacheBound(t *testing.T) {
 	planJob(t, m, "table4", "des", 1)
 	planJob(t, m, "fig8b", "des", 1)
 	checkPlanCache(t, m.plans)
-	if retainedPlans(m.plans)[planKey{kernel: string(arch.KindQFT), bits: 1000}] {
-		t.Error("QFT(1000) retained after its fig8b job, though it exceeds the budget")
+	retained := retainedPlans(m.plans)
+	for bits, want := range map[int]bool{200: true, 300: false, 1000: false} {
+		if retained[planKey{kernel: string(arch.KindQFT), bits: bits}] != want {
+			t.Errorf("QFT(%d) retained = %v after its fig8b job, want %v", bits, !want, want)
+		}
 	}
-	if n := gen.QFT(1000, false).Len(); n <= planBudget {
-		t.Fatalf("QFT(1000) has %d instructions, within the %d budget: the test no longer probes the bound", n, planBudget)
+	if n := gen.QFT(300, false).Len(); n <= planBudget/8 {
+		t.Fatalf("QFT(300) has %d instructions, within the %d admission bound: the test no longer probes it", n, planBudget/8)
 	}
 
-	_, misses0 := planCounters(reg, "table4")
-	planJob(t, m, "table4", "des", 2)
-	_, misses1 := planCounters(reg, "table4")
-	hits1, _ := planCounters(reg, "table4")
-	planJob(t, m, "table4", "des", 3)
-	hits2, misses2 := planCounters(reg, "table4")
+	for _, seed := range []int64{2, 3} {
+		hits0, misses0 := planCounters(reg, "table4")
+		planJob(t, m, "table4", "des", seed)
+		hits, misses := planCounters(reg, "table4")
+		if misses != misses0 {
+			t.Errorf("table4 seed %d after fig8b rebuilt %d plans, want 0", seed, misses-misses0)
+		}
+		if hits == hits0 {
+			t.Errorf("table4 seed %d after fig8b counted no plan hits", seed)
+		}
+	}
 	checkPlanCache(t, m.plans)
-	if misses2 != misses1 {
-		t.Errorf("the second table4 job after fig8b rebuilt %d plans, want 0", misses2-misses1)
-	}
-	if hits2 == hits1 {
-		t.Error("the second table4 job after fig8b counted no plan hits")
-	}
-	t.Logf("table4 rebuilt %d plans after fig8b", misses1-misses0)
 }
 
 // TestPlanCacheSharedByConcurrentJobs: two evaluations at once read the

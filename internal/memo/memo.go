@@ -3,8 +3,8 @@
 // outside it, and share the built value with every caller. Builds are
 // single-flight: the first caller of a cold key builds it while later
 // callers wait for that build, so each key is built once however many
-// workers ask for it at the same time. sched's per-plan makespan memo is
-// an instance of this Map.
+// workers ask for it at the same time. sched's per-plan makespan memo and
+// arch's per-plan simulation memo are instances of this Map.
 package memo
 
 import (
