@@ -3,12 +3,17 @@ package explore
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/circuit"
 	"repro/internal/gen"
 	"repro/internal/obs"
 	"repro/internal/phys"
@@ -189,37 +194,45 @@ func retainedPlans(c *evalCache) map[planKey]bool {
 }
 
 // checkPlanCache asserts the cache's bookkeeping at rest: no run holds a
-// pin, the entries' charges add up to size, size fits the budget, the
-// gauge mirrors it, and every retained plan is charged its built size.
+// pin, each tier's entries are charged their built size (planCharge) and
+// add up to its size, each size fits its tier's budget, every entry sits
+// in the tier its key names, and the gauge mirrors the two sizes' sum.
 func checkPlanCache(t *testing.T, c *evalCache) {
 	t.Helper()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	sum := 0
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*planEntry)
-		if e.pins != 0 {
-			t.Errorf("plan %v still pinned %d times with no job running", e.key, e.pins)
+	listed := 0
+	for _, tier := range []*planTier{&c.kernels, &c.custom} {
+		sum := 0
+		for el := tier.lru.Front(); el != nil; el = el.Next() {
+			e := el.Value.(*planEntry)
+			if e.pins != 0 {
+				t.Errorf("plan %v still pinned %d times with no job running", e.key, e.pins)
+			}
+			if n := planCharge(e.plan); e.charge != n {
+				t.Errorf("plan %v charged %d, its built size is %d", e.key, e.charge, n)
+			}
+			if c.plans[e.key] != e {
+				t.Errorf("plan %v on the LRU list but not in the index", e.key)
+			}
+			if e.tier != tier || c.tier(e.key) != tier {
+				t.Errorf("plan %v on the wrong tier's LRU list", e.key)
+			}
+			sum += e.charge
 		}
-		if n := e.plan.Instructions(); e.charge != n {
-			t.Errorf("plan %v charged %d instructions, built %d", e.key, e.charge, n)
+		listed += tier.lru.Len()
+		if sum != tier.size {
+			t.Errorf("charges add up to %d instructions, size says %d", sum, tier.size)
 		}
-		if c.plans[e.key] != e {
-			t.Errorf("plan %v on the LRU list but not in the index", e.key)
+		if tier.size > tier.budget {
+			t.Errorf("a tier retains %d instructions, over its %d budget", tier.size, tier.budget)
 		}
-		sum += e.charge
 	}
-	if c.lru.Len() != len(c.plans) {
-		t.Errorf("LRU list holds %d plans, index %d", c.lru.Len(), len(c.plans))
+	if listed != len(c.plans) {
+		t.Errorf("LRU lists hold %d plans, index %d", listed, len(c.plans))
 	}
-	if sum != c.size {
-		t.Errorf("charges add up to %d instructions, size says %d", sum, c.size)
-	}
-	if c.size > c.budget {
-		t.Errorf("cache retains %d instructions, over its %d budget", c.size, c.budget)
-	}
-	if c.held != nil && c.held.Value() != int64(c.size) {
-		t.Errorf("cqla_plan_cache_instructions = %d, cache holds %d", c.held.Value(), c.size)
+	if size := c.kernels.size + c.custom.size; c.held != nil && c.held.Value() != int64(size) {
+		t.Errorf("cqla_plan_cache_instructions = %d, cache holds %d", c.held.Value(), size)
 	}
 }
 
@@ -387,4 +400,210 @@ func TestPlanCacheSharedByConcurrentJobs(t *testing.T) {
 		t.Errorf("two concurrent jobs planned %d times, want once per kernel (%d)", misses, len(read))
 	}
 	checkPlanCache(t, m.plans)
+}
+
+// TestCircuitPlanSharedAcrossRequests: a server plans a posted circuit
+// once, under a digest of its text. The same text at a new seed, on des
+// and under the current phys misses the result cache but not the plan
+// cache, and every document matches a fresh CircuitExperiment run byte
+// for byte. A text that differs only by a comment gets its own plan, a bad
+// circuit leaves the cache as it was, and a circuit above the admission
+// bound is evaluated but not retained.
+func TestCircuitPlanSharedAcrossRequests(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := NewServer(WithObservability(reg))
+	t.Cleanup(func() { s.Shutdown(context.Background()) })
+	plans := s.jobs.plans
+	post := func(t *testing.T, text string, seed int64, engine, physName string) (int, []byte) {
+		t.Helper()
+		body, err := json.Marshal(map[string]any{"circuit": text, "seed": seed, "engine": engine, "phys": physName})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sweeps/circuit:run", bytes.NewReader(body)))
+		return rec.Code, rec.Body.Bytes()
+	}
+	circuitPlans := func() int {
+		n := 0
+		for k := range retainedPlans(plans) {
+			if k.text != (planKey{}).text {
+				n++
+			}
+		}
+		return n
+	}
+	wantMisses := func(t *testing.T, want uint64) {
+		t.Helper()
+		if _, misses := planCounters(reg, circuitSweepName); misses != want {
+			t.Errorf("circuit plan misses = %d, want %d", misses, want)
+		}
+	}
+
+	cla32 := circuit.FormatString(gen.CarryLookahead(32).Circuit)
+	for _, step := range []struct {
+		seed             int64
+		engine, physName string
+	}{
+		{1, "analytic", "projected"},
+		{2, "analytic", "projected"},
+		{2, "des", "projected"},
+		{2, "des", "current"},
+	} {
+		code, got := post(t, cla32, step.seed, step.engine, step.physName)
+		if code != http.StatusOK {
+			t.Fatalf("%+v: status %d (%s)", step, code, got)
+		}
+		if want := freshCircuitDoc(t, cla32, step.seed, step.engine, step.physName); !bytes.Equal(got, want) {
+			t.Errorf("%+v: the served document differs from a fresh CircuitExperiment run's", step)
+		}
+		checkPlanCache(t, plans)
+	}
+	wantMisses(t, 1)
+	if hits, _ := planCounters(reg, circuitSweepName); hits == 0 {
+		t.Error("four cla32 jobs counted no circuit plan hits")
+	}
+	if n := circuitPlans(); n != 1 {
+		t.Errorf("%d circuit plans retained after one text, want 1", n)
+	}
+
+	if code, doc := post(t, "# the same adder\n"+cla32, 1, "analytic", "projected"); code != http.StatusOK {
+		t.Fatalf("commented cla32: status %d (%s)", code, doc)
+	}
+	wantMisses(t, 2)
+	if n := circuitPlans(); n != 2 {
+		t.Errorf("%d circuit plans retained after two texts, want 2", n)
+	}
+
+	held := plans.held.Value()
+	if code, doc := post(t, "qubits 2\ncnot 0 7\n", 1, "analytic", "projected"); code != http.StatusBadRequest {
+		t.Errorf("bad circuit: status %d, want 400 (%s)", code, doc)
+	}
+	if got := plans.held.Value(); got != held {
+		t.Errorf("a bad circuit moved cqla_plan_cache_instructions %d → %d", held, got)
+	}
+	wantMisses(t, 2)
+
+	large := "qubits 1\n" + strings.Repeat("h 0\n", planBudget/8+1)
+	if code, doc := post(t, large, 1, "analytic", "projected"); code != http.StatusOK {
+		t.Fatalf("large circuit: status %d (%s)", code, doc)
+	}
+	wantMisses(t, 3)
+	if retainedPlans(plans)[circuitPlanKey(large)] {
+		t.Errorf("a circuit of %d instructions was retained over the %d admission bound", planBudget/8+1, planBudget/8)
+	}
+	if got := plans.held.Value(); got != held {
+		t.Errorf("a circuit over the admission bound moved cqla_plan_cache_instructions %d → %d", held, got)
+	}
+	checkPlanCache(t, plans)
+}
+
+// freshCircuitDoc runs the circuit text as `cqla sweep -circuit` would, with
+// a plan of its own, and returns its document.
+func freshCircuitDoc(t *testing.T, text string, seed int64, engine, physName string) []byte {
+	t.Helper()
+	c, err := circuit.ParseString(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp, err := CircuitExperiment(requestCircuit, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := physByName(physName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, err := Run(context.Background(), exp, Options{Phys: p, Seed: seed, Engine: engine})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	rep := &Report{Experiment: exp, Phys: p.Name, Seed: seed, Engine: engine, Points: pts}
+	if err := rep.JSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestCircuitPlanConcurrentRequests: two jobs of one circuit text at
+// different seeds run at once, each from a plan its request compiled. They
+// share one cache entry, planned once, and their documents match fresh
+// runs. Run it under -race.
+func TestCircuitPlanConcurrentRequests(t *testing.T) {
+	reg := obs.NewRegistry()
+	m := NewManager(WithObservability(reg), WithMaxEvaluations(2))
+	t.Cleanup(func() { m.Shutdown(context.Background()) })
+	text := circuit.FormatString(gen.QFT(16, false))
+	seeds := []int64{5, 6}
+	jobs := make([]*Job, len(seeds))
+	for i, seed := range seeds {
+		j, _, err := m.Submit(JobSpec{Sweep: circuitSweepName, Phys: phys.Projected(), Seed: seed, Circuit: text},
+			func() (*Experiment, error) { return requestExperiment(m.plans, text) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs[i] = j
+	}
+	for i, seed := range seeds {
+		if got := waitPlanJob(t, jobs[i]); !bytes.Equal(got, freshCircuitDoc(t, text, seed, "analytic", "projected")) {
+			t.Errorf("seed %d: the shared-plan document differs from a fresh run's", seed)
+		}
+	}
+	if _, misses := planCounters(reg, circuitSweepName); misses != 1 {
+		t.Errorf("two concurrent jobs of one circuit planned it into the cache %d times, want 1", misses)
+	}
+	checkPlanCache(t, m.plans)
+}
+
+// TestCircuitPlansKeepRegistryPlans: a stream of distinct circuit texts,
+// together larger than the plan budget, posted between des jobs of
+// table4 and table5 on one server, never evicts a registry kernel's plan,
+// nor the simulations memoized in it: after the first jobs of each sweep,
+// no later seed plans a kernel again.
+func TestCircuitPlansKeepRegistryPlans(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := NewServer(WithObservability(reg))
+	t.Cleanup(func() { s.Shutdown(context.Background()) })
+	post := func(sweep string, body map[string]any) {
+		t.Helper()
+		b, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sweeps/"+sweep+":run", bytes.NewReader(b)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s %v: status %d (%s)", sweep, body["seed"], rec.Code, rec.Body.Bytes())
+		}
+	}
+	sweeps := []string{"table4", "table5"}
+	for _, sweep := range sweeps {
+		post(sweep, map[string]any{"engine": "des", "seed": 1})
+	}
+	var warm [2]uint64
+	for i, sweep := range sweeps {
+		_, warm[i] = planCounters(reg, sweep)
+	}
+	// Each circuit is just within the admission bound, so it is retained,
+	// and each burst of ten outweighs the whole budget.
+	const rounds, circuits, gates = 2, 10, planBudget/8 - 1024
+	for r := 0; r < rounds; r++ {
+		for i := 0; i < circuits; i++ {
+			text := "qubits 1\n" + strings.Repeat("h 0\n", gates+r*circuits+i)
+			post(circuitSweepName, map[string]any{"circuit": text, "seed": 1})
+		}
+		for _, sweep := range sweeps {
+			post(sweep, map[string]any{"engine": "des", "seed": 2 + r})
+		}
+	}
+	checkPlanCache(t, s.jobs.plans)
+	for i, sweep := range sweeps {
+		if _, misses := planCounters(reg, sweep); misses != warm[i] {
+			t.Errorf("%s planned %d kernels again between %d circuit posts, want 0", sweep, misses-warm[i], rounds*circuits)
+		}
+	}
+	if _, misses := planCounters(reg, circuitSweepName); misses != rounds*circuits {
+		t.Errorf("%d distinct circuits planned into the cache %d times", rounds*circuits, misses)
+	}
 }

@@ -8,6 +8,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash"
 	"log/slog"
 	"strconv"
 	"sync"
@@ -77,12 +78,19 @@ func (s JobSpec) Key() string {
 	b = strconv.AppendInt(append(b, '\x1f'), s.Seed, 10)
 	b = append(append(b, '\x1f'), s.Engine...)
 	h.Write(append(b, '\x1f'))
-	for c := s.Circuit; c != ""; {
-		n := copy(buf[:], c)
-		h.Write(buf[:n])
-		c = c[n:]
-	}
+	writeString(h, s.Circuit)
 	return hex.EncodeToString(h.Sum(buf[:0])[:12])
+}
+
+// writeString writes s to h through a stack buffer, so hashing a large
+// string allocates no copy of it.
+func writeString(h hash.Hash, s string) {
+	var buf [512]byte
+	for s != "" {
+		n := copy(buf[:], s)
+		h.Write(buf[:n])
+		s = s[n:]
+	}
 }
 
 // Job is one admitted sweep evaluation. Every accessor is safe for
@@ -340,7 +348,7 @@ func newManager(cfg managerConfig) *Manager {
 	var planHeld *obs.Gauge
 	if cfg.obs != nil {
 		planHeld = cfg.obs.Gauge("cqla_plan_cache_instructions",
-			"Kernel-plan instructions the server's plan cache retains between jobs.")
+			"Instructions, plus a fixed overhead per plan, that the server's plan cache retains between jobs.")
 	}
 	return &Manager{
 		ctx:        ctx,

@@ -89,18 +89,51 @@ func workloadBlocksExp() *Experiment {
 // reference machine across the block-budget axis. The circuit compiles once
 // (arch.PlanCircuit); every point binds the one plan to its machine with
 // In.EvaluatePlan, exactly as registry kernels are bound. Callers run it
-// directly (`cqla sweep -circuit file.qc`, the serve API's circuit field);
-// it is never registered, so its name cannot collide with built-ins.
+// with Run (`cqla sweep -circuit file.qc`), whose per-sweep plan cache
+// holds only this circuit, so the plan is keyed by its kernel identity
+// (its name); a server keys each request's circuit by its text instead
+// (requestExperiment). It is never registered, so its name cannot collide
+// with built-ins.
 func CircuitExperiment(name string, c *circuit.Circuit) (*Experiment, error) {
 	plan, err := arch.PlanCircuit(name, c)
 	if err != nil {
 		return nil, err
 	}
-	stats := c.Stats()
+	return circuitExperiment(name, plan, planKey{kernel: plan.Workload().Kernel()}), nil
+}
+
+// requestCircuit is the name every serve request's circuit is planned and
+// titled under.
+const requestCircuit = "request"
+
+// requestExperiment is CircuitExperiment for the circuit text of a serve
+// request, planned through the server's plan cache: the text is parsed and
+// planned only when the cache holds no plan under its digest, and a plan
+// planned here enters the cache when the experiment's run first reads it.
+// A text that fails to parse or plan returns its error and caches nothing.
+func requestExperiment(plans *evalCache, text string) (*Experiment, error) {
+	k := circuitPlanKey(text)
+	plan := plans.cached(k)
+	if plan == nil {
+		c, err := circuit.ParseString(text)
+		if err != nil {
+			return nil, err
+		}
+		if plan, err = arch.PlanCircuit(requestCircuit, c); err != nil {
+			return nil, err
+		}
+	}
+	return circuitExperiment(requestCircuit, plan, k), nil
+}
+
+// circuitExperiment is the block-budget sweep of one compiled circuit.
+// Every point reads the plan through its run's plan cache under key
+// (In.circuitPlan), which adopts plan when the cache holds none.
+func circuitExperiment(name string, plan *arch.WorkloadPlan, key planKey) *Experiment {
 	return &Experiment{
 		Name: "circuit",
 		Title: fmt.Sprintf("custom circuit %q (%d qubits, %d instructions) across block budgets",
-			name, stats.Qubits, stats.Instructions),
+			name, plan.Bits(), plan.Instructions()),
 		Axes: []Axis{
 			Ints("blocks", 4, 9, 16, 25, 36, 49, 64),
 		},
@@ -113,11 +146,15 @@ func CircuitExperiment(name string, c *circuit.Circuit) (*Experiment, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := in.EvaluatePlan(ctx, m, plan)
+			p, err := in.circuitPlan(key, plan)
+			if err != nil {
+				return nil, err
+			}
+			res, err := in.EvaluatePlan(ctx, m, p)
 			if err != nil {
 				return nil, err
 			}
 			return metricsFrom(res), nil
 		},
-	}, nil
+	}
 }

@@ -1,9 +1,13 @@
 package perf
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"time"
 
 	"repro/internal/arch"
@@ -250,6 +254,30 @@ func init() {
 				if _, err := circuit.ParseString(src); err != nil {
 					b.Fatal(err)
 				}
+			}
+		},
+	})
+	mustRegister(Benchmark{
+		Name: "ServeCircuitHitQFT32",
+		Doc:  "one repeated POST of the 32-qubit QFT's text to cqla serve's handler, answered from the result cache: body decode, content key, cached document",
+		F: func(b *B) {
+			srv := explore.NewServer()
+			defer srv.Shutdown(context.Background())
+			body, err := json.Marshal(map[string]string{"circuit": circuit.FormatString(gen.QFT(32, false))})
+			if err != nil {
+				b.Fatal(err)
+			}
+			post := func(want string) {
+				rec := httptest.NewRecorder()
+				srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sweeps/circuit:run", bytes.NewReader(body)))
+				if rec.Code != http.StatusOK || rec.Header().Get("X-Cache") != want {
+					b.Fatalf("circuit post: status %d, X-Cache %q, want 200 and %q", rec.Code, rec.Header().Get("X-Cache"), want)
+				}
+			}
+			post("miss")
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				post("hit")
 			}
 		},
 	})
