@@ -5,33 +5,32 @@
 //
 // Usage:
 //
-//	cqlalint [-list] [-format text|json|github] [-fix] [-tags list] [-bench file] [packages]
+//	cqlalint [-list] [-format text|json|github] [-fix] [-tags list] [packages]
 //
 // With no patterns it analyzes ./... . Output formats: text prints
 // `file:line: [rule] message`; json emits the versioned findings
 // document; github emits `::error file=…,line=…` workflow commands so CI
 // findings annotate the PR diff.
 //
-// -bench names a BENCH.json document for the budget-aware noalloc
-// analyzer; the default "BENCH.json" is skipped silently when absent, an
-// explicit path must exist. -fix writes a
-// `//lint:ignore-cqla <rule> TODO(triage): <finding>` stub above each
-// finding for staged adoption on big refactors; rerunning cqlalint then
-// reports clean, and rerunning -fix changes nothing. Suppress an
-// individual finding permanently with a
+// -fix writes a `//lint:ignore-cqla <rule> TODO(triage): <finding>` stub
+// above each finding for staged adoption on big refactors; rerunning
+// cqlalint then reports clean, and rerunning -fix changes nothing.
+// Suppress an individual finding permanently with a
 // `//lint:ignore-cqla <rule> <reason>` comment on the same line or the
 // line directly above it.
+//
+// The suite is static: whether a //cqla:noalloc function allocates at
+// runtime is measured by the internal/perf rows that name it
+// (Benchmark.NoAlloc) and checked by that package's tests.
 package main
 
 import (
 	"errors"
 	"flag"
 	"fmt"
-	"io/fs"
 	"os"
 
 	"repro/internal/lint"
-	"repro/internal/perf"
 )
 
 func main() {
@@ -39,9 +38,8 @@ func main() {
 	format := flag.String("format", "text", "findings output: text, json, or github")
 	fix := flag.Bool("fix", false, "write //lint:ignore-cqla TODO(triage) stubs for the findings and exit 0")
 	tags := flag.String("tags", "", "comma-separated build tags passed to the go list loader")
-	bench := flag.String("bench", "BENCH.json", "BENCH.json document for the budget-aware noalloc analyzer (\"\" disables)")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: cqlalint [-list] [-format text|json|github] [-fix] [-tags list] [-bench file] [packages]\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: cqlalint [-list] [-format text|json|github] [-fix] [-tags list] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -63,22 +61,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	cfg := lint.DefaultConfig()
-	if *bench != "" {
-		budgets, err := lint.LoadBudgets(*bench)
-		switch {
-		case err == nil:
-			cfg.Budgets = budgets
-			cfg.BudgetPath = *bench
-			cfg.MeasuredFuncs = perf.MeasuredFunctions()
-		case errors.Is(err, fs.ErrNotExist) && !flagWasSet("bench"):
-			// No checked-in BENCH.json here: the budget analyzer stays off.
-		default:
-			fmt.Fprintf(os.Stderr, "cqlalint: %v\n", err)
-			os.Exit(2)
-		}
-	}
-
 	pkgs, err := lint.LoadTags(cwd, *tags, patterns...)
 	if err != nil {
 		var le *lint.LoadError
@@ -92,22 +74,15 @@ func main() {
 		}
 		os.Exit(2)
 	}
-	findings := lint.Run(cfg, pkgs)
+	findings := lint.Run(lint.DefaultConfig(), pkgs)
 
 	if *fix && len(findings) > 0 {
-		files, stubbed, remainder, err := lint.ApplyFix(findings)
+		files, stubbed, err := lint.ApplyFix(findings)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cqlalint: -fix: %v\n", err)
 			os.Exit(2)
 		}
 		fmt.Printf("cqlalint: wrote %d suppression stub(s) across %d file(s); rerun cqlalint to verify, then triage the TODOs\n", stubbed, files)
-		for _, f := range remainder {
-			fmt.Println(f.StringRelative(cwd))
-		}
-		if len(remainder) > 0 {
-			fmt.Fprintf(os.Stderr, "cqlalint: %d finding(s) have no source position and cannot be stubbed\n", len(remainder))
-			os.Exit(1)
-		}
 		return
 	}
 
@@ -134,16 +109,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "cqlalint: %d finding(s)\n", len(findings))
 		os.Exit(1)
 	}
-}
-
-// flagWasSet reports whether the named flag appeared on the command line
-// (as opposed to holding its default).
-func flagWasSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
 }

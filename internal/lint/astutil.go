@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // pkgCall resolves a call through a package selector (`pkg.Fn(...)`) to
@@ -160,17 +159,6 @@ func declSymbol(pkg *Package, fn *ast.FuncDecl) string {
 		return ""
 	}
 	return pkg.Path + ".(" + ptr + id.Name + ")." + fn.Name.Name
-}
-
-// symbolPkg extracts the import path from a funcSymbol-grammar string.
-func symbolPkg(sym string) string {
-	if i := strings.Index(sym, ".("); i >= 0 {
-		return sym[:i]
-	}
-	if i := strings.LastIndex(sym, "."); i >= 0 {
-		return sym[:i]
-	}
-	return sym
 }
 
 // funcDecls yields every function declaration with a body in the package.

@@ -66,19 +66,13 @@ func sanitizeReason(msg string) string {
 	return strings.TrimSpace(msg)
 }
 
-// ApplyFix writes suppression stubs for every finding that points into a
-// Go source file and reports how many files were rewritten and how many
-// findings were stubbed. Findings without a .go position (the
-// budget-noalloc document diagnostics) cannot be stubbed and are returned
-// as the remainder.
-func ApplyFix(findings []Finding) (files, stubbed int, remainder []Finding, err error) {
+// ApplyFix writes a suppression stub for every finding, each of which
+// points into a Go source file, and reports how many files were rewritten
+// and how many findings were stubbed.
+func ApplyFix(findings []Finding) (files, stubbed int, err error) {
 	byFile := make(map[string][]Finding)
 	for _, f := range findings {
-		if strings.HasSuffix(f.Pos.Filename, ".go") && f.Pos.Line > 0 {
-			byFile[f.Pos.Filename] = append(byFile[f.Pos.Filename], f)
-		} else {
-			remainder = append(remainder, f)
-		}
+		byFile[f.Pos.Filename] = append(byFile[f.Pos.Filename], f)
 	}
 	names := make([]string, 0, len(byFile))
 	for name := range byFile {
@@ -88,17 +82,17 @@ func ApplyFix(findings []Finding) (files, stubbed int, remainder []Finding, err 
 	for _, name := range names {
 		src, readErr := os.ReadFile(name)
 		if readErr != nil {
-			return files, stubbed, remainder, readErr
+			return files, stubbed, readErr
 		}
 		fixed := FixSource(src, byFile[name])
 		if string(fixed) == string(src) {
 			continue
 		}
 		if writeErr := os.WriteFile(name, fixed, 0o644); writeErr != nil {
-			return files, stubbed, remainder, writeErr
+			return files, stubbed, writeErr
 		}
 		files++
 		stubbed += len(byFile[name])
 	}
-	return files, stubbed, remainder, nil
+	return files, stubbed, nil
 }

@@ -83,12 +83,12 @@ func TestFixRoundTrip(t *testing.T) {
 	if len(findings) != 3 {
 		t.Fatalf("dirty fixture produced %d findings, want 3: %v", len(findings), findings)
 	}
-	files, stubbed, remainder, err := ApplyFix(findings)
+	files, stubbed, err := ApplyFix(findings)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if files != 1 || stubbed != 3 || len(remainder) != 0 {
-		t.Errorf("ApplyFix = %d files, %d stubbed, %d remainder", files, stubbed, len(remainder))
+	if files != 1 || stubbed != 3 {
+		t.Errorf("ApplyFix = %d files, %d stubbed", files, stubbed)
 	}
 
 	after := readFile(t, path)
@@ -97,7 +97,7 @@ func TestFixRoundTrip(t *testing.T) {
 	}
 
 	// Idempotence: a second fix pass sees no findings and writes nothing.
-	files, stubbed, _, err = ApplyFix(Run(cfg, load()))
+	files, stubbed, err = ApplyFix(Run(cfg, load()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,10 @@
 // Package lint is the repository's static-analysis suite: vet-style
 // analyzers over the package tree enforcing invariants the test suite can
 // only spot-check dynamically — deterministic sweep output, nil-safe
-// observability handles, context discipline, and the allocation budget of
-// the proven hot paths.
+// observability handles, context discipline, and allocation-free hot
+// paths.
 //
-// Seven analyzers ship today:
+// Six analyzers ship today:
 //
 //   - determinism: packages that feed sweep output must not read the wall
 //     clock or the global math/rand stream, and values accumulated from a
@@ -16,9 +16,11 @@
 //     instead of minting context.Background()/TODO(), never pass a nil
 //     context, and thread a received context to context-accepting callees.
 //   - noalloc: functions annotated `//cqla:noalloc` are scanned for
-//     known-allocating constructs, making the AllocsPerRun == 0 benchmarks
-//     a compile-time property of every edit rather than a runtime spot
-//     check.
+//     known-allocating constructs, so the zero that an internal/perf row
+//     measures for the functions it names (Benchmark.NoAlloc) is a
+//     property of every edit, not only of the inputs a test runs. The
+//     self-check holds every such name to a function carrying the
+//     directive.
 //   - purity: no function reachable from an engine's EvaluateCompiledInto
 //     in the analytic-model packages may touch package-level mutable
 //     state, call into os/file IO, or mutate its receiver's maps outside a
@@ -27,10 +29,6 @@
 //   - goleak: every `go` statement in the serving and observability
 //     packages must be cancellable — a context, a done-channel select, or
 //     a WaitGroup with a reachable Wait.
-//   - budget-noalloc: the `//cqla:noalloc` annotation set is reconciled
-//     against a measured BENCH.json — every zero-alloc benchmark's
-//     function carries the directive, and no mapped directive outlives a
-//     benchmark that now allocates.
 //
 // Findings print as `file:line: [rule] message`. A finding is suppressed
 // by a `//lint:ignore-cqla <rule> <reason>` comment on the same line or
@@ -72,14 +70,14 @@ type Analyzer struct {
 	// Run inspects one package and reports findings through the pass.
 	Run func(p *Pass)
 	// Suite marks analyzers that need the whole load at once (call-graph
-	// walks, cross-package reconciliation). They run exactly once per Run
-	// with Pass.All populated, instead of once per package.
+	// walks). They run exactly once per Run with Pass.All populated,
+	// instead of once per package.
 	Suite bool
 }
 
 // Analyzers is the full suite in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{determinism, obsGuard, ctxFlow, noAlloc, purity, goLeak, budgetNoAlloc}
+	return []*Analyzer{determinism, obsGuard, ctxFlow, noAlloc, purity, goLeak}
 }
 
 // Config scopes the analyzers to concrete package paths. The zero value
@@ -112,17 +110,6 @@ type Config struct {
 	// GoleakPkgs are the packages where every `go` statement must be
 	// provably cancellable or WaitGroup-tracked.
 	GoleakPkgs map[string]bool
-	// Budgets maps benchmark name -> measured allocs/op, as loaded from a
-	// BENCH.json by LoadBudgets. Nil disables the budget-noalloc analyzer.
-	Budgets map[string]int64
-	// BudgetPath is the document Budgets came from, used to position
-	// findings that have no source location (a benchmark with no mapping).
-	BudgetPath string
-	// MeasuredFuncs maps benchmark name -> the fully qualified functions
-	// the benchmark measures (perf.MeasuredFunctions in the repository
-	// wiring). Symbols use the form "import/path.Func" or
-	// "import/path.(*Type).Method".
-	MeasuredFuncs map[string][]string
 }
 
 // DefaultConfig is the repository wiring of the suite.
@@ -179,8 +166,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // reportAt records a finding at an already-resolved position — for suite
-// analyzers whose diagnostics may point outside any loaded source file
-// (the BENCH.json document itself).
+// analyzers whose diagnostics point into a package other than the pass's
+// own.
 func (p *Pass) reportAt(pos token.Position, format string, args ...any) {
 	*p.findings = append(*p.findings, Finding{
 		Pos:  pos,

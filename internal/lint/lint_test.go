@@ -130,64 +130,6 @@ func TestGoLeakGolden(t *testing.T) {
 	runGolden(t, "goleak.golden", cfg, pkgs)
 }
 
-func budgetFixtureConfig(t *testing.T) Config {
-	t.Helper()
-	budgets, err := LoadBudgets("testdata/bench/budgetfix.json")
-	if err != nil {
-		t.Fatalf("loading the budget fixture: %v", err)
-	}
-	return Config{
-		Budgets:    budgets,
-		BudgetPath: "testdata/bench/budgetfix.json",
-		MeasuredFuncs: map[string][]string{
-			"Fast":    {fixturePrefix + "budgetfix.Fast"},
-			"Missing": {fixturePrefix + "budgetfix.Missing"},
-			"Stale":   {fixturePrefix + "budgetfix.Stale"},
-			// Skipped maps to a function that does not exist in the loaded
-			// package: a schema hole reported against the document.
-			"Skipped": {fixturePrefix + "budgetfix.Gone"},
-			// Elsewhere maps into a package outside this load; the
-			// analyzer must stay silent about code it cannot see.
-			"Elsewhere": {"repro/internal/unloaded.Fn"},
-			// Orphan (0 allocs/op) has no entry at all -> document finding.
-		},
-	}
-}
-
-func TestBudgetNoAllocGolden(t *testing.T) {
-	pkgs := loadFixtures(t, "budgetfix")
-	runGolden(t, "budget-noalloc.golden", budgetFixtureConfig(t), pkgs)
-}
-
-// TestBudgetDisabled pins that a nil budget map turns the analyzer off
-// entirely — the driver's behavior when no BENCH.json is present.
-func TestBudgetDisabled(t *testing.T) {
-	pkgs := loadFixtures(t, "budgetfix")
-	if got := Run(Config{}, pkgs); len(got) != 0 {
-		t.Errorf("budget analyzer fired without budgets: %v", got)
-	}
-}
-
-func TestLoadBudgets(t *testing.T) {
-	budgets, err := LoadBudgets("testdata/bench/budgetfix.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if budgets["Fast"] != 0 || budgets["Stale"] != 3 {
-		t.Errorf("budgets = %v", budgets)
-	}
-	if _, err := LoadBudgets("testdata/bench/nosuch.json"); err == nil {
-		t.Error("missing document loaded without error")
-	}
-	bad := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(bad, []byte(`{"benchmarks": []}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadBudgets(bad); err == nil {
-		t.Error("document without schema_version loaded without error")
-	}
-}
-
 // TestDeterminismScoping pins that the analyzer only fires inside the
 // configured package set: the same fixture under an empty config is
 // silent.
@@ -419,7 +361,7 @@ func TestLoadErrors(t *testing.T) {
 }
 
 func TestAnalyzersListed(t *testing.T) {
-	want := []string{"determinism", "obsguard", "ctxflow", "noalloc", "purity", "goleak", "budget-noalloc"}
+	want := []string{"determinism", "obsguard", "ctxflow", "noalloc", "purity", "goleak"}
 	got := Analyzers()
 	if len(got) != len(want) {
 		t.Fatalf("suite has %d analyzers, want %d", len(got), len(want))

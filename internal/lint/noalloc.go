@@ -6,9 +6,9 @@ import (
 )
 
 // noAlloc checks every function carrying the `//cqla:noalloc` directive
-// for constructs known to allocate, so the hot paths the PR 4/5
-// benchmarks proved allocation-free stay that way on every edit — not
-// just where an AllocsPerRun assertion happens to execute.
+// for constructs known to allocate, so the hot paths that internal/perf's
+// NoAlloc rows measure allocation-free stay that way on every edit — not
+// just where a measurement happens to execute.
 //
 // Flagged constructs:
 //

@@ -2,15 +2,15 @@ package lint
 
 import (
 	"os"
-	"strings"
 	"testing"
 
 	"repro/internal/perf"
 )
 
 // TestRepositoryClean is the self-check: the suite under its shipping
-// configuration — including the budget-aware noalloc coupling to the
-// checked-in BENCH.json — finds nothing in the repository. Every rule
+// configuration finds nothing in the repository, and every function an
+// internal/perf row certifies allocation-free (Benchmark.NoAlloc) carries
+// the `//cqla:noalloc` directive the noalloc analyzer checks. Every rule
 // the analyzers enforce is therefore a property of the tree at every
 // commit, not a one-time cleanup.
 func TestRepositoryClean(t *testing.T) {
@@ -28,30 +28,45 @@ func TestRepositoryClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.Budgets, err = LoadBudgets("../../BENCH.json")
-	if err != nil {
-		t.Fatalf("loading the checked-in BENCH.json: %v", err)
-	}
-	cfg.BudgetPath = "../../BENCH.json"
-	cfg.MeasuredFuncs = perf.MeasuredFunctions()
-	for _, f := range Run(cfg, pkgs) {
+	for _, f := range Run(DefaultConfig(), pkgs) {
 		t.Errorf("%s", f.StringRelative(cwd))
 	}
 
-	// The coupling cuts both ways: remapping a zero-alloc benchmark to a
-	// function without the directive must fail, which is exactly what
-	// deleting a //cqla:noalloc directive from the real mapping does.
-	broken := cfg
-	broken.MeasuredFuncs = make(map[string][]string, len(cfg.MeasuredFuncs))
-	for k, v := range cfg.MeasuredFuncs {
-		broken.MeasuredFuncs[k] = v
+	var certified []string
+	for _, bm := range perf.Benchmarks() {
+		certified = append(certified, bm.NoAlloc...)
 	}
-	broken.MeasuredFuncs["BuildDAGInto"] = []string{"repro/internal/circuit.BuildDAG"}
-	got := Run(broken, pkgs)
-	if len(got) != 1 || !strings.Contains(got[0].Msg, "carries no //cqla:noalloc directive") {
-		t.Errorf("deleting a directive (simulated by remapping) produced %v, want exactly one missing-directive finding", got)
+	if len(certified) == 0 {
+		t.Fatal("no perf row names a NoAlloc function; the directive check checks nothing")
 	}
+	for _, sym := range undirected(pkgs, certified) {
+		t.Errorf("%s is certified allocation-free by a perf row but is no loaded function carrying //cqla:noalloc", sym)
+	}
+	// The check cuts both ways: a function without the directive, as
+	// deleting one leaves it, is reported.
+	if got := undirected(pkgs, []string{"repro/internal/circuit.BuildDAG"}); len(got) != 1 {
+		t.Errorf("circuit.BuildDAG, which carries no directive, reported as %v; want it reported", got)
+	}
+}
+
+// undirected returns the symbols, in the lint grammar, that resolve to no
+// loaded function declaration carrying `//cqla:noalloc`.
+func undirected(pkgs []*Package, syms []string) []string {
+	directed := make(map[string]bool)
+	for _, pkg := range pkgs {
+		for _, fn := range funcDecls(pkg) {
+			if hasNoallocDirective(fn) {
+				directed[declSymbol(pkg, fn)] = true
+			}
+		}
+	}
+	var out []string
+	for _, sym := range syms {
+		if !directed[sym] {
+			out = append(out, sym)
+		}
+	}
+	return out
 }
 
 // TestPurityRootsEveryEngine pins the shipping entry set to the engines:

@@ -72,11 +72,10 @@ func (b *B) ResetTimer() {
 }
 
 // ReportMetric records a custom metric carried into the report, keyed by
-// unit. The last run's value wins, matching testing.B.
+// unit. The last run's value wins, matching testing.B. The map is sized
+// before the timer starts, so recording a metric is never billed to the
+// row's allocation counts.
 func (b *B) ReportMetric(v float64, unit string) {
-	if b.extra == nil {
-		b.extra = make(map[string]float64)
-	}
 	b.extra[unit] = v
 }
 
@@ -92,7 +91,9 @@ func (b *B) Fatalf(format string, args ...interface{}) {
 
 // runN executes one timed run of n iterations.
 func runN(bm Benchmark, n int) (b *B, err error) {
-	b = &B{N: n}
+	// Sized past a small map's single group, as testing.B sizes its own,
+	// so ReportMetric inserts without allocating.
+	b = &B{N: n, extra: make(map[string]float64, 16)}
 	defer func() {
 		if r := recover(); r != nil {
 			if f, ok := r.(benchFailure); ok {

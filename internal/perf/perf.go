@@ -13,7 +13,9 @@
 // failing bodies. Compare reads a previous document back and prints a
 // benchstat-style delta table (`cqla bench -baseline old/BENCH.json`);
 // Comparison.Gate is the CI regression gate over the rows at or above
-// GateFloor.
+// GateFloor. A row whose body allocates nothing names the functions it
+// certifies (Benchmark.NoAlloc), and the package tests hold that claim to
+// a measurement of every row.
 package perf
 
 import (
@@ -46,6 +48,13 @@ type Benchmark struct {
 	// F is the benchmark body; B mirrors the testing.B API surface the
 	// suite needs (N, timers, ReportMetric, Fatal).
 	F func(b *B)
+	// NoAlloc names the functions whose zero allocations this row
+	// certifies, in the lint symbol grammar: "import/path.Func",
+	// "import/path.(*Type).Method" or "import/path.(Type).Method". A row
+	// that declares them must measure 0 allocs/op and a row that measures
+	// 0 must declare them (TestSuiteBodiesRun), and every named function
+	// must carry `//cqla:noalloc` (internal/lint's TestRepositoryClean).
+	NoAlloc []string
 }
 
 var (

@@ -46,6 +46,17 @@ func TestRegisterValidation(t *testing.T) {
 	if err := Register(Benchmark{Name: "NoBody"}); err == nil {
 		t.Error("nil body accepted")
 	}
+	// The registry is global; leave it as the suite defined it, so the
+	// row-wide tests see only real rows.
+	regMu.Lock()
+	n := len(registry)
+	regMu.Unlock()
+	t.Cleanup(func() {
+		regMu.Lock()
+		defer regMu.Unlock()
+		registry = registry[:n]
+		delete(regNames, "perf-test-dup")
+	})
 	if err := Register(Benchmark{Name: "perf-test-dup", F: func(*B) {}}); err != nil {
 		t.Fatalf("first registration: %v", err)
 	}
@@ -64,38 +75,50 @@ func TestSuiteRegistered(t *testing.T) {
 	}
 }
 
-// TestSuiteBodiesRun runs every registered body once, so a broken body
-// fails `go test` instead of surfacing first in the CI bench job.
+// allocRuns is the iteration count TestSuiteBodiesRun runs each row at.
+// Allocations per op are the run's mallocs divided by it, rounded down as
+// testing.AllocsPerRun rounds them, so one stray runtime malloc over the
+// run (seen under -race) cannot fail a zero-alloc row, while every row
+// that allocates on each op still reads at least 1.
+const allocRuns = 5
+
+// TestSuiteBodiesRun runs every registered body, so a broken body fails
+// `go test` instead of surfacing first in the CI bench job, and holds
+// each row's NoAlloc claim to the live measurement: a row that declares
+// allocation-free functions must read 0 allocs/op, and a row that reads
+// 0 must declare the functions its zero certifies.
 func TestSuiteBodiesRun(t *testing.T) {
 	for _, bm := range Benchmarks() {
-		if _, err := runN(bm, 1); err != nil {
+		b, err := runN(bm, allocRuns)
+		if err != nil {
 			t.Error(err)
+			continue
+		}
+		allocs := b.netAllocs / allocRuns
+		switch {
+		case len(bm.NoAlloc) > 0 && allocs != 0:
+			t.Errorf("%s certifies %v allocation-free but reads %d allocs/op", bm.Name, bm.NoAlloc, allocs)
+		case len(bm.NoAlloc) == 0 && allocs == 0:
+			t.Errorf("%s reads 0 allocs/op but names no NoAlloc functions, so its zero certifies nothing", bm.Name)
 		}
 	}
 }
 
-// TestMeasuredFunctionsSchema pins the benchmark → measured-function
-// table against the registry and the lint symbol grammar: a renamed
-// benchmark or a typo'd symbol fails here, long before the budget-aware
-// noalloc analyzer would silently drop the budget it carries.
-func TestMeasuredFunctionsSchema(t *testing.T) {
-	registered := map[string]bool{}
-	for _, bm := range Benchmarks() {
-		registered[bm.Name] = true
+// TestReportMetricIsNotBilled pins that the harness's own bookkeeping
+// stays out of a row's counts: a metric reported after a loop that
+// allocates nothing leaves the run at 0 allocations.
+func TestReportMetricIsNotBilled(t *testing.T) {
+	bm := Benchmark{Name: "Metric", F: func(b *B) {
+		for i := 0; i < b.N; i++ {
+		}
+		b.ReportMetric(1, "answer")
+	}}
+	b, err := runN(bm, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	symbol := regexp.MustCompile(`^[\w./-]+\.(\(\*?\w+\)\.)?\w+$`)
-	for bench, funcs := range MeasuredFunctions() {
-		if !registered[bench] {
-			t.Errorf("MeasuredFunctions maps %q, which is not a registered benchmark", bench)
-		}
-		if len(funcs) == 0 {
-			t.Errorf("MeasuredFunctions[%q] is empty; drop the entry instead", bench)
-		}
-		for _, sym := range funcs {
-			if !symbol.MatchString(sym) {
-				t.Errorf("MeasuredFunctions[%q] symbol %q does not match the lint grammar", bench, sym)
-			}
-		}
+	if b.netAllocs != 0 || b.extra["answer"] != 1 {
+		t.Errorf("ReportMetric run: %d allocations, metrics %v; want 0 and answer=1", b.netAllocs, b.extra)
 	}
 }
 

@@ -31,8 +31,9 @@ import (
 // least GateFloor.
 func init() {
 	mustRegister(Benchmark{
-		Name: "SyndromeDecodeSteane",
-		Doc:  "one X-error decode of the Steane code through the public vector API",
+		Name:    "SyndromeDecodeSteane",
+		Doc:     "one X-error decode of the Steane code through the public vector API",
+		NoAlloc: []string{"repro/internal/ecc.(*Code).CorrectX"},
 		F: func(b *B) {
 			c := ecc.Steane()
 			e := gf2.NewVec(c.N)
@@ -45,8 +46,9 @@ func init() {
 		},
 	})
 	mustRegister(Benchmark{
-		Name: "ConcatenatedMCLevel2",
-		Doc:  "1000 hierarchical level-2 Monte Carlo trials, Bacon-Shor code at p=0.01",
+		Name:    "ConcatenatedMCLevel2",
+		Doc:     "1000 hierarchical level-2 Monte Carlo trials, Bacon-Shor code at p=0.01",
+		NoAlloc: []string{"repro/internal/ecc.(*Code).ConcatenatedMonteCarloX"},
 		F: func(b *B) {
 			c := ecc.BaconShor()
 			rng := rand.New(rand.NewSource(5))
@@ -57,8 +59,9 @@ func init() {
 		},
 	})
 	mustRegister(Benchmark{
-		Name: "ConcatenatedMCLevel2Steane",
-		Doc:  "2000 hierarchical level-2 Monte Carlo trials, Steane code at p=1e-3",
+		Name:    "ConcatenatedMCLevel2Steane",
+		Doc:     "2000 hierarchical level-2 Monte Carlo trials, Steane code at p=1e-3",
+		NoAlloc: []string{"repro/internal/ecc.(*Code).ConcatenatedMonteCarloX"},
 		F: func(b *B) {
 			c := ecc.Steane()
 			rng := rand.New(rand.NewSource(7))
@@ -291,8 +294,9 @@ func init() {
 		},
 	})
 	mustRegister(Benchmark{
-		Name: "BuildDAGInto",
-		Doc:  "rebuilding the 64-bit adder DAG into a reused arena (zero allocations)",
+		Name:    "BuildDAGInto",
+		Doc:     "rebuilding the 64-bit adder DAG into a reused arena (zero allocations)",
+		NoAlloc: []string{"repro/internal/circuit.BuildDAGInto"},
 		F: func(b *B) {
 			ad := gen.CarryLookahead(64)
 			d := circuit.BuildDAG(ad.Circuit)
@@ -352,9 +356,17 @@ func init() {
 	mustRegister(Benchmark{
 		Name: "MonteCarloBitSliced",
 		// The same workload as MonteCarloXSeededSerial — one worker, 20000
-		// trials, seed 42 — so the two rows in BENCH.json read directly as
-		// the bit-sliced engine's speedup over the scalar decoder.
+		// trials, seed 42 — so the two rows read directly as the
+		// bit-sliced engine's speedup over the scalar decoder. It is
+		// certified through its three kernels: the transposed
+		// sampler/decoder, the logical-fault reduction and the cached
+		// Bernoulli lane generator.
 		Doc: "20000 bit-sliced Monte Carlo trials on one worker (64 trials per decode)",
+		NoAlloc: []string{
+			"repro/internal/ecc.(*bitDecoder).sampleBatch",
+			"repro/internal/ecc.(*bitDecoder).faultLanes",
+			"repro/internal/ecc.(*mcProb).lanes",
+		},
 		F: func(b *B) {
 			c := ecc.Steane()
 			b.ResetTimer()
@@ -364,8 +376,9 @@ func init() {
 		},
 	})
 	mustRegister(Benchmark{
-		Name: "MonteCarloRareEvent",
-		Doc:  "importance-sampled Monte Carlo at p=1e-4 on one worker: a 20000-trial budget, one 19968-trial grant",
+		Name:    "MonteCarloRareEvent",
+		Doc:     "importance-sampled Monte Carlo at p=1e-4 on one worker: a 20000-trial budget, one 19968-trial grant",
+		NoAlloc: []string{"repro/internal/ecc.(*bitDecoder).sampleBatchHist"},
 		F: func(b *B) {
 			c := ecc.Steane()
 			var r ecc.MonteCarloResult
@@ -377,8 +390,9 @@ func init() {
 		},
 	})
 	mustRegister(Benchmark{
-		Name: "DESRunnerReuse",
-		Doc:  "the des event loop replayed on a reused 64-bit adder arena (zero allocations)",
+		Name:    "DESRunnerReuse",
+		Doc:     "the des event loop replayed on a reused 64-bit adder arena (zero allocations)",
+		NoAlloc: []string{"repro/internal/des.(*Runner).Run"},
 		F: func(b *B) {
 			d := circuit.BuildDAG(gen.CarryLookahead(64).Circuit)
 			cfg := des.Config{Blocks: 9, Channels: 12, ResidentQubits: 700,
@@ -388,6 +402,11 @@ func init() {
 				b.Fatal(err)
 			}
 			ctx := context.Background()
+			// The first run grows the arena's waiter lists; the loop
+			// replays the event loop alone.
+			if _, err := r.Run(ctx); err != nil {
+				b.Fatal(err)
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := r.Run(ctx); err != nil {
@@ -415,8 +434,9 @@ func init() {
 		},
 	})
 	mustRegister(Benchmark{
-		Name: "DESRunnerQFT256",
-		Doc:  "the des event loop of the 256-qubit QFT on fig8b's machine, replayed on a reused arena",
+		Name:    "DESRunnerQFT256",
+		Doc:     "the des event loop of the 256-qubit QFT on fig8b's machine, replayed on a reused arena",
+		NoAlloc: []string{"repro/internal/des.(*Runner).Run"},
 		F: func(b *B) {
 			d := circuit.BuildDAG(gen.QFT(256, false))
 			// fig8b's 36-block Bacon-Shor machine at the projected
@@ -444,6 +464,10 @@ func init() {
 	mustRegister(Benchmark{
 		Name: "PublicDecode",
 		Doc:  "one public-API syndrome extraction + table decode, Steane X errors (zero allocations)",
+		NoAlloc: []string{
+			"repro/internal/ecc.(*Code).SyndromeX",
+			"repro/internal/ecc.(*Code).DecodeX",
+		},
 		F: func(b *B) {
 			c := ecc.Steane()
 			e := gf2.NewVec(c.N)
