@@ -1,5 +1,6 @@
-// Package repro_bench holds ablation benches for the design choices called
-// out in DESIGN.md, plus the Table 1 parameter and transfer-batch benches.
+// Package repro_bench holds ablation benches for the design choices listed
+// under "Calibrated constants" in docs/ARCHITECTURE.md, plus the Table 1
+// parameter bench.
 // Each reports domain metrics (gain products, speedups, hit rates) through
 // b.ReportMetric so `go test -bench=. -benchmem` prints them alongside
 // timing. The paper's tables and figures are timed through their
@@ -29,7 +30,7 @@ func BenchmarkTable1Params(b *testing.B) {
 	b.ReportMetric(avg*1e9, "p0-failure-1e-9")
 }
 
-// --- Ablations (design choices called out in DESIGN.md) ------------------
+// --- Ablations (see "Calibrated constants" in docs/ARCHITECTURE.md) ------
 
 // BenchmarkAblationCodeChoice compares Steane vs Bacon-Shor as the CQLA's
 // region code at the 256-bit working point.

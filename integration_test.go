@@ -1,6 +1,7 @@
 package repro_bench
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -72,7 +73,7 @@ func TestPipelineConsistency(t *testing.T) {
 	if got := m.AdderTimeL2(adder); got != time.Duration(ms)*m.SlotTime(2) {
 		t.Errorf("machine adder time %v != makespan x slot %v", got, time.Duration(ms)*m.SlotTime(2))
 	}
-	stats, err := des.Run(dag.Circuit(), des.Config{
+	stats, err := des.RunDAG(context.Background(), dag, des.Config{
 		Blocks:         blocks,
 		Channels:       8,
 		ResidentQubits: 10000,
@@ -98,7 +99,7 @@ func TestNoMemoryWallEndToEnd(t *testing.T) {
 	p := phys.Projected()
 	bs := ecc.BaconShor()
 	ad := gen.CarryLookahead(64)
-	stats, err := des.Run(ad.Circuit, des.Config{
+	stats, err := des.RunDAG(context.Background(), circuit.BuildDAG(ad.Circuit), des.Config{
 		Blocks:         9,
 		Channels:       12,
 		ResidentQubits: 2 * ad.Circuit.NumQubits(),

@@ -167,9 +167,6 @@ type CompiledWorkload struct {
 	concurrentAdders int
 }
 
-// Plan returns the underlying machine-independent plan.
-func (cw *CompiledWorkload) Plan() *WorkloadPlan { return cw.plan }
-
 // Compile validates w, compiles its kernel plan and binds it to the
 // machine. For repeated evaluations of one workload family across many
 // machines, compile the plan once with PlanWorkload and bind it to each

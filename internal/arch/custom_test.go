@@ -57,9 +57,8 @@ func TestPlanCircuit(t *testing.T) {
 }
 
 // TestCompileCircuit plans a custom circuit, binds it to a machine and
-// evaluates it on both engines; the compiled workload echoes its plan and
-// each result its workload, and planning errors surface from PlanCircuit before
-// any binding.
+// evaluates it on both engines; each result echoes the plan's workload,
+// and planning errors surface from PlanCircuit before any binding.
 func TestCompileCircuit(t *testing.T) {
 	m, err := arch.New(arch.WithBlocks(4))
 	if err != nil {
@@ -75,9 +74,6 @@ func TestCompileCircuit(t *testing.T) {
 	}
 	if w := plan.Workload(); w.Kind != arch.KindCustom || w.Name != "bell" || w.Bits != 3 {
 		t.Errorf("compiled workload %+v", w)
-	}
-	if cw.Plan().Kernel() != "custom:bell" {
-		t.Errorf("compiled plan kernel %q", cw.Plan().Kernel())
 	}
 	for _, name := range arch.EngineNames() {
 		eng, err := m.Engine(name)

@@ -46,7 +46,7 @@ const (
 	MemoryShareRatio = 8
 	// ComputeInterconnectFactor inflates compute-region area for the
 	// channels surrounding blocks (calibrated with qla.InterconnectFactor
-	// against Table 4; see DESIGN.md).
+	// against Table 4; see "Calibrated constants" in docs/ARCHITECTURE.md).
 	ComputeInterconnectFactor = 2.0
 	// CacheFactor sizes the level-1 cache relative to the level-1 compute
 	// region; Section 5.2 settles on twice the compute-region qubits.

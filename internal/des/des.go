@@ -174,16 +174,6 @@ func (r *residency) admit(q int) bool {
 func (r *residency) pin(q int)   { r.pins[q]++ }
 func (r *residency) unpin(q int) { r.pins[q]-- }
 
-// Run simulates the circuit on the configured machine and returns the
-// measured statistics. All qubits start in memory.
-func Run(c *circuit.Circuit, cfg Config) (Stats, error) {
-	if err := cfg.Validate(); err != nil {
-		return Stats{}, err
-	}
-	//lint:ignore-cqla ctxflow Run is the uncancellable convenience API; callers needing teardown use RunDAG or a Runner
-	return RunDAG(context.Background(), circuit.BuildDAG(c), cfg)
-}
-
 // Validate reports whether the machine can run a circuit: at least one
 // block and one channel, room for a Toffoli's three operands, a positive
 // slot time and a non-negative transport time.

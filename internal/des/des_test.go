@@ -1,6 +1,7 @@
 package des
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -10,6 +11,11 @@ import (
 	"repro/internal/phys"
 	"repro/internal/sched"
 )
+
+// run simulates c on a freshly built DAG.
+func run(c *circuit.Circuit, cfg Config) (Stats, error) {
+	return RunDAG(context.Background(), circuit.BuildDAG(c), cfg)
+}
 
 func cfg(blocks, channels, resident int) Config {
 	return Config{
@@ -26,7 +32,7 @@ func TestSerialChain(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		c.AddH(0)
 	}
-	s, err := Run(c, cfg(2, 2, 4))
+	s, err := run(c, cfg(2, 2, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +48,7 @@ func TestSerialChain(t *testing.T) {
 
 func TestComputeBusyConserved(t *testing.T) {
 	ad := gen.CarryLookahead(8)
-	s, err := Run(ad.Circuit, cfg(4, 4, 100))
+	s, err := run(ad.Circuit, cfg(4, 4, 100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +66,7 @@ func TestComputeBusyConserved(t *testing.T) {
 
 func TestEveryQubitFetchedAtLeastOnce(t *testing.T) {
 	ad := gen.CarryLookahead(4)
-	s, err := Run(ad.Circuit, cfg(4, 4, 1000))
+	s, err := run(ad.Circuit, cfg(4, 4, 1000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +84,11 @@ func TestEveryQubitFetchedAtLeastOnce(t *testing.T) {
 
 func TestTightResidencyForcesRefetches(t *testing.T) {
 	ad := gen.CarryLookahead(8)
-	ample, err := Run(ad.Circuit, cfg(2, 2, 1000))
+	ample, err := run(ad.Circuit, cfg(2, 2, 1000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tight, err := Run(ad.Circuit, cfg(2, 2, 8))
+	tight, err := run(ad.Circuit, cfg(2, 2, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +104,7 @@ func TestMoreChannelsNeverSlower(t *testing.T) {
 	ad := gen.CarryLookahead(16)
 	var prev time.Duration
 	for i, ch := range []int{1, 2, 4, 8} {
-		s, err := Run(ad.Circuit, cfg(4, ch, 60))
+		s, err := run(ad.Circuit, cfg(4, ch, 60))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +131,7 @@ func TestNoMemoryWall(t *testing.T) {
 		SlotTime:       bs.ECTime(2, p),
 		TransportTime:  bs.TransversalGateTime(2, p),
 	}
-	s, err := Run(ad.Circuit, machineCfg)
+	s, err := run(ad.Circuit, machineCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +156,7 @@ func TestStallTimeVisibleWhenStarved(t *testing.T) {
 		SlotTime:       time.Millisecond,
 		TransportTime:  time.Second,
 	}
-	s, err := Run(ad.Circuit, c)
+	s, err := run(ad.Circuit, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,14 +178,14 @@ func TestRunValidation(t *testing.T) {
 		{Blocks: 1, Channels: 1, ResidentQubits: 4, SlotTime: 0},
 	}
 	for i, b := range bad {
-		if _, err := Run(c, b); err == nil {
+		if _, err := run(c, b); err == nil {
 			t.Errorf("config %d should be rejected", i)
 		}
 	}
 }
 
 func TestEmptyCircuit(t *testing.T) {
-	s, err := Run(circuit.New(3), cfg(2, 2, 10))
+	s, err := run(circuit.New(3), cfg(2, 2, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +205,7 @@ func TestDESMatchesSchedulerWhenCommunicationFree(t *testing.T) {
 		SlotTime:       time.Second,
 		TransportTime:  0,
 	}
-	s, err := Run(ad.Circuit, c)
+	s, err := run(ad.Circuit, c)
 	if err != nil {
 		t.Fatal(err)
 	}

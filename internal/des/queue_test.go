@@ -91,36 +91,18 @@ func TestIntQueueFIFO(t *testing.T) {
 	}
 }
 
-// TestRunDAGMatchesRun: the prebuilt-DAG entry point must be the same
-// simulation, not a variant.
-func TestRunDAGMatchesRun(t *testing.T) {
-	ad := gen.CarryLookahead(16)
-	c := cfg(4, 2, 60)
-	viaRun, err := Run(ad.Circuit, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaDAG, err := RunDAG(context.Background(), circuit.BuildDAG(ad.Circuit), c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaRun != viaDAG {
-		t.Errorf("RunDAG stats %+v differ from Run stats %+v", viaDAG, viaRun)
-	}
-}
-
 // TestRunDeterministic: repeated runs of the same configuration must agree
 // exactly — the event order is a total order, never map-iteration or
 // scheduling dependent.
 func TestRunDeterministic(t *testing.T) {
 	ad := gen.CarryLookahead(32)
 	c := cfg(9, 3, 50)
-	first, err := Run(ad.Circuit, c)
+	first, err := run(ad.Circuit, c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		again, err := Run(ad.Circuit, c)
+		again, err := run(ad.Circuit, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,8 +112,8 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunDAGValidates: the validation errors must fire on the RunDAG entry
-// point too, not only on Run.
+// TestRunDAGValidates: a prebuilt DAG does not bypass validation; the
+// errors fire on the RunDAG entry point itself.
 func TestRunDAGValidates(t *testing.T) {
 	c := circuit.New(1)
 	c.AddH(0)

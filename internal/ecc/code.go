@@ -6,9 +6,10 @@
 // logical-failure-rate estimate, and a Pauli-frame Monte Carlo error
 // injector used to validate the distance-3 claims. One method,
 // Code.MonteCarlo, runs every sampler (naive, bit-sliced, rare-event) on
-// one shard pool; ConcatenatedMonteCarloX samples concatenated blocks; and
-// PseudoThresholdX solves the exact level-1 rate polynomial, which the
-// tests also use as the oracle for every sampled estimate.
+// one shard pool. The exact level-1 rate polynomial, built from the
+// decoder's fault weight enumerator, gives the concatenated rates by
+// iteration and the pseudo-threshold (PseudoThresholdX) as its fixed
+// point; the tests use it as the oracle for every sampled estimate.
 //
 // Each code — check matrices, logical operators, resource profile and
 // minimum-weight decoder tables — is built once per process, on the first
@@ -61,7 +62,6 @@ type Code struct {
 type bitDecoder struct {
 	rows    []uint64 // check-matrix rows as bit masks
 	table   []uint64 // dense syndrome -> minimum-weight correction mask
-	valid   []bool   // achievable syndromes (the table's domain)
 	logical uint64   // support of the logical operator the residual must commute with
 
 	// flipBits is the whole syndrome->fault-flip function as one bitset:
@@ -113,15 +113,14 @@ func newBitDecoder(h *gf2.Matrix, logical gf2.Vec) *bitDecoder {
 	}
 	// Unachievable syndromes stay zero in the dense table; they cannot be
 	// produced by any error pattern, so the hot path never indexes them.
-	// The validity bitset exists for DecodeX, whose contract is to
-	// fail loudly on a syndrome outside the table's domain rather than
-	// return a zero correction.
+	// seen marks the syndromes some pattern has already reached, so the
+	// first pattern to reach one replaces the zero placeholder.
 	d.table = make([]uint64, 1<<uint(len(d.rows)))
-	d.valid = make([]bool, len(d.table))
+	seen := make([]bool, len(d.table))
 	for e := uint64(0); e < 1<<uint(n); e++ {
 		s := d.syndromeBits(e)
-		if !d.valid[s] || bits.OnesCount64(e) < bits.OnesCount64(d.table[s]) {
-			d.table[s], d.valid[s] = e, true
+		if !seen[s] || bits.OnesCount64(e) < bits.OnesCount64(d.table[s]) {
+			d.table[s], seen[s] = e, true
 		}
 	}
 	if d.batchOK() {
@@ -158,7 +157,7 @@ func (d *bitDecoder) syndromeBits(e uint64) uint64 {
 
 // correct decodes the error mask e and returns the residual after applying
 // the minimum-weight correction, plus whether that residual is a logical
-// fault. It is the packed equivalent of Code.CorrectX.
+// fault (anticommutes with the logical operator).
 //
 //cqla:noalloc
 func (d *bitDecoder) correct(e uint64) (residual uint64, logicalFault bool) {
@@ -347,79 +346,6 @@ func baconShor() *Code {
 // Codes returns the two codes the paper evaluates, Steane first.
 func Codes() []*Code {
 	return []*Code{Steane(), BaconShor()}
-}
-
-// The public vector API below is backed by the packed bitDecoder. Operand
-// lengths are checked up front: a wrong-length error vector or syndrome
-// panics, naming the code and both lengths.
-//
-// The shims are shaped for the compiler's inlining budget: each is exactly
-// one worker call plus one gf2.RawWord construction. Since gf2.Vec stores
-// small vectors in an inline word, RawWord is a plain struct literal —
-// nothing to heap-allocate even when a shim's result escapes — so the
-// whole public decode path, CorrectX included, runs at zero
-// allocations (TestPublicDecodeAllocationFree pins this). The workers are
-// marked go:noinline so the shims pay a fixed call, not the worker's
-// inlined body.
-
-// SyndromeX returns the syndrome of an X-error support vector.
-//
-//cqla:noalloc
-func (c *Code) SyndromeX(e gf2.Vec) gf2.Vec {
-	m, n := c.syndromePacked(e)
-	return gf2.RawWord(n, m)
-}
-
-// DecodeX returns the minimum-weight X correction for a Z-syndrome.
-//
-//cqla:noalloc
-func (c *Code) DecodeX(syndrome gf2.Vec) gf2.Vec {
-	m, n := c.decodePacked(syndrome)
-	return gf2.RawWord(n, m)
-}
-
-// CorrectX applies decoding to an X-error vector and reports whether the
-// residual error is a logical fault (anticommutes with the Z-type logical
-// operator).
-//
-//cqla:noalloc
-func (c *Code) CorrectX(e gf2.Vec) (residual gf2.Vec, logicalFault bool) {
-	m, fault := c.correctPacked(e)
-	return gf2.RawWord(c.N, m), fault
-}
-
-//go:noinline
-func (c *Code) syndromePacked(e gf2.Vec) (uint64, int) {
-	c.checkLen("error", e, c.N)
-	return c.bitX.syndromeBits(e.Uint64()), len(c.bitX.rows)
-}
-
-//go:noinline
-func (c *Code) decodePacked(syndrome gf2.Vec) (uint64, int) {
-	d := c.bitX
-	c.checkLen("syndrome", syndrome, len(d.rows))
-	s := syndrome.Uint64()
-	if !d.valid[s] {
-		// Both paper codes have total tables; a rank-deficient check
-		// matrix leaves syndromes no error produces. Stringify eagerly: passing the vector itself into the panic
-		// would make the parameter escape and cost the warm path its
-		// allocation-freedom.
-		panic(fmt.Sprintf("ecc: %s has no X correction for syndrome %s", c.Name, syndrome.String()))
-	}
-	return d.table[s], c.N
-}
-
-//go:noinline
-func (c *Code) correctPacked(e gf2.Vec) (uint64, bool) {
-	c.checkLen("error", e, c.N)
-	return c.bitX.correct(e.Uint64())
-}
-
-// checkLen panics unless v has want bits.
-func (c *Code) checkLen(what string, v gf2.Vec, want int) {
-	if v.Len() != want {
-		panic(fmt.Sprintf("ecc: %s %s has %d bits, want %d", c.Name, what, v.Len(), want))
-	}
 }
 
 // Validate checks the internal consistency of the stabilizer data: CSS

@@ -5,8 +5,6 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/gf2"
 )
 
 func TestCodesValidate(t *testing.T) {
@@ -84,8 +82,7 @@ func TestFaultEnumeratorHalvesPatterns(t *testing.T) {
 
 func TestZeroSyndromeZeroCorrection(t *testing.T) {
 	for _, c := range Codes() {
-		zero := gf2.NewVec(c.HZ.Rows())
-		if !c.DecodeX(zero).IsZero() {
+		if c.bitX.table[0] != 0 {
 			t.Errorf("%s: trivial syndrome got nonzero X correction", c.Name)
 		}
 	}
@@ -96,7 +93,7 @@ func TestStabilizerErrorsAreHarmless(t *testing.T) {
 	// the decoder must return a residual that is not a logical fault.
 	for _, c := range Codes() {
 		for i := 0; i < c.HX.Rows(); i++ {
-			if _, fault := c.CorrectX(c.HX.Row(i).Clone()); fault {
+			if _, fault := c.bitX.correct(c.HX.Row(i).Uint64()); fault {
 				t.Errorf("%s: X-stabilizer %d decoded to a logical fault", c.Name, i)
 			}
 		}
@@ -107,10 +104,10 @@ func TestLogicalOperatorIsDetectedAsFault(t *testing.T) {
 	// Injecting a bare logical operator has trivial syndrome and must
 	// register as a logical fault.
 	for _, c := range Codes() {
-		if !c.SyndromeX(c.LX).IsZero() {
+		if !c.HZ.MulVec(c.LX).IsZero() {
 			t.Errorf("%s: logical X has nonzero syndrome", c.Name)
 		}
-		if _, fault := c.CorrectX(c.LX.Clone()); !fault {
+		if _, fault := c.bitX.correct(c.LX.Uint64()); !fault {
 			t.Errorf("%s: logical X not flagged as fault", c.Name)
 		}
 	}
@@ -123,15 +120,15 @@ func TestDecoderMatchesSyndromeProperty(t *testing.T) {
 		c := c
 		f := func(seed int64) bool {
 			rng := rand.New(rand.NewSource(seed))
-			e := gf2.NewVec(c.N)
+			var e uint64
 			for q := 0; q < c.N; q++ {
 				if rng.Intn(2) == 1 {
-					e.Set(q, true)
+					e |= 1 << uint(q)
 				}
 			}
-			s := c.SyndromeX(e)
-			cor := c.DecodeX(s)
-			return c.SyndromeX(cor).Equal(s)
+			s := c.HZ.MulVec(vecFromMask(c.N, e))
+			cor := c.bitX.table[c.bitX.syndromeBits(e)]
+			return c.HZ.MulVec(vecFromMask(c.N, cor)).Equal(s)
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 			t.Errorf("%s: %v", c.Name, err)
@@ -145,14 +142,14 @@ func TestResidualHasTrivialSyndromeProperty(t *testing.T) {
 		c := c
 		f := func(seed int64) bool {
 			rng := rand.New(rand.NewSource(seed))
-			e := gf2.NewVec(c.N)
+			var e uint64
 			for q := 0; q < c.N; q++ {
 				if rng.Intn(3) == 0 {
-					e.Set(q, true)
+					e |= 1 << uint(q)
 				}
 			}
-			residual, _ := c.CorrectX(e)
-			return c.SyndromeX(residual).IsZero()
+			residual, _ := c.bitX.correct(e)
+			return c.HZ.MulVec(vecFromMask(c.N, residual)).IsZero()
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 			t.Errorf("%s: %v", c.Name, err)

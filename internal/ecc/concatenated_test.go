@@ -2,45 +2,31 @@ package ecc
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 )
 
+// The concatenation tests read the exact rates: sub-blocks of a
+// concatenated block fail independently, so level L's logical rate is the
+// level-1 polynomial f applied L times (exactRate).
+
 func TestConcatenationSuppressesErrors(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
 	for _, c := range Codes() {
 		p := 0.01
-		l1 := c.ConcatenatedMonteCarloX(1, p, 200000, rng)
-		l2 := c.ConcatenatedMonteCarloX(2, p, 200000, rng)
-		if l1.LogicalRate >= p {
-			t.Errorf("%s: level 1 rate %.5f not below physical %.3f", c.Short, l1.LogicalRate, p)
+		l1, l2 := exactRate(c, 1, p), exactRate(c, 2, p)
+		if l1 >= p {
+			t.Errorf("%s: level 1 rate %.5f not below physical %.3f", c.Short, l1, p)
 		}
-		if l2.LogicalRate >= l1.LogicalRate/5 {
-			t.Errorf("%s: level 2 (%.6f) should be far below level 1 (%.5f)",
-				c.Short, l2.LogicalRate, l1.LogicalRate)
+		if l2 >= l1/5 {
+			t.Errorf("%s: level 2 (%.6f) should be far below level 1 (%.5f)", c.Short, l2, l1)
 		}
 	}
 }
 
 func TestConcatenationDoubleExponentialScaling(t *testing.T) {
-	// Sub-blocks fail independently, so the hierarchical sampler estimates
-	// exactly f applied once per level: level 2's rate is f(f(p)), which
-	// below the pseudo-threshold scales like the square of level 1's. Both
-	// estimates must contain the exact value within oracleZ standard errors.
-	rng := rand.New(rand.NewSource(123))
+	// Below the pseudo-threshold level 2's rate f(f(p)) scales like the
+	// square of level 1's: f(x) ≈ A_2·x² with A_2 = 21 for Steane.
 	c := Steane()
 	p := 0.02
-	for level := 1; level <= 2; level++ {
-		r := c.ConcatenatedMonteCarloX(level, p, 300000, rng)
-		want := exactRate(c, level, p)
-		if r.FaultTrials == 0 {
-			t.Fatalf("level %d: no faults over %d trials", level, r.Trials)
-		}
-		if z := math.Abs(r.LogicalRate-want) / r.StdErr; z > oracleZ {
-			t.Errorf("level %d: sampled rate %.4g is %.1f standard errors from the exact %.4g",
-				level, r.LogicalRate, z, want)
-		}
-	}
 	if l1, l2 := exactRate(c, 1, p), exactRate(c, 2, p); l2 >= l1*l1*21 || l2 <= l1*l1*21/2 {
 		t.Errorf("exact level-2 rate %.3g is not ~21·l1² = %.3g", l2, 21*l1*l1)
 	}
@@ -49,12 +35,9 @@ func TestConcatenationDoubleExponentialScaling(t *testing.T) {
 func TestConcatenationAboveThresholdHurts(t *testing.T) {
 	// Far above threshold, encoding amplifies errors: level 2 should be no
 	// better than level 1.
-	rng := rand.New(rand.NewSource(7))
 	c := Steane()
 	p := 0.4
-	l1 := c.ConcatenatedMonteCarloX(1, p, 50000, rng).LogicalRate
-	l2 := c.ConcatenatedMonteCarloX(2, p, 50000, rng).LogicalRate
-	if l2 < l1/2 {
+	if l1, l2 := exactRate(c, 1, p), exactRate(c, 2, p); l2 < l1 {
 		t.Errorf("above threshold, level 2 (%.3f) should not beat level 1 (%.3f)", l2, l1)
 	}
 }
@@ -87,13 +70,4 @@ func TestPseudoThreshold(t *testing.T) {
 	if a, b := Steane().PseudoThresholdX(), Steane().PseudoThresholdX(); a != b {
 		t.Errorf("pseudo-threshold not deterministic: %v vs %v", a, b)
 	}
-}
-
-func TestConcatenatedPanicsOnLevelZero(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	Steane().ConcatenatedMonteCarloX(0, 0.01, 10, rand.New(rand.NewSource(1)))
 }

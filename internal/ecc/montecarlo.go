@@ -80,9 +80,8 @@ func (r MonteCarloResult) Resolved(target float64) bool {
 	return r.FaultTrials > 0 && r.RelCI() <= target
 }
 
-// binomialResult is the unweighted estimate of the naive, bit-sliced and
-// concatenated samplers: the fault fraction with its binomial standard
-// error.
+// binomialResult is the unweighted estimate of the naive and bit-sliced
+// samplers: the fault fraction with its binomial standard error.
 //
 //cqla:noalloc
 func binomialResult(p float64, trials, faults int) MonteCarloResult {

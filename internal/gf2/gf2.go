@@ -44,31 +44,6 @@ func NewVec(n int) Vec {
 	return Vec{n: n, ext: make([]uint64, (n+63)/64)}
 }
 
-// Word builds a vector of length n (1 <= n <= 64) from the low n bits of w,
-// bit i of the integer becoming bit i of the vector — the inverse of
-// Uint64. It is deliberately tiny so it inlines and never allocates: the
-// result is one inline word on the caller's stack, which is what keeps the
-// packed decode paths in internal/ecc allocation-free.
-func Word(n int, w uint64) Vec {
-	if n < 1 || n > 64 {
-		panic("gf2: Word length outside [1,64]")
-	}
-	if n < 64 {
-		w &= uint64(1)<<uint(n) - 1
-	}
-	return RawWord(n, w)
-}
-
-// RawWord is Word without validation or masking: n must be in [1, 64] and
-// w must have no bits set at position n or above, or the resulting vector
-// is corrupt. It exists for proven-safe hot paths (the packed decoders in
-// internal/ecc) whose enclosing functions must stay within the compiler's
-// inlining budget — RawWord is a two-field struct literal, free to build
-// and free to return. Everyone else should call Word.
-func RawWord(n int, w uint64) Vec {
-	return Vec{n: n, word: w}
-}
-
 // VecFromBits builds a vector from a slice of 0/1 ints.
 func VecFromBits(bits []int) Vec {
 	v := NewVec(len(bits))

@@ -1,7 +1,11 @@
 package lint
 
 import (
+	"go/ast"
+	"go/types"
 	"os"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/perf"
@@ -66,6 +70,136 @@ func undirected(pkgs []*Package, syms []string) []string {
 			out = append(out, sym)
 		}
 	}
+	return out
+}
+
+// TestNoCodeReachedOnlyByPerf fails when a non-test function is kept alive
+// by the internal/perf suite alone: reachable from a perf row but from no
+// program. Program roots are every main and init outside internal/perf —
+// the benchmark module's main included — and every String, Error,
+// MarshalJSON and ServeHTTP method, which the standard library calls
+// through interfaces. A row timing code no program runs measures nothing a
+// user waits for; delete the code and the row together.
+func TestNoCodeReachedOnlyByPerf(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads the whole module and the benchmark module")
+	}
+	pkgs, err := LoadTags("../..", "", "./...")
+	if err != nil {
+		t.Fatalf("loading the repository: %v", err)
+	}
+	bench, err := LoadTags("../../benchmark", "", "./...")
+	if err != nil {
+		t.Fatalf("loading the benchmark module: %v", err)
+	}
+	const perfPath = "repro/internal/perf"
+	for _, sym := range perfOnly(append(pkgs, bench...), perfPath) {
+		t.Errorf("%s is reached only from a row of %s; no program runs it", sym, perfPath)
+	}
+
+	// The walk cuts both ways: a function only a seed package's init
+	// references is reported, and one a program also references is not.
+	fixture, err := LoadTags(".", "", "./testdata/src/reachfix/...")
+	if err != nil {
+		t.Fatalf("loading the reach fixture: %v", err)
+	}
+	want := []string{
+		fixturePrefix + "reachfix/lib.(*T).PerfMethod",
+		fixturePrefix + "reachfix/lib.PerfOnly",
+		fixturePrefix + "reachfix/lib.perfHelper",
+	}
+	if got := perfOnly(fixture, fixturePrefix+"reachfix/seed"); !slices.Equal(got, want) {
+		t.Errorf("reachfix: perfOnly = %v, want %v", got, want)
+	}
+}
+
+// alwaysUsed names the methods the standard library calls through an
+// interface the walk cannot see: fmt, errors, encoding/json and net/http.
+var alwaysUsed = []string{"String", "Error", "MarshalJSON", "ServeHTTP"}
+
+// perfOnly returns, sorted, the functions declared outside the seed
+// package that its package initialization reaches but no program root
+// does. A reference is any use of a function or method, called or not; a
+// use of an interface method counts as a use of every method of that name.
+func perfOnly(pkgs []*Package, seedPath string) []string {
+	refs := make(map[string][]string)    // symbol -> symbols it references
+	methods := make(map[string][]string) // method name -> method symbols
+	var roots []string
+	for _, pkg := range pkgs {
+		initSym := pkg.Path + ".init"
+		if pkg.Path != seedPath {
+			roots = append(roots, initSym)
+		}
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					sym := declSymbol(pkg, d) // every init of a package is initSym
+					if d.Recv != nil {
+						methods[d.Name.Name] = append(methods[d.Name.Name], sym)
+					}
+					if pkg.Types.Name() == "main" && d.Name.Name == "main" && d.Recv == nil {
+						roots = append(roots, sym)
+					}
+					refs[sym] = append(refs[sym], references(pkg.Info, d)...)
+				case *ast.GenDecl:
+					// Package-level initializers run with the package's init.
+					refs[initSym] = append(refs[initSym], references(pkg.Info, d)...)
+				}
+			}
+		}
+	}
+	for _, name := range alwaysUsed {
+		roots = append(roots, "."+name)
+	}
+	reach := func(from ...string) map[string]bool {
+		seen := make(map[string]bool)
+		for stack := from; len(stack) > 0; {
+			sym := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if seen[sym] {
+				continue
+			}
+			seen[sym] = true
+			if name, ok := strings.CutPrefix(sym, "."); ok {
+				stack = append(stack, methods[name]...)
+				continue
+			}
+			stack = append(stack, refs[sym]...)
+		}
+		return seen
+	}
+	live := reach(roots...)
+	var out []string
+	for sym := range reach(seedPath + ".init") {
+		if _, declared := refs[sym]; declared && !live[sym] && !strings.HasPrefix(sym, seedPath+".") {
+			out = append(out, sym)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// references returns the symbol of every function and method node uses,
+// or ".Name" for a use of an interface method Name.
+func references(info *types.Info, node ast.Node) []string {
+	var out []string
+	ast.Inspect(node, func(n ast.Node) bool {
+		id, ok := n.(*ast.Ident)
+		if !ok {
+			return true
+		}
+		fn, ok := info.Uses[id].(*types.Func)
+		if !ok {
+			return true
+		}
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+			out = append(out, "."+fn.Name())
+		} else if sym := funcSymbol(fn.Origin()); sym != "" {
+			out = append(out, sym)
+		}
+		return true
+	})
 	return out
 }
 

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"time"
@@ -18,61 +17,17 @@ import (
 	"repro/internal/ecc"
 	"repro/internal/explore"
 	"repro/internal/gen"
-	"repro/internal/gf2"
 	"repro/internal/phys"
 	"repro/internal/sched"
 )
 
 // The built-in suite covers the repository's hot paths at three scales:
-// micro (one syndrome decode), meso (Monte Carlo campaigns, one simulated
-// adder, one cache replay) and macro (a full exploration sweep). Each row
-// is defined here and nowhere else. Which rows the CI gate covers follows
-// from the measurement, not from a list: every row whose baseline is at
-// least GateFloor.
+// micro (one closed-form evaluation, one DAG build), meso (Monte Carlo
+// campaigns, one simulated adder, one cache replay) and macro (a full
+// exploration sweep). Each row is defined here and nowhere else. Which
+// rows the CI gate covers follows from the measurement, not from a list:
+// every row whose baseline is at least GateFloor.
 func init() {
-	mustRegister(Benchmark{
-		Name:    "SyndromeDecodeSteane",
-		Doc:     "one X-error decode of the Steane code through the public vector API",
-		NoAlloc: []string{"repro/internal/ecc.(*Code).CorrectX"},
-		F: func(b *B) {
-			c := ecc.Steane()
-			e := gf2.NewVec(c.N)
-			e.Set(2, true)
-			e.Set(5, true)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c.CorrectX(e)
-			}
-		},
-	})
-	mustRegister(Benchmark{
-		Name:    "ConcatenatedMCLevel2",
-		Doc:     "1000 hierarchical level-2 Monte Carlo trials, Bacon-Shor code at p=0.01",
-		NoAlloc: []string{"repro/internal/ecc.(*Code).ConcatenatedMonteCarloX"},
-		F: func(b *B) {
-			c := ecc.BaconShor()
-			rng := rand.New(rand.NewSource(5))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c.ConcatenatedMonteCarloX(2, 0.01, 1000, rng)
-			}
-		},
-	})
-	mustRegister(Benchmark{
-		Name:    "ConcatenatedMCLevel2Steane",
-		Doc:     "2000 hierarchical level-2 Monte Carlo trials, Steane code at p=1e-3",
-		NoAlloc: []string{"repro/internal/ecc.(*Code).ConcatenatedMonteCarloX"},
-		F: func(b *B) {
-			c := ecc.Steane()
-			rng := rand.New(rand.NewSource(7))
-			var r ecc.MonteCarloResult
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r = c.ConcatenatedMonteCarloX(2, 1e-3, 2000, rng)
-			}
-			b.ReportMetric(float64(r.Trials), "trials")
-		},
-	})
 	mustRegister(Benchmark{
 		Name: "MonteCarloXSeededSerial",
 		Doc:  "20000 seeded Monte Carlo trials on one worker (per-core throughput)",
@@ -113,9 +68,10 @@ func init() {
 			ad := gen.CarryLookahead(64)
 			cfg := des.Config{Blocks: 9, Channels: 12, ResidentQubits: 700,
 				SlotTime: 100 * time.Millisecond, TransportTime: 200 * time.Millisecond}
+			ctx := context.Background()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := des.Run(ad.Circuit, cfg); err != nil {
+				if _, err := des.RunDAG(ctx, circuit.BuildDAG(ad.Circuit), cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -154,14 +110,16 @@ func init() {
 			if err != nil {
 				b.Fatal(err)
 			}
-			// Compiled once and its plan built, so the loop times the
-			// closed form alone.
+			// Compiled once and evaluated once untimed, so the plan is
+			// built and the loop times the closed form alone.
 			cw, err := m.Compile(arch.NewAdder(256, true))
 			if err != nil {
 				b.Fatal(err)
 			}
 			ctx := context.Background()
-			cw.Plan().DAG(ctx)
+			if _, err := arch.EvaluateCompiled(ctx, eng, cw); err != nil {
+				b.Fatal(err)
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := arch.EvaluateCompiled(ctx, eng, cw); err != nil {
@@ -233,8 +191,8 @@ func init() {
 
 // Compiled-workload pipeline benchmarks: the before/after-sensitive
 // measurements of the arena DAG build, the compile-once/evaluate-many
-// shape, and the bitmask-backed public decode, so the gains stay visible
-// in BENCH.json.
+// shape, the Monte Carlo estimators and the des event loop, so the gains
+// stay visible in BENCH.json.
 func init() {
 	mustRegister(Benchmark{
 		Name: "BuildDAG",
@@ -277,11 +235,16 @@ func init() {
 					b.Fatalf("circuit post: status %d, X-Cache %q, want 200 and %q", rec.Code, rec.Header().Get("X-Cache"), want)
 				}
 			}
+			// The miss fills the cache; one untimed hit warms the hit path,
+			// so the loop times steady-state hits alone.
 			post("miss")
+			post("hit")
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				post("hit")
 			}
+			// The deferred Shutdown is teardown, not a hit.
+			b.StopTimer()
 		},
 	})
 	mustRegister(Benchmark{
@@ -459,28 +422,6 @@ func init() {
 					b.Fatal(err)
 				}
 			}
-		},
-	})
-	mustRegister(Benchmark{
-		Name: "PublicDecode",
-		Doc:  "one public-API syndrome extraction + table decode, Steane X errors (zero allocations)",
-		NoAlloc: []string{
-			"repro/internal/ecc.(*Code).SyndromeX",
-			"repro/internal/ecc.(*Code).DecodeX",
-		},
-		F: func(b *B) {
-			c := ecc.Steane()
-			e := gf2.NewVec(c.N)
-			e.Set(2, true)
-			e.Set(5, true)
-			weight := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s := c.SyndromeX(e)
-				cor := c.DecodeX(s)
-				weight += cor.Weight()
-			}
-			b.ReportMetric(float64(weight/b.N), "correction-weight")
 		},
 	})
 }

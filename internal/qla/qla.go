@@ -20,7 +20,7 @@ const AncillaPerData = 2
 // InterconnectFactor inflates per-tile area for the channels and
 // teleportation islands that maximal parallelism requires on every side of
 // every tile (calibrated so the specialization factors of Table 4 are
-// reproduced; see DESIGN.md).
+// reproduced; see "Calibrated constants" in docs/ARCHITECTURE.md).
 const InterconnectFactor = 3.5
 
 // Model is a QLA instance: a code (always Steane in the paper) at a
