@@ -224,7 +224,12 @@ func runServe(args []string) {
 
 Serves the sweep registry as a JSON API:
   GET  /v1/sweeps              list registered sweeps
-  POST /v1/sweeps/{name}:run   run one; body {"phys","seed","parallel","engine","async"}
+  POST /v1/sweeps/{name}:run   run one; optional body {"phys","seed","parallel",
+                               "engine","async","circuit"}
+  POST /v1/sweeps/circuit:run  run the "circuit" field's text-format circuit
+                               (docs/workload-format.md) across block budgets,
+                               like cqla sweep -circuit; the only operation
+                               that takes that field
   GET  /v1/jobs                list jobs, newest first
   GET  /v1/jobs/{id}           job state, progress, report when done
   GET  /v1/jobs/{id}/report    raw report document of a done job
@@ -233,12 +238,13 @@ Serves the sweep registry as a JSON API:
                                per-sweep evaluation latency, HTTP)
   /debug/pprof/...             Go profiling endpoints (with -pprof)
 
-Identical runs — same (sweep, phys, seed, engine) at any parallelism —
-coalesce onto one evaluation and repeats are served from an in-memory LRU
-cache (the X-Cache response header says which). An {"async": true} run
-returns 202 with a job id to poll. SIGINT/SIGTERM drains in-flight jobs
-for up to -drain before exiting. Requests and job lifecycles are logged
-to stderr as structured logs (-log-level, -log-format).
+Identical runs — same (sweep, phys, seed, engine, circuit) at any
+parallelism — coalesce onto one evaluation and repeats are served from an
+in-memory LRU cache (the X-Cache response header says which). An
+{"async": true} run returns 202 with a job id to poll. SIGINT/SIGTERM
+drains in-flight jobs for up to -drain before exiting. Requests and job
+lifecycles are logged to stderr as structured logs (-log-level,
+-log-format).
 
 Flags:
 `)
@@ -608,16 +614,12 @@ func overlap(p phys.Params) {
 		if err != nil {
 			log.Fatal(err)
 		}
-		eng, err := m.Engine(arch.EngineDES)
-		if err != nil {
-			log.Fatal(err)
-		}
 		cw, err := m.Compile(arch.NewAdder(64, false))
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := arch.EvaluateCompiled(context.Background(), eng, cw)
-		if err != nil {
+		var res arch.Result
+		if err := cw.Evaluate(context.Background(), arch.EngineDES, &res); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-10d %-12.1f %-12.1f %-10.2f %-10.2f\n",

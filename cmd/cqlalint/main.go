@@ -5,17 +5,13 @@
 //
 // Usage:
 //
-//	cqlalint [-list] [-format text|json|github] [-fix] [-tags list] [packages]
+//	cqlalint [-list] [-format text|github] [packages]
 //
 // With no patterns it analyzes ./... . Output formats: text prints
-// `file:line: [rule] message`; json emits the versioned findings
-// document; github emits `::error file=…,line=…` workflow commands so CI
-// findings annotate the PR diff.
+// `file:line: [rule] message`; github emits `::error file=…,line=…`
+// workflow commands so CI findings annotate the PR diff.
 //
-// -fix writes a `//lint:ignore-cqla <rule> TODO(triage): <finding>` stub
-// above each finding for staged adoption on big refactors; rerunning
-// cqlalint then reports clean, and rerunning -fix changes nothing.
-// Suppress an individual finding permanently with a
+// Suppress an individual finding with a
 // `//lint:ignore-cqla <rule> <reason>` comment on the same line or the
 // line directly above it.
 //
@@ -35,11 +31,9 @@ import (
 
 func main() {
 	list := flag.Bool("list", false, "list the analyzers and exit")
-	format := flag.String("format", "text", "findings output: text, json, or github")
-	fix := flag.Bool("fix", false, "write //lint:ignore-cqla TODO(triage) stubs for the findings and exit 0")
-	tags := flag.String("tags", "", "comma-separated build tags passed to the go list loader")
+	format := flag.String("format", "text", "findings output: text or github")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: cqlalint [-list] [-format text|json|github] [-fix] [-tags list] [packages]\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: cqlalint [-list] [-format text|github] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -61,7 +55,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	pkgs, err := lint.LoadTags(cwd, *tags, patterns...)
+	pkgs, err := lint.Load(cwd, patterns...)
 	if err != nil {
 		var le *lint.LoadError
 		if errors.As(err, &le) {
@@ -76,25 +70,10 @@ func main() {
 	}
 	findings := lint.Run(lint.DefaultConfig(), pkgs)
 
-	if *fix && len(findings) > 0 {
-		files, stubbed, err := lint.ApplyFix(findings)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cqlalint: -fix: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Printf("cqlalint: wrote %d suppression stub(s) across %d file(s); rerun cqlalint to verify, then triage the TODOs\n", stubbed, files)
-		return
-	}
-
 	switch *format {
 	case "text":
 		for _, f := range findings {
 			fmt.Println(f.StringRelative(cwd))
-		}
-	case "json":
-		if err := lint.WriteJSON(os.Stdout, cwd, findings); err != nil {
-			fmt.Fprintf(os.Stderr, "cqlalint: %v\n", err)
-			os.Exit(2)
 		}
 	case "github":
 		if err := lint.WriteGitHub(os.Stdout, cwd, findings); err != nil {
@@ -102,7 +81,7 @@ func main() {
 			os.Exit(2)
 		}
 	default:
-		fmt.Fprintf(os.Stderr, "cqlalint: unknown -format %q (want text, json, or github)\n", *format)
+		fmt.Fprintf(os.Stderr, "cqlalint: unknown -format %q (want text or github)\n", *format)
 		os.Exit(2)
 	}
 	if len(findings) > 0 {

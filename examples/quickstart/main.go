@@ -68,16 +68,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	eng, err := machine.Engine(arch.EngineAnalytic)
-	if err != nil {
-		log.Fatal(err)
-	}
 	cw, err := machine.Compile(arch.NewAdder(64, false))
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := arch.EvaluateCompiled(context.Background(), eng, cw)
-	if err != nil {
+	var res arch.Result
+	if err := cw.Evaluate(context.Background(), arch.EngineAnalytic, &res); err != nil {
 		log.Fatal(err)
 	}
 	qubits := gen.NewModExp(64).LogicalQubits() // the workload's memory footprint

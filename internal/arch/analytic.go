@@ -8,24 +8,16 @@ import (
 	"repro/internal/obs"
 )
 
-// analyticEngine evaluates workloads with the paper's closed-form model:
-// list-scheduled makespans times error-correction slot costs for time, the
-// tile model for area, the QLA of internal/qla as the normalization
-// baseline. It is exact, fast, and blind to dynamic effects — the des
-// engine exists to check it.
-type analyticEngine struct{ m *Machine }
-
-func (analyticEngine) Name() string { return EngineAnalytic }
-
-// EvaluateCompiledInto evaluates a compiled workload into out. The paper's
-// kinds (adder, modexp, qft) use their closed forms, pricing the adder
-// kernel from the compiled plan's shared schedule memo; every other kind,
-// including custom circuits, is costed directly from the plan's schedule.
-// The QFT's closed form reads no plan, so its kernel is never built here.
-func (e analyticEngine) EvaluateCompiledInto(ctx context.Context, cw *CompiledWorkload, out *Result) error {
-	if cw == nil || cw.m != e.m {
-		return errForeignCompile
-	}
+// evaluateAnalytic is the analytic engine: the paper's closed-form model
+// — list-scheduled makespans times error-correction slot costs for time,
+// the tile model for area, the QLA of internal/qla as the normalization
+// baseline. It is exact, fast, and blind to dynamic effects; the des
+// engine exists to check it. The paper's kinds (adder, modexp, qft) use
+// their closed forms, pricing the adder kernel from the compiled plan's
+// shared schedule memo; every other kind, including custom circuits, is
+// costed directly from the plan's schedule. The QFT's closed form reads no
+// plan, so its kernel is never built here.
+func (cw *CompiledWorkload) evaluateAnalytic(ctx context.Context, out *Result) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -38,7 +30,7 @@ func (e analyticEngine) EvaluateCompiledInto(ctx context.Context, cw *CompiledWo
 		sp.Annotate("kind", string(w.Kind))
 		sp.Annotate("bits", strconv.Itoa(w.Bits))
 	}
-	cm := e.m.cq
+	cm := cw.m.cq
 	metrics := out.Metrics[:0]
 	switch w.Kind {
 	case KindAdder:
@@ -92,7 +84,7 @@ func (e analyticEngine) EvaluateCompiledInto(ctx context.Context, cw *CompiledWo
 		slot := cm.SlotTime(2)
 		kernel := cw.plan.schedule(ctx)
 		d := kernel.DAG()
-		makespan := kernel.Makespan(e.m.cfg.Blocks)
+		makespan := kernel.Makespan(cm.Config().ComputeBlocks)
 		serial := d.TotalSlots()
 		speedup := 1.0
 		if makespan > 0 {
@@ -106,6 +98,6 @@ func (e analyticEngine) EvaluateCompiledInto(ctx context.Context, cw *CompiledWo
 			Metric{"makespan_slots", float64(makespan)},
 		)
 	}
-	*out = e.m.result(EngineAnalytic, w, metrics)
+	out.Metrics = metrics
 	return nil
 }

@@ -1,10 +1,10 @@
 // Package arch is the unified architecture-evaluation API of the
 // reproduction: one error-returning builder over every machine knob the
-// paper sweeps, and one Engine interface with interchangeable evaluation
-// backends — the closed-form analytic model (internal/cqla + internal/qla)
-// and the discrete-event simulator (internal/des). New is the only way
-// non-test code builds a machine: it starts from the paper's working
-// point, applies the options to one cqla.Config and validates it with
+// paper sweeps, and one evaluation call with two interchangeable engines —
+// the closed-form analytic model (internal/cqla + internal/qla) and the
+// discrete-event simulator (internal/des). New is the only way non-test
+// code builds a machine: it starts from the paper's working point, applies
+// the options to one cqla.Config and validates it with
 // cqla.Config.Validate. Options are literal — WithTransferOverlap(0)
 // models no overlap — and a machine's code is always a registry name
 // (WithCodeName). The des engine's configuration reads the cqla model
@@ -13,19 +13,15 @@
 // The intended flow is:
 //
 //	m, err := arch.New(arch.WithCodeName("bacon-shor"), arch.WithBlocks(36))
-//	eng, err := m.Engine(arch.EngineDES)
 //	cw, err := m.Compile(arch.NewAdder(256, true))
-//	res, err := arch.EvaluateCompiled(ctx, eng, cw)
+//	var res arch.Result
+//	err = cw.Evaluate(ctx, arch.EngineDES, &res)
 //
-// Every evaluation goes through a compiled workload: the engines' one
-// evaluation method, Engine.EvaluateCompiledInto, takes the compiled form
-// (which holds the kernel's shared schedule plan), and EvaluateCompiled is
-// its allocating wrapper.
-//
-// Result is a versioned, JSON-stable envelope (SchemaVersion, config echo,
-// ordered named metrics) shared with the explore emitters and the `cqla
-// serve` endpoint, so every consumer — sweep tables, HTTP clients, golden
-// tests — reads the same shape.
+// Every evaluation goes through a compiled workload, which holds the
+// kernel's shared schedule plan and the machine it was compiled on:
+// CompiledWorkload.Evaluate is the one evaluation call, and it names the
+// engine. A Result carries the engine's metrics in order; the documents
+// the CLI and `cqla serve` emit are explore's Report.
 package arch
 
 import (
@@ -35,35 +31,6 @@ import (
 	"repro/internal/ecc"
 	"repro/internal/phys"
 )
-
-// Config is the fully resolved machine configuration echoed into every
-// Result envelope. All fields are literal: no zero-value sentinels remain
-// after New.
-type Config struct {
-	// Code is the error-correction code of the machine's regions, by
-	// registry name ("steane" or "bacon-shor").
-	Code string `json:"code"`
-	// Phys names the ion-trap technology point ("projected" or "current").
-	Phys string `json:"phys"`
-	// Blocks is the number of level-2 compute blocks.
-	Blocks int `json:"blocks"`
-	// Transfers is the memory<->cache transfer-network width.
-	Transfers int `json:"transfers"`
-	// CacheFactor sizes the level-1 cache relative to the level-1 compute
-	// region's data qubits.
-	CacheFactor float64 `json:"cache_factor"`
-	// Overlap is the fraction of transfer latency hidden by the static
-	// schedule; 0 really means none.
-	Overlap float64 `json:"overlap"`
-	// SimChannels, if nonzero, overrides the discrete-event engine's
-	// teleportation-channel count (otherwise derived from Transfers and the
-	// code's per-transfer channel requirement).
-	SimChannels int `json:"sim_channels,omitempty"`
-	// SimResidency, if nonzero, overrides the discrete-event engine's
-	// resident-qubit capacity (otherwise derived from Blocks and
-	// CacheFactor).
-	SimResidency int `json:"sim_residency,omitempty"`
-}
 
 // codes is the code registry: each registry name and its ecc constructor,
 // Steane first (matching ecc.Codes order).
@@ -99,7 +66,6 @@ func CodeByName(name string) (*ecc.Code, error) {
 // configuration plus what only arch knows about the machine.
 type settings struct {
 	cq           cqla.Config
-	codeName     string
 	codeErr      error
 	simChannels  int
 	simResidency int
@@ -113,7 +79,7 @@ type Option func(*settings)
 func WithCodeName(name string) Option {
 	return func(s *settings) {
 		c, err := CodeByName(name)
-		s.cq.Code, s.codeName, s.codeErr = c, name, err
+		s.cq.Code, s.codeErr = c, err
 	}
 }
 
@@ -143,10 +109,13 @@ func WithSimChannels(n int) Option { return func(s *settings) { s.simChannels = 
 func WithSimResidency(n int) Option { return func(s *settings) { s.simResidency = n } }
 
 // Machine is a validated machine configuration with its analytic model
-// instantiated; engines evaluate workloads against it.
+// instantiated; workloads compiled on it are evaluated against it.
 type Machine struct {
-	cfg Config
-	cq  *cqla.Machine
+	cq *cqla.Machine
+	// simChannels and simResidency override the des engine's channel
+	// count and resident-qubit capacity when nonzero (see desConfig).
+	simChannels  int
+	simResidency int
 }
 
 // resolve applies the options to the paper-default working point and
@@ -161,7 +130,6 @@ func resolve(opts []Option) (settings, error) {
 			CacheFactor:       cqla.CacheFactor,
 			TransferOverlap:   cqla.TransferOverlap,
 		},
-		codeName: "steane",
 	}
 	for _, o := range opts {
 		o(&s)
@@ -184,20 +152,6 @@ func resolve(opts []Option) (settings, error) {
 	return s, nil
 }
 
-// config renders the resolved settings as the Result-envelope echo.
-func (s *settings) config() Config {
-	return Config{
-		Code:         s.codeName,
-		Phys:         s.cq.Params.Name,
-		Blocks:       s.cq.ComputeBlocks,
-		Transfers:    s.cq.ParallelTransfers,
-		CacheFactor:  s.cq.CacheFactor,
-		Overlap:      s.cq.TransferOverlap,
-		SimChannels:  s.simChannels,
-		SimResidency: s.simResidency,
-	}
-}
-
 // New builds a Machine from the paper's default working point (Steane
 // code, projected parameters, 36 compute blocks, 10 parallel transfers,
 // the Section 5.2 cache factor and overlap) modified by the given options.
@@ -211,7 +165,7 @@ func New(opts ...Option) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Machine{cfg: s.config(), cq: cq}, nil
+	return &Machine{cq: cq, simChannels: s.simChannels, simResidency: s.simResidency}, nil
 }
 
 // Code returns the machine's error-correction code.

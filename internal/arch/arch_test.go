@@ -2,7 +2,6 @@ package arch_test
 
 import (
 	"context"
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -13,13 +12,21 @@ import (
 	"repro/internal/phys"
 )
 
-// evaluate is the one-shot path: compile w on m, then evaluate it on eng.
-func evaluate(ctx context.Context, m *arch.Machine, eng arch.Engine, w arch.Workload) (arch.Result, error) {
+// evaluate is the one-shot path: compile w on m, then evaluate it on the
+// named engine.
+func evaluate(ctx context.Context, m *arch.Machine, engine string, w arch.Workload) (arch.Result, error) {
 	cw, err := m.Compile(w)
 	if err != nil {
 		return arch.Result{}, err
 	}
-	return arch.EvaluateCompiled(ctx, eng, cw)
+	return evaluateCompiled(ctx, cw, engine)
+}
+
+// evaluateCompiled evaluates cw on the named engine into a fresh Result.
+func evaluateCompiled(ctx context.Context, cw *arch.CompiledWorkload, engine string) (arch.Result, error) {
+	var res arch.Result
+	err := cw.Evaluate(ctx, engine, &res)
+	return res, err
 }
 
 func TestNewDefaults(t *testing.T) {
@@ -27,22 +34,14 @@ func TestNewDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := m.Engine(arch.EngineAnalytic)
-	if err != nil {
-		t.Fatal(err)
+	cfg := m.Analytic().Config()
+	if cfg.Code.Short != ecc.Steane().Short || cfg.Params.Name != "projected" {
+		t.Errorf("default code/phys = %q/%q", cfg.Code.Short, cfg.Params.Name)
 	}
-	res, err := evaluate(context.Background(), m, eng, arch.NewAdder(8, false))
-	if err != nil {
-		t.Fatal(err)
+	if cfg.ComputeBlocks != 36 || cfg.ParallelTransfers != 10 {
+		t.Errorf("default blocks/transfers = %d/%d", cfg.ComputeBlocks, cfg.ParallelTransfers)
 	}
-	cfg := res.Config
-	if cfg.Code != "steane" || cfg.Phys != "projected" {
-		t.Errorf("default code/phys = %q/%q", cfg.Code, cfg.Phys)
-	}
-	if cfg.Blocks != 36 || cfg.Transfers != 10 {
-		t.Errorf("default blocks/transfers = %d/%d", cfg.Blocks, cfg.Transfers)
-	}
-	if cfg.CacheFactor != cqla.CacheFactor || cfg.Overlap != cqla.TransferOverlap {
+	if cfg.CacheFactor != cqla.CacheFactor || cfg.TransferOverlap != cqla.TransferOverlap {
 		t.Errorf("defaults should be the paper's: %+v", cfg)
 	}
 }
@@ -86,32 +85,34 @@ func TestZeroOverlapIsLiteral(t *testing.T) {
 	}
 }
 
+// TestEngineLookup pins the engine names: NormalizeEngine's aliases, and
+// Evaluate rejecting any name NormalizeEngine does not accept.
 func TestEngineLookup(t *testing.T) {
-	m, err := arch.New()
-	if err != nil {
-		t.Fatal(err)
-	}
 	for name, want := range map[string]string{
 		"":         arch.EngineAnalytic,
 		"analytic": arch.EngineAnalytic,
 		"des":      arch.EngineDES,
 		"sim":      arch.EngineDES,
 	} {
-		eng, err := m.Engine(name)
-		if err != nil {
-			t.Fatalf("Engine(%q): %v", name, err)
-		}
-		if eng.Name() != want {
-			t.Errorf("Engine(%q).Name() = %q, want %q", name, eng.Name(), want)
+		got, err := arch.NormalizeEngine(name)
+		if err != nil || got != want {
+			t.Errorf("NormalizeEngine(%q) = %q, %v; want %q", name, got, err, want)
 		}
 	}
-	if _, err := m.Engine("montecarlo"); err == nil {
-		t.Error("unknown engine should be rejected")
+	if _, err := arch.NormalizeEngine("montecarlo"); err == nil {
+		t.Error("NormalizeEngine accepted an unknown engine")
+	}
+	m, err := arch.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := evaluate(context.Background(), m, "montecarlo", arch.NewAdder(8, false)); err == nil || !strings.Contains(err.Error(), `unknown engine "montecarlo"`) {
+		t.Errorf("Evaluate on an unknown engine: err = %v", err)
 	}
 }
 
 // TestAnalyticMatchesClosedForm demands bitwise agreement between the
-// engine's envelope and the direct cqla computation it wraps — the API is
+// engine's metrics and the direct cqla computation it wraps — the API is
 // a re-plumbing, not an approximation.
 func TestAnalyticMatchesClosedForm(t *testing.T) {
 	p := phys.Projected()
@@ -124,11 +125,7 @@ func TestAnalyticMatchesClosedForm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := m.Engine(arch.EngineAnalytic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := evaluate(context.Background(), m, eng, arch.NewAdder(256, true))
+	res, err := evaluate(context.Background(), m, arch.EngineAnalytic, arch.NewAdder(256, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,12 +153,6 @@ func TestAnalyticMatchesClosedForm(t *testing.T) {
 			t.Errorf("%s = %v, want exactly %v", name, got, want)
 		}
 	}
-	if res.SchemaVersion != arch.SchemaVersion || res.Engine != arch.EngineAnalytic {
-		t.Errorf("envelope header: %+v", res)
-	}
-	if res.Config.Code != "bacon-shor" || res.Workload.Bits != 256 {
-		t.Errorf("envelope echo: %+v %+v", res.Config, res.Workload)
-	}
 }
 
 func TestSimEngineAdder(t *testing.T) {
@@ -169,16 +160,12 @@ func TestSimEngineAdder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := m.Engine(arch.EngineDES)
+	res, err := evaluate(context.Background(), m, arch.EngineDES, arch.NewAdder(16, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := evaluate(context.Background(), m, eng, arch.NewAdder(16, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Engine != arch.EngineDES || len(res.Metrics) == 0 {
-		t.Fatalf("unpopulated des envelope: %+v", res)
+	if len(res.Metrics) == 0 {
+		t.Fatalf("unpopulated des result: %+v", res)
 	}
 	mk := res.MustMetric("makespan_s")
 	if mk <= 0 {
@@ -202,18 +189,14 @@ func TestSimEngineModExpAndQFT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := m.Engine("sim")
-	if err != nil {
-		t.Fatal(err)
-	}
-	me, err := evaluate(context.Background(), m, eng, arch.NewModExp(8))
+	me, err := evaluate(context.Background(), m, "sim", arch.NewModExp(8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if me.MustMetric("computation_s") <= me.MustMetric("adder_makespan_s") {
 		t.Error("modexp time should exceed one adder call")
 	}
-	qft, err := evaluate(context.Background(), m, eng, arch.NewQFT(12))
+	qft, err := evaluate(context.Background(), m, "sim", arch.NewQFT(12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,13 +210,9 @@ func TestSimEngineHonorsContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := m.Engine(arch.EngineDES)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := evaluate(ctx, m, eng, arch.NewAdder(64, false)); err == nil {
+	if _, err := evaluate(ctx, m, arch.EngineDES, arch.NewAdder(64, false)); err == nil {
 		t.Error("canceled context should abort the simulation")
 	}
 }
@@ -259,51 +238,5 @@ func TestWorkloadValidate(t *testing.T) {
 	}
 	if err := (arch.Workload{Kind: arch.KindCustom, Bits: 1, Name: "c"}).Validate(); err != nil {
 		t.Errorf("1-qubit custom workload rejected: %v", err)
-	}
-}
-
-// TestResultJSONStable: the envelope is the serving contract — it must
-// parse, carry the version, and render metrics in engine order.
-func TestResultJSONStable(t *testing.T) {
-	m, err := arch.New(arch.WithCodeName("steane"), arch.WithBlocks(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, _ := m.Engine("")
-	res, err := evaluate(context.Background(), m, eng, arch.NewAdder(32, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b1, err := json.Marshal(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, _ := json.Marshal(res)
-	if string(b1) != string(b2) {
-		t.Error("marshaling the same result twice should be byte-identical")
-	}
-	var doc struct {
-		SchemaVersion int                `json:"schema_version"`
-		Engine        string             `json:"engine"`
-		Workload      map[string]any     `json:"workload"`
-		Config        map[string]any     `json:"config"`
-		Metrics       map[string]float64 `json:"metrics"`
-	}
-	if err := json.Unmarshal(b1, &doc); err != nil {
-		t.Fatalf("envelope does not parse: %v\n%s", err, b1)
-	}
-	if doc.SchemaVersion != arch.SchemaVersion || doc.Engine != "analytic" {
-		t.Errorf("header: %+v", doc)
-	}
-	if doc.Config["code"] != "steane" || doc.Workload["kind"] != "adder" {
-		t.Errorf("echo: %+v", doc)
-	}
-	if doc.Metrics["area_reduction"] == 0 {
-		t.Error("metrics did not round-trip")
-	}
-	// Field order is part of the contract: version first, metrics last.
-	s := string(b1)
-	if !strings.HasPrefix(s, `{"schema_version":`) || !strings.Contains(s, `"metrics":{"area_reduction":`) {
-		t.Errorf("unexpected field layout: %s", s)
 	}
 }

@@ -149,7 +149,7 @@ func (p *WorkloadPlan) compatible(w Workload) bool {
 // CompiledWorkload binds a workload plan to one machine: the validated
 // workload, the shared kernel plan, and the derived discrete-event machine
 // description. Compiling once and evaluating many times is the intended
-// hot-loop shape — Engine.EvaluateCompiledInto skips every per-evaluation
+// hot-loop shape — CompiledWorkload.Evaluate skips every per-evaluation
 // setup cost (circuit generation and DAG construction happen once, on the
 // plan's first read; scheduling and simulation are memoized in the plan)
 // and reuses the caller's result buffers, so a repeated des evaluation

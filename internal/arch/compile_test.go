@@ -2,18 +2,32 @@ package arch_test
 
 import (
 	"context"
-	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/arch"
 )
 
+// sameMetrics reports whether a and b carry the same metric names in the
+// same order with bit-identical values.
+func sameMetrics(a, b arch.Result) bool {
+	if len(a.Metrics) != len(b.Metrics) {
+		return false
+	}
+	for i, m := range a.Metrics {
+		if m.Name != b.Metrics[i].Name || math.Float64bits(m.Value) != math.Float64bits(b.Metrics[i].Value) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestCompiledEvaluationIsByteIdentical is the cache-transparency
 // contract: for both engines and every workload kind, evaluating through
 // one plan shared across machines and engines — exactly what explore's
-// per-sweep cache does — yields a byte-identical Result envelope to
-// compiling a fresh plan for every evaluation.
+// per-sweep cache does — yields the same metric names and bit-identical
+// values as compiling a fresh plan for every evaluation.
 func TestCompiledEvaluationIsByteIdentical(t *testing.T) {
 	ctx := context.Background()
 	workloads := []arch.Workload{
@@ -37,11 +51,7 @@ func TestCompiledEvaluationIsByteIdentical(t *testing.T) {
 		}
 		for _, m := range machines {
 			for _, engine := range arch.EngineNames() {
-				eng, err := m.Engine(engine)
-				if err != nil {
-					t.Fatal(err)
-				}
-				fresh, err := evaluate(ctx, m, eng, w)
+				fresh, err := evaluate(ctx, m, engine, w)
 				if err != nil {
 					t.Fatalf("%s fresh-plan evaluation of %s/%d: %v", engine, w.Kind, w.Bits, err)
 				}
@@ -49,23 +59,20 @@ func TestCompiledEvaluationIsByteIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatalf("CompileWith(%s/%d): %v", w.Kind, w.Bits, err)
 				}
-				shared, err := arch.EvaluateCompiled(ctx, eng, cw)
+				shared, err := evaluateCompiled(ctx, cw, engine)
 				if err != nil {
 					t.Fatalf("%s shared-plan evaluation of %s/%d: %v", engine, w.Kind, w.Bits, err)
 				}
-				fj, _ := json.Marshal(fresh)
-				cj, _ := json.Marshal(shared)
-				if string(fj) != string(cj) {
-					t.Errorf("%s %s/%d: shared-plan evaluation diverges\n fresh:  %s\n shared: %s",
-						engine, w.Kind, w.Bits, fj, cj)
+				if !sameMetrics(fresh, shared) {
+					t.Errorf("%s %s/%d: shared-plan evaluation diverges\n fresh:  %v\n shared: %v",
+						engine, w.Kind, w.Bits, fresh.Metrics, shared.Metrics)
 				}
 				// Evaluate-many on one compiled workload must be stable.
-				again, err := arch.EvaluateCompiled(ctx, eng, cw)
+				again, err := evaluateCompiled(ctx, cw, engine)
 				if err != nil {
 					t.Fatal(err)
 				}
-				aj, _ := json.Marshal(again)
-				if string(aj) != string(cj) {
+				if !sameMetrics(again, shared) {
 					t.Errorf("%s %s/%d: repeated compiled evaluation drifts", engine, w.Kind, w.Bits)
 				}
 			}
@@ -73,31 +80,16 @@ func TestCompiledEvaluationIsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestCompileRejectsForeignAndMismatched pins the safety rails: a compiled
-// workload evaluated on another machine's engine errors, and a plan bound
-// to the wrong workload errors.
+// TestCompileRejectsForeignAndMismatched pins the safety rails: a nil
+// compiled workload does not evaluate, and a plan bound to the wrong
+// workload errors.
 func TestCompileRejectsForeignAndMismatched(t *testing.T) {
 	m1, err := arch.New()
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := arch.New(arch.WithBlocks(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cw, err := m1.Compile(arch.NewAdder(16, false))
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, engine := range arch.EngineNames() {
-		eng, err := m2.Engine(engine)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := arch.EvaluateCompiled(context.Background(), eng, cw); err == nil {
-			t.Errorf("%s: evaluating another machine's compiled workload did not error", engine)
-		}
-		if _, err := arch.EvaluateCompiled(context.Background(), eng, nil); err == nil {
+		if _, err := evaluateCompiled(context.Background(), nil, engine); err == nil {
 			t.Errorf("%s: evaluating a nil compiled workload did not error", engine)
 		}
 	}
@@ -145,15 +137,11 @@ func TestCompileRejectsInvalidWorkloads(t *testing.T) {
 	if _, err := arch.PlanWorkload(custom); err == nil || !strings.Contains(err.Error(), "PlanCircuit") {
 		t.Errorf("PlanWorkload of a custom workload: err = %v", err)
 	}
-	eng, err := m.Engine(arch.EngineAnalytic)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cw, err := m.CompileWith(arch.NewAdder(16, false), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := arch.EvaluateCompiled(context.Background(), eng, cw)
+	res, err := evaluateCompiled(context.Background(), cw, arch.EngineAnalytic)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,9 +157,9 @@ func TestCompileRejectsInvalidWorkloads(t *testing.T) {
 }
 
 // TestEvaluateCompiledIntoMatches pins buffer reuse to a fresh result: for
-// both engines and every paper kind, writing into a result whose metric
-// buffer holds stale garbage must produce the exact envelope the
-// allocating arch.EvaluateCompiled returns.
+// both engines and every paper kind, evaluating into a result whose metric
+// buffer holds stale garbage must produce exactly the metrics a fresh
+// Result receives.
 func TestEvaluateCompiledIntoMatches(t *testing.T) {
 	ctx := context.Background()
 	m, err := arch.New(arch.WithCodeName("bacon-shor"), arch.WithBlocks(9))
@@ -184,10 +172,6 @@ func TestEvaluateCompiledIntoMatches(t *testing.T) {
 		arch.NewQFT(16),
 	}
 	for _, engine := range arch.EngineNames() {
-		eng, err := m.Engine(engine)
-		if err != nil {
-			t.Fatal(err)
-		}
 		// One result reused across every workload, so each call must both
 		// overwrite the previous metrics and shrink/grow the buffer.
 		got := arch.Result{Metrics: []arch.Metric{{Name: "stale", Value: -1}}}
@@ -196,37 +180,27 @@ func TestEvaluateCompiledIntoMatches(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := arch.EvaluateCompiled(ctx, eng, cw)
+			want, err := evaluateCompiled(ctx, cw, engine)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := eng.EvaluateCompiledInto(ctx, cw, &got); err != nil {
-				t.Fatalf("%s EvaluateCompiledInto(%s/%d): %v", engine, w.Kind, w.Bits, err)
+			if err := cw.Evaluate(ctx, engine, &got); err != nil {
+				t.Fatalf("%s Evaluate(%s/%d): %v", engine, w.Kind, w.Bits, err)
 			}
-			wj, _ := json.Marshal(want)
-			gj, _ := json.Marshal(got)
-			if string(wj) != string(gj) {
-				t.Errorf("%s %s/%d: Into variant diverges\n want: %s\n got:  %s",
-					engine, w.Kind, w.Bits, wj, gj)
+			if !sameMetrics(want, got) {
+				t.Errorf("%s %s/%d: reused result diverges\n want: %v\n got:  %v",
+					engine, w.Kind, w.Bits, want.Metrics, got.Metrics)
 			}
-		}
-		var sink arch.Result
-		if err := eng.EvaluateCompiledInto(ctx, nil, &sink); err == nil {
-			t.Errorf("%s: EvaluateCompiledInto accepted a nil compile", engine)
 		}
 	}
 }
 
 // TestEvaluateCompiledIntoAllocationFree is the compile-once/evaluate-many
-// allocation contract at the engine level: with the simulation memoized in
-// the plan and the metric buffer reused, a repeated des evaluation of the
-// 64-bit adder performs zero allocations.
+// allocation contract: with the simulation memoized in the plan and the
+// metric buffer reused, a repeated des evaluation of the 64-bit adder
+// performs zero allocations.
 func TestEvaluateCompiledIntoAllocationFree(t *testing.T) {
 	m, err := arch.New(arch.WithCodeName("bacon-shor"), arch.WithBlocks(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := m.Engine(arch.EngineDES)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,14 +210,14 @@ func TestEvaluateCompiledIntoAllocationFree(t *testing.T) {
 	}
 	ctx := context.Background()
 	var res arch.Result
-	if err := eng.EvaluateCompiledInto(ctx, cw, &res); err != nil { // warm buffers
+	if err := cw.Evaluate(ctx, arch.EngineDES, &res); err != nil { // warm buffers
 		t.Fatal(err)
 	}
 	if avg := testing.AllocsPerRun(20, func() {
-		if err := eng.EvaluateCompiledInto(ctx, cw, &res); err != nil {
+		if err := cw.Evaluate(ctx, arch.EngineDES, &res); err != nil {
 			t.Fatal(err)
 		}
 	}); avg != 0 {
-		t.Errorf("steady-state EvaluateCompiledInto allocates %.1f times per run, want 0", avg)
+		t.Errorf("steady-state des Evaluate allocates %.1f times per run, want 0", avg)
 	}
 }

@@ -8,9 +8,10 @@ import (
 	"repro/internal/arch"
 )
 
-// ExampleNew evaluates the paper's best working point — the 256-bit
-// Bacon-Shor CQLA with the memory hierarchy — through the analytic engine
-// and reads two headline metrics from the Result envelope.
+// ExampleNew builds the paper's best working point — Bacon-Shor regions,
+// 36 compute blocks, ten parallel transfers — compiles the 256-bit adder
+// with the memory hierarchy on it, and evaluates the compiled workload on
+// both engines with the one evaluation call.
 func ExampleNew() {
 	m, err := arch.New(
 		arch.WithCodeName("bacon-shor"),
@@ -20,22 +21,25 @@ func ExampleNew() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	eng, err := m.Engine(arch.EngineAnalytic)
-	if err != nil {
-		log.Fatal(err)
-	}
 	cw, err := m.Compile(arch.NewAdder(256, true))
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := arch.EvaluateCompiled(context.Background(), eng, cw)
-	if err != nil {
+	ctx := context.Background()
+	var res arch.Result
+	if err := cw.Evaluate(ctx, arch.EngineAnalytic, &res); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("%s v%d: area x%.1f, adder speedup x%.1f\n",
-		res.Engine, res.SchemaVersion,
+	fmt.Printf("analytic: area x%.1f, adder speedup x%.1f\n",
 		res.MustMetric("area_reduction"), res.MustMetric("adder_speedup"))
-	// Output: analytic v1: area x7.8, adder speedup x7.6
+	if err := cw.Evaluate(ctx, arch.EngineDES, &res); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("des: makespan %.0f s, communication hidden %.2f\n",
+		res.MustMetric("makespan_s"), res.MustMetric("communication_hidden"))
+	// Output:
+	// analytic: area x7.8, adder speedup x7.6
+	// des: makespan 281 s, communication hidden 0.78
 }
 
 // ExamplePlanWorkload plans a registry kernel: the machine-independent
@@ -53,50 +57,47 @@ func ExamplePlanWorkload() {
 	// Output: kernel qft at 8 bits: 36 serial slots, critical path 15
 }
 
-// ExampleMachine_Compile is the intended hot-loop shape: compile a
-// workload once, then evaluate the compiled form many times. Every
-// evaluation skips circuit generation, DAG construction and scheduling and
-// returns the same envelope.
+// ExampleMachine_Compile is the intended hot-loop shape: plan a kernel
+// once, bind the plan to each machine once, then evaluate each binding
+// many times into one reused Result. A repeated evaluation skips circuit
+// generation, DAG construction, scheduling and simulation, and on the des
+// engine allocates nothing.
 func ExampleMachine_Compile() {
-	m, err := arch.New(
-		arch.WithCodeName("bacon-shor"),
-		arch.WithBlocks(36),
-		arch.WithTransfers(10),
-	)
-	if err != nil {
-		log.Fatal(err)
-	}
-	eng, err := m.Engine(arch.EngineAnalytic)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cw, err := m.Compile(arch.NewKind(arch.KindQFTComm, 64))
+	w := arch.NewAdder(64, false)
+	plan, err := arch.PlanWorkload(w) // once per kernel
 	if err != nil {
 		log.Fatal(err)
 	}
 	ctx := context.Background()
-	again, _ := arch.EvaluateCompiled(ctx, eng, cw)
-	res, err := arch.EvaluateCompiled(ctx, eng, cw)
-	if err != nil {
-		log.Fatal(err)
+	var res arch.Result
+	for _, blocks := range []int{4, 9} {
+		m, err := arch.New(arch.WithCodeName("bacon-shor"), arch.WithBlocks(blocks))
+		if err != nil {
+			log.Fatal(err)
+		}
+		cw, err := m.CompileWith(w, plan) // once per machine
+		if err != nil {
+			log.Fatal(err)
+		}
+		for i := 0; i < 3; i++ { // the hot loop reuses res
+			if err := cw.Evaluate(ctx, arch.EngineDES, &res); err != nil {
+				log.Fatal(err)
+			}
+		}
+		fmt.Printf("%d blocks: makespan %.0f s, block utilization %.2f\n",
+			blocks, res.MustMetric("makespan_s"), res.MustMetric("block_utilization"))
 	}
-	fmt.Printf("%s: %.0f slots, speedup x%.2f, repeatable %v\n",
-		res.Workload.Kind, res.MustMetric("makespan_slots"),
-		res.MustMetric("parallel_speedup"),
-		res.MustMetric("makespan_slots") == again.MustMetric("makespan_slots"))
-	// Output: qftcomm: 130 slots, speedup x16.74, repeatable true
+	// Output:
+	// 4 blocks: makespan 219 s, block utilization 0.92
+	// 9 blocks: makespan 115 s, block utilization 0.78
 }
 
-// ExampleEvaluateCompiled sizes the paper's best configuration — Bacon-Shor
-// regions, 36 compute blocks, ten parallel transfers — for a 256-bit
-// workload without the memory hierarchy and prints its Table 4 figures of
-// merit against the QLA.
-func ExampleEvaluateCompiled() {
+// ExampleCompiledWorkload_Evaluate sizes the paper's best configuration —
+// Bacon-Shor regions, 36 compute blocks, ten parallel transfers — for a
+// 256-bit workload without the memory hierarchy and prints its Table 4
+// figures of merit against the QLA.
+func ExampleCompiledWorkload_Evaluate() {
 	m, err := arch.New(arch.WithCodeName("bacon-shor"), arch.WithBlocks(36), arch.WithTransfers(10))
-	if err != nil {
-		log.Fatal(err)
-	}
-	eng, err := m.Engine(arch.EngineAnalytic)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -104,8 +105,8 @@ func ExampleEvaluateCompiled() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := arch.EvaluateCompiled(context.Background(), eng, cw)
-	if err != nil {
+	var res arch.Result
+	if err := cw.Evaluate(context.Background(), arch.EngineAnalytic, &res); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("area reduction: %.1fx\n", res.MustMetric("area_reduction"))

@@ -19,10 +19,6 @@ func TestAnalyticQFTLeavesPlanUnbuilt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := m.Engine(EngineAnalytic)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, c := range []struct {
 		w     Workload
 		built bool
@@ -36,7 +32,7 @@ func TestAnalyticQFTLeavesPlanUnbuilt(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := EvaluateCompiled(context.Background(), eng, cw); err != nil {
+		if _, err := evaluated(context.Background(), cw, EngineAnalytic); err != nil {
 			t.Fatal(err)
 		}
 		if got := cw.plan.Instructions() > 0; got != c.built {
@@ -57,15 +53,11 @@ func TestPlanBuiltOnceByConcurrentReaders(t *testing.T) {
 	w := NewKind(KindQFTComm, 24)
 	serial := map[string]Result{}
 	for _, name := range EngineNames() {
-		eng, err := m.Engine(name)
-		if err != nil {
-			t.Fatal(err)
-		}
 		cw, err := m.Compile(w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if serial[name], err = EvaluateCompiled(context.Background(), eng, cw); err != nil {
+		if serial[name], err = evaluated(context.Background(), cw, name); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -87,14 +79,10 @@ func TestPlanBuiltOnceByConcurrentReaders(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := range readers {
 		engines[i] = EngineNames()[i%2]
-		eng, err := m.Engine(engines[i])
-		if err != nil {
-			t.Fatal(err)
-		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[i], errs[i] = EvaluateCompiled(ctx, eng, cw)
+			results[i], errs[i] = evaluated(ctx, cw, engines[i])
 		}()
 	}
 	wg.Wait()
@@ -109,6 +97,13 @@ func TestPlanBuiltOnceByConcurrentReaders(t *testing.T) {
 	if builds := spanCount(tr, "dag-build"); builds != 1 {
 		t.Errorf("%d dag-build spans for one shared plan, want 1", builds)
 	}
+}
+
+// evaluated evaluates cw on the named engine into a new Result.
+func evaluated(ctx context.Context, cw *CompiledWorkload, engine string) (Result, error) {
+	var res Result
+	err := cw.Evaluate(ctx, engine, &res)
+	return res, err
 }
 
 // spanCount returns how many spans named name tr has recorded.
@@ -130,15 +125,11 @@ func desEvaluator(t *testing.T, plan *WorkloadPlan, opts ...Option) func(context
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := m.Engine(EngineDES)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cw, err := m.CompileWith(plan.Workload(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return func(ctx context.Context) (Result, error) { return EvaluateCompiled(ctx, eng, cw) }
+	return func(ctx context.Context) (Result, error) { return evaluated(ctx, cw, EngineDES) }
 }
 
 // TestSimulationMemoizedPerConfig: des statistics depend only on the

@@ -1,17 +1,6 @@
 package arch
 
-import (
-	"bytes"
-	"encoding/json"
-	"fmt"
-	"math"
-	"strconv"
-)
-
-// SchemaVersion is the version of the Result envelope (and of the explore
-// report documents that embed its fields). Bump it whenever the JSON shape
-// changes incompatibly.
-const SchemaVersion = 1
+import "fmt"
 
 // Metric is one named scalar an engine computed.
 type Metric struct {
@@ -19,28 +8,20 @@ type Metric struct {
 	Value float64
 }
 
-// Result is the versioned evaluation envelope every engine returns: which
-// engine produced it, what it ran, on which machine, and the metrics in
-// the engine's declared order. Its JSON form is byte-stable for a given
-// evaluation — field order is fixed and metrics render as an ordered
-// object.
+// Result holds one evaluation's metrics in the engine's declared order.
 type Result struct {
-	SchemaVersion int
-	Engine        string
-	Workload      Workload
-	Config        Config
-	Metrics       []Metric
+	Metrics []Metric
 }
 
-// Metric returns the named metric's value, or an error naming what the
-// engine actually produced.
+// Metric returns the named metric's value, or an error naming the metric
+// the result does not carry.
 func (r Result) Metric(name string) (float64, error) {
 	for _, m := range r.Metrics {
 		if m.Name == name {
 			return m.Value, nil
 		}
 	}
-	return 0, fmt.Errorf("arch: %s result has no metric %q", r.Engine, name)
+	return 0, fmt.Errorf("arch: result has no metric %q", name)
 }
 
 // MustMetric is Metric but panics on a missing name; for tests and
@@ -51,49 +32,4 @@ func (r Result) MustMetric(name string) float64 {
 		panic(err)
 	}
 	return v
-}
-
-// MarshalJSON renders the envelope with fixed field order and metrics as
-// an ordered JSON object. Non-finite metric values become null — JSON has
-// no NaN/Inf literals and the document must stay parseable whatever an
-// engine computes.
-func (r Result) MarshalJSON() ([]byte, error) {
-	var b bytes.Buffer
-	wl, err := json.Marshal(r.Workload)
-	if err != nil {
-		return nil, err
-	}
-	cfg, err := json.Marshal(r.Config)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(&b, `{"schema_version":%d,"engine":%s,"workload":%s,"config":%s,"metrics":{`,
-		r.SchemaVersion, jsonString(r.Engine), wl, cfg)
-	for i, m := range r.Metrics {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%s:%s", jsonString(m.Name), jsonFloat(m.Value))
-	}
-	b.WriteString("}}")
-	return b.Bytes(), nil
-}
-
-// jsonString quotes via encoding/json (Go's %q escapes control characters
-// in ways JSON parsers reject).
-func jsonString(s string) string {
-	out, err := json.Marshal(s)
-	if err != nil { // a plain string never fails to marshal
-		panic(err)
-	}
-	return string(out)
-}
-
-// jsonFloat renders a float as the shortest round-tripping literal, with
-// non-finite values as null.
-func jsonFloat(v float64) string {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return "null"
-	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
 }

@@ -10,26 +10,17 @@ import (
 	"repro/internal/obs"
 )
 
-// simEngine evaluates workloads by discrete-event simulation: the actual
-// circuit executes on explicit compute blocks, teleportation channels and
-// a bounded residency set (internal/des), measuring what the closed-form
-// model assumes — in particular how much memory traffic really hides
-// beneath error-correction-dominated computation.
-type simEngine struct{ m *Machine }
-
-func (simEngine) Name() string { return EngineDES }
-
 // desConfig derives the simulator's machine description from the machine
 // model: channels shrink by the code's per-transfer channel requirement,
 // and the residency set is the level-2 compute region's data qubits plus
 // the model's level-1 cache (cqla.Machine.CacheQubits), unless overridden.
 func (m *Machine) desConfig() des.Config {
 	cq := m.cq.Config()
-	channels := m.cfg.SimChannels
+	channels := m.simChannels
 	if channels == 0 {
 		channels = max(cq.ParallelTransfers/cq.Code.ChannelsRequired(), 1)
 	}
-	resident := m.cfg.SimResidency
+	resident := m.simResidency
 	if resident == 0 {
 		resident = cq.ComputeBlocks*cqla.BlockDataQubits + m.cq.CacheQubits()
 	}
@@ -51,7 +42,7 @@ func (m *Machine) desConfig() des.Config {
 // records its "dag-build"), and every later binding with that config reads
 // the memo. A failed or cancelled run caches nothing. Scheduling is
 // memoized in the plan too, so a repeated evaluation allocates nothing.
-func (e simEngine) simulate(ctx context.Context, cw *CompiledWorkload) (des.Stats, time.Duration, error) {
+func (cw *CompiledWorkload) simulate(ctx context.Context) (des.Stats, time.Duration, error) {
 	stats, err := cw.plan.sims.Do(cw.desCfg, func() (des.Stats, error) {
 		runCtx, sp := obs.StartSpan(ctx, "sim-run")
 		defer sp.End()
@@ -77,14 +68,14 @@ func appendStatMetrics(dst []Metric, stats des.Stats, computeOnly time.Duration)
 	)
 }
 
-// EvaluateCompiledInto evaluates a precompiled workload into out, reusing
-// out's metric buffer across calls. With no tracer in ctx, a repeated
-// evaluation — memoized simulation, precomputed workload constants,
-// recycled metrics — performs zero allocations.
-func (e simEngine) EvaluateCompiledInto(ctx context.Context, cw *CompiledWorkload, out *Result) error {
-	if cw == nil || cw.m != e.m {
-		return errForeignCompile
-	}
+// evaluateDES is the des engine: discrete-event simulation, where the
+// actual circuit executes on explicit compute blocks, teleportation
+// channels and a bounded residency set (internal/des), measuring what the
+// closed-form model assumes — in particular how much memory traffic
+// really hides beneath error-correction-dominated computation. With no
+// tracer in ctx, a repeated evaluation — memoized simulation, precomputed
+// workload constants, recycled metrics — performs zero allocations.
+func (cw *CompiledWorkload) evaluateDES(ctx context.Context, out *Result) error {
 	ctx, sp := obs.StartSpan(ctx, "des-eval")
 	defer sp.End()
 	w := cw.w
@@ -94,20 +85,20 @@ func (e simEngine) EvaluateCompiledInto(ctx context.Context, cw *CompiledWorkloa
 	}
 	// Every workload kind runs the same compiled kernel once; only the
 	// metric decode below differs.
-	stats, computeOnly, err := e.simulate(ctx, cw)
+	stats, computeOnly, err := cw.simulate(ctx)
 	if err != nil {
 		return err
 	}
 	_, dec := obs.StartSpan(ctx, "decode")
 	defer dec.End()
-	cm := e.m.cq
+	cm := cw.m.cq
 	metrics := out.Metrics[:0]
 	switch w.Kind {
 	case KindAdder:
 		qlaTime := cm.QLAAdderTime(cw.plan.schedule(ctx))
 		metrics = append(metrics,
 			// Area has no dynamic component; the simulator reuses the
-			// closed-form floorplan so its envelope stays comparable.
+			// closed-form floorplan so its area stays comparable.
 			Metric{"area_reduction", cm.AreaReduction(cw.adderQubits, w.Hierarchy)},
 			Metric{"sim_speedup", float64(qlaTime) / float64(stats.Makespan)},
 		)
@@ -134,6 +125,6 @@ func (e simEngine) EvaluateCompiledInto(ctx context.Context, cw *CompiledWorkloa
 	default: // KindQFT and custom circuits, by Validate
 		metrics = appendStatMetrics(metrics, stats, computeOnly)
 	}
-	*out = e.m.result(EngineDES, w, metrics)
+	out.Metrics = metrics
 	return nil
 }

@@ -57,22 +57,19 @@ func Kinds() []Kind {
 	return []Kind{KindAdder, KindModExp, KindQFT, KindQFTComm, KindShorStage}
 }
 
-// Workload describes what the machine is asked to run. It is part of the
-// Result envelope, so its JSON field order is fixed; Name is present only
-// for custom workloads, keeping built-in envelopes byte-identical to their
-// historical form.
+// Workload describes what the machine is asked to run.
 type Workload struct {
 	// Kind selects the workload family.
-	Kind Kind `json:"kind"`
+	Kind Kind
 	// Bits is the problem size: adder/modexp input bits, QFT width, or a
 	// custom circuit's register width.
-	Bits int `json:"bits"`
+	Bits int
 	// Hierarchy includes the level-1 cache + compute tier in area and
 	// blended-speedup metrics (Table 5's view rather than Table 4's).
-	Hierarchy bool `json:"hierarchy"`
+	Hierarchy bool
 	// Name identifies a custom circuit; it must be empty for built-in
 	// kinds and non-empty for KindCustom.
-	Name string `json:"name,omitempty"`
+	Name string
 }
 
 // NewAdder describes one n-bit addition, with or without the memory

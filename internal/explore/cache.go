@@ -332,11 +332,8 @@ func (in In) circuitPlan(k planKey, plan *arch.WorkloadPlan) (*arch.WorkloadPlan
 // evaluate binds plan — or, when plan is nil, the sweep's plan for w — to
 // m inside a "plan-compile" span and evaluates it on the named engine.
 func (in In) evaluate(ctx context.Context, m *arch.Machine, engine string, w arch.Workload, plan *arch.WorkloadPlan) (arch.Result, error) {
-	eng, err := m.Engine(engine)
-	if err != nil {
-		return arch.Result{}, err
-	}
 	_, sp := obs.StartSpan(ctx, "plan-compile")
+	var err error
 	if plan == nil {
 		plan, err = in.Plan(w)
 	}
@@ -345,8 +342,9 @@ func (in In) evaluate(ctx context.Context, m *arch.Machine, engine string, w arc
 		cw, err = m.CompileWith(w, plan)
 	}
 	sp.End()
-	if err != nil {
-		return arch.Result{}, err
+	var res arch.Result
+	if err == nil {
+		err = cw.Evaluate(ctx, engine, &res)
 	}
-	return arch.EvaluateCompiled(ctx, eng, cw)
+	return res, err
 }

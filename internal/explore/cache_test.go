@@ -249,7 +249,7 @@ func planCounters(reg *obs.Registry, sweep string) (hits, misses uint64) {
 // a miss only for kernels the cache did not retain when it started.
 func TestWarmManagerPlanCacheTransparency(t *testing.T) {
 	reg := obs.NewRegistry()
-	m := NewManager(WithObservability(reg))
+	m := NewTestManager(WithObservability(reg))
 	t.Cleanup(func() { m.Shutdown(context.Background()) })
 	for i, step := range []struct {
 		sweep, engine string
@@ -344,7 +344,7 @@ func TestSimulationsSharedAcrossSweeps(t *testing.T) {
 // rebuild nothing.
 func TestPlanCacheBound(t *testing.T) {
 	reg := obs.NewRegistry()
-	m := NewManager(WithObservability(reg))
+	m := NewTestManager(WithObservability(reg))
 	t.Cleanup(func() { m.Shutdown(context.Background()) })
 
 	planJob(t, m, "table4", "des", 1)
@@ -380,7 +380,7 @@ func TestPlanCacheBound(t *testing.T) {
 // consistent once both finish. Run it under -race.
 func TestPlanCacheSharedByConcurrentJobs(t *testing.T) {
 	reg := obs.NewRegistry()
-	m := NewManager(WithObservability(reg), WithMaxEvaluations(2))
+	m := NewTestManager(WithObservability(reg), WithMaxEvaluations(2))
 	t.Cleanup(func() { m.Shutdown(context.Background()) })
 	seeds := []int64{1, 2}
 	jobs := make([]*Job, len(seeds))
@@ -532,7 +532,7 @@ func freshCircuitDoc(t *testing.T, text string, seed int64, engine, physName str
 // runs. Run it under -race.
 func TestCircuitPlanConcurrentRequests(t *testing.T) {
 	reg := obs.NewRegistry()
-	m := NewManager(WithObservability(reg), WithMaxEvaluations(2))
+	m := NewTestManager(WithObservability(reg), WithMaxEvaluations(2))
 	t.Cleanup(func() { m.Shutdown(context.Background()) })
 	text := circuit.FormatString(gen.QFT(16, false))
 	seeds := []int64{5, 6}

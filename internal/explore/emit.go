@@ -13,6 +13,12 @@ import (
 	"repro/internal/arch"
 )
 
+// SchemaVersion is the version of the documents explore emits and serves:
+// the sweep report (Report.JSON), the server's version and registry
+// listings, and the job content address (JobSpec.Key). Bump it whenever
+// their JSON shape changes incompatibly.
+const SchemaVersion = 1
+
 // Report bundles a completed sweep with the metadata needed to regenerate
 // it, ready for emission in any supported format.
 type Report struct {
@@ -106,15 +112,15 @@ func (r *Report) render(p Point, metric string, v float64) (string, bool) {
 	return r.Experiment.Render(p, metric, v)
 }
 
-// JSON writes the sweep as a self-describing JSON document sharing the
-// arch.Result envelope conventions (schema_version first, engine echo).
+// JSON writes the sweep as a self-describing JSON document
+// (schema_version first, then the inputs that regenerate it).
 // The encoding is hand-ordered (params in axis order, metrics in evaluator
 // order) so the same sweep always produces byte-identical output, whatever
 // the runner's parallelism.
 func (r *Report) JSON(w io.Writer) error {
 	b := bufio.NewWriter(w)
 	fmt.Fprintf(b, "{\n  \"schema_version\": %d,\n  \"experiment\": %s,\n  \"title\": %s,\n  \"phys\": %s,\n  \"seed\": %d,\n  \"engine\": %s,",
-		arch.SchemaVersion, jsonQuote(r.Experiment.Name), jsonQuote(r.Experiment.Title), jsonQuote(r.Phys), r.Seed, jsonQuote(r.engineName()))
+		SchemaVersion, jsonQuote(r.Experiment.Name), jsonQuote(r.Experiment.Title), jsonQuote(r.Phys), r.Seed, jsonQuote(r.engineName()))
 	if r.Estimator != "" {
 		fmt.Fprintf(b, "\n  \"estimator\": %s,", jsonQuote(r.Estimator))
 	}

@@ -112,7 +112,7 @@ func TestFig7Golden(t *testing.T) {
 
 // TestEngineAxisDES runs the acceptance path: table4, table5 and the new
 // xval sweep all evaluate with -engine des and come back with populated
-// simulation envelopes.
+// simulation metrics.
 func TestEngineAxisDES(t *testing.T) {
 	if testing.Short() {
 		t.Skip("discrete-event sweeps are expensive")

@@ -22,8 +22,8 @@ import (
 // This file is the job subsystem behind `cqla serve`: a content-addressed
 // result cache, a job manager with a bounded global evaluation semaphore,
 // and in-flight coalescing. Sweep output is a pure function of
-// (sweep, phys, seed, engine, schema version) — parallelism only changes
-// wall-clock time, never bytes — so identical requests share one
+// (sweep, phys, seed, engine, circuit, schema version) — parallelism only
+// changes wall-clock time, never bytes — so identical requests share one
 // evaluation and repeated ones are served from memory.
 
 // ErrShuttingDown is returned by Manager.Submit once Shutdown has begun.
@@ -65,14 +65,14 @@ type JobSpec struct {
 }
 
 // Key returns the spec's content address: a digest of every input the
-// report document depends on, including the envelope schema version so a
+// report document depends on, including the document schema version so a
 // schema bump can never serve stale documents. The fields stream into the
 // hash ("v<schema>", then sweep, phys, seed, engine and circuit, 0x1f
 // between each), so hashing a large circuit allocates no copy of it.
 func (s JobSpec) Key() string {
 	h := sha256.New()
 	var buf [512]byte
-	b := strconv.AppendInt(append(buf[:0], 'v'), int64(arch.SchemaVersion), 10)
+	b := strconv.AppendInt(append(buf[:0], 'v'), int64(SchemaVersion), 10)
 	b = append(append(b, '\x1f'), s.Sweep...)
 	b = append(append(b, '\x1f'), s.Phys.Name...)
 	b = strconv.AppendInt(append(b, '\x1f'), s.Seed, 10)
@@ -201,7 +201,7 @@ func (j *Job) setProgress(done, total int) {
 	j.mu.Unlock()
 }
 
-// managerConfig carries the tunables shared by NewManager and NewServer.
+// managerConfig carries the tunables NewServer resolves for its Manager.
 type managerConfig struct {
 	maxEval    int
 	cacheBytes int64
@@ -210,8 +210,14 @@ type managerConfig struct {
 	pprof      bool
 }
 
-func defaultManagerConfig() managerConfig {
-	return managerConfig{maxEval: 1, cacheBytes: 64 << 20, log: obs.NopLogger()}
+// newManagerConfig applies opts to the defaults: one evaluation at a
+// time, a 64 MiB result cache, no metrics, the no-op logger.
+func newManagerConfig(opts []ManagerOption) managerConfig {
+	cfg := managerConfig{maxEval: 1, cacheBytes: 64 << 20, log: obs.NopLogger()}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	return cfg
 }
 
 // ManagerOption configures a Manager (and, through NewServer, a Server).
@@ -257,8 +263,8 @@ func WithLogger(l *slog.Logger) ManagerOption {
 }
 
 // WithPprof mounts net/http/pprof under /debug/pprof/ on the server built
-// from these options (NewManager itself ignores it). Off by default: the
-// profile endpoints can stall the process and belong behind a flag.
+// from these options. Off by default: the profile endpoints can stall the
+// process and belong behind a flag.
 func WithPprof(enabled bool) ManagerOption {
 	return func(c *managerConfig) { c.pprof = enabled }
 }
@@ -327,15 +333,7 @@ type Manager struct {
 	inflight map[string]*Job
 }
 
-// NewManager returns a Manager ready to accept jobs.
-func NewManager(opts ...ManagerOption) *Manager {
-	cfg := defaultManagerConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return newManager(cfg)
-}
-
+// newManager returns a Manager ready to accept jobs.
 func newManager(cfg managerConfig) *Manager {
 	// Jobs outlive the requests that submit them: the async lifecycle's
 	// whole point is that a client can disconnect and poll later, so the

@@ -67,7 +67,7 @@ sample:
 func TestJobMetricsLifecycle(t *testing.T) {
 	probeExperiments(t)
 	reg := obs.NewRegistry()
-	m := explore.NewManager(explore.WithObservability(reg), explore.WithMaxEvaluations(1))
+	m := explore.NewTestManager(explore.WithObservability(reg), explore.WithMaxEvaluations(1))
 	exp, err := explore.Lookup("zslow")
 	if err != nil {
 		t.Fatal(err)

@@ -17,7 +17,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/arch"
 	"repro/internal/explore"
 	"repro/internal/phys"
 )
@@ -167,7 +166,7 @@ func TestJobsCoalesce(t *testing.T) {
 			return []explore.Metric{{Name: "v", Value: 1}}, nil
 		},
 	}
-	m := explore.NewManager()
+	m := explore.NewTestManager()
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
@@ -229,7 +228,7 @@ func TestJobsCacheBudget(t *testing.T) {
 			return []explore.Metric{{Name: "v", Value: 1}}, nil
 		},
 	}
-	m := explore.NewManager(explore.WithCacheBytes(1))
+	m := explore.NewTestManager(explore.WithCacheBytes(1))
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
@@ -396,7 +395,7 @@ func TestJobsSemaphoreBounds(t *testing.T) {
 			return []explore.Metric{{Name: "v", Value: float64(in.Seed)}}, nil
 		},
 	}
-	m := explore.NewManager(explore.WithMaxEvaluations(1))
+	m := explore.NewTestManager(explore.WithMaxEvaluations(1))
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
@@ -471,7 +470,7 @@ func TestJobsHistoryCap(t *testing.T) {
 	}
 	// Two evaluation slots: the gated job holds one while the quick job
 	// fills the cache through the other.
-	m := explore.NewManager(explore.WithMaxEvaluations(2))
+	m := explore.NewTestManager(explore.WithMaxEvaluations(2))
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
@@ -561,7 +560,7 @@ func TestJobsHistoryTrimsOldestFinished(t *testing.T) {
 	}
 	// Four slots: three gated jobs hold three while the quick and failing
 	// jobs run through the fourth.
-	m := explore.NewManager(explore.WithMaxEvaluations(4))
+	m := explore.NewTestManager(explore.WithMaxEvaluations(4))
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
@@ -651,7 +650,7 @@ func TestJobsShutdownDrains(t *testing.T) {
 			return []explore.Metric{{Name: "v", Value: 1}}, nil
 		},
 	}
-	m := explore.NewManager()
+	m := explore.NewTestManager()
 	j, _, err := submit(m, slow, explore.JobSpec{Phys: phys.Projected(), Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -703,7 +702,7 @@ func TestJobSpecKey(t *testing.T) {
 	withCircuit.Circuit = strings.Repeat("qubits 2\nh 0\ncnot 0 1\n", 100)
 	for _, s := range []explore.JobSpec{base, withCircuit} {
 		sum := sha256.Sum256([]byte(fmt.Sprintf("v%d\x1f%s\x1f%s\x1f%d\x1f%s\x1f%s",
-			arch.SchemaVersion, s.Sweep, s.Phys.Name, s.Seed, s.Engine, s.Circuit)))
+			explore.SchemaVersion, s.Sweep, s.Phys.Name, s.Seed, s.Engine, s.Circuit)))
 		if want := hex.EncodeToString(sum[:12]); s.Key() != want {
 			t.Errorf("Key() = %s, want %s (circuit of %d bytes)", s.Key(), want, len(s.Circuit))
 		}
@@ -732,7 +731,7 @@ func TestJobSpecKey(t *testing.T) {
 // failing build function, a build whose experiment has another name and a
 // bad engine are all rejected, and none of them leaves a job behind.
 func TestManagerSubmitValidation(t *testing.T) {
-	m := explore.NewManager()
+	m := explore.NewTestManager()
 	exp := &explore.Experiment{
 		Name:  "t-submit-bad",
 		Title: "validation fixture",
@@ -787,7 +786,7 @@ func TestSubmitBuildsOnlyOnMiss(t *testing.T) {
 			return []explore.Metric{{Name: "v", Value: float64(in.Int("i"))}}, nil
 		},
 	}
-	m := explore.NewManager()
+	m := explore.NewTestManager()
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
@@ -865,7 +864,7 @@ func TestSubmitRaceCoalesces(t *testing.T) {
 			return []explore.Metric{{Name: "v", Value: 1}}, nil
 		},
 	}
-	m := explore.NewManager()
+	m := explore.NewTestManager()
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()

@@ -71,10 +71,7 @@ type Server struct {
 
 // NewServer returns the HTTP API with a fresh job manager.
 func NewServer(opts ...ManagerOption) *Server {
-	cfg := defaultManagerConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
+	cfg := newManagerConfig(opts)
 	s := &Server{mux: http.NewServeMux(), jobs: newManager(cfg), log: cfg.log}
 	s.mux.HandleFunc("GET /v1/sweeps", handleListSweeps)
 	s.mux.HandleFunc("POST /v1/sweeps/{op}", s.handleRunSweep)
@@ -150,7 +147,7 @@ func handleVersion(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, struct {
 		SchemaVersion int `json:"schema_version"`
 		obs.BuildInfo
-	}{SchemaVersion: arch.SchemaVersion, BuildInfo: obs.Build()})
+	}{SchemaVersion: SchemaVersion, BuildInfo: obs.Build()})
 }
 
 // Shutdown stops accepting jobs and drains the in-flight ones; see
@@ -177,7 +174,7 @@ func handleListSweeps(w http.ResponseWriter, r *http.Request) {
 		Engines       []string    `json:"engines"`
 		Sweeps        []sweepInfo `json:"sweeps"`
 	}
-	out := listing{SchemaVersion: arch.SchemaVersion, Engines: arch.EngineNames()}
+	out := listing{SchemaVersion: SchemaVersion, Engines: arch.EngineNames()}
 	for _, e := range Experiments() {
 		info := sweepInfo{Name: e.Name, Title: e.Title, Points: e.Size()}
 		for _, a := range e.Axes {

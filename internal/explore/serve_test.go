@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/arch"
 	"repro/internal/explore"
 	"repro/internal/phys"
 )
@@ -48,8 +47,8 @@ func TestServeListSweeps(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 		t.Fatal(err)
 	}
-	if doc.SchemaVersion != arch.SchemaVersion {
-		t.Errorf("schema_version = %d, want %d", doc.SchemaVersion, arch.SchemaVersion)
+	if doc.SchemaVersion != explore.SchemaVersion {
+		t.Errorf("schema_version = %d, want %d", doc.SchemaVersion, explore.SchemaVersion)
 	}
 	if len(doc.Engines) != 2 {
 		t.Errorf("engines = %v", doc.Engines)
@@ -95,7 +94,7 @@ func TestServeRunSweep(t *testing.T) {
 	if doc.Experiment != "table2" || doc.Seed != 7 || doc.Engine != "analytic" {
 		t.Errorf("report header: %+v", doc)
 	}
-	if doc.SchemaVersion != arch.SchemaVersion {
+	if doc.SchemaVersion != explore.SchemaVersion {
 		t.Errorf("schema_version = %d", doc.SchemaVersion)
 	}
 	if len(doc.Points) != 4 { // 2 codes x 2 levels

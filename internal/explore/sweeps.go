@@ -37,7 +37,7 @@ func init() {
 	Register(workloadBlocksExp())
 }
 
-// metricsFrom flattens a Result envelope into sweep metrics after any
+// metricsFrom flattens an arch.Result into sweep metrics after any
 // leading extras (e.g. the resolved block budget).
 func metricsFrom(res arch.Result, extra ...Metric) []Metric {
 	out := append([]Metric{}, extra...)
@@ -47,7 +47,7 @@ func metricsFrom(res arch.Result, extra ...Metric) []Metric {
 	return out
 }
 
-// pickMetrics reads named metrics from an envelope, in order.
+// pickMetrics reads named metrics from an arch.Result, in order.
 func pickMetrics(res arch.Result, names ...string) ([]float64, error) {
 	out := make([]float64, len(names))
 	for i, n := range names {
@@ -167,7 +167,7 @@ func table4Exp() *Experiment {
 			if err != nil {
 				return nil, err
 			}
-			if res.Engine != arch.EngineAnalytic {
+			if in.Engine != arch.EngineAnalytic {
 				return metricsFrom(res, Metric{"blocks", float64(blocks)}), nil
 			}
 			// The analytic path keeps Table 4's historical metric names —
@@ -213,7 +213,7 @@ func table5Exp() *Experiment {
 			if err != nil {
 				return nil, err
 			}
-			if res.Engine != arch.EngineAnalytic {
+			if in.Engine != arch.EngineAnalytic {
 				return metricsFrom(res, Metric{"blocks", float64(blocks)}), nil
 			}
 			v, err := pickMetrics(res, "l1_speedup", "l2_speedup", "adder_speedup", "area_reduction", "gain_product")

@@ -1,52 +1,11 @@
 package lint
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"path/filepath"
 	"strings"
 )
-
-// FindingsSchemaVersion versions the `-format json` document. Consumers
-// reject documents with a version they do not know.
-const FindingsSchemaVersion = 1
-
-// jsonFinding is one finding in the machine-readable document. The field
-// set is the stable contract: file (relative to the invocation directory
-// when possible), 1-based line and column, rule, and message.
-type jsonFinding struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Column  int    `json:"column,omitempty"`
-	Rule    string `json:"rule"`
-	Message string `json:"message"`
-}
-
-// WriteJSON renders the findings as the versioned JSON document:
-//
-//	{"schema_version": 1, "findings": [{"file", "line", "column", "rule", "message"}, ...]}
-//
-// File paths are made relative to dir when possible, matching the text
-// format. An empty findings list still produces a complete document.
-func WriteJSON(w io.Writer, dir string, findings []Finding) error {
-	doc := struct {
-		SchemaVersion int           `json:"schema_version"`
-		Findings      []jsonFinding `json:"findings"`
-	}{SchemaVersion: FindingsSchemaVersion, Findings: make([]jsonFinding, 0, len(findings))}
-	for _, f := range findings {
-		doc.Findings = append(doc.Findings, jsonFinding{
-			File:    relName(dir, f.Pos.Filename),
-			Line:    f.Pos.Line,
-			Column:  f.Pos.Column,
-			Rule:    f.Rule,
-			Message: f.Msg,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
-}
 
 // WriteGitHub renders the findings as GitHub Actions workflow commands
 // (`::error file=…,line=…`), so a CI run annotates the offending lines on

@@ -21,11 +21,11 @@
 //     property of every edit, not only of the inputs a test runs. The
 //     self-check holds every such name to a function carrying the
 //     directive.
-//   - purity: no function reachable from an engine's EvaluateCompiledInto
-//     in the analytic-model packages may touch package-level mutable
-//     state, call into os/file IO, or mutate its receiver's maps outside a
-//     held mutex (a call-graph walk; the memo package is exempt, and a
-//     walk with no roots is itself a finding).
+//   - purity: no function reachable from CompiledWorkload.Evaluate in
+//     the analytic-model packages may touch package-level mutable state,
+//     call into os/file IO, or mutate its receiver's maps outside a held
+//     mutex (a call-graph walk; the memo package is exempt, and a walk
+//     with no roots is itself a finding).
 //   - goleak: every `go` statement in the serving and observability
 //     packages must be cancellable — a context, a done-channel select, or
 //     a WaitGroup with a reachable Wait.
@@ -33,7 +33,7 @@
 // Findings print as `file:line: [rule] message`. A finding is suppressed
 // by a `//lint:ignore-cqla <rule> <reason>` comment on the same line or
 // the line directly above (a run of consecutive waiver lines counts as
-// one block, so stacked `-fix` stubs all apply); `<rule>` may be a
+// one block, so stacked waivers all apply); `<rule>` may be a
 // comma-separated list and the reason is mandatory. The cmd/cqlalint
 // driver runs the suite over `./...` and exits non-zero on any finding.
 package lint
@@ -102,7 +102,7 @@ type Config struct {
 	// their own packages' rules).
 	PurityPkgs map[string]bool
 	// PurityEntries are the method names whose declarations in PurityPkgs
-	// root the walk (EvaluateCompiledInto on the engines).
+	// root the walk (CompiledWorkload.Evaluate, the one evaluation call).
 	PurityEntries map[string]bool
 	// PurityExemptPkgs are packages whose functions the walk never
 	// descends into — the documented memoization layer.
@@ -134,7 +134,7 @@ func DefaultConfig() Config {
 			"repro/internal/cqla": true,
 			"repro/internal/arch": true,
 		},
-		PurityEntries: map[string]bool{"EvaluateCompiledInto": true},
+		PurityEntries: map[string]bool{"Evaluate": true},
 		// internal/memo is the documented concurrency-safe cache layer.
 		PurityExemptPkgs: map[string]bool{"repro/internal/memo": true},
 		GoleakPkgs: map[string]bool{
@@ -228,8 +228,7 @@ const suppressionPrefix = "//lint:ignore-cqla"
 // suppressions maps file -> line -> rule names waived on that line. A
 // comment on line L waives findings on L (trailing comment) and on the
 // first non-waiver line below a run of consecutive waiver lines — so
-// several stacked stubs (as `-fix` writes for multi-rule lines) all apply
-// to the statement beneath them.
+// several stacked waivers all apply to the statement beneath them.
 type suppressions map[string]map[int][]string
 
 func (s suppressions) matches(f Finding) bool {

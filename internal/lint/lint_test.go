@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"encoding/json"
 	"flag"
 	"go/ast"
 	"go/parser"
@@ -26,7 +25,7 @@ func loadFixtures(t *testing.T, names ...string) []*Package {
 	for i, n := range names {
 		patterns[i] = "./testdata/src/" + n
 	}
-	pkgs, err := LoadTags(".", "", patterns...)
+	pkgs, err := Load(".", patterns...)
 	if err != nil {
 		t.Fatalf("loading fixtures %v: %v", names, err)
 	}
@@ -269,45 +268,6 @@ func TestSuppressionStackedAndMultiRule(t *testing.T) {
 	}
 }
 
-func TestWriteJSON(t *testing.T) {
-	f := Finding{Rule: "purity", Msg: "reads counter"}
-	f.Pos.Filename = "/repo/a.go"
-	f.Pos.Line = 12
-	f.Pos.Column = 3
-	var b strings.Builder
-	if err := WriteJSON(&b, "/repo", []Finding{f}); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		SchemaVersion int `json:"schema_version"`
-		Findings      []struct {
-			File    string `json:"file"`
-			Line    int    `json:"line"`
-			Column  int    `json:"column"`
-			Rule    string `json:"rule"`
-			Message string `json:"message"`
-		} `json:"findings"`
-	}
-	if err := json.Unmarshal([]byte(b.String()), &doc); err != nil {
-		t.Fatalf("output is not valid JSON: %v\n%s", err, b.String())
-	}
-	if doc.SchemaVersion != FindingsSchemaVersion {
-		t.Errorf("schema_version = %d, want %d", doc.SchemaVersion, FindingsSchemaVersion)
-	}
-	if len(doc.Findings) != 1 || doc.Findings[0].File != "a.go" || doc.Findings[0].Line != 12 ||
-		doc.Findings[0].Column != 3 || doc.Findings[0].Rule != "purity" || doc.Findings[0].Message != "reads counter" {
-		t.Errorf("findings = %+v", doc.Findings)
-	}
-
-	b.Reset()
-	if err := WriteJSON(&b, "/repo", nil); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), `"findings": []`) {
-		t.Errorf("empty run must still emit a complete document, got %s", b.String())
-	}
-}
-
 func TestWriteGitHub(t *testing.T) {
 	f := Finding{Rule: "goleak", Msg: "100% fire-and-forget,\nsecond line"}
 	f.Pos.Filename = "/repo/pkg/a.go"
@@ -338,13 +298,13 @@ func TestStringRelative(t *testing.T) {
 }
 
 func TestLoadErrors(t *testing.T) {
-	if _, err := LoadTags(".", "", "./testdata/src/nosuchpkg"); err == nil {
+	if _, err := Load(".", "./testdata/src/nosuchpkg"); err == nil {
 		t.Error("loading a nonexistent package succeeded")
 	}
 
 	// A package that fails to type-check comes back as a LoadError whose
 	// diagnostics carry file:line positions — the exit-2 path CI logs.
-	_, err := LoadTags(".", "", "./testdata/src/brokenfix")
+	_, err := Load(".", "./testdata/src/brokenfix")
 	le, ok := err.(*LoadError)
 	if !ok {
 		t.Fatalf("broken package returned %T (%v), want *LoadError", err, err)

@@ -72,19 +72,16 @@ func (e *LoadError) Error() string {
 	return fmt.Sprintf("lint: %d load errors:\n  %s", len(e.Diags), strings.Join(e.Diags, "\n  "))
 }
 
-// LoadTags resolves the patterns with the go tool and returns the matched
-// packages parsed and type-checked. The build-tag list (comma-separated,
-// as the go tool's -tags flag takes it; empty for none) applies to package
-// resolution, so trees with tag-gated files lint the same configuration
-// they build. Dependencies — including the standard library — are
-// imported from compiler export data produced by `go list -export`, so
-// only the matched packages themselves are parsed; the loader needs
-// nothing beyond the standard library and an installed go toolchain.
-func LoadTags(dir, tags string, patterns ...string) ([]*Package, error) {
+// Load resolves the patterns with the go tool and returns the matched
+// packages parsed and type-checked. Dependencies — including the standard
+// library — are imported from compiler export data produced by `go list
+// -export`, so only the matched packages themselves are parsed; the loader
+// needs nothing beyond the standard library and an installed go toolchain.
+func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	listed, err := goList(dir, tags, patterns)
+	listed, err := goList(dir, patterns)
 	if err != nil {
 		return nil, err
 	}
@@ -150,15 +147,11 @@ func listDiag(lp *listedPackage) string {
 // dependency in the build cache. -e keeps broken root packages in the
 // output so their files reach our parser and type-checker, which produce
 // positioned diagnostics.
-func goList(dir, tags string, patterns []string) ([]*listedPackage, error) {
-	args := []string{
+func goList(dir string, patterns []string) ([]*listedPackage, error) {
+	args := append([]string{
 		"list", "-e", "-deps", "-export",
 		"-json=ImportPath,Dir,Export,Standard,DepOnly,GoFiles,Name,Error",
-	}
-	if tags != "" {
-		args = append(args, "-tags", tags)
-	}
-	args = append(args, patterns...)
+	}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stdout, stderr bytes.Buffer

@@ -8,9 +8,9 @@ import (
 )
 
 // purity pins the paper's core contract: the analytic model is a pure
-// function of its inputs. Everything reachable from an engine's
-// EvaluateCompiledInto in the analytic-model packages is walked as a call
-// graph over the loaded type info, and three classes of impurity are
+// function of its inputs. Everything reachable from the evaluation call,
+// CompiledWorkload.Evaluate, in the analytic-model packages is walked as
+// a call graph over the loaded type info, and three classes of impurity are
 // flagged:
 //
 //   - package-level mutable state: writes always; reads when the variable
@@ -31,8 +31,8 @@ import (
 // packages declaring none of the PurityEntries methods are a finding too.
 var purity = &Analyzer{
 	Name:  "purity",
-	Doc:   "code reachable from Engine.EvaluateCompiledInto must be a pure function of its inputs",
-	Run:   runPurity,
+	Doc:   "code reachable from CompiledWorkload.Evaluate must be a pure function of its inputs",
+	Run:   func(p *Pass) { purityWalk(p) },
 	Suite: true,
 }
 
@@ -63,10 +63,13 @@ type declIn struct {
 	fn  *ast.FuncDecl
 }
 
-func runPurity(p *Pass) {
+// purityWalk runs the purity check over the pass's load and returns the
+// symbols of every function the walk visited: the roots and the
+// model-package functions reachable from them.
+func purityWalk(p *Pass) map[string]bool {
 	cfg := p.Cfg
 	if len(cfg.PurityPkgs) == 0 || len(cfg.PurityEntries) == 0 {
-		return
+		return nil
 	}
 	scope := &purityScope{
 		p:       p,
@@ -99,7 +102,7 @@ func runPurity(p *Pass) {
 		sort.Strings(names)
 		p.reportAt(first.Fset.Position(first.Files[0].Package),
 			"no method named %s is declared in the purity packages; the walk has no roots and checks nothing", strings.Join(names, "/"))
-		return
+		return nil
 	}
 
 	visited := make(map[string]bool)
@@ -114,6 +117,7 @@ func runPurity(p *Pass) {
 		d := scope.decls[sym]
 		queue = append(queue, scope.checkFunc(d.pkg, d.fn)...)
 	}
+	return visited
 }
 
 // purityRoots returns the sorted symbols the walk starts from: every

@@ -21,7 +21,7 @@ func TestRepositoryClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the whole module")
 	}
-	pkgs, err := LoadTags("../..", "", "./...")
+	pkgs, err := Load("../..", "./...")
 	if err != nil {
 		t.Fatalf("loading the repository: %v", err)
 	}
@@ -84,11 +84,11 @@ func TestNoCodeReachedOnlyByPerf(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the whole module and the benchmark module")
 	}
-	pkgs, err := LoadTags("../..", "", "./...")
+	pkgs, err := Load("../..", "./...")
 	if err != nil {
 		t.Fatalf("loading the repository: %v", err)
 	}
-	bench, err := LoadTags("../../benchmark", "", "./...")
+	bench, err := Load("../../benchmark", "./...")
 	if err != nil {
 		t.Fatalf("loading the benchmark module: %v", err)
 	}
@@ -99,7 +99,7 @@ func TestNoCodeReachedOnlyByPerf(t *testing.T) {
 
 	// The walk cuts both ways: a function only a seed package's init
 	// references is reported, and one a program also references is not.
-	fixture, err := LoadTags(".", "", "./testdata/src/reachfix/...")
+	fixture, err := Load(".", "./testdata/src/reachfix/...")
 	if err != nil {
 		t.Fatalf("loading the reach fixture: %v", err)
 	}
@@ -204,21 +204,21 @@ func references(info *types.Info, node ast.Node) []string {
 }
 
 // TestPurityRootsEveryEngine pins the shipping entry set to the engines:
-// the purity walk must start from the evaluation method of each one, so
-// renaming that method cannot silently shrink what the analyzer checks.
+// the purity walk must root at the one evaluation call and reach each
+// engine's evaluation function from it, so renaming the call or routing
+// an engine around the walk cannot silently shrink what the analyzer
+// checks.
 func TestPurityRootsEveryEngine(t *testing.T) {
-	pkgs, err := LoadTags("../..", "", "./internal/arch")
+	pkgs, err := Load("../..", "./internal/arch")
 	if err != nil {
 		t.Fatalf("loading internal/arch: %v", err)
 	}
-	roots := make(map[string]bool)
-	for _, sym := range purityRoots(DefaultConfig(), pkgs) {
-		roots[sym] = true
-	}
-	for _, engine := range []string{"analyticEngine", "simEngine"} {
-		sym := "repro/internal/arch.(" + engine + ").EvaluateCompiledInto"
-		if !roots[sym] {
-			t.Errorf("purity walk does not root at %s (roots: %v)", sym, roots)
+	var findings []Finding
+	reached := purityWalk(&Pass{Pkg: pkgs[0], All: pkgs, Cfg: DefaultConfig(), rule: purity.Name, findings: &findings})
+	for _, fn := range []string{"Evaluate", "evaluateAnalytic", "evaluateDES"} {
+		sym := "repro/internal/arch.(*CompiledWorkload)." + fn
+		if !reached[sym] {
+			t.Errorf("the purity walk does not reach %s", sym)
 		}
 	}
 }

@@ -106,23 +106,22 @@ func init() {
 			if err != nil {
 				b.Fatal(err)
 			}
-			eng, err := m.Engine(arch.EngineAnalytic)
-			if err != nil {
-				b.Fatal(err)
-			}
 			// Compiled once and evaluated once untimed, so the plan is
-			// built and the loop times the closed form alone.
+			// built and the loop times the closed form alone, each
+			// evaluation into a fresh Result.
 			cw, err := m.Compile(arch.NewAdder(256, true))
 			if err != nil {
 				b.Fatal(err)
 			}
 			ctx := context.Background()
-			if _, err := arch.EvaluateCompiled(ctx, eng, cw); err != nil {
+			var warm arch.Result
+			if err := cw.Evaluate(ctx, arch.EngineAnalytic, &warm); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := arch.EvaluateCompiled(ctx, eng, cw); err != nil {
+				var res arch.Result
+				if err := cw.Evaluate(ctx, arch.EngineAnalytic, &res); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -273,7 +272,7 @@ func init() {
 	// registry exposes, at 64 bits on a 9-block Bacon-Shor machine: one
 	// binding evaluated over and over, so each iteration is a repeated
 	// evaluation — the plan's simulation memo hit, the metric decode and
-	// the result envelope. The first evaluation, which builds the plan and
+	// a fresh Result. The first evaluation, which builds the plan and
 	// runs the event loop, stays out of the loop; DESRunnerReuse and
 	// DESRunnerQFT256 time the event loop itself.
 	for _, v := range []struct {
@@ -281,10 +280,10 @@ func init() {
 		kind   arch.Kind
 		doc    string
 	}{
-		{"", arch.KindAdder, "a repeated des-engine evaluation of a precompiled 64-bit adder: memo hit, decode, envelope"},
-		{"QFT", arch.KindQFT, "a repeated des-engine evaluation of a precompiled 64-bit QFT rotation cascade: memo hit, decode, envelope"},
-		{"QFTComm", arch.KindQFTComm, "a repeated des-engine evaluation of a precompiled 64-bit QFT with bit-reversal swaps: memo hit, decode, envelope"},
-		{"ShorStage", arch.KindShorStage, "a repeated des-engine evaluation of a precompiled 64-bit controlled Shor adder stage: memo hit, decode, envelope"},
+		{"", arch.KindAdder, "a repeated des-engine evaluation of a precompiled 64-bit adder: memo hit, decode, fresh Result"},
+		{"QFT", arch.KindQFT, "a repeated des-engine evaluation of a precompiled 64-bit QFT rotation cascade: memo hit, decode, fresh Result"},
+		{"QFTComm", arch.KindQFTComm, "a repeated des-engine evaluation of a precompiled 64-bit QFT with bit-reversal swaps: memo hit, decode, fresh Result"},
+		{"ShorStage", arch.KindShorStage, "a repeated des-engine evaluation of a precompiled 64-bit controlled Shor adder stage: memo hit, decode, fresh Result"},
 	} {
 		w := arch.NewKind(v.kind, 64)
 		mustRegister(Benchmark{
@@ -295,21 +294,19 @@ func init() {
 				if err != nil {
 					b.Fatal(err)
 				}
-				eng, err := m.Engine(arch.EngineDES)
-				if err != nil {
-					b.Fatal(err)
-				}
 				cw, err := m.Compile(w)
 				if err != nil {
 					b.Fatal(err)
 				}
 				ctx := context.Background()
-				if _, err := arch.EvaluateCompiled(ctx, eng, cw); err != nil {
+				var warm arch.Result
+				if err := cw.Evaluate(ctx, arch.EngineDES, &warm); err != nil {
 					b.Fatal(err)
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := arch.EvaluateCompiled(ctx, eng, cw); err != nil {
+					var res arch.Result
+					if err := cw.Evaluate(ctx, arch.EngineDES, &res); err != nil {
 						b.Fatal(err)
 					}
 				}
