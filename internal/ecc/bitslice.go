@@ -16,17 +16,18 @@ import (
 //	sampling      one Bernoulli(p) draw per qubit lane (a handful of
 //	              splitmix64 words decide all 64 trials exactly)
 //	syndrome      syndrome row i = XOR of the qubit lanes in check row i
-//	table lookup  a minterm mux over the precomputed flip bitset (below)
+//	table lookup  the flip function's algebraic normal form (below)
 //	fault check   fault lane = logical-parity lane XOR correction-flip lane
 //
 // The syndrome->correction table itself never materializes per trial: what
 // the fault check needs from the correction is only its parity against the
 // logical operator, and with at most 6 syndrome bits the whole function
 // {syndrome -> parity(table[s] & logical)} fits in one uint64 (flipBits).
-// Evaluating that boolean function over the syndrome lanes is a sum of
-// minterms: for each set bit s of flipBits, AND together the syndrome lanes
-// (or their complements) selected by s's bits and OR the product into the
-// flip lane. Everything runs on fixed-size stack arrays: zero allocations.
+// Its Möbius transform (flipANF) writes that function as an XOR of
+// monomials, each the AND of a few syndrome bits, so the flip lane is the
+// XOR over monomials of the AND of the selected syndrome lanes — for
+// Bacon-Shor, 3 ANDs and 5 XORs. Everything runs on fixed-size stack
+// arrays: zero allocations.
 
 const (
 	// mcBatchLanes is the number of trials held per machine word.
@@ -49,10 +50,18 @@ const (
 // count and scheduling order.
 type mcStream struct{ state uint64 }
 
+// mcGamma is splitmix64's state increment: word k of a stream at state s
+// is mix(s + k*mcGamma).
+const mcGamma = 0x9e3779b97f4a7c15
+
 //cqla:noalloc
 func (s *mcStream) next() uint64 {
-	s.state += 0x9e3779b97f4a7c15
-	v := s.state
+	s.state += mcGamma
+	return mix(s.state)
+}
+
+// mix is splitmix64's output function.
+func mix(v uint64) uint64 {
 	v ^= v >> 30
 	v *= 0xbf58476d1ce4e5b9
 	v ^= v >> 27
@@ -61,32 +70,78 @@ func (s *mcStream) next() uint64 {
 	return v
 }
 
-// bernoulliLanes draws 64 independent Bernoulli(p) samples, one per bit of
-// the returned word. It compares a uniform U in [0,1) against p bit by bit,
-// MSB first: each random word supplies the next binary digit of all 64
-// uniforms at once, and a trial is decided the moment its digit differs from
-// p's. The comparison is exact — p's float64 value has a finite binary
-// expansion, so P(bit set) is exactly p, not a truncation — and the
-// still-undecided mask empties geometrically, so ~6-7 random words decide
-// all 64 trials regardless of how small p is (the scalar path spends 64
-// Float64 draws on the same 64 samples).
+// mcProb is p's binary expansion, cached for the batch inner loop, which
+// draws 64 Bernoulli(p) samples at a time (lanes) by comparing 64 uniforms
+// U in [0,1) against p bit by bit, MSB first: each random word supplies the
+// next binary digit of all 64 uniforms, and a trial is decided the moment
+// its digit differs from p's. The comparison is exact — p's float64 value
+// has a finite binary expansion, so P(bit set) is exactly p — and the
+// still-undecided mask empties geometrically, so a handful of words past
+// the leading zeros decide all 64 trials.
 //
-//cqla:noalloc
-func bernoulliLanes(s *mcStream, p float64) uint64 {
-	if p <= 0 {
-		return 0
+// The expansion is z zero digits followed by p's significant digits, at
+// most 53 of them for any float64, so they always fit one word.
+type mcProb struct {
+	digits uint64 // significant digits, MSB-first from bit 63; zeros past the last one end them
+	z      int    // leading zero digits (p < 2^-z)
+	ones   uint64 // the lanes when p is outside (0, 1): all set for p >= 1, else none
+}
+
+func makeProb(p float64) mcProb {
+	if !(p > 0) {
+		return mcProb{} // p <= 0 and NaN set no lane
 	}
 	if p >= 1 {
-		return ^uint64(0)
+		return mcProb{ones: ^uint64(0)}
 	}
-	var lt uint64    // trials decided as U < p
+	frac, exp := math.Frexp(p) // p = frac * 2^exp, frac in [0.5, 1)
+	// float64(…) keeps riscv64 from fusing the product into the float to
+	// uint64 conversion's subtract (scripts/fma-check.sh).
+	mant := uint64(float64(frac * (1 << 53)))
+	// Bit 52 of mant is p's first set digit; the trailing zeros that
+	// follow its last one end the digit loop (lanes) with the word.
+	return mcProb{digits: mant << 11, z: -exp}
+}
+
+// lanes draws 64 Bernoulli(p) samples, one per bit of the returned word,
+// from the stream: one word per digit of p's expansion while any trial is
+// still tied with it. A zero digit can only retire tied trials as U >= p,
+// so the leading zeros of a small p only clear the tied mask, four words
+// at a time while four remain. A group computes its four words without
+// branching; when the mask empties inside it, the stream advances by
+// exactly the words the one-at-a-time loop would have drawn, so the
+// stream position — and every later lane — does not depend on the
+// grouping. Only that exit reads the words to find the count: a group
+// that leaves trials tied advances by four, and the next group's words
+// need not wait for this one's.
+//
+//cqla:noalloc
+func (pr *mcProb) lanes(s *mcStream) uint64 {
 	eq := ^uint64(0) // trials still tied with p's expansion
-	rem := p         // unconsumed tail of p's binary expansion
-	for eq != 0 && rem > 0 {
-		rem *= 2
+	z := pr.z
+	for ; z >= 4; z -= 4 {
+		w1 := s.state + mcGamma
+		w2 := w1 + mcGamma
+		w3 := w2 + mcGamma
+		e1 := eq &^ mix(w1)
+		e2 := e1 &^ mix(w2)
+		e3 := e2 &^ mix(w3)
+		eq = e3 &^ mix(w3+mcGamma)
+		if eq == 0 {
+			// The first word is always drawn; each later one only while
+			// the mask before it is nonzero. (x|-x)>>63 is 1 iff x != 0.
+			s.state += (1 + (e1|-e1)>>63 + (e2|-e2)>>63 + (e3|-e3)>>63) * mcGamma
+			return 0 // every trial rose above p
+		}
+		s.state = w3 + mcGamma
+	}
+	for ; z > 0 && eq != 0; z-- {
+		eq &^= s.next()
+	}
+	lt := pr.ones // trials decided as U < p
+	for d := pr.digits; d != 0 && eq != 0; d <<= 1 {
 		u := s.next()
-		if rem >= 1 {
-			rem--
+		if d>>63 == 1 {
 			// p's digit is 1: a 0-digit uniform drops below p.
 			lt |= eq &^ u
 			eq &= u
@@ -96,64 +151,6 @@ func bernoulliLanes(s *mcStream, p float64) uint64 {
 		}
 	}
 	// Trials still tied when p's expansion ends satisfy U >= p.
-	return lt
-}
-
-// mcProb caches p's binary expansion for the batch inner loop. When the
-// expansion fits one word (every p >= 2^-11, and shorter mantissas below
-// that) the sampler walks precomputed digit bits instead of re-deriving them
-// with float arithmetic per iteration; the word sequence consumed from the
-// stream — and therefore the sampled lanes — is identical either way.
-type mcProb struct {
-	p      float64
-	digits uint64 // expansion digits, MSB-first from bit 63
-	nd     int    // digit count through the last set digit; 0 = use bernoulliLanes
-	z      int    // leading zero digits (p < 2^-z): a branch-free eq-kill run
-}
-
-func makeProb(p float64) mcProb {
-	pr := mcProb{p: p}
-	if p <= 0 || p >= 1 {
-		return pr
-	}
-	frac, exp := math.Frexp(p) // p = frac * 2^exp, frac in [0.5, 1)
-	z := -exp                  // leading zero digits of the expansion
-	// float64(…) keeps riscv64 from fusing the product into the float to
-	// uint64 conversion's subtract (scripts/fma-check.sh).
-	mant := uint64(float64(frac * (1 << 53)))
-	tz := bits.TrailingZeros64(mant)
-	if nd := z + 53 - tz; nd <= 64 {
-		pr.digits = mant >> uint(tz) << uint(64-nd)
-		pr.nd = nd
-		pr.z = z
-	}
-	return pr
-}
-
-// lanes draws 64 Bernoulli(p) samples like bernoulliLanes, from the cached
-// digit word when available. The leading zero digits of a small p can only
-// retire still-tied trials as U >= p, so that run skips the digit test.
-//
-//cqla:noalloc
-func (pr *mcProb) lanes(s *mcStream) uint64 {
-	if pr.nd == 0 {
-		return bernoulliLanes(s, pr.p)
-	}
-	eq := ^uint64(0)
-	i := 0
-	for ; i < pr.z && eq != 0; i++ {
-		eq &^= s.next()
-	}
-	var lt uint64
-	for ; i < pr.nd && eq != 0; i++ {
-		u := s.next()
-		if pr.digits>>uint(63-i)&1 == 1 {
-			lt |= eq &^ u
-			eq &= u
-		} else {
-			eq &^= u
-		}
-	}
 	return lt
 }
 
@@ -184,24 +181,42 @@ func (d *bitDecoder) faultLanes(lanes *[mcMaxQubits]uint64) uint64 {
 	for m := d.logical; m != 0; m &= m - 1 {
 		l ^= lanes[bits.TrailingZeros64(m)]
 	}
-	// Minterms partition syndrome space, so the flip lane is the OR of the
-	// minterms of the flipping syndromes — or the complement of the OR over
-	// the non-flipping ones, whichever set is smaller (flipWork). The inner
-	// product is branch-free: bit i of s selects srows[i] or its complement
-	// via the 0/^0 mask (s>>i&1)-1.
+	return l ^ flipLane(d.flipANF, &srows)
+}
+
+// anf returns the algebraic normal form of the k-variable boolean function
+// whose truth table is f (bit s = f(s)): bit m of the result is set when
+// the monomial AND of the variables in mask m appears in f's XOR
+// expansion. It is the Möbius transform, a[m] = XOR of f(s) over s ⊆ m,
+// computed one variable at a time: every position with bit i set takes
+// the XOR of the position without it.
+func anf(f uint64, k int) uint64 {
+	lo := [mcMaxSyndromeBits]uint64{
+		0x5555555555555555, 0x3333333333333333, 0x0f0f0f0f0f0f0f0f,
+		0x00ff00ff00ff00ff, 0x0000ffff0000ffff, 0x00000000ffffffff,
+	} // lo[i]: the positions whose bit i is clear
+	for i := 0; i < k; i++ {
+		f ^= (f & lo[i]) << (1 << uint(i))
+	}
+	return f
+}
+
+// flipLane evaluates the function whose algebraic normal form is a (see
+// anf) on 64 trials at once: bit t of srows[i] is variable i of trial t,
+// and bit t of the result is the function's value for trial t. The empty
+// monomial is the constant 1, an all-ones product.
+//
+//cqla:noalloc
+func flipLane(a uint64, srows *[mcMaxSyndromeBits]uint64) uint64 {
 	var flip uint64
-	for w := d.flipWork; w != 0; w &= w - 1 {
-		s := uint(bits.TrailingZeros64(w))
-		m := ^uint64(0)
-		for i := 0; i < nr; i++ {
-			m &= srows[i] ^ (uint64(s>>uint(i)&1) - 1)
+	for ; a != 0; a &= a - 1 {
+		prod := ^uint64(0)
+		for m := bits.TrailingZeros64(a); m != 0; m &= m - 1 {
+			prod &= srows[bits.TrailingZeros(uint(m))]
 		}
-		flip |= m
+		flip ^= prod
 	}
-	if d.flipCompl {
-		flip = ^flip
-	}
-	return l ^ flip
+	return flip
 }
 
 // sampleBatch runs the transposed trial loop over blocks [lo, hi) and

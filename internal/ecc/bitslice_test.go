@@ -46,26 +46,85 @@ func TestBatchFaultLanesMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestBernoulliLanesExact checks the bitwise comparator's edges and its
-// statistical meaning: degenerate probabilities are exact, and for a range
-// of rates spanning four decades the empirical lane frequency over a large
-// draw stays within five standard errors of p. The comparator consumes one
-// stream word per binary digit of p only while trials remain undecided, so
-// small p must not cost more than moderate p.
+// bernoulliLanes is the reference comparator mcProb.lanes must reproduce
+// word for word: it walks p's binary expansion with float arithmetic,
+// drawing one stream word per digit while any of the 64 uniforms is still
+// tied with p. Every step is exact (doubling and subtracting one from a
+// value in [1, 2) never round), so P(bit set) is exactly p.
+func bernoulliLanes(s *mcStream, p float64) uint64 {
+	if p <= 0 {
+		return 0
+	}
+	if p >= 1 {
+		return ^uint64(0)
+	}
+	var lt uint64    // trials decided as U < p
+	eq := ^uint64(0) // trials still tied with p's expansion
+	rem := p         // unconsumed tail of p's binary expansion
+	for eq != 0 && rem > 0 {
+		rem *= 2
+		u := s.next()
+		if rem >= 1 {
+			rem--
+			lt |= eq &^ u
+			eq &= u
+		} else {
+			eq &^= u
+		}
+	}
+	return lt
+}
+
+// TestLanesMatchBernoulliLanes holds the cached digit path to the float
+// comparator: at every rate — out of range, subnormal, exact powers of
+// two, expansions longer than one word counted from the binary point, and
+// the montecarlo sweep's rates and tilt — nine lanes drawn from each of
+// thousands of stream states must match the reference lane for lane, with
+// the stream left at the same state after every draw.
+func TestLanesMatchBernoulliLanes(t *testing.T) {
+	rates := []float64{
+		0, -1, 1, 2, math.NaN(), math.Inf(1),
+		5e-324, 1e-300, 0x1p-11, 0x1p-12, 1e-4 / 3, 0.0123456789, 1.0 / 3,
+		math.Nextafter(1, 0),
+		1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.02,
+	}
+	seeds := mcStream{state: 0x5eed}
+	for _, p := range rates {
+		pr := makeProb(p)
+		for i := 0; i < 4000; i++ {
+			got := mcStream{state: seeds.next()}
+			want := got
+			for q := 0; q < 9; q++ {
+				g, w := pr.lanes(&got), bernoulliLanes(&want, p)
+				if g != w || got.state != want.state {
+					t.Fatalf("p=%g, draw %d lane %d: lanes %016x at state %x, reference %016x at state %x",
+						p, i, q, g, got.state, w, want.state)
+				}
+			}
+		}
+	}
+}
+
+// TestBernoulliLanesExact checks the sampler's edges and its statistical
+// meaning: degenerate probabilities are exact, and for a range of rates
+// spanning four decades the empirical lane frequency over a large draw
+// stays within five standard errors of p.
 func TestBernoulliLanesExact(t *testing.T) {
 	s := mcStream{state: 123}
-	if got := bernoulliLanes(&s, 0); got != 0 {
+	p0, p1 := makeProb(0), makeProb(1)
+	if got := p0.lanes(&s); got != 0 {
 		t.Errorf("p=0 produced %064b", got)
 	}
-	if got := bernoulliLanes(&s, 1); got != ^uint64(0) {
+	if got := p1.lanes(&s); got != ^uint64(0) {
 		t.Errorf("p=1 produced %064b", got)
 	}
 	for _, p := range []float64{1e-4, 1e-3, 1e-2, 0.1, 0.5, 0.9} {
 		const words = 40000 // 2.56M samples
 		s := mcStream{state: 0xfeed}
+		pr := makeProb(p)
 		ones := 0
 		for i := 0; i < words; i++ {
-			ones += bits.OnesCount64(bernoulliLanes(&s, p))
+			ones += bits.OnesCount64(pr.lanes(&s))
 		}
 		n := float64(words * 64)
 		se := math.Sqrt(p * (1 - p) / n)
@@ -73,6 +132,57 @@ func TestBernoulliLanesExact(t *testing.T) {
 			t.Errorf("p=%g: empirical rate %g is %.1f standard errors off",
 				p, got, math.Abs(got-p)/se)
 		}
+	}
+}
+
+// TestFlipLaneMatchesTruthTable holds the algebraic-normal-form evaluator
+// to the truth table it was transformed from. Bit t of syndrome lane i is
+// bit i of t, so one 64-trial call evaluates every syndrome at once: every
+// table on up to three syndrome bits, a thousand random tables on four to
+// six, and the constant and parity tables at each width. Both codes' flip
+// functions are checked the same way.
+func TestFlipLaneMatchesTruthTable(t *testing.T) {
+	var srows [mcMaxSyndromeBits]uint64
+	for tr := 0; tr < mcBatchLanes; tr++ {
+		for i := range srows {
+			srows[i] |= uint64(tr>>uint(i)&1) << uint(tr)
+		}
+	}
+	check := func(f uint64, k int) {
+		t.Helper()
+		domain := ^uint64(0) >> uint(64-1<<uint(k))
+		if got := flipLane(anf(f, k), &srows) & domain; got != f {
+			t.Fatalf("%d syndrome bits, table %0*b: flip lanes %0*b",
+				k, 1<<uint(k), f, 1<<uint(k), got)
+		}
+	}
+	for k := 1; k <= 3; k++ {
+		for f := uint64(0); f < 1<<(1<<uint(k)); f++ {
+			check(f, k)
+		}
+	}
+	rng := mcStream{state: 35}
+	for k := 4; k <= mcMaxSyndromeBits; k++ {
+		domain := ^uint64(0) >> uint(64-1<<uint(k))
+		for i := 0; i < 1000; i++ {
+			check(rng.next()&domain, k)
+		}
+	}
+	for k := 1; k <= mcMaxSyndromeBits; k++ {
+		domain := ^uint64(0) >> uint(64-1<<uint(k))
+		var parity uint64
+		for s := 0; s < 1<<uint(k); s++ {
+			parity |= uint64(bits.OnesCount(uint(s))&1) << uint(s)
+		}
+		check(0, k)
+		check(domain, k)
+		check(parity, k)
+	}
+	for _, c := range Codes() {
+		check(c.bitX.flipBits, len(c.bitX.rows))
+	}
+	if n := bits.OnesCount64(BaconShor().bitX.flipANF); n != 6 {
+		t.Errorf("Bacon-Shor flip function has %d monomials, want 6", n)
 	}
 }
 
@@ -148,9 +258,9 @@ func TestMonteCarloBatchDegenerateBudgets(t *testing.T) {
 	}
 }
 
-// TestMonteCarloBatchAllocationFree pins the tentpole's steady-state
-// contract: the one-worker batch path — sampling, syndrome lanes, flip
-// mux, popcount — performs zero allocations.
+// TestMonteCarloBatchAllocationFree pins the steady-state contract: the
+// one-worker batch path — sampling, syndrome lanes, flip lane, popcount —
+// performs zero allocations.
 func TestMonteCarloBatchAllocationFree(t *testing.T) {
 	for _, c := range Codes() {
 		if avg := testing.AllocsPerRun(50, func() {

@@ -64,18 +64,19 @@ type bitDecoder struct {
 	table   []uint64 // dense syndrome -> minimum-weight correction mask
 	logical uint64   // support of the logical operator the residual must commute with
 
-	// flipBits is the whole syndrome->fault-flip function as one bitset:
-	// bit s = parity(table[s] & logical), i.e. whether the correction for
-	// syndrome s flips the error's parity against the logical operator.
-	// With at most mcMaxSyndromeBits rows the function fits one word, and
-	// the bit-sliced batch engine (bitslice.go) evaluates it across 64
-	// trials per operation without touching the table.
+	// flipBits is the whole syndrome->fault-flip function as one truth
+	// table: bit s = parity(table[s] & logical), i.e. whether the
+	// correction for syndrome s flips the error's parity against the
+	// logical operator. With at most mcMaxSyndromeBits rows it fits one
+	// word.
 	flipBits uint64
-	// flipWork/flipCompl pick the cheaper minterm evaluation: when more
-	// than half the syndromes flip (Steane: 7 of 8), the engine sums the
-	// minterms of the non-flipping set and complements the result.
-	flipWork  uint64
-	flipCompl bool
+	// flipANF is the same function in algebraic normal form, its Möbius
+	// transform (anf): bit m is set when the monomial AND of the syndrome
+	// bits in mask m appears in the XOR. The bit-sliced batch engine
+	// (bitslice.go) evaluates it across 64 trials per operation without
+	// touching the table (flipLane). Bacon-Shor's flip function is six
+	// monomials of at most two syndrome bits.
+	flipANF uint64
 
 	// faults is the fault weight enumerator: faults[k] of the C(n,k)
 	// weight-k error patterns decode to a logical fault. It is the exact
@@ -127,12 +128,7 @@ func newBitDecoder(h *gf2.Matrix, logical gf2.Vec) *bitDecoder {
 		for s, cor := range d.table {
 			d.flipBits |= uint64(bits.OnesCount64(cor&d.logical)&1) << uint(s)
 		}
-		domain := ^uint64(0) >> uint(64-len(d.table))
-		d.flipWork = d.flipBits
-		if bits.OnesCount64(d.flipBits) > len(d.table)/2 {
-			d.flipWork = ^d.flipBits & domain
-			d.flipCompl = true
-		}
+		d.flipANF = anf(d.flipBits, len(d.rows))
 	}
 	d.faultSet = make([]uint64, (1<<uint(n)+63)/64)
 	for e := uint64(0); e < 1<<uint(n); e++ {

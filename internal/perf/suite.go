@@ -336,6 +336,26 @@ func init() {
 		},
 	})
 	mustRegister(Benchmark{
+		Name: "MonteCarloBitSlicedBaconShor",
+		// MonteCarloBitSliced's one worker and 20000 trials on the other
+		// code, at the montecarlo sweep's highest rate: nine qubit lanes,
+		// six syndrome lanes and the six-monomial flip function, where
+		// MonteCarloBitSliced decodes Steane's three.
+		Doc: "20000 bit-sliced Monte Carlo trials on one worker, Bacon-Shor at p=3e-2",
+		NoAlloc: []string{
+			"repro/internal/ecc.(*bitDecoder).sampleBatch",
+			"repro/internal/ecc.(*bitDecoder).faultLanes",
+			"repro/internal/ecc.(*mcProb).lanes",
+		},
+		F: func(b *B) {
+			c := ecc.BaconShor()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.MonteCarlo(3e-2, 20000, 42, ecc.MC{Estimator: ecc.BitSliced, Workers: 1})
+			}
+		},
+	})
+	mustRegister(Benchmark{
 		Name:    "MonteCarloRareEvent",
 		Doc:     "importance-sampled Monte Carlo at p=1e-4 on one worker: a 20000-trial budget, one 19968-trial grant",
 		NoAlloc: []string{"repro/internal/ecc.(*bitDecoder).sampleBatchHist"},
