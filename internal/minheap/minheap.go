@@ -2,9 +2,8 @@
 // takes the place of the standard library's interface-based heap on hot
 // paths: the element type is concrete, so Push and Pop move values
 // directly instead of boxing each element into an interface, and the
-// backing array is sized once at the caller's known high-water mark and
-// reused across Reset, so steady-state operation never touches the
-// allocator.
+// backing array is sized once at the caller's known high-water mark, so
+// steady-state operation never touches the allocator.
 //
 // The comparator must be a strict total order over the values pushed; the
 // pop sequence is then fully determined by the pushed values, whatever
@@ -29,9 +28,6 @@ func (h *Heap[T]) Len() int { return len(h.a) }
 // Peek returns the minimum element without removing it; the heap must be
 // non-empty.
 func (h *Heap[T]) Peek() T { return h.a[0] }
-
-// Reset empties the heap, keeping its backing array.
-func (h *Heap[T]) Reset() { h.a = h.a[:0] }
 
 // Push adds v to the heap.
 //

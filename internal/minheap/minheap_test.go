@@ -18,7 +18,7 @@ func entryLess(a, b entry) bool {
 
 // TestPopOrderMatchesSortOracle drives the heap with random interleaved
 // pushes and pops and checks every Pop and Peek against a sorted copy of
-// the live set, before and after Reset.
+// the live set, draining it between passes.
 func TestPopOrderMatchesSortOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	h := New[entry](4, entryLess)
@@ -49,15 +49,10 @@ func TestPopOrderMatchesSortOracle(t *testing.T) {
 				t.Fatalf("Len = %d, want %d", h.Len(), len(live))
 			}
 		}
-		// Drain half, then Reset the rest away: the next pass must start
-		// from an empty heap on the retained backing array.
-		for h.Len() > len(live)/2 {
+		// Drain: the next pass starts from an empty heap on the retained
+		// backing array.
+		for h.Len() > 0 {
 			popMin()
-		}
-		h.Reset()
-		live = live[:0]
-		if h.Len() != 0 {
-			t.Fatalf("Len after Reset = %d", h.Len())
 		}
 	}
 }
@@ -73,7 +68,6 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 		for h.Len() > 0 {
 			h.Pop()
 		}
-		h.Reset()
 	}); n != 0 {
 		t.Errorf("%v allocs/run, want 0", n)
 	}

@@ -413,6 +413,23 @@ func init() {
 			}
 		},
 	})
+	// Figure 6(a)'s utilization curve of the 1024-bit adder. Its Toffolis
+	// make many instructions ready below their priority's latest index,
+	// so this row exercises the ready set's overflow heap.
+	mustRegister(Benchmark{
+		Name: "ListScheduleAdder1024",
+		Doc:  "list schedules of the 1024-bit carry-lookahead adder at fig6a's seven block budgets",
+		F: func(b *B) {
+			d := circuit.BuildDAG(gen.CarryLookahead(1024).Circuit)
+			budgets := cqla.Fig6aBlockCounts()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, k := range budgets {
+					sched.ListSchedule(d, k)
+				}
+			}
+		},
+	})
 	mustRegister(Benchmark{
 		Name:    "DESRunnerQFT256",
 		Doc:     "the des event loop of the 256-qubit QFT on fig8b's machine, replayed on a reused arena",

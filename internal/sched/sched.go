@@ -13,7 +13,6 @@ import (
 	"math"
 
 	"repro/internal/circuit"
-	"repro/internal/minheap"
 )
 
 // Result is the outcome of scheduling one circuit onto a block budget.
@@ -96,21 +95,26 @@ func checkKeyBound(n int, busy uint64) {
 	}
 }
 
-// keyLess orders packed schedule keys; both heaps pop their least key.
+// keyLess orders packed schedule keys; the ready set's overflow heap pops
+// its least key.
 func keyLess(a, b uint64) bool { return a < b }
 
-// listSchedule is the block-limited dispatch loop behind ListSchedule and
-// Plan.Makespan: blocks must be positive. It writes each instruction's
-// start slot into start when start is non-nil and returns the makespan and
-// the busy slots.
+// listSchedule is the block-limited dispatch loop behind ListSchedule,
+// Plan.Makespan, UtilizationSweep and KneeBlocks: blocks must be positive.
+// It writes each instruction's start slot into start when start is
+// non-nil and returns the makespan and the busy slots.
 //
-// Both queues hold packed uint64 keys, so the heap compares plain integers
-// instead of chasing per-instruction tables. A ready key is the bitwise
-// complement of the instruction's priority over its index: the least key
-// is the longest remaining path, ties to the lower index. A running key is
-// the end slot over the index; every instruction ending at one slot is
-// released before the next dispatch, and the ready order is total, so the
-// order they leave the running heap in cannot change the schedule.
+// The ready frontier is a readySet: one bucket per distinct critical-path
+// priority, popping the longest remaining path first, ties to the lower
+// index. The running set is one runLane per distinct duration; the next
+// completion is the least lane head. Every instruction ending at one slot
+// is released before the next dispatch, and the ready order is total, so
+// the order the lanes release them in cannot change the schedule.
+//
+// Every table is carved from one uint32 arena: per instruction its rank
+// and its dependency counter, which turns into its bucket link once the
+// instruction is ready; the priority bitmap and its prefix counts; per
+// rank its bucket tail and the bucket tree; and the lanes.
 func listSchedule(d *circuit.DAG, blocks int, start []int) (makespan, busy int) {
 	c := d.Circuit()
 	n := c.Len()
@@ -118,51 +122,90 @@ func listSchedule(d *circuit.DAG, blocks int, start []int) (makespan, busy int) 
 	// kind lasts longer than ToffoliSlots), so dispatch never reloads the
 	// 24-byte instruction.
 	slots := make([]uint8, n)
+	var perSlots [maxSlots + 1]int
 	var total uint64
 	for i, in := range c.Instrs() {
 		slots[i] = uint8(in.Slots())
+		perSlots[slots[i]]++
 		total += uint64(slots[i])
 	}
 	checkKeyBound(n, total)
 
-	prio := criticalPathPriority(d, slots)
-	deps := make([]int32, n)
-	// Instructions sharing a qubit are ordered by the DAG, so the ready
-	// and running instructions together touch distinct qubits: the qubit
-	// count bounds the ready set, however long the circuit.
-	ready := minheap.New(min(n, c.NumQubits()), keyLess)
-	for i := range deps {
-		deps[i] = int32(len(d.Deps(i)))
-		if deps[i] == 0 {
-			ready.Push(uint64(^prio[i])<<32 | uint64(i))
+	// Each duration gets a lane holding at most min(blocks, its
+	// instructions), so the lanes hold at most n entries together.
+	var laneOf [maxSlots + 1]uint8
+	var lanes [maxSlots + 1]runLane
+	numLanes, ringWords := 0, 0
+	for dur, count := range perSlots {
+		if count > 0 {
+			laneOf[dur] = uint8(numLanes)
+			lanes[numLanes].dur = dur
+			ringWords += 2 * min(blocks, count)
+			numLanes++
 		}
 	}
-	running := minheap.New(min(blocks, n), keyLess)
+
+	// The critical path bounds every priority, and the instruction count
+	// bounds how many distinct ones there are.
+	bitmapWords := d.Depth()/32 + 1
+	maxRanks := min(n, d.Depth()+1)
+	arena := make([]uint32, 2*n+2*bitmapWords+maxRanks+treeWords(maxRanks)+ringWords)
+	rank, a := arena[:n], arena[n:]
+	deps, a := a[:n], a[n:]
+	present, a := a[:bitmapWords], a[bitmapWords:]
+	prefix, a := a[:bitmapWords], a[bitmapWords:]
+	for l := range lanes[:numLanes] {
+		words := 2 * min(blocks, perSlots[lanes[l].dur])
+		lanes[l].ring, a = a[:words], a[words:]
+	}
+
+	criticalPathPriority(d, slots, rank)
+	ranks := rankPriorities(rank, present, prefix)
+	// Instructions sharing a qubit are ordered by the DAG, so the ready
+	// and running instructions together touch distinct qubits: the qubit
+	// count bounds the ready set, however long the circuit. A ready
+	// instruction's dependency counter has reached zero and is never read
+	// again, so the counter table doubles as the buckets' links.
+	ready := newReadySet(rank, deps, a, ranks, min(n, c.NumQubits()))
+	for i := range deps {
+		deps[i] = uint32(len(d.Deps(i)))
+		if deps[i] == 0 {
+			ready.push(uint32(i))
+		}
+	}
 	now, free := 0, blocks
 	for scheduled := 0; scheduled < n; {
 		// Dispatch as many ready instructions as blocks allow.
-		for ; free > 0 && ready.Len() > 0; free-- {
-			i := int(uint32(ready.Pop()))
+		for ; free > 0 && !ready.empty(); free-- {
+			i := ready.pop()
 			if start != nil {
 				start[i] = now
 			}
-			end := now + int(slots[i])
-			running.Push(uint64(end)<<32 | uint64(i))
+			l := &lanes[laneOf[slots[i]]]
+			end := now + l.dur
+			l.push(end, i)
 			scheduled++
 			makespan = max(makespan, end)
 		}
-		if running.Len() == 0 {
+		if free == blocks {
 			panic("sched: deadlock — dependency cycle in DAG")
 		}
 		// Advance to the next completion and release its successors.
-		next := running.Peek() >> 32
-		now = int(next)
-		for running.Len() > 0 && running.Peek()>>32 == next {
-			i := int(uint32(running.Pop()))
-			free++
-			for _, s := range d.Succs(i) {
-				if deps[s]--; deps[s] == 0 {
-					ready.Push(uint64(^prio[s])<<32 | uint64(s))
+		now = math.MaxInt
+		for l := range lanes[:numLanes] {
+			if lanes[l].n > 0 {
+				now = min(now, lanes[l].headEnd())
+			}
+		}
+		for l := range lanes[:numLanes] {
+			lane := &lanes[l]
+			for lane.n > 0 && lane.headEnd() == now {
+				i := lane.pop()
+				free++
+				for _, s := range d.Succs(int(i)) {
+					if deps[s]--; deps[s] == 0 {
+						ready.push(uint32(s))
+					}
 				}
 			}
 		}
@@ -170,11 +213,14 @@ func listSchedule(d *circuit.DAG, blocks int, start []int) (makespan, busy int) 
 	return makespan, int(total)
 }
 
-// criticalPathPriority computes, for every instruction, the length in slots
-// of the longest dependent chain starting at it (inclusive), reading
-// durations from the slot table.
-func criticalPathPriority(d *circuit.DAG, slots []uint8) []uint32 {
-	prio := make([]uint32, len(slots))
+// maxSlots is the longest instruction duration, which sizes the
+// per-duration tables: no kind lasts longer than a Toffoli.
+const maxSlots = circuit.ToffoliSlots
+
+// criticalPathPriority writes into prio, for every instruction, the length
+// in slots of the longest dependent chain starting at it (inclusive),
+// reading durations from the slot table.
+func criticalPathPriority(d *circuit.DAG, slots []uint8, prio []uint32) {
 	// Instructions are appended in topological order, so a reverse sweep
 	// sees all successors first.
 	for i := len(slots) - 1; i >= 0; i-- {
@@ -184,15 +230,19 @@ func criticalPathPriority(d *circuit.DAG, slots []uint8) []uint32 {
 		}
 		prio[i] = longest + uint32(slots[i])
 	}
-	return prio
 }
 
 // UtilizationSweep schedules the circuit at each block budget and returns
-// the utilizations — one curve of Figure 6(a).
+// the utilizations — one curve of Figure 6(a). Each equals
+// ListSchedule(d, k).Utilization() without the start table.
 func UtilizationSweep(d *circuit.DAG, blockCounts []int) []float64 {
 	out := make([]float64, len(blockCounts))
 	for i, k := range blockCounts {
-		out[i] = ListSchedule(d, k).Utilization()
+		if k <= 0 || d.Circuit().Len() == 0 {
+			continue // Utilization's zero for unlimited budgets and empty schedules
+		}
+		makespan, busy := listSchedule(d, k, nil)
+		out[i] = Result{Blocks: k, MakespanSlots: makespan, BusySlots: busy}.Utilization()
 	}
 	return out
 }
@@ -205,8 +255,12 @@ func KneeBlocks(d *circuit.DAG, tolerance float64) int {
 		return 0
 	}
 	target := int(math.Ceil(float64(d.Depth()) * (1 + tolerance)))
+	makespan := func(blocks int) int {
+		m, _ := listSchedule(d, blocks, nil)
+		return m
+	}
 	lo, hi := 1, 1
-	for ListSchedule(d, hi).MakespanSlots > target {
+	for makespan(hi) > target {
 		hi *= 2
 		if hi > d.Circuit().Len() {
 			hi = d.Circuit().Len()
@@ -215,33 +269,11 @@ func KneeBlocks(d *circuit.DAG, tolerance float64) int {
 	}
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if ListSchedule(d, mid).MakespanSlots <= target {
+		if makespan(mid) <= target {
 			hi = mid
 		} else {
 			lo = mid + 1
 		}
 	}
 	return lo
-}
-
-// Validate checks that a schedule respects dependencies and the block
-// budget; used by the property tests.
-func (r Result) Validate(d *circuit.DAG) error {
-	c := d.Circuit()
-	for i := range c.Instrs() {
-		for _, p := range d.Deps(i) {
-			if end := r.Start[p] + c.Instr(int(p)).Slots(); r.Start[i] < end {
-				return fmt.Errorf("sched: instr %d starts at %d before dep %d finishes at %d",
-					i, r.Start[i], p, end)
-			}
-		}
-	}
-	if r.Blocks > 0 {
-		for t, w := range r.Profile(c) {
-			if w > r.Blocks {
-				return fmt.Errorf("sched: %d instructions in flight at slot %d with only %d blocks", w, t, r.Blocks)
-			}
-		}
-	}
-	return nil
 }

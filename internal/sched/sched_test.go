@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
@@ -10,6 +11,28 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/gen"
 )
+
+// validate checks that a schedule respects dependencies and the block
+// budget.
+func validate(r Result, d *circuit.DAG) error {
+	c := d.Circuit()
+	for i := range c.Instrs() {
+		for _, p := range d.Deps(i) {
+			if end := r.Start[p] + c.Instr(int(p)).Slots(); r.Start[i] < end {
+				return fmt.Errorf("sched: instr %d starts at %d before dep %d finishes at %d",
+					i, r.Start[i], p, end)
+			}
+		}
+	}
+	if r.Blocks > 0 {
+		for t, w := range r.Profile(c) {
+			if w > r.Blocks {
+				return fmt.Errorf("sched: %d instructions in flight at slot %d with only %d blocks", w, t, r.Blocks)
+			}
+		}
+	}
+	return nil
+}
 
 func chain(n int) *circuit.DAG {
 	c := circuit.New(1)
@@ -33,7 +56,7 @@ func TestScheduleSerialChain(t *testing.T) {
 	if r.MakespanSlots != 5 {
 		t.Errorf("makespan = %d, want 5", r.MakespanSlots)
 	}
-	if err := r.Validate(d); err != nil {
+	if err := validate(r, d); err != nil {
 		t.Error(err)
 	}
 }
@@ -47,7 +70,7 @@ func TestScheduleIndependentGatesLimited(t *testing.T) {
 	if u := r.Utilization(); u < 0.8 || u > 0.84 {
 		t.Errorf("utilization = %g, want 10/12", u)
 	}
-	if err := r.Validate(d); err != nil {
+	if err := validate(r, d); err != nil {
 		t.Error(err)
 	}
 }
@@ -229,7 +252,7 @@ func TestScheduleValidityProperty(t *testing.T) {
 		dag := circuit.BuildDAG(c)
 		k := 1 + rng.Intn(6)
 		r := ListSchedule(dag, k)
-		if r.Validate(dag) != nil {
+		if validate(r, dag) != nil {
 			return false
 		}
 		if r.MakespanSlots < dag.Depth() {
@@ -276,7 +299,7 @@ func TestListScheduleAllocationsConstant(t *testing.T) {
 	}
 }
 
-// TestValidateRejectsBrokenSchedules: Validate catches both ways a
+// TestValidateRejectsBrokenSchedules: validate catches both ways a
 // schedule can be wrong — an instruction starting before its dependency
 // finishes, and more instructions in flight than the block budget — and
 // the zero-makespan and unreachable-tolerance edges stay well defined.
@@ -284,14 +307,14 @@ func TestValidateRejectsBrokenSchedules(t *testing.T) {
 	d := chain(3)
 	early := ListSchedule(d, 1)
 	early.Start[2] = early.Start[1]
-	if err := early.Validate(d); err == nil {
-		t.Error("Validate accepted an instruction starting before its dependency finished")
+	if err := validate(early, d); err == nil {
+		t.Error("validate accepted an instruction starting before its dependency finished")
 	}
 	ind := independent(4)
 	crowded := ListSchedule(ind, 0)
 	crowded.Blocks = 2
-	if err := crowded.Validate(ind); err == nil {
-		t.Error("Validate accepted 4 concurrent instructions on 2 blocks")
+	if err := validate(crowded, ind); err == nil {
+		t.Error("validate accepted 4 concurrent instructions on 2 blocks")
 	}
 
 	empty := circuit.BuildDAG(circuit.New(1))

@@ -50,6 +50,7 @@ trap 'rm -rf "$tmp"' EXIT
 run go run ./cmd/cqla bench -list
 run go run ./cmd/cqla bench -filter 'MonteCarlo(XSeededSerial|BitSliced)' -benchtime 10ms -out /dev/null
 run go run ./cmd/cqla bench -filter '^(DESRunnerReuse|DESEventLoop64BitAdder)$' -benchtime 10ms -out /dev/null
+run go run ./cmd/cqla bench -filter '^(PlanMakespanQFT256|ListScheduleAdder1024)$' -benchtime 10ms -out /dev/null
 run go run ./cmd/cqla bench -filter 'MonteCarlo|BuildDAG' -benchtime 10ms -out "$tmp/a.json"
 run go run ./cmd/cqla bench -filter 'MonteCarlo|BuildDAG' -benchtime 10ms -baseline "$tmp/a.json" -gate 1000 -out /dev/null
 
